@@ -15,14 +15,24 @@
 //! static GLOBAL: rrs_bench::AllocProbe = rrs_bench::AllocProbe;
 //! ```
 //!
-//! and read the process-wide counters through [`alloc_calls`],
-//! [`live_bytes`] and [`peak_bytes`]. Without an installed probe the
-//! counters stay frozen at zero — [`probe_active`] detects that, so
-//! measurements can fail loudly instead of reporting a fake clean zero.
+//! and read the counters through [`alloc_calls`], [`live_bytes`] and
+//! [`peak_bytes`]. Without an installed probe the counters stay frozen at
+//! zero — [`probe_active`] detects that, so measurements can fail loudly
+//! instead of reporting a fake clean zero.
 //!
-//! Counter updates are `Relaxed`: per-thread counts are exact, and the
-//! workspace's measured sections are single-threaded, so cross-thread
-//! ordering slack never skews a reading that matters.
+//! The two kinds of counter differ in scope:
+//!
+//! * **Allocator calls are per thread.** Each thread counts its own calls
+//!   in a `const`-initialized thread-local `Cell`, which allocates nothing
+//!   and needs no destructor. [`alloc_calls`] reads the calling thread's
+//!   count, so a measured window sees exactly the allocations of the code
+//!   it runs — sibling threads (another test in the same binary, a sweep
+//!   worker) cannot pollute it.
+//! * **Live and peak bytes are whole-process.** Memory freed on one thread
+//!   may have been allocated on another, so bytes are kept in global
+//!   `Relaxed` atomics. A reading covers every thread that allocated
+//!   during the window; it is exact only when the window has the process
+//!   to itself.
 
 // Audited exception to the workspace-wide `forbid(unsafe_code)` (see this
 // crate's root): implementing `GlobalAlloc` is inherently unsafe. The impl
@@ -32,24 +42,35 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The probe allocator. Install with `#[global_allocator]`; all state is
-/// process-global, so the unit struct carries nothing.
+/// The probe allocator. Install with `#[global_allocator]`; its state is
+/// static (per-thread call counts, process-wide byte counts), so the unit
+/// struct carries nothing.
 pub struct AllocProbe;
 
-static CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
+fn count_call() {
+    // `try_with`: a thread may still allocate while its thread-locals are
+    // being torn down; such calls go uncounted instead of panicking.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
 fn on_alloc(bytes: usize) {
-    CALLS.fetch_add(1, Ordering::Relaxed);
+    count_call();
     let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 // SAFETY: every operation delegates to `System` with unchanged arguments;
-// the only additions are relaxed counter updates, which allocate nothing.
+// the only additions are counter updates (a thread-local `Cell` and relaxed
+// atomics), which allocate nothing.
 unsafe impl GlobalAlloc for AllocProbe {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         on_alloc(layout.size());
@@ -62,7 +83,7 @@ unsafe impl GlobalAlloc for AllocProbe {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         if new_size >= layout.size() {
             let grow = (new_size - layout.size()) as u64;
             let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
@@ -79,19 +100,21 @@ unsafe impl GlobalAlloc for AllocProbe {
     }
 }
 
-/// Allocator calls (alloc + alloc_zeroed + realloc) since process start.
-/// Deterministic for single-threaded measured sections.
+/// Allocator calls (alloc + alloc_zeroed + realloc) made by the calling
+/// thread since it started. Other threads' calls never show up here, so
+/// the difference across a measured window is exact and deterministic.
 pub fn alloc_calls() -> u64 {
-    CALLS.load(Ordering::Relaxed)
+    CALLS.try_with(Cell::get).unwrap_or(0)
 }
 
-/// Live heap bytes currently outstanding (allocated minus freed).
+/// Live heap bytes currently outstanding (allocated minus freed), over the
+/// whole process.
 pub fn live_bytes() -> u64 {
     LIVE.load(Ordering::Relaxed)
 }
 
 /// High-water mark of [`live_bytes`] since process start or the last
-/// [`reset_peak`].
+/// [`reset_peak`], over the whole process.
 pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }

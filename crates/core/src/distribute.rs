@@ -18,57 +18,65 @@
 //! physically feasible (physical pending of `ℓ` is the sum over its
 //! sub-colors).
 
-use rrs_engine::checkpoint::{get_color_table, get_slots, put_color_table, put_slots};
-use rrs_engine::{Observation, PendingStore, Policy, Slot, Snapshot};
+use rrs_engine::checkpoint::{get_color_table, put_color_table};
+use rrs_engine::{Observation, Policy, RoundKernel, Slot, Snapshot};
 use rrs_model::{ColorId, ColorMap, ColorTable, SnapError, SnapReader, SnapWriter};
 
-/// The Distribute wrapper around an inner policy.
-#[derive(Debug)]
-pub struct Distribute<P> {
-    inner: P,
+/// The minted sub-color universe of §4.1: the virtual color table, each
+/// physical color's sub-colors in `j` order, and the projection back.
+///
+/// [`SubColorMap::split`] is the one place the chunk rule and the
+/// first-use minting order live; the online [`Distribute`] wrapper and the
+/// offline [`crate::distribute_instance`] both mint through it, so they
+/// build the same virtual instance.
+#[derive(Clone, Debug, Default)]
+pub struct SubColorMap {
     vcolors: ColorTable,
-    vpending: PendingStore,
-    vslots: Vec<Slot>,
-    vnext: Vec<Slot>,
     /// physical color → ids of its minted sub-colors (index `j` is
     /// sub-color `(ℓ, j)`).
     subs: ColorMap<Vec<ColorId>>,
     /// virtual color index → physical color.
     to_phys: Vec<ColorId>,
-    varrivals: Vec<(ColorId, u64)>,
-    vdropped: Vec<(ColorId, u64)>,
-    /// Execution-phase grouping over the virtual assignment: dense counts
-    /// plus the virtual colors touched this mini-round.
-    exec_counts: ColorMap<u64>,
-    exec_touched: Vec<ColorId>,
 }
 
-impl<P: Policy> Distribute<P> {
-    /// Wrap an inner policy (ΔLRU-EDF for the Theorem 2 guarantee).
-    pub fn new(inner: P) -> Self {
-        Self {
-            inner,
-            vcolors: ColorTable::new(),
-            vpending: PendingStore::new(),
-            vslots: Vec::new(),
-            vnext: Vec::new(),
-            subs: ColorMap::new(),
-            to_phys: Vec::new(),
-            varrivals: Vec::new(),
-            vdropped: Vec::new(),
-            exec_counts: ColorMap::new(),
-            exec_touched: Vec::new(),
+impl SubColorMap {
+    /// An empty universe.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Split a batch of `count` jobs of physical color `phys` (delay bound
+    /// `bound`) into chunks of at most `bound` jobs: the job of rank `r`
+    /// goes to sub-color `(phys, ⌊r / bound⌋)`, minted on first use.
+    /// `emit(sub_color, chunk)` is called per chunk, in `j` order.
+    pub fn split(
+        &mut self,
+        phys: ColorId,
+        count: u64,
+        bound: u64,
+        mut emit: impl FnMut(ColorId, u64),
+    ) {
+        if count == 0 {
+            return;
+        }
+        let subs = self.subs.entry(phys);
+        let mut remaining = count;
+        let mut j = 0usize;
+        while remaining > 0 {
+            let chunk = remaining.min(bound);
+            if subs.len() == j {
+                subs.push(self.vcolors.push(bound));
+                self.to_phys.push(phys);
+            }
+            emit(subs[j], chunk);
+            remaining -= chunk;
+            j += 1;
         }
     }
 
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Number of sub-colors minted so far.
-    pub fn virtual_colors(&self) -> usize {
-        self.vcolors.len()
+    /// The virtual color table (every sub-color keeps its physical bound).
+    pub fn colors(&self) -> &ColorTable {
+        &self.vcolors
     }
 
     /// The sub-colors minted for a physical color, in `j` order.
@@ -76,146 +84,16 @@ impl<P: Policy> Distribute<P> {
         self.subs.get(phys).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    fn sub_color(&mut self, phys: ColorId, j: usize, bound: u64) -> ColorId {
-        let subs = self.subs.entry(phys);
-        while subs.len() <= j {
-            let vc = self.vcolors.push(bound);
-            subs.push(vc);
-            self.to_phys.push(phys);
-        }
-        subs[j]
+    /// The physical color of a sub-color.
+    pub fn physical(&self, vc: ColorId) -> ColorId {
+        self.to_phys[vc.index()]
     }
 
-    fn run_virtual_execution(&mut self) {
-        // Per-sub-color queues are independent, so execution order across
-        // colors cannot affect state; dense counting keeps it deterministic
-        // and allocation-free once the virtual universe stops growing.
-        self.exec_touched.clear();
-        for &s in &self.vslots {
-            if let Some(c) = s {
-                let k = self.exec_counts.entry(c);
-                if *k == 0 {
-                    self.exec_touched.push(c);
-                }
-                *k += 1;
-            }
-        }
-        for &c in &self.exec_touched {
-            let q = std::mem::take(&mut self.exec_counts[c]);
-            self.vpending.execute(c, q);
-        }
-    }
-}
-
-impl<P: crate::Footprint> crate::Footprint for Distribute<P> {
-    fn footprint(&self) -> crate::StateFootprint {
-        self.inner.footprint().plus(crate::StateFootprint {
-            colorset_leaf_words: 0,
-            colormap_live_pages: (self.subs.live_pages()
-                + self.exec_counts.live_pages()
-                + self.vpending.live_pages()) as u64,
-        })
-    }
-}
-
-impl<P: crate::Instrumented> crate::Instrumented for Distribute<P> {
-    fn book(&self) -> Option<&crate::ColorBook> {
-        // The wrapper keeps no timestamps of its own; the inner policy's
-        // book is the §3 bookkeeping (over virtual sub-colors).
-        self.inner.book()
-    }
-
-    fn metrics(&self) -> crate::AlgoMetrics {
-        self.inner.metrics()
-    }
-}
-
-impl<P: Policy> Policy for Distribute<P> {
-    fn name(&self) -> &str {
-        "distribute"
-    }
-
-    fn init(&mut self, delta: u64, n_locations: usize) {
-        self.vcolors = ColorTable::new();
-        self.vpending = PendingStore::new();
-        self.vslots = vec![None; n_locations];
-        self.subs = ColorMap::new();
-        self.to_phys.clear();
-        self.inner.init(delta, n_locations);
-    }
-
-    fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
-        if obs.mini_round == 0 {
-            // Virtual drop phase.
-            self.vdropped.clear();
-            self.vpending.drop_due(obs.round, &mut self.vdropped);
-
-            // Virtual arrival phase: split each physical batch into
-            // sub-color chunks of at most D_ℓ jobs (job of rank r goes to
-            // sub-color ⌊r / D_ℓ⌋).
-            self.varrivals.clear();
-            for &(c, count) in obs.arrivals {
-                let bound = obs.colors.delay_bound(c);
-                debug_assert!(
-                    obs.round.is_multiple_of(bound),
-                    "Distribute requires batched arrivals (color {c}, round {})",
-                    obs.round
-                );
-                let mut remaining = count;
-                let mut j = 0usize;
-                while remaining > 0 {
-                    let chunk = remaining.min(bound);
-                    let vc = self.sub_color(c, j, bound);
-                    self.varrivals.push((vc, chunk));
-                    self.vpending.arrive(vc, obs.round + bound, chunk);
-                    remaining -= chunk;
-                    j += 1;
-                }
-            }
-            self.varrivals.sort_unstable_by_key(|&(c, _)| c);
-        }
-
-        // Inner reconfiguration on the virtual instance.
-        self.vnext.clone_from(&self.vslots);
-        let (arr, drp): (&rrs_engine::policy::ColorCounts, &rrs_engine::policy::ColorCounts) =
-            if obs.mini_round == 0 { (&self.varrivals, &self.vdropped) } else { (&[], &[]) };
-        let vobs = Observation {
-            round: obs.round,
-            mini_round: obs.mini_round,
-            speed: obs.speed,
-            delta: obs.delta,
-            colors: &self.vcolors,
-            arrivals: arr,
-            dropped: drp,
-            pending: &self.vpending,
-            slots: &self.vslots,
-        };
-        self.inner.reconfigure(&vobs, &mut self.vnext);
-        assert_eq!(self.vnext.len(), self.vslots.len(), "inner policy resized assignment");
-        std::mem::swap(&mut self.vslots, &mut self.vnext);
-
-        // Virtual execution phase, mirroring the engine's semantics.
-        self.run_virtual_execution();
-
-        // Physical projection: sub-color (ℓ, j) → ℓ.
-        for (o, &v) in out.iter_mut().zip(&self.vslots) {
-            *o = v.map(|vc| self.to_phys[vc.index()]);
-        }
-    }
-}
-
-impl<P: Snapshot> Snapshot for Distribute<P> {
-    // Mutable state: the minted virtual universe (vcolors, subs, to_phys),
-    // the virtual pending store and assignment, then the inner policy.
-    // The arrival/drop/execution buffers are per-round scratch.
-    //
-    // v2 writes only physical colors with minted sub-colors, as
-    // `(id, list)` entries in ascending id order; v1 wrote one (possibly
-    // empty) list per covered color.
-    fn save_state(&self, w: &mut SnapWriter) {
-        put_color_table(w, &self.vcolors);
-        self.vpending.save_state(w);
-        put_slots(w, &self.vslots);
+    /// Append the sub-color lists and the projection table. v2 writes only
+    /// physical colors with minted sub-colors, as `(id, list)` entries in
+    /// ascending id order; v1 wrote one (possibly empty) list per covered
+    /// color.
+    fn save_lists(&self, w: &mut SnapWriter) {
         w.put_u64(self.subs.len() as u64);
         let nonempty = self.subs.iter().filter(|(_, s)| !s.is_empty()).count();
         w.put_u64(nonempty as u64);
@@ -233,45 +111,35 @@ impl<P: Snapshot> Snapshot for Distribute<P> {
         for &phys in &self.to_phys {
             w.put_u32(phys.0);
         }
-        w.put_str(self.inner.name());
-        self.inner.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let vcolors = get_color_table(r, "virtual color table")?;
-        let vpending = PendingStore::load_state(r)?;
-        let vslots = get_slots(r, "virtual slots")?;
-        if vslots.len() != self.vslots.len() {
-            return Err(SnapError::Invalid(format!(
-                "virtual slot count {} does not match {} locations",
-                vslots.len(),
-                self.vslots.len()
-            )));
-        }
-        for vc in vslots.iter().flatten() {
-            if !vcolors.contains(*vc) {
-                return Err(SnapError::Invalid(format!("virtual slot holds unknown color {vc}")));
-            }
-        }
+    /// Read what [`SubColorMap::save_lists`] wrote: the sub-color lists
+    /// and the projection over the already-read virtual table `vcolors`.
+    fn load_lists(
+        r: &mut SnapReader<'_>,
+        vcolors: &ColorTable,
+    ) -> Result<(ColorMap<Vec<ColorId>>, Vec<ColorId>), SnapError> {
         let n_phys = usize::try_from(r.get_u64("sub-color map size")?)
             .map_err(|_| SnapError::Invalid("sub-color map size overflows usize".into()))?;
         let mut subs: ColorMap<Vec<ColorId>> = ColorMap::new();
         subs.grow_to(n_phys);
         let mut minted = 0u64;
+        let mut read_list = |r: &mut SnapReader<'_>, list: &mut Vec<ColorId>, len: u64| {
+            for _ in 0..len {
+                let vc = ColorId(r.get_u32("sub-color id")?);
+                if !vcolors.contains(vc) {
+                    return Err(SnapError::Invalid(format!("sub-color {vc} out of range")));
+                }
+                list.push(vc);
+                minted += 1;
+            }
+            Ok(())
+        };
         if r.version() < 2 {
             for i in 0..n_phys {
                 let len = r.get_u64("sub-color list length")?;
-                if len == 0 {
-                    continue;
-                }
-                let list = subs.entry(ColorId(i as u32));
-                for _ in 0..len {
-                    let vc = ColorId(r.get_u32("sub-color id")?);
-                    if !vcolors.contains(vc) {
-                        return Err(SnapError::Invalid(format!("sub-color {vc} out of range")));
-                    }
-                    list.push(vc);
-                    minted += 1;
+                if len > 0 {
+                    read_list(r, subs.entry(ColorId(i as u32)), len)?;
                 }
             }
         } else {
@@ -301,15 +169,7 @@ impl<P: Snapshot> Snapshot for Distribute<P> {
                         "color {id} recorded with an empty sub-color list"
                     )));
                 }
-                let list = subs.entry(ColorId(id));
-                for _ in 0..len {
-                    let vc = ColorId(r.get_u32("sub-color id")?);
-                    if !vcolors.contains(vc) {
-                        return Err(SnapError::Invalid(format!("sub-color {vc} out of range")));
-                    }
-                    list.push(vc);
-                    minted += 1;
-                }
+                read_list(r, subs.entry(ColorId(id)), len)?;
             }
         }
         if minted != vcolors.len() as u64 {
@@ -329,19 +189,121 @@ impl<P: Snapshot> Snapshot for Distribute<P> {
         for _ in 0..n_virt {
             to_phys.push(ColorId(r.get_u32("projected physical color")?));
         }
-        let inner_name = r.get_str("inner policy name")?;
-        if inner_name != self.inner.name() {
-            return Err(SnapError::Invalid(format!(
-                "snapshot wraps inner policy {inner_name:?} but this wrapper holds {:?}",
-                self.inner.name()
-            )));
+        Ok((subs, to_phys))
+    }
+}
+
+/// The Distribute wrapper around an inner policy.
+#[derive(Debug)]
+pub struct Distribute<P> {
+    inner: P,
+    map: SubColorMap,
+    /// The virtual instance's round loop.
+    kernel: RoundKernel,
+}
+
+impl<P: Policy> Distribute<P> {
+    /// Wrap an inner policy (ΔLRU-EDF for the Theorem 2 guarantee).
+    pub fn new(inner: P) -> Self {
+        Self { inner, map: SubColorMap::new(), kernel: RoundKernel::new() }
+    }
+
+    /// The wrapped policy.
+    pub fn inner(&self) -> &P {
+        &self.inner
+    }
+
+    /// Number of sub-colors minted so far.
+    pub fn virtual_colors(&self) -> usize {
+        self.map.vcolors.len()
+    }
+
+    /// The sub-colors minted for a physical color, in `j` order.
+    pub fn sub_colors(&self, phys: ColorId) -> &[ColorId] {
+        self.map.sub_colors(phys)
+    }
+}
+
+impl<P: crate::Footprint> crate::Footprint for Distribute<P> {
+    fn footprint(&self) -> crate::StateFootprint {
+        self.inner.footprint().plus(crate::StateFootprint {
+            colorset_leaf_words: 0,
+            colormap_live_pages: (self.map.subs.live_pages() + self.kernel.live_pages()) as u64,
+        })
+    }
+}
+
+impl<P: crate::Instrumented> crate::Instrumented for Distribute<P> {
+    fn book(&self) -> Option<&crate::ColorBook> {
+        // The wrapper keeps no timestamps of its own; the inner policy's
+        // book is the §3 bookkeeping (over virtual sub-colors).
+        self.inner.book()
+    }
+
+    fn metrics(&self) -> crate::AlgoMetrics {
+        self.inner.metrics()
+    }
+}
+
+impl<P: Policy> Policy for Distribute<P> {
+    fn name(&self) -> &str {
+        "distribute"
+    }
+
+    fn init(&mut self, delta: u64, n_locations: usize) {
+        self.map = SubColorMap::new();
+        self.kernel.reset(n_locations);
+        self.inner.init(delta, n_locations);
+    }
+
+    fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
+        let round = obs.round;
+        if obs.mini_round == 0 {
+            self.kernel.drop_due(round);
+            // Arrivals: each physical batch splits into sub-color chunks.
+            for &(c, count) in obs.arrivals {
+                let bound = obs.colors.delay_bound(c);
+                debug_assert!(
+                    round.is_multiple_of(bound),
+                    "Distribute requires batched arrivals (color {c}, round {round})"
+                );
+                let kernel = &mut self.kernel;
+                self.map
+                    .split(c, count, bound, |vc, chunk| kernel.arrive(vc, round + bound, chunk));
+            }
         }
-        self.inner.load_state(r)?;
-        self.vcolors = vcolors;
-        self.vpending = vpending;
-        self.vslots = vslots;
-        self.subs = subs;
-        self.to_phys = to_phys;
+        self.kernel.reconfigure(
+            &mut self.inner,
+            &self.map.vcolors,
+            round,
+            obs.mini_round,
+            obs.speed,
+            obs.delta,
+        );
+        self.kernel.execute(|_, _, _| {});
+
+        // Physical projection: sub-color (ℓ, j) → ℓ.
+        for (o, &v) in out.iter_mut().zip(self.kernel.slots()) {
+            *o = v.map(|vc| self.map.physical(vc));
+        }
+    }
+}
+
+impl<P: Snapshot> Snapshot for Distribute<P> {
+    // Mutable state: the virtual color table, the virtual pending store and
+    // assignment, the sub-color lists and projection, then the inner
+    // policy. The round's buffers are scratch.
+    fn save_state(&self, w: &mut SnapWriter) {
+        put_color_table(w, &self.map.vcolors);
+        self.kernel.save_state(w, &self.inner, |w| self.map.save_lists(w));
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let vcolors = get_color_table(r, "virtual color table")?;
+        let (subs, to_phys) = self
+            .kernel
+            .load_state(r, &vcolors, &mut self.inner, |r| SubColorMap::load_lists(r, &vcolors))?;
+        self.map = SubColorMap { vcolors, subs, to_phys };
         Ok(())
     }
 }

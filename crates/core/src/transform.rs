@@ -22,39 +22,22 @@
 //!   reconfiguration cost of `P` on `varbatch_instance(σ)` (the projection
 //!   is the identity on colors) and never drops more.
 
-use rrs_model::{ColorId, ColorTable, Instance, RequestSeq};
+use rrs_model::{ColorTable, Instance, RequestSeq};
 
+pub use crate::distribute::SubColorMap;
 use crate::var_batch::virtual_bound;
-
-/// The sub-color mapping produced by [`distribute_instance`].
-#[derive(Clone, Debug, Default)]
-pub struct SubColorMap {
-    /// `subs[phys][j]` is the id of sub-color `(phys, j)` in the new
-    /// instance.
-    pub subs: Vec<Vec<ColorId>>,
-    /// `to_phys[virtual]` is the physical color a sub-color came from.
-    pub to_phys: Vec<ColorId>,
-}
-
-impl SubColorMap {
-    /// The physical color of a sub-color.
-    pub fn physical(&self, vc: ColorId) -> ColorId {
-        self.to_phys[vc.index()]
-    }
-}
 
 /// Materialize §4.1's `I → I'`: a rate-limited instance over sub-colors.
 ///
-/// Sub-colors are minted in first-use order (rounds ascending, colors in
-/// consistent order within a round), matching the online wrapper exactly.
+/// Sub-colors are minted by [`SubColorMap::split`] in first-use order
+/// (rounds ascending, colors in consistent order within a round), the same
+/// calls the online wrapper makes.
 ///
 /// # Panics
 /// Panics (debug) if the input is not batched.
 pub fn distribute_instance(inst: &Instance) -> (Instance, SubColorMap) {
-    let mut map = SubColorMap { subs: vec![Vec::new(); inst.colors.len()], to_phys: Vec::new() };
-    let mut vcolors = ColorTable::new();
+    let mut map = SubColorMap::new();
     let mut vrequests = RequestSeq::new();
-
     for (round, req) in inst.requests.iter() {
         for &(c, count) in req.pairs() {
             let bound = inst.colors.delay_bound(c);
@@ -62,23 +45,10 @@ pub fn distribute_instance(inst: &Instance) -> (Instance, SubColorMap) {
                 round.is_multiple_of(bound),
                 "distribute_instance requires batched input"
             );
-            let mut remaining = count;
-            let mut j = 0usize;
-            while remaining > 0 {
-                let chunk = remaining.min(bound);
-                while map.subs[c.index()].len() <= j {
-                    let vc = vcolors.push(bound);
-                    map.subs[c.index()].push(vc);
-                    map.to_phys.push(c);
-                }
-                let vc = map.subs[c.index()][j];
-                vrequests.add(round, vc, chunk);
-                remaining -= chunk;
-                j += 1;
-            }
+            map.split(c, count, bound, |vc, chunk| vrequests.add(round, vc, chunk));
         }
     }
-    (Instance::new(inst.delta, vcolors, vrequests), map)
+    (Instance::new(inst.delta, map.colors().clone(), vrequests), map)
 }
 
 /// Materialize §5.1's `σ → σ'` (with §5.3 rounding for arbitrary bounds):
@@ -120,7 +90,7 @@ mod tests {
         let (vinst, map) = distribute_instance(&inst);
         assert!(check_rate_limited(&vinst).is_ok());
         // 7 jobs over bound 2 -> 4 sub-colors; batch at round 4 reuses them.
-        assert_eq!(map.subs[c.index()].len(), 4);
+        assert_eq!(map.sub_colors(c).len(), 4);
         assert_eq!(vinst.total_jobs(), inst.total_jobs());
         for vc in vinst.colors.ids() {
             assert_eq!(map.physical(vc), c);
@@ -137,7 +107,7 @@ mod tests {
         let inst = b.build();
         let (vinst, map) = distribute_instance(&inst);
         let sizes: Vec<u64> =
-            map.subs[c.index()].iter().map(|&vc| vinst.requests.at(2).count_of(vc)).collect();
+            map.sub_colors(c).iter().map(|&vc| vinst.requests.at(2).count_of(vc)).collect();
         assert_eq!(sizes, vec![2, 2, 1]);
     }
 

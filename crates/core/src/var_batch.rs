@@ -19,8 +19,8 @@
 //! for the true instance, and the tightening costs at most a constant
 //! factor. Bounds of 1 need no batching and pass through unchanged.
 
-use rrs_engine::checkpoint::{get_color_table, get_slots, put_color_table, put_slots};
-use rrs_engine::{Observation, PendingStore, Policy, Slot, Snapshot};
+use rrs_engine::checkpoint::{get_color_table, put_color_table};
+use rrs_engine::{Observation, Policy, RoundKernel, Slot, Snapshot};
 use rrs_model::{ColorId, ColorMap, ColorSet, ColorTable, SnapError, SnapReader, SnapWriter};
 
 /// The VarBatch wrapper around an inner policy for the batched problem.
@@ -40,15 +40,8 @@ pub struct VarBatch<P> {
     /// Scratch for the release walk: `(color, virtual bound)` pairs due
     /// this round.
     release_buf: Vec<(ColorId, u64)>,
-    vpending: PendingStore,
-    vslots: Vec<Slot>,
-    vnext: Vec<Slot>,
-    varrivals: Vec<(ColorId, u64)>,
-    vdropped: Vec<(ColorId, u64)>,
-    /// Execution-phase grouping over the virtual assignment: dense counts
-    /// plus the virtual colors touched this mini-round.
-    exec_counts: ColorMap<u64>,
-    exec_touched: Vec<ColorId>,
+    /// The virtual instance's round loop.
+    kernel: RoundKernel,
 }
 
 /// Largest power of two `≤ p` (`p ≥ 1`).
@@ -82,13 +75,7 @@ impl<P: Policy> VarBatch<P> {
             buffered: ColorMap::new(),
             buffered_nonzero: ColorSet::new(),
             release_buf: Vec::new(),
-            vpending: PendingStore::new(),
-            vslots: Vec::new(),
-            vnext: Vec::new(),
-            varrivals: Vec::new(),
-            vdropped: Vec::new(),
-            exec_counts: ColorMap::new(),
-            exec_touched: Vec::new(),
+            kernel: RoundKernel::new(),
         }
     }
 
@@ -104,35 +91,13 @@ impl<P: Policy> VarBatch<P> {
             self.vcolors.push(virtual_bound(p));
         }
     }
-
-    fn run_virtual_execution(&mut self) {
-        // Per-color queues are independent, so execution order across colors
-        // cannot affect state; dense counting keeps it deterministic and
-        // allocation-free once the color universe stops growing.
-        self.exec_touched.clear();
-        for &s in &self.vslots {
-            if let Some(c) = s {
-                let k = self.exec_counts.entry(c);
-                if *k == 0 {
-                    self.exec_touched.push(c);
-                }
-                *k += 1;
-            }
-        }
-        for &c in &self.exec_touched {
-            let q = std::mem::take(&mut self.exec_counts[c]);
-            self.vpending.execute(c, q);
-        }
-    }
 }
 
 impl<P: crate::Footprint> crate::Footprint for VarBatch<P> {
     fn footprint(&self) -> crate::StateFootprint {
         self.inner.footprint().plus(crate::StateFootprint {
             colorset_leaf_words: self.buffered_nonzero.leaf_words() as u64,
-            colormap_live_pages: (self.buffered.live_pages()
-                + self.exec_counts.live_pages()
-                + self.vpending.live_pages()) as u64,
+            colormap_live_pages: (self.buffered.live_pages() + self.kernel.live_pages()) as u64,
         })
     }
 }
@@ -158,8 +123,7 @@ impl<P: Policy> Policy for VarBatch<P> {
         self.vcolors = ColorTable::new();
         self.buffered = ColorMap::new();
         self.buffered_nonzero.clear();
-        self.vpending = PendingStore::new();
-        self.vslots = vec![None; n_locations];
+        self.kernel.reset(n_locations);
         self.inner.init(delta, n_locations);
     }
 
@@ -168,15 +132,12 @@ impl<P: Policy> Policy for VarBatch<P> {
             self.sync(obs.colors);
             let k = obs.round;
 
-            // Virtual drop phase.
-            self.vdropped.clear();
-            self.vpending.drop_due(k, &mut self.vdropped);
+            self.kernel.drop_due(k);
 
             // Release phase: at each half-block boundary, the jobs buffered
             // during the previous half-block arrive virtually with bound q.
             // Only colors with a nonzero buffer can release, so the walk is
             // over `buffered_nonzero` (ascending, like every color walk).
-            self.varrivals.clear();
             self.release_buf.clear();
             for c in self.buffered_nonzero.iter() {
                 let q = self.vcolors.delay_bound(c);
@@ -188,8 +149,7 @@ impl<P: Policy> Policy for VarBatch<P> {
                 let (c, q) = self.release_buf[i];
                 self.buffered_nonzero.remove(c);
                 let n = std::mem::take(&mut self.buffered[c]);
-                self.varrivals.push((c, n));
-                self.vpending.arrive(c, k + q, n);
+                self.kernel.arrive(c, k + q, n);
             }
 
             // Buffer this round's physical arrivals for the *next*
@@ -198,40 +158,27 @@ impl<P: Policy> Policy for VarBatch<P> {
             for &(c, n) in obs.arrivals {
                 if obs.colors.delay_bound(c) == 1 {
                     // True bound 1: no delay is needed or allowed.
-                    self.varrivals.push((c, n));
-                    self.vpending.arrive(c, k + 1, n);
+                    self.kernel.arrive(c, k + 1, n);
                 } else if n > 0 {
                     *self.buffered.entry(c) += n;
                     self.buffered_nonzero.insert(c);
                 }
             }
-            self.varrivals.sort_unstable_by_key(|&(c, _)| c);
         }
 
-        // Inner reconfiguration on the virtual (batched) instance.
-        self.vnext.clone_from(&self.vslots);
-        let (arr, drp): (&rrs_engine::policy::ColorCounts, &rrs_engine::policy::ColorCounts) =
-            if obs.mini_round == 0 { (&self.varrivals, &self.vdropped) } else { (&[], &[]) };
-        let vobs = Observation {
-            round: obs.round,
-            mini_round: obs.mini_round,
-            speed: obs.speed,
-            delta: obs.delta,
-            colors: &self.vcolors,
-            arrivals: arr,
-            dropped: drp,
-            pending: &self.vpending,
-            slots: &self.vslots,
-        };
-        self.inner.reconfigure(&vobs, &mut self.vnext);
-        assert_eq!(self.vnext.len(), self.vslots.len(), "inner policy resized assignment");
-        std::mem::swap(&mut self.vslots, &mut self.vnext);
-
-        // Virtual execution phase.
-        self.run_virtual_execution();
+        // The inner policy runs on the virtual (batched) instance.
+        self.kernel.reconfigure(
+            &mut self.inner,
+            &self.vcolors,
+            obs.round,
+            obs.mini_round,
+            obs.speed,
+            obs.delta,
+        );
+        self.kernel.execute(|_, _, _| {});
 
         // Physical projection is the identity on colors.
-        out.copy_from_slice(&self.vslots);
+        out.copy_from_slice(self.kernel.slots());
     }
 }
 
@@ -249,10 +196,7 @@ impl<P: Snapshot> Snapshot for VarBatch<P> {
             w.put_u32(c.0);
             w.put_u64(self.buffered.value(c));
         }
-        self.vpending.save_state(w);
-        put_slots(w, &self.vslots);
-        w.put_str(self.inner.name());
-        self.inner.save_state(w);
+        self.kernel.save_state(w, &self.inner, |_| {});
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -307,33 +251,10 @@ impl<P: Snapshot> Snapshot for VarBatch<P> {
                 buffered_nonzero.insert(ColorId(id));
             }
         }
-        let vpending = PendingStore::load_state(r)?;
-        let vslots = get_slots(r, "virtual slots")?;
-        if vslots.len() != self.vslots.len() {
-            return Err(SnapError::Invalid(format!(
-                "virtual slot count {} does not match {} locations",
-                vslots.len(),
-                self.vslots.len()
-            )));
-        }
-        for vc in vslots.iter().flatten() {
-            if !vcolors.contains(*vc) {
-                return Err(SnapError::Invalid(format!("virtual slot holds unknown color {vc}")));
-            }
-        }
-        let inner_name = r.get_str("inner policy name")?;
-        if inner_name != self.inner.name() {
-            return Err(SnapError::Invalid(format!(
-                "snapshot wraps inner policy {inner_name:?} but this wrapper holds {:?}",
-                self.inner.name()
-            )));
-        }
-        self.inner.load_state(r)?;
+        self.kernel.load_state(r, &vcolors, &mut self.inner, |_| Ok(()))?;
         self.vcolors = vcolors;
         self.buffered = buffered;
         self.buffered_nonzero = buffered_nonzero;
-        self.vpending = vpending;
-        self.vslots = vslots;
         Ok(())
     }
 }

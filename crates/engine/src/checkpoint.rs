@@ -237,6 +237,42 @@ pub struct EngineState {
 }
 
 impl EngineState {
+    /// The state before round 0 of a fresh run.
+    pub(crate) fn fresh(delta: u64, speed: u32, n_locations: usize) -> Self {
+        EngineState {
+            next_round: 0,
+            speed,
+            n_locations,
+            horizon_hint: 0,
+            slots: vec![None; n_locations],
+            ledger: CostLedger::new(delta),
+            arrived: 0,
+            executed: 0,
+            dropped: 0,
+            pending: PendingStore::new(),
+        }
+    }
+
+    /// Check that a run over `n_locations` at `speed` with cost `delta`
+    /// may resume from this state.
+    pub(crate) fn check_resumable(
+        &self,
+        n_locations: usize,
+        speed: u32,
+        delta: u64,
+    ) -> Result<(), SnapError> {
+        let mismatch = if self.n_locations != n_locations {
+            format!("snapshot has {} locations, this run has {n_locations}", self.n_locations)
+        } else if self.speed != speed {
+            format!("snapshot was taken at speed {}, this run has speed {speed}", self.speed)
+        } else if self.ledger.delta != delta {
+            format!("snapshot has delta {}, this run has delta {delta}", self.ledger.delta)
+        } else {
+            return Ok(());
+        };
+        Err(SnapError::Invalid(mismatch))
+    }
+
     /// Serialize into a writer (the body of the `engine` section).
     pub fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.next_round);

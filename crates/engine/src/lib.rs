@@ -47,12 +47,12 @@
 
 pub mod assign;
 pub mod checkpoint;
+pub mod kernel;
 pub mod obs;
 pub mod par;
 pub mod pending;
 pub mod policy;
 pub mod replay;
-pub mod scratch;
 pub mod sim;
 pub mod sink;
 pub mod trace;
@@ -63,6 +63,7 @@ pub use checkpoint::{
     encode_snapshot, CheckpointPolicy, EngineState, SessionError, SessionResult, Snapshot,
     SnapshotFile, SnapshotSink,
 };
+pub use kernel::{RoundKernel, Scratch};
 pub use obs::{CounterRecorder, CounterRegistry, Histogram, Stopwatch};
 pub use par::{
     jobs, par_map_sweep, par_map_sweep_stats, set_jobs, take_sweep_telemetry, SweepTelemetry,
@@ -71,7 +72,6 @@ pub use par::{
 pub use pending::PendingStore;
 pub use policy::{Observation, Policy, Slot};
 pub use replay::{FixedSchedule, ReplayPolicy};
-pub use scratch::Scratch;
 pub use sim::{run_stream_session, Outcome, Simulator, StreamOptions};
 pub use sink::{
     counter_records, event_to_json, parse_trace, parse_trace_line, JsonlRingSink, JsonlSink,
@@ -89,6 +89,7 @@ pub mod prelude {
         encode_snapshot, CheckpointPolicy, EngineState, SessionError, SessionResult, Snapshot,
         SnapshotFile, SnapshotSink,
     };
+    pub use crate::kernel::{RoundKernel, Scratch};
     pub use crate::obs::{CounterRecorder, CounterRegistry, Histogram, Stopwatch};
     pub use crate::par::{
         jobs, par_map_sweep, par_map_sweep_stats, set_jobs, take_sweep_telemetry, SweepTelemetry,
@@ -97,7 +98,6 @@ pub mod prelude {
     pub use crate::pending::PendingStore;
     pub use crate::policy::{Observation, Policy, Slot};
     pub use crate::replay::{FixedSchedule, ReplayPolicy};
-    pub use crate::scratch::Scratch;
     pub use crate::sim::{run_stream_session, Outcome, Simulator, StreamOptions};
     pub use crate::sink::{
         parse_trace, JsonlRingSink, JsonlSink, ParsedTrace, PhaseTimer, TraceMeta,

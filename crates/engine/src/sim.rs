@@ -3,8 +3,10 @@
 //!
 //! All run variants — plain, traced, watched, checkpointed, resumed, and
 //! streamed — share one private round loop, `drive_session`, generic over
-//! the instance source and a round-boundary hook. The plain paths use the
-//! no-op hook (which monomorphizes to nothing, keeping them free of any
+//! the instance source and a round-boundary hook. It runs each round's
+//! phases through the [`Scratch`] round kernel and does the accounting,
+//! recording and watching between the kernel's calls. The plain paths use
+//! the no-op hook (which monomorphizes to nothing, keeping them free of any
 //! [`Snapshot`] bound); the checkpoint paths install a hook that captures
 //! state at the top of a round, before any of the round's events, so a
 //! resumed run re-emits the identical trace suffix.
@@ -15,9 +17,8 @@ use crate::checkpoint::{
     CheckpointHook, CheckpointPolicy, EngineState, EngineView, HookVerdict, NoHook, SessionError,
     SessionHook, SessionResult, Snapshot, SnapshotFile, SnapshotSink,
 };
-use crate::pending::PendingStore;
-use crate::policy::{Observation, Policy, Slot};
-use crate::scratch::Scratch;
+use crate::kernel::Scratch;
+use crate::policy::{Policy, Slot};
 use crate::trace::{NullRecorder, Phase, Recorder};
 use crate::watch::{NoWatcher, Watcher};
 
@@ -140,27 +141,8 @@ impl<'a> Simulator<'a> {
         scratch: &mut Scratch,
         watcher: &mut W,
     ) -> Outcome {
-        debug_assert!(self.inst.check_colors(), "instance references unknown colors");
-        policy.init(self.inst.delta, self.n_locations);
-        let mut source = MaterializedSource::new(self.inst);
-        let seed = SessionSeed::fresh(self.inst.delta, self.n_locations);
-        match drive_session(
-            &mut source,
-            self.speed,
-            self.n_locations,
-            Some(self.horizon),
-            seed,
-            policy,
-            recorder,
-            scratch,
-            watcher,
-            &mut NoHook,
-        ) {
-            Ok(SessionResult::Completed(out)) => out,
-            Ok(SessionResult::Suspended { .. }) | Err(_) => {
-                unreachable!("a hook-free materialized run can neither suspend nor fail")
-            }
-        }
+        let seed = self.start(policy);
+        self.drive(seed, policy, recorder, scratch, watcher, &mut NoHook).into_outcome()
     }
 
     /// Run from round 0 and suspend at the top of `at_round`, returning the
@@ -180,30 +162,13 @@ impl<'a> Simulator<'a> {
         R: Recorder,
         W: Watcher,
     {
-        debug_assert!(self.inst.check_colors(), "instance references unknown colors");
-        policy.init(self.inst.delta, self.n_locations);
-        let mut source = MaterializedSource::new(self.inst);
-        let seed = SessionSeed::fresh(self.inst.delta, self.n_locations);
+        let seed = self.start(policy);
         let mut hook = CheckpointHook {
             plan: &CheckpointPolicy::Never,
             sink: None,
             stop_before: Some(at_round),
         };
-        match drive_session(
-            &mut source,
-            self.speed,
-            self.n_locations,
-            Some(self.horizon),
-            seed,
-            policy,
-            recorder,
-            scratch,
-            watcher,
-            &mut hook,
-        ) {
-            Ok(res) => res,
-            Err(_) => unreachable!("a materialized run cannot fail"),
-        }
+        self.drive(seed, policy, recorder, scratch, watcher, &mut hook)
     }
 
     /// Run to completion, emitting a snapshot to `sink` at the top of every
@@ -222,28 +187,9 @@ impl<'a> Simulator<'a> {
         R: Recorder,
         W: Watcher,
     {
-        debug_assert!(self.inst.check_colors(), "instance references unknown colors");
-        policy.init(self.inst.delta, self.n_locations);
-        let mut source = MaterializedSource::new(self.inst);
-        let seed = SessionSeed::fresh(self.inst.delta, self.n_locations);
+        let seed = self.start(policy);
         let mut hook = CheckpointHook { plan, sink: Some(sink), stop_before: None };
-        match drive_session(
-            &mut source,
-            self.speed,
-            self.n_locations,
-            Some(self.horizon),
-            seed,
-            policy,
-            recorder,
-            scratch,
-            watcher,
-            &mut hook,
-        ) {
-            Ok(SessionResult::Completed(out)) => out,
-            Ok(SessionResult::Suspended { .. }) | Err(_) => {
-                unreachable!("a run without stop_before can neither suspend nor fail")
-            }
-        }
+        self.drive(seed, policy, recorder, scratch, watcher, &mut hook).into_outcome()
     }
 
     /// Resume a run from a snapshot taken by [`Simulator::checkpoint`] (or
@@ -268,52 +214,49 @@ impl<'a> Simulator<'a> {
     {
         debug_assert!(self.inst.check_colors(), "instance references unknown colors");
         let file = SnapshotFile::parse(snapshot)?;
-        let state = &file.state;
-        if state.n_locations != self.n_locations {
-            return Err(SnapError::Invalid(format!(
-                "snapshot has {} locations, simulator has {}",
-                state.n_locations, self.n_locations
-            )));
-        }
-        if state.speed != self.speed {
-            return Err(SnapError::Invalid(format!(
-                "snapshot was taken at speed {}, simulator runs at speed {}",
-                state.speed, self.speed
-            )));
-        }
-        if state.ledger.delta != self.inst.delta {
-            return Err(SnapError::Invalid(format!(
-                "snapshot has delta {}, instance has delta {}",
-                state.ledger.delta, self.inst.delta
-            )));
-        }
-        if state.horizon_hint != self.horizon {
+        file.state.check_resumable(self.n_locations, self.speed, self.inst.delta)?;
+        if file.state.horizon_hint != self.horizon {
             return Err(SnapError::Invalid(format!(
                 "snapshot was taken with horizon {}, simulator has horizon {} \
                  (same instance and with_horizon required for byte-identical resume)",
-                state.horizon_hint, self.horizon
+                file.state.horizon_hint, self.horizon
             )));
         }
         policy.init(self.inst.delta, self.n_locations);
         file.load_policy(policy)?;
-        let seed = SessionSeed::from_state(file.state);
+        Ok(self.drive(file.state, policy, recorder, scratch, watcher, &mut NoHook).into_outcome())
+    }
+
+    /// Initialize `policy` for a fresh run and return the engine state
+    /// before round 0.
+    fn start<P: Policy + ?Sized>(&self, policy: &mut P) -> EngineState {
+        debug_assert!(self.inst.check_colors(), "instance references unknown colors");
+        policy.init(self.inst.delta, self.n_locations);
+        EngineState::fresh(self.inst.delta, self.speed, self.n_locations)
+    }
+
+    /// Drive the instance from `seed` to the horizon (or a hook's
+    /// suspension). A materialized source never fails.
+    fn drive<P, R, W, H>(
+        &self,
+        seed: EngineState,
+        policy: &mut P,
+        recorder: &mut R,
+        scratch: &mut Scratch,
+        watcher: &mut W,
+        hook: &mut H,
+    ) -> SessionResult
+    where
+        P: Policy + ?Sized,
+        R: Recorder,
+        W: Watcher,
+        H: SessionHook<P>,
+    {
         let mut source = MaterializedSource::new(self.inst);
-        match drive_session(
-            &mut source,
-            self.speed,
-            self.n_locations,
-            Some(self.horizon),
-            seed,
-            policy,
-            recorder,
-            scratch,
-            watcher,
-            &mut NoHook,
-        ) {
-            Ok(SessionResult::Completed(out)) => Ok(out),
-            Ok(SessionResult::Suspended { .. }) | Err(_) => {
-                unreachable!("a hook-free materialized run can neither suspend nor fail")
-            }
+        let horizon = Some(self.horizon);
+        match drive_session(&mut source, horizon, seed, policy, recorder, scratch, watcher, hook) {
+            Ok(res) => res,
+            Err(_) => unreachable!("a materialized run cannot fail"),
         }
     }
 }
@@ -364,32 +307,11 @@ where
     let seed = match opts.resume_from {
         None => {
             policy.init(delta, opts.n_locations);
-            SessionSeed::fresh(delta, opts.n_locations)
+            EngineState::fresh(delta, opts.speed, opts.n_locations)
         }
         Some(bytes) => {
             let file = SnapshotFile::parse(bytes)?;
-            let state = &file.state;
-            if state.n_locations != opts.n_locations {
-                return Err(SnapError::Invalid(format!(
-                    "snapshot has {} locations, session has {}",
-                    state.n_locations, opts.n_locations
-                ))
-                .into());
-            }
-            if state.speed != opts.speed {
-                return Err(SnapError::Invalid(format!(
-                    "snapshot was taken at speed {}, session runs at speed {}",
-                    state.speed, opts.speed
-                ))
-                .into());
-            }
-            if state.ledger.delta != delta {
-                return Err(SnapError::Invalid(format!(
-                    "snapshot has delta {}, stream has delta {}",
-                    state.ledger.delta, delta
-                ))
-                .into());
-            }
+            file.state.check_resumable(opts.n_locations, opts.speed, delta)?;
             policy.init(delta, opts.n_locations);
             file.load_policy(policy)?;
             // Fast-forward the stream past the prefix the checkpoint
@@ -397,77 +319,24 @@ where
             for r in 0..file.state.next_round {
                 source.advance(r)?;
             }
-            SessionSeed::from_state(file.state)
+            file.state
         }
     };
     let mut hook = CheckpointHook { plan: &opts.plan, sink, stop_before: opts.stop_before };
-    drive_session(
-        source,
-        opts.speed,
-        opts.n_locations,
-        None,
-        seed,
-        policy,
-        recorder,
-        scratch,
-        watcher,
-        &mut hook,
-    )
+    drive_session(source, None, seed, policy, recorder, scratch, watcher, &mut hook)
 }
 
-/// The carried-over state a session starts from: fresh, or decoded from a
-/// snapshot.
-struct SessionSeed {
-    start_round: u64,
-    horizon_hint: u64,
-    pending: PendingStore,
-    slots: Vec<Slot>,
-    ledger: CostLedger,
-    arrived: u64,
-    executed: u64,
-    dropped: u64,
-}
-
-impl SessionSeed {
-    fn fresh(delta: u64, n_locations: usize) -> Self {
-        SessionSeed {
-            start_round: 0,
-            horizon_hint: 0,
-            pending: PendingStore::new(),
-            slots: vec![None; n_locations],
-            ledger: CostLedger::new(delta),
-            arrived: 0,
-            executed: 0,
-            dropped: 0,
-        }
-    }
-
-    fn from_state(state: EngineState) -> Self {
-        SessionSeed {
-            start_round: state.next_round,
-            horizon_hint: state.horizon_hint,
-            pending: state.pending,
-            slots: state.slots,
-            ledger: state.ledger,
-            arrived: state.arrived,
-            executed: state.executed,
-            dropped: state.dropped,
-        }
-    }
-}
-
-/// The one round loop every run variant shares. `fixed_horizon` is `Some`
+/// The one round loop every run variant shares, from the engine state
+/// `seed` (fresh, or decoded from a snapshot). `fixed_horizon` is `Some`
 /// for materialized runs (the `Simulator` knows its horizon up front) and
 /// `None` for streamed runs, where the loop re-reads the source's growing
 /// horizon each round (floored by the seed's hint so a resumed run never
 /// finishes earlier than the uninterrupted one).
-#[allow(clippy::too_many_arguments)] // one call site per run variant; a struct would just rename them
+#[allow(clippy::too_many_arguments)] // a run's source, state, policy and observers; a struct would just rename them
 fn drive_session<Src, P, R, W, H>(
     source: &mut Src,
-    speed: u32,
-    n_locations: usize,
     fixed_horizon: Option<u64>,
-    seed: SessionSeed,
+    seed: EngineState,
     policy: &mut P,
     recorder: &mut R,
     scratch: &mut Scratch,
@@ -481,26 +350,23 @@ where
     W: Watcher,
     H: SessionHook<P>,
 {
-    let SessionSeed {
-        start_round,
+    let EngineState {
+        next_round: start_round,
+        speed,
+        n_locations,
         horizon_hint,
-        mut pending,
-        mut slots,
+        slots,
         mut ledger,
         mut arrived,
         mut executed,
         dropped: mut dropped_total,
+        pending,
     } = seed;
     debug_assert_eq!(slots.len(), n_locations);
     let delta = source.delta();
-    pending.ensure_colors(source.colors().len());
-    scratch.begin_run(source.colors().len());
-    // Split the workspace into its independent buffers: the drop summary
-    // (lent to observations), the policy's output assignment, and the
-    // execution-phase grouping state (a dense per-color slot count plus
-    // the list of colors touched this mini, so grouping is
-    // O(locations) instead of O(locations · colors)).
-    let Scratch { dropped: dropped_buf, exec_count, touched, next } = scratch;
+    let kernel = scratch;
+    kernel.restore(pending, slots);
+    kernel.ensure_colors(source.colors().len());
 
     let horizon_now = |src: &Src| fixed_horizon.unwrap_or_else(|| src.horizon().max(horizon_hint));
     watcher.begin_run(delta, n_locations, speed, horizon_now(source));
@@ -511,26 +377,26 @@ where
         if round > horizon {
             break;
         }
-        // Streams may declare colors between rounds; keep the dense maps
-        // sized (a no-op for materialized sources after the first round).
-        pending.ensure_colors(source.colors().len());
-        exec_count.grow_to(source.colors().len());
+        // Streams may declare colors between rounds; keep the pending
+        // store covering them (a no-op for materialized sources).
+        kernel.ensure_colors(source.colors().len());
 
         let view = EngineView {
             speed,
             n_locations,
             horizon,
-            slots: &slots,
+            slots: kernel.slots(),
             ledger: &ledger,
             arrived,
             executed,
             dropped: dropped_total,
-            pending: &pending,
+            pending: kernel.pending(),
         };
         match hook.on_round(round, &view, policy) {
             HookVerdict::Continue => {}
             HookVerdict::Suspend(snapshot) => {
-                return Ok(SessionResult::Suspended { round, snapshot })
+                kernel.take();
+                return Ok(SessionResult::Suspended { round, snapshot });
             }
         }
 
@@ -538,53 +404,31 @@ where
 
         // Phase 1: drop.
         recorder.on_phase_start(round, 0, Phase::Drop);
-        dropped_buf.clear();
-        let d = pending.drop_due(round, dropped_buf);
+        let d = kernel.drop_due(round);
         dropped_total += d;
         ledger.add_drops(d);
-        for &(c, n) in dropped_buf.iter() {
+        for &(c, n) in kernel.dropped() {
             recorder.on_drop(round, c, n);
         }
-        watcher.after_drop(round, dropped_buf, &pending);
+        watcher.after_drop(round, kernel.dropped(), kernel.pending());
 
         // Phase 2: arrival.
         recorder.on_phase_start(round, 0, Phase::Arrival);
         source.advance(round)?;
-        let request = source.current();
-        for &(c, n) in request.pairs() {
-            let deadline = round + source.colors().delay_bound(c);
-            pending.arrive(c, deadline, n);
+        for &(c, n) in source.current().pairs() {
+            kernel.arrive(c, round + source.colors().delay_bound(c), n);
             arrived += n;
             recorder.on_arrive(round, c, n);
         }
-        watcher.after_arrivals(round, request.pairs(), &pending);
+        watcher.after_arrivals(round, kernel.arrivals(), kernel.pending());
 
         for mini in 0..speed {
-            // Phase 3: reconfiguration.
+            // Phase 3: reconfiguration, charged Δ per location recolored
+            // to a non-black color.
             recorder.on_phase_start(round, mini, Phase::Reconfig);
-            let (arr, drp): (&crate::policy::ColorCounts, &crate::policy::ColorCounts) =
-                if mini == 0 { (request.pairs(), dropped_buf.as_slice()) } else { (&[], &[]) };
-            next.clone_from(&slots);
-            let obs = Observation {
-                round,
-                mini_round: mini,
-                speed,
-                delta,
-                colors: source.colors(),
-                arrivals: arr,
-                dropped: drp,
-                pending: &pending,
-                slots: &slots,
-            };
-            policy.reconfigure(&obs, next);
-            assert_eq!(
-                next.len(),
-                n_locations,
-                "policy {} changed the number of locations",
-                policy.name()
-            );
+            kernel.reconfigure(policy, source.colors(), round, mini, speed, delta);
             let mut reconfigs = 0;
-            for (i, (o, n)) in slots.iter().zip(next.iter()).enumerate() {
+            for (i, (o, n)) in kernel.previous_slots().iter().zip(kernel.slots()).enumerate() {
                 if o != n {
                     recorder.on_reconfig(round, mini, i, *o, *n);
                     if n.is_some() {
@@ -593,41 +437,22 @@ where
                 }
             }
             ledger.add_reconfigs(reconfigs);
-            watcher.after_reconfig(round, mini, &slots, next, reconfigs);
-            std::mem::swap(&mut slots, next);
+            watcher.after_reconfig(round, mini, kernel.previous_slots(), kernel.slots(), reconfigs);
 
-            // Phase 4: execution. Group locations by color, then execute
-            // earliest-deadline jobs of each configured color.
+            // Phase 4: execution.
             recorder.on_phase_start(round, mini, Phase::Execution);
-            touched.clear();
-            for &s in &slots {
-                if let Some(c) = s {
-                    // `entry` grows the dense counts if a policy
-                    // configures a color the instance never requests
-                    // (it executes nothing).
-                    let k = exec_count.entry(c);
-                    if *k == 0 {
-                        touched.push(c);
-                    }
-                    *k += 1;
-                }
-            }
-            touched.sort_unstable();
-            for &c in touched.iter() {
-                let q = std::mem::take(&mut exec_count[c]);
-                let e = pending.execute(c, q);
-                if e > 0 {
-                    executed += e;
-                    recorder.on_execute(round, mini, c, e);
-                    watcher.on_execute(round, mini, c, e, &slots);
-                }
-            }
-            watcher.after_execution(round, mini, &pending);
+            kernel.execute(|c, e, slots| {
+                executed += e;
+                recorder.on_execute(round, mini, c, e);
+                watcher.on_execute(round, mini, c, e, slots);
+            });
+            watcher.after_execution(round, mini, kernel.pending());
         }
         recorder.on_round_end(round);
         round += 1;
     }
 
+    let (pending, final_slots) = kernel.take();
     debug_assert_eq!(pending.total(), 0, "jobs pending past the horizon");
     let outcome = Outcome {
         cost: ledger,
@@ -635,7 +460,7 @@ where
         executed,
         dropped: dropped_total,
         rounds: round,
-        final_slots: slots,
+        final_slots,
     };
     watcher.end_run(&outcome);
     Ok(SessionResult::Completed(outcome))
@@ -790,7 +615,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use crate::policy::PinColor;
+    use crate::policy::{Observation, PinColor};
     use rrs_model::InstanceBuilder;
 
     #[test]

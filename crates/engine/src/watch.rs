@@ -107,8 +107,8 @@ impl Watcher for NoWatcher {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Scratch;
     use crate::policy::PinColor;
-    use crate::scratch::Scratch;
     use crate::sim::Simulator;
     use crate::trace::NullRecorder;
     use rrs_model::InstanceBuilder;

@@ -92,12 +92,15 @@ pub trait InstanceSource {
 pub struct MaterializedSource<'a> {
     inst: &'a Instance,
     round: u64,
+    /// The instance's horizon, computed once: a streamed session asks for
+    /// it every round.
+    horizon: u64,
 }
 
 impl<'a> MaterializedSource<'a> {
     /// Wrap an instance.
     pub fn new(inst: &'a Instance) -> Self {
-        Self { inst, round: 0 }
+        Self { inst, round: 0, horizon: inst.horizon() }
     }
 }
 
@@ -120,7 +123,7 @@ impl InstanceSource for MaterializedSource<'_> {
     }
 
     fn horizon(&self) -> u64 {
-        self.inst.horizon()
+        self.horizon
     }
 }
 
@@ -268,7 +271,12 @@ impl<R: BufRead> TextStream<R> {
         let Some(bound) = self.colors.try_delay_bound(c) else {
             return Err(self.err(format!("undeclared color {color}")));
         };
-        self.horizon = self.horizon.max(round + bound);
+        let Some(deadline) = round.checked_add(bound) else {
+            return Err(
+                self.err(format!("deadline of round {round} plus delay bound {bound} overflows"))
+            );
+        };
+        self.horizon = self.horizon.max(deadline);
         self.lookahead = Some((round, c, count));
         Ok(())
     }
@@ -446,6 +454,13 @@ mod tests {
     fn undeclared_color_rejected() {
         let e = TextStream::new("delta 1\narrive 0 3 1\n".as_bytes()).unwrap_err();
         assert!(e.to_string().contains("undeclared"));
+    }
+
+    #[test]
+    fn deadline_overflow_rejected() {
+        let text = "delta 2\ncolor 0 18446744073709551615\narrive 1 0 1\n";
+        let e = TextStream::new(text.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("line 3") && e.to_string().contains("overflows"), "{e}");
     }
 
     #[test]

@@ -102,8 +102,14 @@ pub fn from_text(text: &str) -> Result<Instance, ParseError> {
                     u32::try_from(color)
                         .map_err(|_| err(line_no, format!("color id {color} out of range")))?,
                 );
-                if !colors.contains(c) {
+                let Some(bound) = colors.try_delay_bound(c) else {
                     return Err(err(line_no, format!("undeclared color {color}")));
+                };
+                if round.checked_add(bound).is_none() {
+                    return Err(err(
+                        line_no,
+                        format!("deadline of round {round} plus delay bound {bound} overflows"),
+                    ));
                 }
                 requests.add(round, c, count);
             }
@@ -181,6 +187,13 @@ mod tests {
     fn zero_bound_rejected() {
         let e = from_text("delta 1\ncolor 0 0\n").unwrap_err();
         assert!(e.message.contains("positive"));
+    }
+
+    #[test]
+    fn deadline_overflow_rejected() {
+        let e = from_text("delta 2\ncolor 0 18446744073709551615\narrive 1 0 1\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("overflows"), "{e}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! `VarBatch<Distribute<ΔLRU-EDF>>` (whose virtual universe may still grow
 //! while batches are being split).
 //!
-//! Everything lives in ONE test function: the counter is process-global,
-//! so concurrent tests in the same binary would pollute each other's
-//! per-round deltas.
+//! Everything lives in ONE test function. Allocator calls are counted per
+//! thread, so the per-round deltas are immune to sibling tests, but the
+//! live-heap peak of Part 4 is a whole-process quantity that concurrent
+//! tests in the same binary would inflate.
 
 use rrs::prelude::*;
 use rrs_bench::alloc_probe;

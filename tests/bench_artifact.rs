@@ -56,6 +56,30 @@ fn core_suite_is_deterministic_and_round_trips() {
 }
 
 #[test]
+fn allocations_on_other_threads_are_not_counted() {
+    // The probe's call count is per thread: a sibling thread allocating
+    // inside this thread's measured window must leave its delta at 0.
+    use std::sync::{Arc, Barrier};
+    assert!(alloc_probe::probe_active(), "probe must be installed as the global allocator");
+    let go = Arc::new(Barrier::new(2));
+    let done = Arc::new(Barrier::new(2));
+    let (go2, done2) = (Arc::clone(&go), Arc::clone(&done));
+    let sibling = std::thread::spawn(move || {
+        go2.wait();
+        for n in 1..=256usize {
+            drop(std::hint::black_box(Vec::<u64>::with_capacity(n)));
+        }
+        done2.wait();
+    });
+    let before = alloc_probe::alloc_calls();
+    go.wait();
+    done.wait();
+    let delta = alloc_probe::alloc_calls() - before;
+    sibling.join().expect("sibling thread");
+    assert_eq!(delta, 0, "another thread's allocations leaked into this thread's count");
+}
+
+#[test]
 fn sweep_suite_is_deterministic_across_runs() {
     let a = run_suite("sweep", SuiteConfig::new(true)).expect("sweep suite runs");
     let b = run_suite("sweep", SuiteConfig::new(true)).expect("sweep suite reruns");

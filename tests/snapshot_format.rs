@@ -184,6 +184,28 @@ fn wrong_policy_rejected_with_clear_error() {
 }
 
 #[test]
+fn wrapper_rejects_a_virtual_assignment_of_another_width() {
+    // The engine section is not consulted here: the wrappers' own check on
+    // the virtual slot vector must catch the mismatch.
+    let snap = golden_snapshot();
+    let file = SnapshotFile::parse(&snap).unwrap();
+    let mut policy = full_algorithm();
+    policy.init(file.state.ledger.delta, 4);
+    let err = file.load_policy(&mut policy).unwrap_err().to_string();
+    assert!(err.contains("virtual slot count 8 does not match 4 locations"), "{err}");
+}
+
+#[test]
+fn wrapper_rejects_a_different_inner_policy() {
+    let snap = golden_snapshot();
+    let file = SnapshotFile::parse(&snap).unwrap();
+    let mut policy = VarBatch::new(Distribute::new(Edf::new()));
+    policy.init(file.state.ledger.delta, file.state.n_locations);
+    let err = file.load_policy(&mut policy).unwrap_err().to_string();
+    assert!(err.contains("\"dlru-edf\"") && err.contains("\"edf\""), "{err}");
+}
+
+#[test]
 fn resume_on_wrong_configuration_is_rejected() {
     let inst = golden_instance();
     let snap = golden_snapshot();

@@ -7,6 +7,9 @@
 //! `tests/alloc_discipline.rs` and the `rrs bench` harness) measures the
 //! peak live-byte high-water mark during the run, which must stay far
 //! below what the materialized instance (~1.75M requests) would cost.
+//! Live and peak bytes are whole-process counters, which a concurrently
+//! running sibling test would inflate, so this binary runs one test per
+//! mode: the smoke by default, the soak under `--ignored`.
 //!
 //! The full-scale soak is `#[ignore]`d for regular CI (it is the nightly
 //! stress job); a 10⁴-round smoke keeps the same path exercised everywhere.
