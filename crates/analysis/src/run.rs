@@ -4,8 +4,8 @@
 //! engine [`Outcome`] (costs plus conservation counters), the lemma
 //! counters of the instrumented algorithms, and a per-color cost
 //! attribution. [`RunReport::to_json`] serializes it as a single JSON
-//! object with a stable key order — hand-rolled, no serde — so sweeps can
-//! stream reports to a JSONL file.
+//! object with a stable key order, so sweeps can stream reports to a JSONL
+//! file.
 //!
 //! **Report collection.** Experiments opt in with
 //! [`enable_report_collection`]; while enabled, [`observed_run`] and
@@ -21,6 +21,7 @@ use std::sync::Mutex;
 
 use rrs_core::{AlgoMetrics, DeltaLruEdf};
 use rrs_engine::{Outcome, Policy, Recorder, Simulator, Slot};
+use rrs_model::json::Quoted;
 use rrs_model::{ColorId, Instance};
 
 use crate::attribution::ColorCosts;
@@ -49,8 +50,9 @@ impl RunReport {
         self.outcome.total_cost()
     }
 
-    /// One JSON object with a stable key order (hand-rolled; no serde).
-    /// Suitable as a JSONL line: contains no raw newlines.
+    /// One JSON object with a stable key order (hand-rolled, strings
+    /// escaped by [`rrs_model::json::Quoted`]). Suitable as a JSONL line:
+    /// contains no raw newlines.
     pub fn to_json(&self) -> String {
         let c = &self.outcome.cost;
         let mut out = String::with_capacity(256);
@@ -59,8 +61,8 @@ impl RunReport {
              \"arrived\":{},\"executed\":{},\"dropped\":{},\"reconfigs\":{},\
              \"reconfig_cost\":{},\"drop_cost\":{},\"total_cost\":{},\"conserved\":{},\
              \"metrics\":{},\"per_color\":[",
-            json_string(&self.label),
-            json_string(&self.policy),
+            Quoted(&self.label),
+            Quoted(&self.policy),
             self.locations,
             c.delta,
             self.outcome.rounds,
@@ -92,25 +94,6 @@ impl RunReport {
         out.push_str("]}");
         out
     }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Streaming per-color attribution: folds trace callbacks directly into
@@ -337,10 +320,13 @@ mod tests {
         let j = r.to_json();
         assert!(!j.contains('\n'), "{j}");
         assert!(j.starts_with("{\"label\":\"smoke \\\"q\\\"\""), "{j}");
-        for key in ["\"policy\":\"dlru-edf\"", "\"delta\":2", "\"metrics\":{", "\"per_color\":["] {
-            assert!(j.contains(key), "{j} missing {key}");
-        }
-        assert!(j.contains(&format!("\"total_cost\":{}", r.cost())), "{j}");
+        let v = rrs_model::json::parse(&j).expect("report is valid JSON");
+        assert_eq!(v.str_field("label"), Ok("smoke \"q\""));
+        assert_eq!(v.str_field("policy"), Ok("dlru-edf"));
+        assert_eq!(v.u64_field("delta"), Ok(2));
+        assert_eq!(v.u64_field("total_cost"), Ok(r.cost()));
+        assert_eq!(v.field("metrics").unwrap().u64_field("num_epochs"), Ok(r.metrics.num_epochs()));
+        assert_eq!(v.field("per_color").unwrap().as_array().unwrap().len(), r.per_color.len());
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //!   scaling efficiency, peak heap). Machine-dependent by nature; `bench
 //!   compare` only warns when they move beyond a threshold.
 //!
-//! Serialization is hand-rolled (no serde — the workspace's no-registry
-//! constraint) with sorted keys and fixed float formatting, so re-encoding
-//! a parsed artifact reproduces the input byte-for-byte: the
-//! `parse → to_json` round trip is the schema's own regression test.
+//! Serialization is hand-rolled with sorted keys and fixed float
+//! formatting, so re-encoding a parsed artifact reproduces the input
+//! byte-for-byte: the `parse → to_json` round trip is the schema's own
+//! regression test. Reading goes through the workspace's strict JSON
+//! reader, [`rrs_model::json`]; the advisory floats are parsed here, from
+//! the raw number text, because `rrs_model` is float-free.
 
 use std::fmt::Write as _;
+
+use rrs_model::json::{self, Quoted, Value};
 
 /// Version stamped into every artifact; bump on breaking schema changes.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
@@ -107,13 +111,13 @@ impl BenchArtifact {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema\": {},", self.schema);
-        let _ = writeln!(s, "  \"suite\": {},", json_str(&self.suite));
-        let _ = writeln!(s, "  \"tier\": {},", json_str(&self.tier));
+        let _ = writeln!(s, "  \"suite\": {},", Quoted(&self.suite));
+        let _ = writeln!(s, "  \"tier\": {},", Quoted(&self.tier));
         let _ = writeln!(s, "  \"repetitions\": {},", self.repetitions);
         s.push_str("  \"benches\": [\n");
         for (i, b) in self.benches.iter().enumerate() {
             s.push_str("    {\n");
-            let _ = writeln!(s, "      \"name\": {},", json_str(&b.name));
+            let _ = writeln!(s, "      \"name\": {},", Quoted(&b.name));
             let mut det = b.deterministic.clone();
             det.sort();
             s.push_str("      \"deterministic\": {");
@@ -121,7 +125,7 @@ impl BenchArtifact {
                 if j > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "\n        {}: {v}", json_str(name));
+                let _ = write!(s, "\n        {}: {v}", Quoted(name));
             }
             s.push_str(if det.is_empty() { "},\n" } else { "\n      },\n" });
             let mut adv = b.advisory.clone();
@@ -131,7 +135,7 @@ impl BenchArtifact {
                 if j > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "\n        {}: {}", json_str(name), fmt_f64(*v));
+                let _ = write!(s, "\n        {}: {}", Quoted(name), fmt_f64(*v));
             }
             s.push_str(if adv.is_empty() { "}\n" } else { "\n      }\n" });
             s.push_str(if i + 1 < self.benches.len() { "    },\n" } else { "    }\n" });
@@ -140,35 +144,43 @@ impl BenchArtifact {
         s
     }
 
-    /// Parse an artifact, validating the schema version.
+    /// Parse an artifact, validating the schema version. Metrics come
+    /// back name-sorted, as [`BenchArtifact::to_json`] writes them.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let root = Json::parse(text)?;
-        let obj = root.as_obj("artifact")?;
-        let schema = get(obj, "schema")?.as_u64("schema")?;
+        let root = json::parse(text).map_err(|e| e.to_string())?;
+        let schema = root.u64_field("schema")?;
         if schema != BENCH_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported bench schema {schema} (supported: {BENCH_SCHEMA_VERSION})"
             ));
         }
         let mut artifact = BenchArtifact::new(
-            get(obj, "suite")?.as_str("suite")?,
-            get(obj, "tier")?.as_str("tier")?,
-            u32::try_from(get(obj, "repetitions")?.as_u64("repetitions")?)
+            root.str_field("suite")?,
+            root.str_field("tier")?,
+            u32::try_from(root.u64_field("repetitions")?)
                 .map_err(|_| "repetitions out of range".to_string())?,
         );
-        for entry in get(obj, "benches")?.as_arr("benches")? {
-            let bobj = entry.as_obj("bench")?;
-            let mut record = BenchRecord::new(get(bobj, "name")?.as_str("name")?);
-            for (name, v) in get(bobj, "deterministic")?.as_obj("deterministic")? {
-                record.det(name, v.as_u64(name)?);
+        let benches = root.field("benches")?.as_array().ok_or("'benches' is not an array")?;
+        for entry in benches {
+            let mut record = BenchRecord::new(entry.str_field("name")?);
+            for (name, v) in members(entry, "deterministic")? {
+                record.det(name, v.as_u64().ok_or_else(|| format!("'{name}' is not a u64"))?);
             }
-            for (name, v) in get(bobj, "advisory")?.as_obj("advisory")? {
-                record.adv(name, v.as_f64(name)?);
+            for (name, v) in members(entry, "advisory")? {
+                let x = v.as_number().and_then(|raw| raw.parse::<f64>().ok());
+                let x = x.filter(|x| x.is_finite());
+                record.adv(name, x.ok_or_else(|| format!("'{name}' is not a finite number"))?);
             }
+            record.deterministic.sort();
+            record.advisory.sort_by(|a, b| a.0.cmp(&b.0));
             artifact.benches.push(record);
         }
         Ok(artifact)
     }
+}
+
+fn members<'a>(v: &'a Value, key: &str) -> Result<&'a [(String, Value)], String> {
+    v.field(key)?.as_object().ok_or_else(|| format!("'{key}' is not an object"))
 }
 
 /// Fixed float formatting: enough precision to be useful, short enough to
@@ -186,268 +198,6 @@ pub fn fmt_f64(v: f64) -> String {
         format!("{trimmed}0")
     } else {
         trimmed.to_string()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A minimal recursive JSON reader (objects, arrays, strings, numbers kept
-// as raw text for exact u64/f64 extraction). The trace sink's flat scanner
-// cannot read the nested artifact shape, hence this separate reader.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value; numbers keep their raw text so integers round-trip
-/// exactly.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true`/`false`.
-    Bool(bool),
-    /// A number, kept as its raw token text.
-    Num(String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse a complete JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            other => Err(format!("'{what}' is not an object: {other:?}")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(format!("'{what}' is not an array: {other:?}")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("'{what}' is not a string: {other:?}")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(raw) => {
-                raw.parse::<u64>().map_err(|e| format!("'{what}' is not a u64 ({raw}): {e}"))
-            }
-            other => Err(format!("'{what}' is not a number: {other:?}")),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(raw) => {
-                raw.parse::<f64>().map_err(|e| format!("'{what}' is not a number ({raw}): {e}"))
-            }
-            other => Err(format!("'{what}' is not a number: {other:?}")),
-        }
-    }
-}
-
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find_map(|(k, v)| (k == key).then_some(v))
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("short \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0b1100_0000 == 0b1000_0000 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number token is ASCII by construction");
-        // Validate now so downstream extraction errors are about types,
-        // not syntax.
-        raw.parse::<f64>().map_err(|e| format!("bad number '{raw}': {e}"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-                    }
-                }
-            }
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                    }
-                }
-            }
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
     }
 }
 

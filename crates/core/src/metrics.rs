@@ -41,8 +41,9 @@ impl AlgoMetrics {
         self.eligible_drops + self.ineligible_drops
     }
 
-    /// Hand-rolled JSON object (no serde; stable key order). `num_epochs`
-    /// is included as a derived convenience field.
+    /// One JSON object of u64 fields in a stable key order (read back by
+    /// [`rrs_model::json::parse`]). `num_epochs` is included as a derived
+    /// convenience field.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"counter_wraps\":{},\"timestamp_updates\":{},\"completed_epochs\":{},\
@@ -87,18 +88,19 @@ mod tests {
             ineligible_drops: 6,
             super_epochs: 7,
         };
-        let j = m.to_json();
-        for key in [
-            "\"counter_wraps\":1",
-            "\"timestamp_updates\":2",
-            "\"completed_epochs\":3",
-            "\"active_epochs\":4",
-            "\"num_epochs\":7",
-            "\"eligible_drops\":5",
-            "\"ineligible_drops\":6",
-            "\"super_epochs\":7",
+        let v = rrs_model::json::parse(&m.to_json()).expect("metrics are valid JSON");
+        for (key, want) in [
+            ("counter_wraps", 1),
+            ("timestamp_updates", 2),
+            ("completed_epochs", 3),
+            ("active_epochs", 4),
+            ("num_epochs", 7),
+            ("eligible_drops", 5),
+            ("ineligible_drops", 6),
+            ("super_epochs", 7),
         ] {
-            assert!(j.contains(key), "{j} missing {key}");
+            assert_eq!(v.u64_field(key), Ok(want), "{key}");
         }
+        assert_eq!(v.as_object().map(<[_]>::len), Some(8));
     }
 }

@@ -74,8 +74,8 @@ pub use policy::{Observation, Policy, Slot};
 pub use replay::{FixedSchedule, ReplayPolicy};
 pub use sim::{run_stream_session, Outcome, Simulator, StreamOptions};
 pub use sink::{
-    counter_records, event_to_json, parse_trace, parse_trace_line, JsonlRingSink, JsonlSink,
-    ParsedTrace, PhaseTimer, TraceLine, TraceMeta, TraceParseError, TRACE_SCHEMA_VERSION,
+    parse_trace, parse_trace_line, JsonlSink, ParsedTrace, PhaseTimer, TraceLine, TraceMeta,
+    TraceParseError, TRACE_SCHEMA_VERSION,
 };
 pub use trace::{
     NullRecorder, Phase, Recorder, RoundSummary, SummaryRecorder, TraceEvent, TraceRecorder,
@@ -99,9 +99,7 @@ pub mod prelude {
     pub use crate::policy::{Observation, Policy, Slot};
     pub use crate::replay::{FixedSchedule, ReplayPolicy};
     pub use crate::sim::{run_stream_session, Outcome, Simulator, StreamOptions};
-    pub use crate::sink::{
-        parse_trace, JsonlRingSink, JsonlSink, ParsedTrace, PhaseTimer, TraceMeta,
-    };
+    pub use crate::sink::{parse_trace, JsonlSink, ParsedTrace, PhaseTimer, TraceMeta};
     pub use crate::trace::{
         NullRecorder, Phase, Recorder, SummaryRecorder, TraceEvent, TraceRecorder,
     };

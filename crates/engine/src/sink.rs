@@ -2,12 +2,10 @@
 //! observability pipeline.
 //!
 //! [`JsonlSink`] implements [`Recorder`] and writes one self-describing JSON
-//! line per [`TraceEvent`] to any [`io::Write`]; [`parse_trace`] reads the
-//! format back (hand-rolled, no serde — consistent with the workspace's
-//! no-registry constraint). [`JsonlRingSink`] is the bounded variant for
-//! long horizons: it retains only the newest lines and counts what it shed.
-//! [`PhaseTimer`] accumulates wall-clock time per round phase and per
-//! mini-round.
+//! line per [`TraceLine`] to any [`io::Write`]; [`parse_trace`] reads the
+//! format back through the workspace's strict JSON reader,
+//! [`rrs_model::json`]. [`PhaseTimer`] accumulates wall-clock time per
+//! round phase and per mini-round.
 //!
 //! **Determinism boundary.** Trace lines carry *no* timestamps or other
 //! host-dependent fields: the byte stream is a pure function of the
@@ -16,10 +14,12 @@
 //! [`PhaseTimer`] and the sweep telemetry of [`crate::par`], which are
 //! advisory and never feed deterministic outputs.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
+use rrs_model::json::{self, Quoted, Value};
 use rrs_model::ColorId;
 
 use crate::obs::{CounterRegistry, Histogram};
@@ -42,146 +42,107 @@ pub struct TraceMeta {
     pub speed: u32,
 }
 
-impl TraceMeta {
-    /// The meta line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"ev\":\"meta\",\"version\":");
-        s.push_str(&TRACE_SCHEMA_VERSION.to_string());
-        s.push_str(",\"policy\":");
-        push_json_str(&mut s, &self.policy);
-        s.push_str(",\"delta\":");
-        s.push_str(&self.delta.to_string());
-        s.push_str(",\"locations\":");
-        s.push_str(&self.locations.to_string());
-        s.push_str(",\"speed\":");
-        s.push_str(&self.speed.to_string());
-        s.push('}');
-        s
+/// One trace line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TraceLine {
+    /// The run-identity header.
+    Meta(TraceMeta),
+    /// A round-start marker.
+    Round {
+        /// Round index.
+        round: u64,
+    },
+    /// A simulation event.
+    Event(TraceEvent),
+    /// A deterministic counter snapshot (name → value, name-sorted).
+    Counters {
+        /// Counter names and values in serialization order.
+        counters: Vec<(String, u64)>,
+    },
+    /// A fixed-bucket histogram snapshot.
+    Hist {
+        /// Histogram name.
+        name: String,
+        /// The reconstructed histogram.
+        hist: Histogram,
+    },
+}
+
+/// A slot as trace JSON: the color index, or `null` for black.
+struct SlotJson(Slot);
+
+impl fmt::Display for SlotJson {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            None => f.write_str("null"),
+            Some(c) => write!(f, "{}", c.0),
+        }
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+impl TraceLine {
+    /// Append this line as one JSON object (no trailing newline) to `out`.
+    /// Stable key order; colors are dense indices; the black pseudo-color
+    /// is `null`.
+    pub fn write_json(&self, out: &mut String) {
+        // Formatting into a `String` cannot fail.
+        let _ = match self {
+            TraceLine::Meta(m) => write!(
+                out,
+                "{{\"ev\":\"meta\",\"version\":{TRACE_SCHEMA_VERSION},\"policy\":{},\
+                 \"delta\":{},\"locations\":{},\"speed\":{}}}",
+                Quoted(&m.policy),
+                m.delta,
+                m.locations,
+                m.speed
+            ),
+            TraceLine::Round { round } => write!(out, "{{\"ev\":\"round\",\"round\":{round}}}"),
+            TraceLine::Event(TraceEvent::Drop { round, color, count }) => write!(
+                out,
+                "{{\"ev\":\"drop\",\"round\":{round},\"color\":{},\"count\":{count}}}",
+                color.0
+            ),
+            TraceLine::Event(TraceEvent::Arrive { round, color, count }) => write!(
+                out,
+                "{{\"ev\":\"arrive\",\"round\":{round},\"color\":{},\"count\":{count}}}",
+                color.0
+            ),
+            TraceLine::Event(TraceEvent::Reconfig { round, mini, location, from, to }) => write!(
+                out,
+                "{{\"ev\":\"reconfig\",\"round\":{round},\"mini\":{mini},\
+                 \"location\":{location},\"from\":{},\"to\":{}}}",
+                SlotJson(*from),
+                SlotJson(*to)
+            ),
+            TraceLine::Event(TraceEvent::Execute { round, mini, color, count }) => write!(
+                out,
+                "{{\"ev\":\"execute\",\"round\":{round},\"mini\":{mini},\"color\":{},\
+                 \"count\":{count}}}",
+                color.0
+            ),
+            TraceLine::Counters { counters } => {
+                out.push_str("{\"ev\":\"counters\"");
+                for (name, value) in counters {
+                    let _ = write!(out, ",{}:{value}", Quoted(name));
+                }
+                out.push('}');
+                Ok(())
             }
-            c => out.push(c),
-        }
+            TraceLine::Hist { name, hist } => write!(
+                out,
+                "{{\"ev\":\"hist\",\"name\":{},\"bounds\":{},\"counts\":{},\"sum\":{}}}",
+                Quoted(name),
+                Quoted(&hist.bounds_text()),
+                Quoted(&hist.counts_text()),
+                hist.sum()
+            ),
+        };
     }
-    out.push('"');
-}
-
-fn push_slot(out: &mut String, slot: Slot) {
-    match slot {
-        None => out.push_str("null"),
-        Some(c) => out.push_str(&c.0.to_string()),
-    }
-}
-
-/// Serialize one [`TraceEvent`] as a self-describing JSON object (no
-/// trailing newline). Stable key order; colors are dense indices; the black
-/// pseudo-color is `null`.
-pub fn event_to_json(e: &TraceEvent) -> String {
-    let mut s = String::with_capacity(64);
-    match *e {
-        TraceEvent::Drop { round, color, count } => {
-            s.push_str("{\"ev\":\"drop\",\"round\":");
-            s.push_str(&round.to_string());
-            s.push_str(",\"color\":");
-            s.push_str(&color.0.to_string());
-            s.push_str(",\"count\":");
-            s.push_str(&count.to_string());
-            s.push('}');
-        }
-        TraceEvent::Arrive { round, color, count } => {
-            s.push_str("{\"ev\":\"arrive\",\"round\":");
-            s.push_str(&round.to_string());
-            s.push_str(",\"color\":");
-            s.push_str(&color.0.to_string());
-            s.push_str(",\"count\":");
-            s.push_str(&count.to_string());
-            s.push('}');
-        }
-        TraceEvent::Reconfig { round, mini, location, from, to } => {
-            s.push_str("{\"ev\":\"reconfig\",\"round\":");
-            s.push_str(&round.to_string());
-            s.push_str(",\"mini\":");
-            s.push_str(&mini.to_string());
-            s.push_str(",\"location\":");
-            s.push_str(&location.to_string());
-            s.push_str(",\"from\":");
-            push_slot(&mut s, from);
-            s.push_str(",\"to\":");
-            push_slot(&mut s, to);
-            s.push('}');
-        }
-        TraceEvent::Execute { round, mini, color, count } => {
-            s.push_str("{\"ev\":\"execute\",\"round\":");
-            s.push_str(&round.to_string());
-            s.push_str(",\"mini\":");
-            s.push_str(&mini.to_string());
-            s.push_str(",\"color\":");
-            s.push_str(&color.0.to_string());
-            s.push_str(",\"count\":");
-            s.push_str(&count.to_string());
-            s.push('}');
-        }
-    }
-    s
-}
-
-/// Serialize a registry's *deterministic* content as schema-v1 JSONL
-/// records: one `counters` object (all counters, name-sorted) followed by
-/// one `hist` record per histogram. Advisory timers are deliberately
-/// omitted — they would make the byte stream nondeterministic.
-pub fn counter_records(reg: &CounterRegistry) -> Vec<String> {
-    let mut lines = Vec::new();
-    if reg.counters().next().is_some() {
-        let mut s = String::with_capacity(64);
-        s.push_str("{\"ev\":\"counters\"");
-        for (name, value) in reg.counters() {
-            s.push(',');
-            push_json_str(&mut s, name);
-            s.push(':');
-            s.push_str(&value.to_string());
-        }
-        s.push('}');
-        lines.push(s);
-    }
-    for (name, h) in reg.hists() {
-        let mut s = String::with_capacity(64);
-        s.push_str("{\"ev\":\"hist\",\"name\":");
-        push_json_str(&mut s, name);
-        s.push_str(",\"bounds\":");
-        push_json_str(&mut s, &h.bounds_text());
-        s.push_str(",\"counts\":");
-        push_json_str(&mut s, &h.counts_text());
-        s.push_str(",\"sum\":");
-        s.push_str(&h.sum().to_string());
-        s.push('}');
-        lines.push(s);
-    }
-    lines
-}
-
-fn round_line(round: u64) -> String {
-    format!("{{\"ev\":\"round\",\"round\":{round}}}")
-}
-
-fn truncated_line(dropped: u64) -> String {
-    format!("{{\"ev\":\"truncated\",\"dropped\":{dropped}}}")
 }
 
 /// A streaming JSONL trace sink: one line per round start and per event,
-/// written as they happen.
+/// written as they happen. Each line is formatted into a buffer the sink
+/// owns and reuses, then written with a single `write_all`.
 ///
 /// I/O errors cannot surface through [`Recorder`]'s `()`-returning hooks, so
 /// the sink latches the first error and [`JsonlSink::finish`] reports it;
@@ -189,6 +150,7 @@ fn truncated_line(dropped: u64) -> String {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     out: W,
+    buf: String,
     lines: u64,
     error: Option<io::Error>,
 }
@@ -196,26 +158,27 @@ pub struct JsonlSink<W: Write> {
 impl<W: Write> JsonlSink<W> {
     /// A sink with no meta header.
     pub fn new(out: W) -> Self {
-        Self { out, lines: 0, error: None }
+        Self { out, buf: String::with_capacity(128), lines: 0, error: None }
     }
 
     /// A sink whose first line identifies the run.
     pub fn with_meta(out: W, meta: &TraceMeta) -> Self {
         let mut sink = Self::new(out);
-        sink.write_line(&meta.to_json());
+        sink.emit(&TraceLine::Meta(meta.clone()));
         sink
     }
 
-    fn write_line(&mut self, line: &str) {
+    fn emit(&mut self, line: &TraceLine) {
         if self.error.is_some() {
             return;
         }
-        if let Err(e) = self.out.write_all(line.as_bytes()).and_then(|()| self.out.write_all(b"\n"))
-        {
-            self.error = Some(e);
-            return;
+        self.buf.clear();
+        line.write_json(&mut self.buf);
+        self.buf.push('\n');
+        match self.out.write_all(self.buf.as_bytes()) {
+            Ok(()) => self.lines += 1,
+            Err(e) => self.error = Some(e),
         }
-        self.lines += 1;
     }
 
     /// Lines successfully written so far.
@@ -223,12 +186,19 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
-    /// Append a registry's deterministic counters/histograms as schema-v1
-    /// `counters`/`hist` records (see [`counter_records`]). Conventionally
-    /// written once, after the final round.
+    /// Append a registry's *deterministic* content as schema-v1 records:
+    /// one `counters` line (all counters, name-sorted, if any) followed by
+    /// one `hist` line per histogram. Advisory timers are deliberately
+    /// omitted — they would make the byte stream nondeterministic.
+    /// Conventionally written once, after the final round.
     pub fn write_counters(&mut self, reg: &CounterRegistry) {
-        for line in counter_records(reg) {
-            self.write_line(&line);
+        let counters: Vec<(String, u64)> =
+            reg.counters().map(|(name, value)| (name.to_string(), value)).collect();
+        if !counters.is_empty() {
+            self.emit(&TraceLine::Counters { counters });
+        }
+        for (name, hist) in reg.hists() {
+            self.emit(&TraceLine::Hist { name: name.to_string(), hist: hist.clone() });
         }
     }
 
@@ -244,104 +214,19 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> Recorder for JsonlSink<W> {
     fn on_round_start(&mut self, round: u64) {
-        self.write_line(&round_line(round));
+        self.emit(&TraceLine::Round { round });
     }
     fn on_drop(&mut self, round: u64, color: ColorId, count: u64) {
-        self.write_line(&event_to_json(&TraceEvent::Drop { round, color, count }));
+        self.emit(&TraceLine::Event(TraceEvent::Drop { round, color, count }));
     }
     fn on_arrive(&mut self, round: u64, color: ColorId, count: u64) {
-        self.write_line(&event_to_json(&TraceEvent::Arrive { round, color, count }));
+        self.emit(&TraceLine::Event(TraceEvent::Arrive { round, color, count }));
     }
     fn on_reconfig(&mut self, round: u64, mini: u32, location: usize, from: Slot, to: Slot) {
-        self.write_line(&event_to_json(&TraceEvent::Reconfig { round, mini, location, from, to }));
+        self.emit(&TraceLine::Event(TraceEvent::Reconfig { round, mini, location, from, to }));
     }
     fn on_execute(&mut self, round: u64, mini: u32, color: ColorId, count: u64) {
-        self.write_line(&event_to_json(&TraceEvent::Execute { round, mini, color, count }));
-    }
-}
-
-/// A bounded JSONL sink for long horizons: formats every line but retains
-/// only the newest `capacity`, counting what it shed. [`JsonlRingSink::dump`]
-/// writes the retained tail (preceded by a `truncated` marker when lines
-/// were shed) to a writer.
-#[derive(Clone, Debug)]
-pub struct JsonlRingSink {
-    meta: Option<String>,
-    lines: VecDeque<String>,
-    capacity: usize,
-    truncated: u64,
-}
-
-impl JsonlRingSink {
-    /// A ring sink retaining the newest `capacity` lines.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "capacity must be at least 1");
-        Self { meta: None, lines: VecDeque::with_capacity(capacity), capacity, truncated: 0 }
-    }
-
-    /// Attach a meta header (always emitted by `dump`, never shed).
-    pub fn with_meta(mut self, meta: &TraceMeta) -> Self {
-        self.meta = Some(meta.to_json());
-        self
-    }
-
-    fn push(&mut self, line: String) {
-        while self.lines.len() >= self.capacity {
-            self.lines.pop_front();
-            self.truncated += 1;
-        }
-        self.lines.push_back(line);
-    }
-
-    /// Lines shed to respect the capacity.
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    /// Retained line count.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Write meta (if any), a truncation marker (if lines were shed) and the
-    /// retained tail.
-    pub fn dump<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        if let Some(meta) = &self.meta {
-            writeln!(w, "{meta}")?;
-        }
-        if self.truncated > 0 {
-            writeln!(w, "{}", truncated_line(self.truncated))?;
-        }
-        for line in &self.lines {
-            writeln!(w, "{line}")?;
-        }
-        Ok(())
-    }
-}
-
-impl Recorder for JsonlRingSink {
-    fn on_round_start(&mut self, round: u64) {
-        self.push(round_line(round));
-    }
-    fn on_drop(&mut self, round: u64, color: ColorId, count: u64) {
-        self.push(event_to_json(&TraceEvent::Drop { round, color, count }));
-    }
-    fn on_reconfig(&mut self, round: u64, mini: u32, location: usize, from: Slot, to: Slot) {
-        self.push(event_to_json(&TraceEvent::Reconfig { round, mini, location, from, to }));
-    }
-    fn on_arrive(&mut self, round: u64, color: ColorId, count: u64) {
-        self.push(event_to_json(&TraceEvent::Arrive { round, color, count }));
-    }
-    fn on_execute(&mut self, round: u64, mini: u32, color: ColorId, count: u64) {
-        self.push(event_to_json(&TraceEvent::Execute { round, mini, color, count }));
+        self.emit(&TraceLine::Event(TraceEvent::Execute { round, mini, color, count }));
     }
 }
 
@@ -366,304 +251,95 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// One decoded trace line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceLine {
-    /// The run-identity header.
-    Meta(TraceMeta),
-    /// A round-start marker.
-    Round {
-        /// Round index.
-        round: u64,
-    },
-    /// A simulation event.
-    Event(TraceEvent),
-    /// A ring-sink truncation marker: `dropped` older lines were shed.
-    Truncated {
-        /// Lines shed before the retained tail.
-        dropped: u64,
-    },
-    /// A deterministic counter snapshot (name → value, name-sorted).
-    Counters {
-        /// Counter names and values in serialization order.
-        counters: Vec<(String, u64)>,
-    },
-    /// A fixed-bucket histogram snapshot.
-    Hist {
-        /// Histogram name.
-        name: String,
-        /// The reconstructed histogram.
-        hist: Histogram,
-    },
+fn narrow<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
+    T::try_from(v.u64_field(key)?).map_err(|_| format!("field '{key}' out of range"))
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum Scalar {
-    Null,
-    Num(u64),
-    Str(String),
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
-        Self { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("short \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                // Multi-byte UTF-8: copy the full sequence.
-                _ => {
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0b1100_0000 == 0b1000_0000 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Scalar, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Scalar::Null)
-                } else {
-                    Err("expected null".into())
-                }
-            }
-            Some(b) if b.is_ascii_digit() => {
-                let start = self.pos;
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("digit run is ASCII by construction");
-                text.parse::<u64>().map(Scalar::Num).map_err(|e| format!("bad number: {e}"))
-            }
-            _ => Err(format!("unexpected value at byte {}", self.pos)),
-        }
-    }
-
-    /// Parse a flat JSON object into its key/value pairs.
-    fn object(&mut self) -> Result<Vec<(String, Scalar)>, String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(fields);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err("trailing bytes after object".into());
-        }
-        Ok(fields)
+fn slot(v: &Value, key: &str) -> Result<Slot, String> {
+    match v.field(key)? {
+        Value::Null => Ok(None),
+        _ => narrow(v, key).map(|id| Some(ColorId(id))),
     }
 }
 
-fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Result<&'a Scalar, String> {
-    fields
-        .iter()
-        .find_map(|(k, v)| (k == key).then_some(v))
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn num(fields: &[(String, Scalar)], key: &str) -> Result<u64, String> {
-    match field(fields, key)? {
-        Scalar::Num(n) => Ok(*n),
-        other => Err(format!("field '{key}' is not a number: {other:?}")),
-    }
-}
-
-fn text(fields: &[(String, Scalar)], key: &str) -> Result<String, String> {
-    match field(fields, key)? {
-        Scalar::Str(s) => Ok(s.clone()),
-        other => Err(format!("field '{key}' is not a string: {other:?}")),
-    }
-}
-
-fn slot(fields: &[(String, Scalar)], key: &str) -> Result<Slot, String> {
-    match field(fields, key)? {
-        Scalar::Null => Ok(None),
-        Scalar::Num(n) => {
-            let id = u32::try_from(*n).map_err(|_| format!("field '{key}' out of range"))?;
-            Ok(Some(ColorId(id)))
-        }
-        other => Err(format!("field '{key}' is not a color: {other:?}")),
-    }
-}
-
-fn color(fields: &[(String, Scalar)], key: &str) -> Result<ColorId, String> {
-    slot(fields, key)?.ok_or_else(|| format!("field '{key}' must not be black"))
-}
-
-fn mini(fields: &[(String, Scalar)]) -> Result<u32, String> {
-    u32::try_from(num(fields, "mini")?).map_err(|_| "field 'mini' out of range".to_string())
+fn color(v: &Value, key: &str) -> Result<ColorId, String> {
+    slot(v, key)?.ok_or_else(|| format!("field '{key}' must not be black"))
 }
 
 /// Decode one JSONL trace line.
 pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
-    let fields = Scanner::new(line).object()?;
-    let ev = text(&fields, "ev")?;
-    match ev.as_str() {
+    let v = json::parse(line).map_err(|e| e.to_string())?;
+    let fields = v.as_object().ok_or("trace line is not a JSON object")?;
+    match v.str_field("ev")? {
         "meta" => {
-            let version = num(&fields, "version")?;
+            let version = v.u64_field("version")?;
             if version != TRACE_SCHEMA_VERSION {
                 return Err(format!(
                     "unsupported trace schema version {version} (supported: {TRACE_SCHEMA_VERSION})"
                 ));
             }
             Ok(TraceLine::Meta(TraceMeta {
-                policy: text(&fields, "policy")?,
-                delta: num(&fields, "delta")?,
-                locations: num(&fields, "locations")? as usize,
-                speed: u32::try_from(num(&fields, "speed")?)
-                    .map_err(|_| "field 'speed' out of range".to_string())?,
+                policy: v.str_field("policy")?.to_string(),
+                delta: v.u64_field("delta")?,
+                locations: narrow(&v, "locations")?,
+                speed: narrow(&v, "speed")?,
             }))
         }
-        "round" => Ok(TraceLine::Round { round: num(&fields, "round")? }),
-        "truncated" => Ok(TraceLine::Truncated { dropped: num(&fields, "dropped")? }),
+        "round" => Ok(TraceLine::Round { round: v.u64_field("round")? }),
         "counters" => {
-            let mut counters = Vec::with_capacity(fields.len().saturating_sub(1));
-            for (key, value) in &fields {
-                if key == "ev" {
-                    continue;
-                }
-                match value {
-                    Scalar::Num(v) => counters.push((key.clone(), *v)),
-                    other => {
-                        return Err(format!("counter '{key}' is not a number: {other:?}"));
-                    }
-                }
-            }
+            let counters = fields
+                .iter()
+                .filter(|(key, _)| key != "ev")
+                .map(|(key, value)| match value.as_u64() {
+                    Some(n) => Ok((key.clone(), n)),
+                    None => Err(format!("counter '{key}' is not a u64")),
+                })
+                .collect::<Result<_, _>>()?;
             Ok(TraceLine::Counters { counters })
         }
         "hist" => {
-            let parse_list = |key: &str| -> Result<Vec<u64>, String> {
-                let raw = text(&fields, key)?;
-                raw.split(',')
+            let list = |key: &str| -> Result<Vec<u64>, String> {
+                v.str_field(key)?
+                    .split(',')
                     .map(|part| {
                         part.parse::<u64>().map_err(|e| format!("bad '{key}' entry '{part}': {e}"))
                     })
                     .collect()
             };
-            let name = text(&fields, "name")?;
-            let hist = Histogram::from_parts(
-                parse_list("bounds")?,
-                parse_list("counts")?,
-                num(&fields, "sum")?,
-            )
-            .map_err(|e| format!("hist '{name}': {e}"))?;
+            let name = v.str_field("name")?.to_string();
+            let hist = Histogram::from_parts(list("bounds")?, list("counts")?, v.u64_field("sum")?)
+                .map_err(|e| format!("hist '{name}': {e}"))?;
             Ok(TraceLine::Hist { name, hist })
         }
         "drop" => Ok(TraceLine::Event(TraceEvent::Drop {
-            round: num(&fields, "round")?,
-            color: color(&fields, "color")?,
-            count: num(&fields, "count")?,
+            round: v.u64_field("round")?,
+            color: color(&v, "color")?,
+            count: v.u64_field("count")?,
         })),
         "arrive" => Ok(TraceLine::Event(TraceEvent::Arrive {
-            round: num(&fields, "round")?,
-            color: color(&fields, "color")?,
-            count: num(&fields, "count")?,
+            round: v.u64_field("round")?,
+            color: color(&v, "color")?,
+            count: v.u64_field("count")?,
         })),
         "reconfig" => Ok(TraceLine::Event(TraceEvent::Reconfig {
-            round: num(&fields, "round")?,
-            mini: mini(&fields)?,
-            location: num(&fields, "location")? as usize,
-            from: slot(&fields, "from")?,
-            to: slot(&fields, "to")?,
+            round: v.u64_field("round")?,
+            mini: narrow(&v, "mini")?,
+            location: narrow(&v, "location")?,
+            from: slot(&v, "from")?,
+            to: slot(&v, "to")?,
         })),
         "execute" => Ok(TraceLine::Event(TraceEvent::Execute {
-            round: num(&fields, "round")?,
-            mini: mini(&fields)?,
-            color: color(&fields, "color")?,
-            count: num(&fields, "count")?,
+            round: v.u64_field("round")?,
+            mini: narrow(&v, "mini")?,
+            color: color(&v, "color")?,
+            count: v.u64_field("count")?,
         })),
         other => Err(format!("unknown event kind '{other}'")),
     }
 }
 
-/// A fully parsed trace.
+/// A fully parsed trace, with totals accumulated (overflow-checked) while
+/// reading.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ParsedTrace {
     /// The run-identity header, if present.
@@ -672,54 +348,43 @@ pub struct ParsedTrace {
     pub events: Vec<TraceEvent>,
     /// Rounds observed (count of round-start markers).
     pub rounds: u64,
-    /// Lines shed upstream by a ring sink.
-    pub truncated: u64,
     /// Deterministic counters from `counters` records; repeated records
     /// (e.g. a stitched prefix + suffix trace) sum per name.
     pub counters: BTreeMap<String, u64>,
     /// Histograms from `hist` records, latest record per name winning.
     pub hists: BTreeMap<String, Histogram>,
+    arrived: u64,
+    executed: u64,
+    dropped: u64,
+    reconfigs: u64,
 }
 
 impl ParsedTrace {
     /// Total jobs arrived.
     pub fn arrived(&self) -> u64 {
-        self.sum(|e| match e {
-            TraceEvent::Arrive { count, .. } => Some(*count),
-            _ => None,
-        })
+        self.arrived
     }
 
     /// Total jobs executed.
     pub fn executed(&self) -> u64 {
-        self.sum(|e| match e {
-            TraceEvent::Execute { count, .. } => Some(*count),
-            _ => None,
-        })
+        self.executed
     }
 
     /// Total jobs dropped.
     pub fn dropped(&self) -> u64 {
-        self.sum(|e| match e {
-            TraceEvent::Drop { count, .. } => Some(*count),
-            _ => None,
-        })
+        self.dropped
     }
 
     /// Total reconfigurations (recolorings to non-black).
     pub fn reconfigs(&self) -> u64 {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::Reconfig { to: Some(_), .. })).count()
-            as u64
+        self.reconfigs
     }
 
-    /// Total cost `Δ·reconfigs + drops`, using the meta Δ.
+    /// Total cost `Δ·reconfigs + drops`, using the meta Δ; `None` without
+    /// a meta line or on overflow.
     pub fn total_cost(&self) -> Option<u64> {
         let delta = self.meta.as_ref()?.delta;
-        Some(delta * self.reconfigs() + self.dropped())
-    }
-
-    fn sum(&self, f: impl Fn(&TraceEvent) -> Option<u64>) -> u64 {
-        self.events.iter().filter_map(f).sum()
+        delta.checked_mul(self.reconfigs)?.checked_add(self.dropped)
     }
 
     /// A counter from the trace's `counters` record(s), if present.
@@ -729,31 +394,42 @@ impl ParsedTrace {
 }
 
 /// Parse a whole JSONL trace (empty lines ignored). Fails on the first
-/// malformed line, identified by line number.
+/// malformed line, or the first line that overflows a total, identified by
+/// line number.
 pub fn parse_trace(textual: &str) -> Result<ParsedTrace, TraceParseError> {
     let mut out = ParsedTrace::default();
     for (i, line) in textual.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let parsed =
-            parse_trace_line(line).map_err(|message| TraceParseError { line: i + 1, message })?;
-        match parsed {
+        let fail = |message: String| TraceParseError { line: i + 1, message };
+        let add = |total: &mut u64, n: u64, what: &str| -> Result<(), TraceParseError> {
+            *total = total.checked_add(n).ok_or_else(|| fail(format!("{what} overflows u64")))?;
+            Ok(())
+        };
+        match parse_trace_line(line).map_err(fail)? {
             TraceLine::Meta(m) => {
                 if out.meta.is_some() {
-                    return Err(TraceParseError {
-                        line: i + 1,
-                        message: "duplicate meta line".into(),
-                    });
+                    return Err(fail("duplicate meta line".into()));
                 }
                 out.meta = Some(m);
             }
             TraceLine::Round { .. } => out.rounds += 1,
-            TraceLine::Event(e) => out.events.push(e),
-            TraceLine::Truncated { dropped } => out.truncated += dropped,
+            TraceLine::Event(e) => {
+                match e {
+                    TraceEvent::Arrive { count, .. } => add(&mut out.arrived, count, "arrived")?,
+                    TraceEvent::Execute { count, .. } => add(&mut out.executed, count, "executed")?,
+                    TraceEvent::Drop { count, .. } => add(&mut out.dropped, count, "dropped")?,
+                    TraceEvent::Reconfig { to, .. } => {
+                        add(&mut out.reconfigs, u64::from(to.is_some()), "reconfigs")?
+                    }
+                }
+                out.events.push(e);
+            }
             TraceLine::Counters { counters } => {
                 for (name, v) in counters {
-                    *out.counters.entry(name).or_insert(0) += v;
+                    let what = format!("counter '{name}'");
+                    add(out.counters.entry(name).or_insert(0), v, &what)?;
                 }
             }
             TraceLine::Hist { name, hist } => {
@@ -898,28 +574,20 @@ mod tests {
     }
 
     #[test]
-    fn event_json_round_trips() {
-        for e in sample_events() {
-            let line = event_to_json(&e);
-            match parse_trace_line(&line).expect(&line) {
-                TraceLine::Event(back) => assert_eq!(back, e, "{line}"),
-                other => panic!("expected event, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn meta_round_trips_with_escapes() {
+    fn lines_round_trip_through_write_json() {
         let meta = TraceMeta {
             policy: "weird \"name\"\\with\tescapes".into(),
             delta: 7,
             locations: 16,
             speed: 2,
         };
-        let line = meta.to_json();
-        match parse_trace_line(&line).unwrap() {
-            TraceLine::Meta(back) => assert_eq!(back, meta),
-            other => panic!("expected meta, got {other:?}"),
+        let lines = std::iter::once(TraceLine::Meta(meta))
+            .chain(std::iter::once(TraceLine::Round { round: 9 }))
+            .chain(sample_events().into_iter().map(TraceLine::Event));
+        for line in lines {
+            let mut text = String::new();
+            line.write_json(&mut text);
+            assert_eq!(parse_trace_line(&text).expect(&text), line, "{text}");
         }
     }
 
@@ -956,27 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_newest_and_marks_truncation() {
-        let mut ring = JsonlRingSink::new(2).with_meta(&TraceMeta {
-            policy: "p".into(),
-            delta: 1,
-            locations: 1,
-            speed: 1,
-        });
-        ring.on_drop(0, ColorId(0), 1);
-        ring.on_drop(1, ColorId(0), 1);
-        ring.on_drop(2, ColorId(0), 1);
-        assert_eq!(ring.truncated(), 1);
-        assert_eq!(ring.len(), 2);
-        let mut buf = Vec::new();
-        ring.dump(&mut buf).unwrap();
-        let parsed = parse_trace(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(parsed.truncated, 1);
-        assert_eq!(parsed.events.len(), 2);
-        assert!(matches!(parsed.events[0], TraceEvent::Drop { round: 1, .. }));
-    }
-
-    #[test]
     fn counter_records_round_trip_through_parse() {
         let mut reg = CounterRegistry::new();
         reg.add(crate::obs::names::ROUNDS, 12);
@@ -1006,7 +653,8 @@ mod tests {
         assert_eq!(h.sum(), 101);
 
         // A stitched trace (two counters records) sums per name.
-        let doubled = format!("{textual}{}\n", counter_records(&reg)[0]);
+        let record = textual.lines().find(|l| l.starts_with("{\"ev\":\"counters\"")).unwrap();
+        let doubled = format!("{textual}{record}\n");
         let parsed = parse_trace(&doubled).unwrap();
         assert_eq!(parsed.counter("rounds"), Some(24));
     }
@@ -1019,12 +667,30 @@ mod tests {
             "{\"ev\":\"nope\"}",
             "{\"ev\":\"meta\",\"version\":999,\"policy\":\"x\",\"delta\":1,\"locations\":1,\"speed\":1}",
             "{\"ev\":\"drop\",\"round\":0,\"color\":null,\"count\":1}",
+            "{\"ev\":\"round\",\"round\":0,\"round\":1}",
+            "{\"ev\":\"round\",\"round\":1.0}",
+            "[{\"ev\":\"round\",\"round\":0}]",
         ];
         for bad in cases {
             assert!(parse_trace_line(bad).is_err(), "{bad}");
         }
         let err = parse_trace("{\"ev\":\"round\",\"round\":0}\nnot json\n").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn totals_are_overflow_checked() {
+        let arrive = |count: u64| {
+            format!("{{\"ev\":\"arrive\",\"round\":0,\"color\":0,\"count\":{count}}}\n")
+        };
+        let text = format!("\n{}{}", arrive(u64::MAX), arrive(2));
+        let err = parse_trace(&text).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("arrived overflows"), "{err}");
+
+        let meta = TraceMeta { policy: "p".into(), delta: u64::MAX, locations: 1, speed: 1 };
+        let trace = ParsedTrace { meta: Some(meta), reconfigs: 2, ..ParsedTrace::default() };
+        assert_eq!(trace.total_cost(), None);
     }
 
     #[test]

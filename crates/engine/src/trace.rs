@@ -1,7 +1,5 @@
 //! Trace recording: optional observers of a simulation run.
 
-use std::collections::VecDeque;
-
 use rrs_model::ColorId;
 
 use crate::policy::Slot;
@@ -156,57 +154,18 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {}
 
-/// Records the full event stream.
-///
-/// By default memory grows with the trace (intended for tests and small
-/// analyses); [`TraceRecorder::with_capacity_limit`] bounds it to the most
-/// recent events for long horizons.
+/// Records the full event stream in memory (for tests and small
+/// analyses: memory grows with the trace).
 #[derive(Clone, Debug, Default)]
 pub struct TraceRecorder {
-    /// Retained events in occurrence order (oldest first). When a capacity
-    /// limit is set, this holds only the newest `capacity` events.
-    pub events: VecDeque<TraceEvent>,
-    /// Maximum retained events; `None` means unbounded.
-    capacity: Option<usize>,
-    /// Events discarded (oldest-first) to respect the capacity limit.
-    truncated: u64,
+    /// Events in occurrence order.
+    pub events: Vec<TraceEvent>,
 }
 
 impl TraceRecorder {
-    /// A fresh empty trace with unbounded capacity.
+    /// A fresh empty trace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A bounded trace that retains only the newest `capacity` events,
-    /// dropping the oldest and counting them in
-    /// [`TraceRecorder::truncated`].
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity_limit(capacity: usize) -> Self {
-        assert!(capacity >= 1, "capacity limit must be at least 1");
-        Self { events: VecDeque::with_capacity(capacity), capacity: Some(capacity), truncated: 0 }
-    }
-
-    /// The configured capacity limit, if any.
-    pub fn capacity_limit(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Number of events discarded to respect the capacity limit.
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    fn push(&mut self, event: TraceEvent) {
-        if let Some(cap) = self.capacity {
-            while self.events.len() >= cap {
-                self.events.pop_front();
-                self.truncated += 1;
-            }
-        }
-        self.events.push_back(event);
     }
 
     /// Total drops recorded.
@@ -240,16 +199,16 @@ impl TraceRecorder {
 
 impl Recorder for TraceRecorder {
     fn on_drop(&mut self, round: u64, color: ColorId, count: u64) {
-        self.push(TraceEvent::Drop { round, color, count });
+        self.events.push(TraceEvent::Drop { round, color, count });
     }
     fn on_arrive(&mut self, round: u64, color: ColorId, count: u64) {
-        self.push(TraceEvent::Arrive { round, color, count });
+        self.events.push(TraceEvent::Arrive { round, color, count });
     }
     fn on_reconfig(&mut self, round: u64, mini: u32, location: usize, from: Slot, to: Slot) {
-        self.push(TraceEvent::Reconfig { round, mini, location, from, to });
+        self.events.push(TraceEvent::Reconfig { round, mini, location, from, to });
     }
     fn on_execute(&mut self, round: u64, mini: u32, color: ColorId, count: u64) {
-        self.push(TraceEvent::Execute { round, mini, color, count });
+        self.events.push(TraceEvent::Execute { round, mini, color, count });
     }
 }
 
@@ -322,27 +281,6 @@ mod tests {
         assert_eq!(t.total_reconfigs(), 1);
         assert_eq!(t.total_executed(), 3);
         assert_eq!(t.events.len(), 4);
-        assert_eq!(t.truncated(), 0);
-        assert_eq!(t.capacity_limit(), None);
-    }
-
-    #[test]
-    fn capacity_limit_drops_oldest_and_counts() {
-        let mut t = TraceRecorder::with_capacity_limit(2);
-        t.on_drop(0, ColorId(0), 1);
-        t.on_drop(1, ColorId(0), 2);
-        t.on_drop(2, ColorId(0), 4);
-        assert_eq!(t.events.len(), 2);
-        assert_eq!(t.truncated(), 1);
-        // Oldest gone: only rounds 1 and 2 retained.
-        assert_eq!(t.total_drops(), 6);
-        assert!(matches!(t.events[0], TraceEvent::Drop { round: 1, .. }));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_capacity_rejected() {
-        let _ = TraceRecorder::with_capacity_limit(0);
     }
 
     #[test]

@@ -1,6 +1,20 @@
 //! Cost accounting shared by the simulator, the offline solvers and the
 //! analysis harness.
 
+/// The largest reconfiguration cost Δ an input may declare. With Δ capped
+/// at `u32::MAX`, `Δ · reconfigs` can overflow a u64 only after 2³²
+/// reconfigurations.
+pub const MAX_DELTA: u64 = u32::MAX as u64;
+
+/// Validate a Δ read from input: the one check both instance readers share.
+pub fn check_delta(delta: u64) -> Result<u64, String> {
+    if delta <= MAX_DELTA {
+        Ok(delta)
+    } else {
+        Err(format!("delta {delta} exceeds the maximum {MAX_DELTA}"))
+    }
+}
+
 /// The cost ledger of a schedule: counts of reconfigurations and drops,
 /// priced per the paper's model (`Δ` per reconfiguration, `1` per drop).
 ///

@@ -17,6 +17,8 @@
 //! * [`ColorMap`] / [`ColorSet`] — dense `ColorId`-indexed containers; the
 //!   flat state layout every hot-path per-color map in the workspace uses
 //!   (see DESIGN.md §8).
+//! * [`json`] — the workspace's one JSON codec: a strict, total reader and
+//!   the one string escaper.
 //! * [`classify`] — instance validators for the paper's problem classes in
 //!   the `[reconfig | drop | delay | batch]` notation: batched arrivals,
 //!   rate-limited batches, power-of-two delay bounds.
@@ -31,6 +33,7 @@ pub mod color;
 pub mod cost;
 pub mod dense;
 pub mod instance;
+pub mod json;
 pub mod request;
 pub mod snap;
 pub mod stream;
@@ -38,7 +41,7 @@ pub mod textio;
 
 pub use classify::{InstanceClass, ValidationError};
 pub use color::{ColorId, ColorTable, BLACK};
-pub use cost::CostLedger;
+pub use cost::{check_delta, CostLedger, MAX_DELTA};
 pub use dense::{ColorMap, ColorSet};
 pub use instance::{Instance, InstanceBuilder};
 pub use request::{Request, RequestSeq};

@@ -21,6 +21,7 @@
 use std::io::BufRead;
 
 use crate::color::{ColorId, ColorTable};
+use crate::cost::check_delta;
 use crate::instance::Instance;
 use crate::request::Request;
 use crate::textio::ParseError;
@@ -237,7 +238,7 @@ impl<R: BufRead> TextStream<R> {
                 })
         };
         let parsed = match keyword {
-            "delta" => Line::Delta(arg("delta value")?),
+            "delta" => Line::Delta(check_delta(arg("delta value")?).map_err(|m| self.err(m))?),
             "color" => Line::Color(arg("color id")?, arg("delay bound")?),
             "arrive" => Line::Arrive(arg("round")?, arg("color")?, arg("count")?),
             other => return Err(self.err(format!("unknown keyword '{other}'"))),
@@ -461,6 +462,14 @@ mod tests {
         let text = "delta 2\ncolor 0 18446744073709551615\narrive 1 0 1\n";
         let e = TextStream::new(text.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("line 3") && e.to_string().contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn delta_above_u32_max_rejected() {
+        let text = "# header\ndelta 4294967296\ncolor 0 1\narrive 0 0 1\n";
+        let e = TextStream::new(text.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("line 2") && e.to_string().contains("exceeds"), "{e}");
+        assert!(TextStream::new("delta 4294967295\n".as_bytes()).is_ok());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! Colors must be declared with consecutive ids starting at 0 before use.
 
 use crate::color::{ColorId, ColorTable};
+use crate::cost::check_delta;
 use crate::instance::Instance;
 use crate::request::RequestSeq;
 
@@ -72,7 +73,7 @@ pub fn from_text(text: &str) -> Result<Instance, ParseError> {
         };
         match keyword {
             "delta" => {
-                let v = arg("delta value")?;
+                let v = check_delta(arg("delta value")?).map_err(|m| err(line_no, m))?;
                 if delta.replace(v).is_some() {
                     return Err(err(line_no, "duplicate delta".into()));
                 }
@@ -194,6 +195,14 @@ mod tests {
         let e = from_text("delta 2\ncolor 0 18446744073709551615\narrive 1 0 1\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn delta_above_u32_max_rejected() {
+        let e = from_text("\ndelta 18446744073709551615\ncolor 0 2\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("exceeds the maximum 4294967295"), "{e}");
+        assert_eq!(from_text("delta 4294967295\n").unwrap().delta, u64::from(u32::MAX));
     }
 
     #[test]

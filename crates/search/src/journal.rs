@@ -1,6 +1,8 @@
 //! The JSONL search journal: one self-describing `{"ev":...}` line per
-//! search event, following the trace-sink schema idiom (hand-rolled
-//! writer and parser, no serde, meta line first, version stamped).
+//! search event, following the trace-sink schema idiom (meta line first,
+//! version stamped). [`JournalLine::to_json`] is the writer and
+//! [`parse_journal_line`] the reader, through the workspace's strict JSON
+//! reader, [`rrs_model::json`].
 //!
 //! **Determinism boundary.** Journal lines carry *no* timestamps or other
 //! host-dependent fields: the byte stream is a pure function of the
@@ -12,6 +14,8 @@
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
+use rrs_model::json::{self, Quoted};
+
 use crate::evolve::{GenerationSummary, SearchConfig};
 use crate::fitness::Evaluation;
 use crate::shrink::ShrinkStep;
@@ -19,80 +23,54 @@ use crate::shrink::ShrinkStep;
 /// Version stamped into every meta line; bump on breaking schema changes.
 pub const SEARCH_SCHEMA_VERSION: u64 = 1;
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_eval(out: &mut String, genome: &str, eval: &Evaluation) {
-    out.push_str(",\"genome\":");
-    push_json_str(out, genome);
-    let _ = write!(
-        out,
-        ",\"cost\":{},\"base\":{},\"ratio\":{},\"referee\":\"{}\"",
-        eval.fitness.cost,
-        eval.fitness.base,
-        rrs_analysis::ratio(eval.fitness.cost, eval.fitness.base),
-        eval.referee.name()
-    );
-}
+/// The `tool` every meta line names.
+const TOOL: &str = "adversary-search";
 
 /// The meta line for a search run (no trailing newline).
 pub fn meta_line(cfg: &SearchConfig) -> String {
-    let mut s = String::with_capacity(160);
-    let _ = write!(
-        s,
-        "{{\"ev\":\"meta\",\"version\":{},\"tool\":\"adversary-search\",\"seed\":{},\"budget\":{},\"population\":{},\"elites\":{},\"policy\":\"{}\",\"locations\":{},\"referee_m\":{}}}",
-        SEARCH_SCHEMA_VERSION,
-        cfg.seed,
-        cfg.generations,
-        cfg.population,
-        cfg.elites,
-        cfg.policy.name(),
-        cfg.eval.locations,
-        cfg.eval.referee_resources
-    );
-    s
+    JournalLine::Meta {
+        version: SEARCH_SCHEMA_VERSION,
+        seed: cfg.seed,
+        budget: u64::from(cfg.generations),
+        population: cfg.population as u64,
+        elites: cfg.elites as u64,
+        policy: cfg.policy.name().to_string(),
+        locations: cfg.eval.locations as u64,
+        referee_m: cfg.eval.referee_resources as u64,
+    }
+    .to_json()
 }
 
 /// A per-generation line.
 pub fn gen_line(summary: &GenerationSummary) -> String {
-    let mut s = String::with_capacity(160);
-    let _ = write!(s, "{{\"ev\":\"gen\",\"gen\":{},\"evals\":{}", summary.gen, summary.evals);
-    push_eval(&mut s, &summary.best.genome.encode(), &summary.best.eval);
-    s.push('}');
-    s
+    let (genome, cost, base, referee) =
+        eval_fields(&summary.best.genome.encode(), &summary.best.eval);
+    JournalLine::Gen {
+        gen: u64::from(summary.gen),
+        evals: summary.evals,
+        genome,
+        cost,
+        base,
+        referee,
+    }
+    .to_json()
 }
 
 /// An accepted-shrink-step line.
 pub fn shrink_line(step: &ShrinkStep) -> String {
-    let mut s = String::with_capacity(160);
-    let _ = write!(s, "{{\"ev\":\"shrink\",\"step\":{}", step.step);
-    push_eval(&mut s, &step.candidate.genome.encode(), &step.candidate.eval);
-    s.push('}');
-    s
+    let (genome, cost, base, referee) =
+        eval_fields(&step.candidate.genome.encode(), &step.candidate.eval);
+    JournalLine::Shrink { step: u64::from(step.step), genome, cost, base, referee }.to_json()
 }
 
 /// The final-result line.
 pub fn result_line(genome_enc: &str, eval: &Evaluation, size: u64, evals: u64) -> String {
-    let mut s = String::with_capacity(160);
-    s.push_str("{\"ev\":\"result\"");
-    push_eval(&mut s, genome_enc, eval);
-    let _ = write!(s, ",\"size\":{},\"evals\":{}}}", size, evals);
-    s
+    let (genome, cost, base, referee) = eval_fields(genome_enc, eval);
+    JournalLine::Result { genome, cost, base, referee, size, evals }.to_json()
+}
+
+fn eval_fields(genome: &str, eval: &Evaluation) -> (String, u64, u64, String) {
+    (genome.to_string(), eval.fitness.cost, eval.fitness.base, eval.referee.name().to_string())
 }
 
 /// Streams journal lines to any writer.
@@ -119,7 +97,7 @@ impl<W: Write> JournalWriter<W> {
     }
 }
 
-/// One parsed journal line.
+/// One journal line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalLine {
     /// Run identity + configuration.
@@ -132,8 +110,14 @@ pub enum JournalLine {
         budget: u64,
         /// Population size.
         population: u64,
+        /// Elites carried over per generation.
+        elites: u64,
         /// Target policy name.
         policy: String,
+        /// Locations the target policy runs with.
+        locations: u64,
+        /// Resources the referee runs with.
+        referee_m: u64,
     },
     /// Per-generation best.
     Gen {
@@ -147,6 +131,8 @@ pub enum JournalLine {
         cost: u64,
         /// Referee baseline.
         base: u64,
+        /// Which referee produced `base`.
+        referee: String,
     },
     /// Accepted shrink step.
     Shrink {
@@ -158,6 +144,8 @@ pub enum JournalLine {
         cost: u64,
         /// Referee baseline.
         base: u64,
+        /// Which referee produced `base`.
+        referee: String,
     },
     /// Final minimized result.
     Result {
@@ -167,9 +155,66 @@ pub enum JournalLine {
         cost: u64,
         /// Referee baseline.
         base: u64,
+        /// Which referee produced `base`.
+        referee: String,
         /// Structural size.
         size: u64,
+        /// Total evaluations.
+        evals: u64,
     },
+}
+
+impl JournalLine {
+    /// The line as one JSON object (no trailing newline). The `ratio`
+    /// field is derived from `cost` and `base`.
+    pub fn to_json(&self) -> String {
+        let mut s = String::with_capacity(160);
+        let eval = |s: &mut String, genome: &str, cost: u64, base: u64, referee: &str| {
+            let ratio = rrs_analysis::ratio(cost, base);
+            let _ = write!(
+                s,
+                ",\"genome\":{},\"cost\":{cost},\"base\":{base},\"ratio\":{ratio},\"referee\":{}",
+                Quoted(genome),
+                Quoted(referee)
+            );
+        };
+        // Formatting into a `String` cannot fail.
+        let _ = match self {
+            JournalLine::Meta {
+                version,
+                seed,
+                budget,
+                population,
+                elites,
+                policy,
+                locations,
+                referee_m,
+            } => write!(
+                s,
+                "{{\"ev\":\"meta\",\"version\":{version},\"tool\":{},\"seed\":{seed},\
+                 \"budget\":{budget},\"population\":{population},\"elites\":{elites},\
+                 \"policy\":{},\"locations\":{locations},\"referee_m\":{referee_m}}}",
+                Quoted(TOOL),
+                Quoted(policy)
+            ),
+            JournalLine::Gen { gen, evals, genome, cost, base, referee } => {
+                let _ = write!(s, "{{\"ev\":\"gen\",\"gen\":{gen},\"evals\":{evals}");
+                eval(&mut s, genome, *cost, *base, referee);
+                write!(s, "}}")
+            }
+            JournalLine::Shrink { step, genome, cost, base, referee } => {
+                let _ = write!(s, "{{\"ev\":\"shrink\",\"step\":{step}");
+                eval(&mut s, genome, *cost, *base, referee);
+                write!(s, "}}")
+            }
+            JournalLine::Result { genome, cost, base, referee, size, evals } => {
+                s.push_str("{\"ev\":\"result\"");
+                eval(&mut s, genome, *cost, *base, referee);
+                write!(s, ",\"size\":{size},\"evals\":{evals}}}")
+            }
+        };
+        s
+    }
 }
 
 /// A journal parse failure, with its 1-based line number.
@@ -189,93 +234,76 @@ impl std::fmt::Display for JournalParseError {
 
 impl std::error::Error for JournalParseError {}
 
-/// Extract `"key":<u64>` from a flat JSON object line.
-fn field_u64(line: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat).ok_or_else(|| format!("missing field '{key}'"))? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).ok_or_else(|| format!("unterminated field '{key}'"))?;
-    rest[..end].trim().parse().map_err(|e| format!("bad u64 in '{key}': {e}"))
-}
-
-/// Extract `"key":"<string>"` (with JSON unescaping) from a flat line.
-fn field_str(line: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat).ok_or_else(|| format!("missing string field '{key}'"))? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next() {
-            None => return Err(format!("unterminated string in '{key}'")),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("bad \\u escape in '{key}': {e}"))?;
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                }
-                Some(c) => out.push(c),
-                None => return Err(format!("dangling escape in '{key}'")),
-            },
-            Some(c) => out.push(c),
+/// Decode one journal line: a JSON object with a known `ev` and every
+/// field its writer emits (`ratio` must be a number; its value is derived
+/// and not kept).
+pub fn parse_journal_line(line: &str) -> Result<JournalLine, String> {
+    let v = json::parse(line).map_err(|e| e.to_string())?;
+    let text = |key: &str| v.str_field(key).map(str::to_string);
+    let parsed = match v.str_field("ev")? {
+        "meta" => {
+            let version = v.u64_field("version")?;
+            if version != SEARCH_SCHEMA_VERSION {
+                return Err(format!("schema version {version}, expected {SEARCH_SCHEMA_VERSION}"));
+            }
+            if v.str_field("tool")? != TOOL {
+                return Err(format!("tool is not '{TOOL}'"));
+            }
+            JournalLine::Meta {
+                version,
+                seed: v.u64_field("seed")?,
+                budget: v.u64_field("budget")?,
+                population: v.u64_field("population")?,
+                elites: v.u64_field("elites")?,
+                policy: text("policy")?,
+                locations: v.u64_field("locations")?,
+                referee_m: v.u64_field("referee_m")?,
+            }
         }
+        "gen" => JournalLine::Gen {
+            gen: v.u64_field("gen")?,
+            evals: v.u64_field("evals")?,
+            genome: text("genome")?,
+            cost: v.u64_field("cost")?,
+            base: v.u64_field("base")?,
+            referee: text("referee")?,
+        },
+        "shrink" => JournalLine::Shrink {
+            step: v.u64_field("step")?,
+            genome: text("genome")?,
+            cost: v.u64_field("cost")?,
+            base: v.u64_field("base")?,
+            referee: text("referee")?,
+        },
+        "result" => JournalLine::Result {
+            genome: text("genome")?,
+            cost: v.u64_field("cost")?,
+            base: v.u64_field("base")?,
+            referee: text("referee")?,
+            size: v.u64_field("size")?,
+            evals: v.u64_field("evals")?,
+        },
+        other => return Err(format!("unknown ev '{other}'")),
+    };
+    if !matches!(parsed, JournalLine::Meta { .. }) {
+        v.field("ratio")?.as_number().ok_or("field 'ratio' is not a number")?;
     }
+    Ok(parsed)
 }
 
 /// Parse a complete journal. Validates: the first line is a `meta` with
-/// the current schema version, every line carries a known `ev`, and all
-/// required fields are present — so any schema drift fails loudly here.
+/// the current schema version, every line is a JSON object with a known
+/// `ev`, and all fields are present — so any schema drift fails loudly
+/// here.
 pub fn parse_journal(text: &str) -> Result<Vec<JournalLine>, JournalParseError> {
     let mut out = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
         let line = raw.trim();
         if line.is_empty() {
             continue;
         }
-        let err = |message: String| JournalParseError { line: lineno, message };
-        let ev = field_str(line, "ev").map_err(&err)?;
-        let parsed = match ev.as_str() {
-            "meta" => {
-                let version = field_u64(line, "version").map_err(&err)?;
-                if version != SEARCH_SCHEMA_VERSION {
-                    return Err(err(format!(
-                        "schema version {version}, expected {SEARCH_SCHEMA_VERSION}"
-                    )));
-                }
-                JournalLine::Meta {
-                    version,
-                    seed: field_u64(line, "seed").map_err(&err)?,
-                    budget: field_u64(line, "budget").map_err(&err)?,
-                    population: field_u64(line, "population").map_err(&err)?,
-                    policy: field_str(line, "policy").map_err(&err)?,
-                }
-            }
-            "gen" => JournalLine::Gen {
-                gen: field_u64(line, "gen").map_err(&err)?,
-                evals: field_u64(line, "evals").map_err(&err)?,
-                genome: field_str(line, "genome").map_err(&err)?,
-                cost: field_u64(line, "cost").map_err(&err)?,
-                base: field_u64(line, "base").map_err(&err)?,
-            },
-            "shrink" => JournalLine::Shrink {
-                step: field_u64(line, "step").map_err(&err)?,
-                genome: field_str(line, "genome").map_err(&err)?,
-                cost: field_u64(line, "cost").map_err(&err)?,
-                base: field_u64(line, "base").map_err(&err)?,
-            },
-            "result" => JournalLine::Result {
-                genome: field_str(line, "genome").map_err(&err)?,
-                cost: field_u64(line, "cost").map_err(&err)?,
-                base: field_u64(line, "base").map_err(&err)?,
-                size: field_u64(line, "size").map_err(&err)?,
-            },
-            other => return Err(err(format!("unknown ev '{other}'"))),
-        };
+        let err = |message: String| JournalParseError { line: idx + 1, message };
+        let parsed = parse_journal_line(line).map_err(err)?;
         if out.is_empty() && !matches!(parsed, JournalLine::Meta { .. }) {
             return Err(err("journal must start with a meta line".into()));
         }
@@ -346,7 +374,8 @@ mod tests {
         let bad = "{\"ev\":\"meta\",\"version\":99,\"seed\":1,\"budget\":1,\"population\":2,\"policy\":\"dlru\"}";
         assert!(parse_journal(bad).is_err());
         // Unknown event.
-        let good_meta = "{\"ev\":\"meta\",\"version\":1,\"seed\":1,\"budget\":1,\"population\":2,\"policy\":\"dlru\"}";
+        let good_meta = "{\"ev\":\"meta\",\"version\":1,\"tool\":\"adversary-search\",\"seed\":1,\"budget\":1,\"population\":2,\"elites\":1,\"policy\":\"dlru\",\"locations\":8,\"referee_m\":1}";
+        assert!(parse_journal(good_meta).is_ok());
         let bad2 = format!("{good_meta}\n{{\"ev\":\"mystery\",\"x\":1}}");
         assert!(parse_journal(&bad2).is_err());
         // Missing field.
@@ -359,10 +388,15 @@ mod tests {
     }
 
     #[test]
-    fn string_escapes_round_trip() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\te\u{1}");
-        let line = format!("{{\"ev\":{s}}}");
-        assert_eq!(field_str(&line, "ev").unwrap(), "a\"b\\c\nd\te\u{1}");
+    fn lines_round_trip_through_to_json() {
+        let line = JournalLine::Result {
+            genome: "d1|\"odd\"\\\n".into(),
+            cost: 3,
+            base: 2,
+            referee: "exact".into(),
+            size: 7,
+            evals: 9,
+        };
+        assert_eq!(parse_journal_line(&line.to_json()), Ok(line));
     }
 }

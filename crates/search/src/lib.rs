@@ -61,8 +61,8 @@ pub use fitness::{
     Fitness, PolicyKind, Referee, SolvedLine,
 };
 pub use journal::{
-    gen_line, meta_line, parse_journal, result_line, shrink_line, JournalLine, JournalParseError,
-    JournalWriter, SEARCH_SCHEMA_VERSION,
+    gen_line, meta_line, parse_journal, parse_journal_line, result_line, shrink_line, JournalLine,
+    JournalParseError, JournalWriter, SEARCH_SCHEMA_VERSION,
 };
 pub use shrink::{shrink, ShrinkReport, ShrinkStep};
 
@@ -77,8 +77,8 @@ pub mod prelude {
         Evaluation, Fitness, PolicyKind, Referee, SolvedLine,
     };
     pub use crate::journal::{
-        gen_line, meta_line, parse_journal, result_line, shrink_line, JournalLine,
-        JournalParseError, JournalWriter, SEARCH_SCHEMA_VERSION,
+        gen_line, meta_line, parse_journal, parse_journal_line, result_line, shrink_line,
+        JournalLine, JournalParseError, JournalWriter, SEARCH_SCHEMA_VERSION,
     };
     pub use crate::shrink::{shrink, ShrinkReport, ShrinkStep};
 }

@@ -783,13 +783,19 @@ fn pct(part: u64, total: u64) -> String {
     }
 }
 
-fn print_cost_attribution(delta: u64, reconfigs: u64, dropped: u64) {
-    let rc = delta * reconfigs;
-    let total = rc + dropped;
+fn print_cost_attribution(delta: u64, reconfigs: u64, dropped: u64) -> Result<(), String> {
+    let total = delta.checked_mul(reconfigs).and_then(|rc| rc.checked_add(dropped));
+    let Some(total) = total else {
+        return Err(format!(
+            "cost \u{394}\u{b7}reconfigs + drops = {delta}\u{b7}{reconfigs} + {dropped} overflows u64"
+        ));
+    };
+    let rc = total - dropped;
     println!("cost attribution (\u{394} = {delta}):");
     println!("  reconfigurations: {reconfigs} \u{d7} {delta} = {rc} ({})", pct(rc, total));
     println!("  drops:            {dropped} ({})", pct(dropped, total));
     println!("  total:            {total}");
+    Ok(())
 }
 
 fn cmd_report(mut args: Vec<String>) -> Result<(), String> {
@@ -824,23 +830,18 @@ fn report_saved(mut args: Vec<String>) -> Result<(), String> {
     println!("speed:       {}", meta.speed);
     println!("rounds:      {}", parsed.rounds);
     println!("events:      {}", parsed.events.len());
-    if parsed.truncated > 0 {
-        println!("truncated:   {} lines shed upstream (totals are partial)", parsed.truncated);
-    }
     let (arrived, executed, dropped) = (parsed.arrived(), parsed.executed(), parsed.dropped());
     let reconfigs = parsed.reconfigs();
     println!("arrived:     {arrived}");
     println!("executed:    {executed}");
     println!("dropped:     {dropped}");
     println!("reconfigs:   {reconfigs}");
-    if parsed.truncated == 0 {
-        let conserved = arrived == executed + dropped;
-        println!("conservation: {}", if conserved { "ok" } else { "VIOLATED" });
-        if !conserved {
-            return Err("trace violates conservation (arrived != executed + dropped)".into());
-        }
+    let conserved = executed.checked_add(dropped) == Some(arrived);
+    println!("conservation: {}", if conserved { "ok" } else { "VIOLATED" });
+    if !conserved {
+        return Err("trace violates conservation (arrived != executed + dropped)".into());
     }
-    print_cost_attribution(meta.delta, reconfigs, dropped);
+    print_cost_attribution(meta.delta, reconfigs, dropped)?;
     if !parsed.counters.is_empty() || !parsed.hists.is_empty() {
         println!("counters (from trace, deterministic):");
         for (cname, v) in &parsed.counters {
@@ -874,7 +875,7 @@ fn report_saved(mut args: Vec<String>) -> Result<(), String> {
                 per
             )
         );
-        if parsed.truncated == 0 && meta.speed == 1 {
+        if meta.speed == 1 {
             let mut sched = FixedSchedule::new(meta.locations);
             for e in &parsed.events {
                 if let TraceEvent::Reconfig { round, location, to, .. } = *e {
@@ -925,7 +926,7 @@ fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
     println!("executed:    {}", out.executed);
     println!("dropped:     {}", out.dropped);
     println!("conservation: {}", if out.conserved() { "ok" } else { "VIOLATED" });
-    print_cost_attribution(inst.delta, out.cost.reconfigs, out.dropped);
+    print_cost_attribution(inst.delta, out.cost.reconfigs, out.dropped)?;
     println!();
     let per = per_color_from_events(&inst, trace.events.iter());
     println!(

@@ -72,8 +72,10 @@ fn assert_resume_equivalent(
     assert_eq!(out, want_out, "{name}: outcome diverged after resume at round {k}");
     let stitched: Vec<TraceEvent> =
         prefix.events.iter().chain(suffix.events.iter()).cloned().collect();
-    let want_events: Vec<TraceEvent> = want_trace.events.iter().cloned().collect();
-    assert_eq!(stitched, want_events, "{name}: stitched trace diverged after resume at round {k}");
+    assert_eq!(
+        stitched, want_trace.events,
+        "{name}: stitched trace diverged after resume at round {k}"
+    );
     snapshot
 }
 
@@ -256,8 +258,7 @@ fn streamed_session_matches_materialized_run() {
     assert_eq!(out, want);
     let stitched: Vec<TraceEvent> =
         prefix.events.iter().chain(suffix.events.iter()).cloned().collect();
-    let want_events: Vec<TraceEvent> = want_trace.events.iter().cloned().collect();
-    assert_eq!(stitched, want_events);
+    assert_eq!(stitched, want_trace.events);
 }
 
 #[test]

@@ -215,6 +215,48 @@ fn report_fails_on_malformed_trace() {
 }
 
 #[test]
+fn report_rejects_a_trace_whose_totals_overflow() {
+    // The arrivals sum past u64::MAX on line 4; a wrapped total must never
+    // be printed as a conserved run.
+    let trace = tmpfile("overflow-trace.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"ev\":\"meta\",\"version\":1,\"policy\":\"x\",\"delta\":18446744073709551615,\"locations\":8,\"speed\":1}\n\
+         {\"ev\":\"round\",\"round\":0}\n\
+         {\"ev\":\"arrive\",\"round\":0,\"color\":0,\"count\":18446744073709551615}\n\
+         {\"ev\":\"arrive\",\"round\":0,\"color\":0,\"count\":2}\n\
+         {\"ev\":\"reconfig\",\"round\":0,\"mini\":0,\"location\":0,\"from\":null,\"to\":0}\n\
+         {\"ev\":\"reconfig\",\"round\":0,\"mini\":0,\"location\":1,\"from\":null,\"to\":0}\n\
+         {\"ev\":\"execute\",\"round\":0,\"mini\":0,\"color\":0,\"count\":1}\n",
+    )
+    .unwrap();
+    let out = cli().arg("report").arg(&trace).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("trace line 4") && err.contains("overflows"), "{err}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("conservation"));
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn run_rejects_a_delta_above_u32_max_without_panicking() {
+    let file = tmpfile("huge-delta.rrs");
+    std::fs::write(
+        &file,
+        "delta 18446744073709551615\ncolor 0 2\ncolor 1 2\n\
+         arrive 0 0 1\narrive 0 1 1\narrive 2 0 1\narrive 2 1 1\n",
+    )
+    .unwrap();
+    let out =
+        cli().args(["run", "classic-lru"]).arg(&file).args(["--locations", "8"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("line 1") && err.contains("exceeds"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn report_live_prints_lemma_bounds_and_phase_timing() {
     let inst = tmpfile("live-inst.rrs");
     let out = cli()
@@ -624,6 +666,20 @@ fn bench_compare_exit_codes() {
     for f in [&base, &same, &worse] {
         std::fs::remove_file(f).ok();
     }
+}
+
+#[test]
+fn bench_compare_rejects_a_deeply_nested_file() {
+    // 50 000 unclosed brackets: the reader's depth limit turns what used
+    // to be a stack-overflow abort into an ordinary error.
+    let deep = tmpfile("bench-deep.json");
+    std::fs::write(&deep, "[".repeat(50_000)).unwrap();
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_core.json");
+    let out = cli().args(["bench", "compare"]).arg(&deep).arg(committed).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(&*deep.to_string_lossy()) && err.contains("nesting"), "{err}");
+    std::fs::remove_file(&deep).ok();
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Integration: the JSONL trace pipeline end to end — sink, parser, phase
-//! timer, bounded recorders, and the determinism boundary (trace bytes
-//! carry no timing and are identical at any worker count).
+//! timer, and the determinism boundary (trace bytes carry no timing and
+//! are identical at any worker count).
 //!
 //! The worker-count golden test shares this binary's process-global jobs
 //! knob, so everything that touches `set_jobs` lives in one test function.
 
 use rrs::analysis::per_color_from_events;
 use rrs::engine::{
-    parse_trace, set_jobs, FixedSchedule, JsonlRingSink, JsonlSink, PhaseTimer, ReplayPolicy,
-    Simulator, TraceMeta, TraceRecorder,
+    parse_trace, set_jobs, JsonlSink, PhaseTimer, Simulator, TraceMeta, TraceRecorder,
 };
 use rrs::prelude::*;
 
@@ -47,8 +46,7 @@ fn jsonl_round_trip_matches_in_memory_trace_and_outcome() {
     let parsed = parse_trace(&text).expect("self-produced trace parses");
 
     // The parsed stream is exactly the in-memory recorder's stream.
-    let in_memory: Vec<_> = trace.events.iter().cloned().collect();
-    assert_eq!(parsed.events, in_memory);
+    assert_eq!(parsed.events, trace.events);
     let meta = parsed.meta.as_ref().expect("meta header present");
     assert_eq!(meta.policy, "dlru-edf");
     assert_eq!(meta.delta, inst.delta);
@@ -86,50 +84,6 @@ fn trace_bytes_are_identical_at_any_worker_count() {
     set_jobs(4);
     assert_eq!(serial, sweep(), "jobs=4 changed trace bytes");
     set_jobs(1);
-}
-
-#[test]
-fn capacity_limited_recorder_keeps_the_tail_of_a_replay() {
-    // Replay a fixed schedule with a bounded in-memory recorder: the
-    // recorder keeps only the newest events and counts what it shed.
-    let inst = instance();
-    let mut sched = FixedSchedule::new(2);
-    sched.hold(0..21, 0, ColorId(0));
-    sched.hold(0..21, 1, ColorId(1));
-    let mut full = TraceRecorder::new();
-    let full_out =
-        Simulator::new(&inst, 2).run_traced(&mut ReplayPolicy::new(sched.clone()), &mut full);
-
-    let cap = 8;
-    let mut bounded = TraceRecorder::with_capacity_limit(cap);
-    let bounded_out =
-        Simulator::new(&inst, 2).run_traced(&mut ReplayPolicy::new(sched), &mut bounded);
-
-    // Observability never perturbs the simulation.
-    assert_eq!(full_out, bounded_out);
-    assert_eq!(bounded.events.len(), cap);
-    assert_eq!(bounded.truncated() as usize, full.events.len() - cap);
-    let tail: Vec<_> = full.events.iter().skip(full.events.len() - cap).cloned().collect();
-    let kept: Vec<_> = bounded.events.iter().cloned().collect();
-    assert_eq!(kept, tail, "bounded recorder must keep the newest events");
-}
-
-#[test]
-fn ring_sink_dump_parses_with_truncation_count() {
-    let inst = instance();
-    let mut policy = DeltaLruEdf::new();
-    let meta =
-        TraceMeta { policy: policy.name().to_string(), delta: inst.delta, locations: 4, speed: 1 };
-    let mut ring = JsonlRingSink::new(10).with_meta(&meta);
-    Simulator::new(&inst, 4).run_traced(&mut policy, &mut ring);
-    assert!(ring.truncated() > 0, "instance must overflow a 10-line ring");
-
-    let mut bytes = Vec::new();
-    ring.dump(&mut bytes).unwrap();
-    let parsed = parse_trace(&String::from_utf8(bytes).unwrap()).expect("ring dump parses");
-    assert_eq!(parsed.truncated, ring.truncated());
-    assert_eq!(parsed.meta.as_ref().map(|m| m.policy.as_str()), Some("dlru-edf"));
-    assert!(!parsed.events.is_empty() || parsed.rounds > 0);
 }
 
 #[test]
