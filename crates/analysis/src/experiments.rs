@@ -1,7 +1,6 @@
-//! The E1–E11 experiment suite (see `DESIGN.md` for the per-experiment
+//! The E1–E16 experiment suite (see `DESIGN.md` for the per-experiment
 //! index). Each function regenerates one analytical artifact of the paper
-//! and returns a printable [`Table`]; the Criterion benches in
-//! `crates/bench` time these same functions.
+//! and returns a printable [`Table`].
 //!
 //! Every sweep fans its independent simulator runs across threads with
 //! [`par_map_sweep`] (rows are computed in parallel, appended in input
@@ -323,19 +322,6 @@ pub fn e8_motivation(seed: u64) -> Table {
     }
     t.note("expected: dlru is drop-dominated (underutilization: the backlog starves); edf and dlru-edf are reconfiguration-dominated with few or no drops");
     t
-}
-
-/// E9 (engineering): simulator scale points used by the throughput bench.
-/// Returns the instance shapes; `crates/bench` times them.
-pub fn e9_throughput_shapes() -> Vec<(String, Instance, usize)> {
-    let mut out = Vec::new();
-    for &(colors, n, rounds) in &[(4usize, 8usize, 256u64), (16, 16, 1024), (64, 32, 4096)] {
-        let bounds: Vec<u64> = (0..colors).map(|i| 1u64 << (1 + (i % 4))).collect();
-        let cfg = RateLimitedConfig { delta: 8, bounds, rounds, activity: 0.8, load: 0.8 };
-        let inst = rate_limited_instance(&cfg, 42);
-        out.push((format!("{colors}c_{n}n_{rounds}r"), inst, n));
-    }
-    out
 }
 
 /// E10: the resource-augmentation sweep — ΔLRU-EDF's ratio against exact
@@ -685,8 +671,9 @@ pub fn e16_zipf_scaling(color_counts: &[usize]) -> Table {
     t
 }
 
-/// A router-scenario sanity table used by the examples (not numbered in
-/// the paper; exercises the §1 application end to end).
+/// A router-scenario sanity table (not numbered in the paper; exercises
+/// the §1 application end to end). It is not in [`default_suite`]; the
+/// golden suite snapshot (`tests/fixtures/suite_snapshot.txt`) pins it.
 pub fn router_scenario(seed: u64) -> Table {
     let inst = multiservice_router(&RouterConfig::default(), seed);
     let n = 8;
@@ -714,9 +701,10 @@ pub fn router_scenario(seed: u64) -> Table {
     t
 }
 
-/// The default experiment suite, keyed by short name (`e1`..`e16`; E9 is
-/// bench-only). Each entry regenerates one table at its small default
-/// parameters.
+/// The default experiment suite, keyed by short name (`e1`..`e16` except
+/// E9, simulator throughput, which the `rrs-benchmark` package and
+/// `rrs bench core` measure instead of a table). Each entry regenerates
+/// one table at its small default parameters.
 pub fn default_suite() -> Vec<SuiteEntry> {
     vec![
         ("e1", || e1_lru_adversary(8, 2, 4..=8)),
@@ -737,8 +725,8 @@ pub fn default_suite() -> Vec<SuiteEntry> {
     ]
 }
 
-/// Run the default configuration of every experiment (small parameters;
-/// the benches use larger sweeps). The tables themselves are generated in
+/// Run the default configuration of every experiment at its small
+/// parameters. The tables themselves are generated in
 /// parallel on top of each table's own parallel sweep; the worker pools
 /// compose without oversubscription harm because inner workers are capped
 /// at the same [`rrs_engine::jobs`] knob and blocked joins cost nothing.
@@ -812,16 +800,6 @@ mod tests {
         let first: f64 = t.cell(0, "ratio").unwrap().parse().unwrap();
         let last: f64 = t.cell(t.len() - 1, "ratio").unwrap().parse().unwrap();
         assert!(last <= first + 1e-9, "more resources must not hurt: {first} -> {last}");
-    }
-
-    #[test]
-    fn e9_shapes_are_usable() {
-        let shapes = e9_throughput_shapes();
-        assert_eq!(shapes.len(), 3);
-        for (name, inst, n) in shapes {
-            assert!(inst.total_jobs() > 0, "{name}");
-            assert!(n % 4 == 0);
-        }
     }
 
     #[test]

@@ -1,24 +1,12 @@
-//! Bench support: shared setup for the Criterion benches in `benches/`.
+//! The committed benchmark trajectory behind `rrs bench`:
+//! [`alloc_probe`] (the reusable counting global allocator), [`suite`]
+//! (the fixed suites), [`artifact`] (the `BENCH_<suite>.json` schema) and
+//! [`compare`] (the regression gate).
 //!
-//! Each experiment E1–E11 from `DESIGN.md` has a bench target:
-//!
-//! | bench file | targets |
-//! |---|---|
-//! | `adversaries.rs` | `e1_lru_lower_bound`, `e2_edf_lower_bound` |
-//! | `competitive.rs` | `e3_vs_opt`, `e6_distribute`, `e7_varbatch`, `e10_augmentation`, `e11_arbitrary_bounds` |
-//! | `lemma_bounds.rs` | `e4_epoch_bounds`, `e5_drop_chain` |
-//! | `throughput.rs` | `e9_throughput` |
-//! | `scenarios.rs` | `e8_motivation`, `router_scenario` |
-//! | `ablations.rs` | `e12_split_ablation`, `e13_counter_gate`, `e14_replication` |
-//! | `scenarios.rs` (cont.) | `e15_punctuality` |
-//!
-//! Each target prints its regenerated table once (the paper-shaped output)
-//! and then times the regeneration. Run with `cargo bench`.
-//!
-//! Beyond the Criterion targets, this crate hosts the committed benchmark
-//! trajectory: [`alloc_probe`] (the reusable counting global allocator),
-//! [`suite`] (the fixed `rrs bench` suites), [`artifact`] (the
-//! `BENCH_<suite>.json` schema) and [`compare`] (the regression gate).
+//! The experiment tables E1–E16 are regenerated by `rrs evaluate`
+//! (`rrs_analysis`); end-to-end and per-layer throughput of the Theorem 3
+//! stack is measured by the standalone `rrs-benchmark` package under
+//! `src/bin/rrs-benchmark`.
 
 // `deny` rather than the workspace-standard `forbid` because
 // `alloc_probe` needs an audited module-level `allow(unsafe_code)` for its
@@ -34,11 +22,3 @@ pub mod suite;
 pub use alloc_probe::AllocProbe;
 pub use artifact::{artifact_filename, BenchArtifact, BenchRecord};
 pub use compare::{compare_artifacts, CompareConfig, Comparison};
-
-use std::sync::Once;
-
-/// Print a table exactly once per process (so Criterion's repeated timing
-/// loops do not spam the output).
-pub fn print_once(once: &'static Once, table: &rrs_analysis::Table) {
-    once.call_once(|| println!("\n{table}"));
-}

@@ -20,7 +20,7 @@
 //! the eligible/ineligible split of drop costs.
 
 use rrs_engine::checkpoint::{
-    get_bool, get_color_set, get_opt_u64, put_bool, put_color_set, put_opt_u64,
+    get_bool, get_color_set, get_opt_u64, get_sparse, put_bool, put_color_set, put_opt_u64,
 };
 use rrs_engine::Observation;
 use rrs_model::{ColorId, ColorMap, ColorSet, ColorTable, SnapError, SnapReader, SnapWriter};
@@ -165,11 +165,6 @@ impl ColorBook {
     /// footprint in a sparse universe.
     pub fn touched_len(&self) -> usize {
         self.touched.len()
-    }
-
-    /// Live pages of the paged per-color state map (telemetry).
-    pub fn state_pages(&self) -> usize {
-        self.states.live_pages()
     }
 
     /// Sparse-container footprint of the whole book: leaf words across the
@@ -340,10 +335,9 @@ impl ColorBook {
     /// states and rebuilt on load; the `ts_updates` scratch buffer is dead
     /// between rounds and excluded.
     ///
-    /// v2 layout: synced color count, then the number of touched colors
-    /// followed by, per touched color in ascending id order, its id and
-    /// seven state fields. Untouched colors cost nothing on the wire. (v1
-    /// wrote all synced colors densely with no ids; see `load_state`.)
+    /// Layout: synced color count, then a sparse section (`get_sparse`)
+    /// listing each touched color in ascending id order with its seven
+    /// state fields. Untouched colors cost nothing on the wire.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.delta);
         put_opt_u64(w, self.super_epoch_threshold);
@@ -374,11 +368,6 @@ impl ColorBook {
     /// Restore the book's mutable state from a checkpoint, mirroring
     /// [`ColorBook::save_state`]. The book must have been constructed with
     /// the same Δ and super-epoch threshold as the checkpointing run.
-    ///
-    /// A v1 snapshot materializes every synced color (that is what the
-    /// eager book held). The extra dormant states are behaviorally inert —
-    /// ineligible, counter 0, no wrap — so a v1-resumed run produces the
-    /// same outcome as the original eager run.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let delta = r.get_u64("book delta")?;
         if delta != self.delta {
@@ -395,48 +384,18 @@ impl ColorBook {
                 self.super_epoch_threshold
             )));
         }
-        let n = r.get_u64("book color count")?;
-        let n = usize::try_from(n)
-            .map_err(|_| SnapError::Invalid(format!("book color count {n} too large")))?;
-        let v1 = r.version() < 2;
-        let entries = if v1 {
-            n
-        } else {
-            let t = r.get_u64("book touched count")?;
-            usize::try_from(t)
-                .ok()
-                .filter(|&t| t <= n)
-                .ok_or_else(|| SnapError::Invalid(format!("book touched count {t} too large")))?
-        };
+        let synced = r.get_u64("book color count")?;
+        let n = usize::try_from(synced)
+            .map_err(|_| SnapError::Invalid(format!("book color count {synced} too large")))?;
         self.states = ColorMap::new();
         self.states.grow_to(n);
         self.synced = n;
         self.touched = ColorSet::new();
         self.by_bound.clear();
-        let mut prev: Option<u32> = None;
-        for i in 0..entries {
-            let id = if v1 {
-                i as u32
-            } else {
-                let id = r.get_u32("book color id")?;
-                if (id as usize) >= n {
-                    return Err(SnapError::Invalid(format!(
-                        "book color id {id} beyond synced range {n}"
-                    )));
-                }
-                if let Some(p) = prev {
-                    if id <= p {
-                        return Err(SnapError::Invalid(format!(
-                            "book color ids not strictly ascending ({p} then {id})"
-                        )));
-                    }
-                }
-                prev = Some(id);
-                id
-            };
+        get_sparse(r, synced, "book states", |r, c| {
             let delay_bound = r.get_u64("color delay bound")?;
             if delay_bound == 0 {
-                return Err(SnapError::Invalid(format!("color {id} has zero delay bound")));
+                return Err(SnapError::Invalid(format!("color {} has zero delay bound", c.0)));
             }
             let cnt = r.get_u64("color counter")?;
             let deadline = r.get_u64("color deadline")?;
@@ -444,12 +403,12 @@ impl ColorBook {
             let ts = get_opt_u64(r, "color timestamp")?;
             let last_wrap = get_opt_u64(r, "color last wrap")?;
             let epoch_active = get_bool(r, "color epoch flag")?;
-            let c = ColorId(id);
             self.touched.insert(c);
             self.materialize(c, delay_bound);
             *self.states.entry(c) =
                 ColorState { delay_bound, cnt, deadline, eligible, ts, last_wrap, epoch_active };
-        }
+            Ok(())
+        })?;
         self.super_epoch_colors = get_color_set(r, "super-epoch colors")?;
         self.metrics = AlgoMetrics {
             counter_wraps: r.get_u64("counter wraps")?,

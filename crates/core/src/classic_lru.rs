@@ -17,7 +17,7 @@
 //! per-job drop cost — the ablation experiment E13 measures exactly this
 //! gap.
 
-use rrs_engine::checkpoint::{get_color_set, get_opt_u64, put_color_set};
+use rrs_engine::checkpoint::{get_color_set, get_sparse, put_color_set};
 use rrs_engine::{stable_assign_into, AssignScratch, Observation, Policy, Slot, Snapshot};
 use rrs_model::{ColorId, ColorMap, ColorSet, SnapError, SnapReader, SnapWriter};
 
@@ -104,10 +104,9 @@ impl Policy for ClassicLru {
 }
 
 impl Snapshot for ClassicLru {
-    /// v2 layout: recency-map coverage, the number of colors with a
-    /// recency stamp, then `(id, round)` pairs in ascending id order —
-    /// never-referenced colors cost nothing. (v1 wrote one `Option<u64>`
-    /// per covered color; see `load_state`.)
+    /// Layout: recency-map coverage, then a sparse section (`get_sparse`)
+    /// of `(id, round)` pairs for the colors with a recency stamp —
+    /// never-referenced colors cost nothing.
     fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.last_arrival.len() as u64);
         let stamped = self.last_arrival.iter().filter(|(_, t)| t.is_some()).count();
@@ -122,41 +121,15 @@ impl Snapshot for ClassicLru {
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = usize::try_from(r.get_u64("recency map size")?)
+        let coverage = r.get_u64("recency map size")?;
+        let n = usize::try_from(coverage)
             .map_err(|_| SnapError::Invalid("recency map size overflows usize".into()))?;
         self.last_arrival = ColorMap::new();
         self.last_arrival.grow_to(n);
-        if r.version() < 2 {
-            for i in 0..n {
-                if let Some(round) = get_opt_u64(r, "last arrival round")? {
-                    *self.last_arrival.entry(ColorId(i as u32)) = Some(round);
-                }
-            }
-        } else {
-            let stamped = usize::try_from(r.get_u64("recency stamp count")?)
-                .ok()
-                .filter(|&s| s <= n)
-                .ok_or_else(|| SnapError::Invalid("recency stamp count too large".into()))?;
-            let mut prev: Option<u32> = None;
-            for _ in 0..stamped {
-                let id = r.get_u32("recency color id")?;
-                if (id as usize) >= n {
-                    return Err(SnapError::Invalid(format!(
-                        "recency color id {id} beyond coverage {n}"
-                    )));
-                }
-                if let Some(p) = prev {
-                    if id <= p {
-                        return Err(SnapError::Invalid(format!(
-                            "recency color ids not strictly ascending ({p} then {id})"
-                        )));
-                    }
-                }
-                prev = Some(id);
-                let round = r.get_u64("last arrival round")?;
-                *self.last_arrival.entry(ColorId(id)) = Some(round);
-            }
-        }
+        get_sparse(r, coverage, "recency stamps", |r, c| {
+            *self.last_arrival.entry(c) = Some(r.get_u64("last arrival round")?);
+            Ok(())
+        })?;
         self.cached = get_color_set(r, "cached colors")?;
         Ok(())
     }

@@ -18,7 +18,7 @@
 //! physically feasible (physical pending of `ℓ` is the sum over its
 //! sub-colors).
 
-use rrs_engine::checkpoint::{get_color_table, put_color_table};
+use rrs_engine::checkpoint::{get_color_table, get_sparse, put_color_table};
 use rrs_engine::{Observation, Policy, RoundKernel, Slot, Snapshot};
 use rrs_model::{ColorId, ColorMap, ColorTable, SnapError, SnapReader, SnapWriter};
 
@@ -119,12 +119,21 @@ impl SubColorMap {
         r: &mut SnapReader<'_>,
         vcolors: &ColorTable,
     ) -> Result<(ColorMap<Vec<ColorId>>, Vec<ColorId>), SnapError> {
-        let n_phys = usize::try_from(r.get_u64("sub-color map size")?)
+        let coverage = r.get_u64("sub-color map size")?;
+        let n_phys = usize::try_from(coverage)
             .map_err(|_| SnapError::Invalid("sub-color map size overflows usize".into()))?;
         let mut subs: ColorMap<Vec<ColorId>> = ColorMap::new();
         subs.grow_to(n_phys);
         let mut minted = 0u64;
-        let mut read_list = |r: &mut SnapReader<'_>, list: &mut Vec<ColorId>, len: u64| {
+        get_sparse(r, coverage, "sub-color lists", |r, c| {
+            let len = r.get_u64("sub-color list length")?;
+            if len == 0 {
+                return Err(SnapError::Invalid(format!(
+                    "color {} recorded with an empty sub-color list",
+                    c.0
+                )));
+            }
+            let list = subs.entry(c);
             for _ in 0..len {
                 let vc = ColorId(r.get_u32("sub-color id")?);
                 if !vcolors.contains(vc) {
@@ -134,44 +143,7 @@ impl SubColorMap {
                 minted += 1;
             }
             Ok(())
-        };
-        if r.version() < 2 {
-            for i in 0..n_phys {
-                let len = r.get_u64("sub-color list length")?;
-                if len > 0 {
-                    read_list(r, subs.entry(ColorId(i as u32)), len)?;
-                }
-            }
-        } else {
-            let n_entries = usize::try_from(r.get_u64("sub-color entry count")?)
-                .ok()
-                .filter(|&n| n <= n_phys)
-                .ok_or_else(|| SnapError::Invalid("sub-color entry count too large".into()))?;
-            let mut prev: Option<u32> = None;
-            for _ in 0..n_entries {
-                let id = r.get_u32("sub-color map color id")?;
-                if (id as usize) >= n_phys {
-                    return Err(SnapError::Invalid(format!(
-                        "sub-color map id {id} beyond coverage {n_phys}"
-                    )));
-                }
-                if let Some(p) = prev {
-                    if id <= p {
-                        return Err(SnapError::Invalid(format!(
-                            "sub-color map ids not strictly ascending ({p} then {id})"
-                        )));
-                    }
-                }
-                prev = Some(id);
-                let len = r.get_u64("sub-color list length")?;
-                if len == 0 {
-                    return Err(SnapError::Invalid(format!(
-                        "color {id} recorded with an empty sub-color list"
-                    )));
-                }
-                read_list(r, subs.entry(ColorId(id)), len)?;
-            }
-        }
+        })?;
         if minted != vcolors.len() as u64 {
             return Err(SnapError::Invalid(format!(
                 "{minted} sub-colors listed but {} virtual colors minted",

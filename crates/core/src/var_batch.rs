@@ -19,7 +19,7 @@
 //! for the true instance, and the tightening costs at most a constant
 //! factor. Bounds of 1 need no batching and pass through unchanged.
 
-use rrs_engine::checkpoint::{get_color_table, put_color_table};
+use rrs_engine::checkpoint::{get_color_table, get_sparse, put_color_table};
 use rrs_engine::{Observation, Policy, RoundKernel, Slot, Snapshot};
 use rrs_model::{ColorId, ColorMap, ColorSet, ColorTable, SnapError, SnapReader, SnapWriter};
 
@@ -184,11 +184,9 @@ impl<P: Policy> Policy for VarBatch<P> {
 
 impl<P: Snapshot> Snapshot for VarBatch<P> {
     // Mutable state: the virtual color table (also the per-color virtual
-    // bound), the half-block buffers, the virtual pending store and
+    // bound), the nonzero half-block buffers as a sparse section
+    // (`get_sparse`) over the virtual table, the virtual pending store and
     // assignment, then the inner policy.
-    //
-    // v2 writes only the nonzero buffers as `(id, count)` pairs in
-    // ascending id order; v1 wrote one `u64` per virtual color.
     fn save_state(&self, w: &mut SnapWriter) {
         put_color_table(w, &self.vcolors);
         w.put_u64(self.buffered_nonzero.len() as u64);
@@ -204,53 +202,18 @@ impl<P: Snapshot> Snapshot for VarBatch<P> {
         let mut buffered: ColorMap<u64> = ColorMap::new();
         let mut buffered_nonzero = ColorSet::new();
         buffered.grow_to(vcolors.len());
-        if r.version() < 2 {
-            let n_buf = r.get_u64("buffer map size")?;
-            if n_buf != vcolors.len() as u64 {
+        get_sparse(r, vcolors.len() as u64, "buffered counts", |r, c| {
+            let n = r.get_u64("buffered job count")?;
+            if n == 0 {
                 return Err(SnapError::Invalid(format!(
-                    "buffer map covers {n_buf} colors but the virtual table has {}",
-                    vcolors.len()
+                    "buffered color {} recorded with a zero count",
+                    c.0
                 )));
             }
-            for i in 0..vcolors.len() {
-                let n = r.get_u64("buffered job count")?;
-                if n > 0 {
-                    *buffered.entry(ColorId(i as u32)) = n;
-                    buffered_nonzero.insert(ColorId(i as u32));
-                }
-            }
-        } else {
-            let nonzero = usize::try_from(r.get_u64("buffered color count")?)
-                .ok()
-                .filter(|&n| n <= vcolors.len())
-                .ok_or_else(|| SnapError::Invalid("buffered color count too large".into()))?;
-            let mut prev: Option<u32> = None;
-            for _ in 0..nonzero {
-                let id = r.get_u32("buffered color id")?;
-                if (id as usize) >= vcolors.len() {
-                    return Err(SnapError::Invalid(format!(
-                        "buffered color id {id} beyond virtual table size {}",
-                        vcolors.len()
-                    )));
-                }
-                if let Some(p) = prev {
-                    if id <= p {
-                        return Err(SnapError::Invalid(format!(
-                            "buffered color ids not strictly ascending ({p} then {id})"
-                        )));
-                    }
-                }
-                prev = Some(id);
-                let n = r.get_u64("buffered job count")?;
-                if n == 0 {
-                    return Err(SnapError::Invalid(format!(
-                        "buffered color {id} recorded with a zero count"
-                    )));
-                }
-                *buffered.entry(ColorId(id)) = n;
-                buffered_nonzero.insert(ColorId(id));
-            }
-        }
+            *buffered.entry(c) = n;
+            buffered_nonzero.insert(c);
+            Ok(())
+        })?;
         self.kernel.load_state(r, &vcolors, &mut self.inner, |_| Ok(()))?;
         self.vcolors = vcolors;
         self.buffered = buffered;

@@ -96,24 +96,50 @@ pub fn put_color_set(w: &mut SnapWriter, set: &ColorSet) {
     }
 }
 
-/// Read a [`ColorSet`] written by [`put_color_set`].
+/// Read a [`ColorSet`] written by [`put_color_set`]: a sparse section
+/// over the whole `u32` id space with no payload per member.
 pub fn get_color_set(r: &mut SnapReader<'_>, what: &'static str) -> Result<ColorSet, SnapError> {
-    let n = r.get_u64(what)?;
     let mut set = ColorSet::new();
+    get_sparse(r, 1 << 32, what, |_, c| {
+        set.insert(c);
+        Ok(())
+    })?;
+    Ok(set)
+}
+
+/// Read a sparse per-color section: an entry count no larger than
+/// `coverage`, then per entry a color id, strictly ascending and below
+/// `coverage`, followed by a payload that `entry` decodes. Every sparse
+/// per-color section of a snapshot, color sets included, reads through
+/// this one decoder, so all share its checks and error messages (each
+/// naming `what`).
+pub fn get_sparse(
+    r: &mut SnapReader<'_>,
+    coverage: u64,
+    what: &'static str,
+    mut entry: impl FnMut(&mut SnapReader<'_>, ColorId) -> Result<(), SnapError>,
+) -> Result<(), SnapError> {
+    let n = r.get_u64(what)?;
+    if n > coverage {
+        return Err(SnapError::Invalid(format!("{what}: {n} entries exceed coverage {coverage}")));
+    }
     let mut prev: Option<u32> = None;
     for _ in 0..n {
         let id = r.get_u32(what)?;
-        if let Some(p) = prev {
-            if id <= p {
-                return Err(SnapError::Invalid(format!(
-                    "{what}: color ids not strictly ascending ({p} then {id})"
-                )));
-            }
+        if u64::from(id) >= coverage {
+            return Err(SnapError::Invalid(format!(
+                "{what}: color id {id} beyond coverage {coverage}"
+            )));
+        }
+        if let Some(p) = prev.filter(|&p| id <= p) {
+            return Err(SnapError::Invalid(format!(
+                "{what}: color ids not strictly ascending ({p} then {id})"
+            )));
         }
         prev = Some(id);
-        set.insert(ColorId(id));
+        entry(r, ColorId(id))?;
     }
-    Ok(set)
+    Ok(())
 }
 
 /// Write a [`ColorTable`] as a count followed by each color's delay bound.
@@ -321,13 +347,19 @@ impl EngineState {
             )));
         }
         let pending = PendingStore::load_state(r)?;
-        if arrived != executed + dropped + pending.total() {
+        let accounted = executed.checked_add(dropped).and_then(|n| n.checked_add(pending.total()));
+        if accounted != Some(arrived) {
             return Err(SnapError::Invalid(format!(
                 "conservation violated: arrived {} != executed {} + dropped {} + pending {}",
                 arrived,
                 executed,
                 dropped,
                 pending.total()
+            )));
+        }
+        if delta.checked_mul(reconfigs).and_then(|c| c.checked_add(drops)).is_none() {
+            return Err(SnapError::Invalid(format!(
+                "ledger cost overflows u64: delta {delta} * {reconfigs} reconfigs + {drops} drops"
             )));
         }
         let mut ledger = CostLedger::new(delta);
@@ -405,9 +437,6 @@ pub struct SnapshotFile<'a> {
     pub state: EngineState,
     /// Name of the policy that took the snapshot.
     pub policy_name: String,
-    /// Format version of the snapshot file (v1 payloads use the old dense
-    /// per-color encodings; decoders branch on this).
-    pub version: u32,
     policy_body: &'a [u8],
 }
 
@@ -415,7 +444,6 @@ impl<'a> SnapshotFile<'a> {
     /// Parse and integrity-check a snapshot byte string.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(bytes)?;
-        let version = r.version();
         let mut eng = r.section("engine")?;
         let state = EngineState::load(&mut eng)?;
         eng.expect_end("engine section")?;
@@ -423,7 +451,7 @@ impl<'a> SnapshotFile<'a> {
         let policy_name = pol.get_str("policy name")?.to_string();
         let policy_body = pol.rest();
         r.expect_end("snapshot")?;
-        Ok(SnapshotFile { state, policy_name, version, policy_body })
+        Ok(SnapshotFile { state, policy_name, policy_body })
     }
 
     /// Restore `policy` (already constructed and [`Policy::init`]-ed as
@@ -437,7 +465,7 @@ impl<'a> SnapshotFile<'a> {
                 policy.name()
             )));
         }
-        let mut r = SnapReader::over_versioned(self.policy_body, self.version);
+        let mut r = SnapReader::over(self.policy_body);
         policy.load_state(&mut r)?;
         r.expect_end("policy state")
     }
@@ -665,6 +693,100 @@ mod tests {
         assert!(matches!(EngineState::load(&mut r), Err(SnapError::Invalid(_))));
     }
 
+    /// A CRC-valid snapshot of a one-location run whose engine section
+    /// carries the given ledger and conservation counters (the dropped
+    /// counter equals the ledger's drops) and whose pending store is
+    /// written raw by `pending`; the policy section names `do-nothing`.
+    fn engine_frame(
+        ledger: CostLedger,
+        arrived: u64,
+        executed: u64,
+        pending: impl FnOnce(&mut SnapWriter),
+    ) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.section("engine", |s| {
+            s.put_u64(0); // next round
+            s.put_u32(1); // speed
+            s.put_u64(1); // locations
+            s.put_u64(0); // horizon hint
+            s.put_u64(ledger.delta);
+            s.put_u64(ledger.reconfigs);
+            s.put_u64(ledger.drops);
+            s.put_u64(arrived);
+            s.put_u64(executed);
+            s.put_u64(ledger.drops);
+            put_slots(s, &[None]);
+            pending(s);
+        });
+        w.section("policy", |s| s.put_str("do-nothing"));
+        w.finish()
+    }
+
+    /// A pending store with no colors and no jobs.
+    fn empty_pending(w: &mut SnapWriter) {
+        w.put_u64(0); // coverage
+        w.put_u64(0); // nonempty queues
+        w.put_u64(u64::MAX); // min_due
+    }
+
+    fn invalid_message(bytes: &[u8]) -> String {
+        match SnapshotFile::parse(bytes) {
+            Err(SnapError::Invalid(msg)) => msg,
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pending_job_counts_that_overflow_are_rejected() {
+        // One color whose two queue entries hold 2^63 jobs each.
+        let one_color = engine_frame(CostLedger::new(1), 0, 0, |w| {
+            w.put_u64(1);
+            w.put_u64(1);
+            w.put_u32(0);
+            w.put_u64(2);
+            for deadline in [5, 6] {
+                w.put_u64(deadline);
+                w.put_u64(1 << 63);
+            }
+            w.put_u64(5);
+        });
+        assert!(invalid_message(&one_color).contains("overflow"));
+        // Two colors of 2^63 jobs each: the store's total overflows.
+        let two_colors = engine_frame(CostLedger::new(1), 0, 0, |w| {
+            w.put_u64(2);
+            w.put_u64(2);
+            for color in [0, 1] {
+                w.put_u32(color);
+                w.put_u64(1);
+                w.put_u64(5);
+                w.put_u64(1 << 63);
+            }
+            w.put_u64(5);
+        });
+        assert!(invalid_message(&two_colors).contains("overflow"));
+    }
+
+    #[test]
+    fn conservation_sums_that_overflow_are_rejected() {
+        let mut ledger = CostLedger::new(1);
+        ledger.add_drops(1);
+        assert!(SnapshotFile::parse(&engine_frame(ledger, 2, 1, empty_pending)).is_ok());
+        // executed + dropped wraps to 0 = arrived in unchecked arithmetic.
+        let wrapped = engine_frame(ledger, 0, u64::MAX, empty_pending);
+        assert!(invalid_message(&wrapped).contains("conservation"));
+    }
+
+    #[test]
+    fn ledger_costs_that_overflow_are_rejected() {
+        let mut ledger = CostLedger::new(3);
+        ledger.add_reconfigs(2);
+        assert!(SnapshotFile::parse(&engine_frame(ledger, 0, 0, empty_pending)).is_ok());
+        // Δ · reconfigs = 3 · 2^63 does not fit a u64.
+        let ledger = CostLedger { reconfigs: 1 << 63, ..ledger };
+        let msg = invalid_message(&engine_frame(ledger, 0, 0, empty_pending));
+        assert!(msg.contains("ledger cost overflows"), "{msg}");
+    }
+
     #[test]
     fn snapshot_file_round_trips_and_checks_policy_name() {
         let state = EngineState {
@@ -711,6 +833,54 @@ mod tests {
         assert_eq!(get_opt_u64(&mut r, "b").unwrap(), Some(77));
         assert_eq!(get_slots(&mut r, "slots").unwrap(), vec![None, Some(ColorId(3))]);
         r.expect_end("wire").unwrap();
+    }
+
+    /// Read a sparse section of `(id, u64)` entries over `coverage`.
+    fn read_sparse(bytes: &[u8], coverage: u64) -> Result<Vec<(ColorId, u64)>, SnapError> {
+        let mut r = SnapReader::new(bytes).unwrap();
+        let mut out = Vec::new();
+        get_sparse(&mut r, coverage, "test entries", |r, c| {
+            out.push((c, r.get_u64("test payload")?));
+            Ok(())
+        })?;
+        r.expect_end("test section")?;
+        Ok(out)
+    }
+
+    /// A section listing `ids`, each with payload `7`.
+    fn sparse_section(count: u64, ids: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u64(count);
+        for &id in ids {
+            w.put_u32(id);
+            w.put_u64(7);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn get_sparse_reads_ascending_entries_with_payloads() {
+        let got = read_sparse(&sparse_section(3, &[0, 2, 9]), 10).unwrap();
+        assert_eq!(got, vec![(ColorId(0), 7), (ColorId(2), 7), (ColorId(9), 7)]);
+        assert_eq!(read_sparse(&sparse_section(0, &[]), 0).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn get_sparse_rejects_malformed_sections() {
+        let cases: [(&str, Vec<u8>, u64); 4] = [
+            ("entries exceed coverage", sparse_section(3, &[0, 1, 2]), 2),
+            ("color id 4 beyond coverage 4", sparse_section(2, &[1, 4]), 4),
+            ("ascending (3 then 3)", sparse_section(2, &[3, 3]), 8),
+            ("ascending (5 then 2)", sparse_section(2, &[5, 2]), 8),
+        ];
+        for (want, bytes, coverage) in cases {
+            match read_sparse(&bytes, coverage) {
+                Err(SnapError::Invalid(msg)) => {
+                    assert!(msg.starts_with("test entries: ") && msg.contains(want), "{msg}");
+                }
+                other => panic!("{want}: expected Invalid, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -40,14 +40,10 @@ pub mod names {
     pub const DROPPED: &str = "jobs_dropped";
     /// Reconfigurations to a non-black color (the Δ-charged kind).
     pub const RECONFIGS: &str = "reconfigs";
-    /// JSONL trace lines written.
-    pub const TRACE_LINES: &str = "trace_lines";
     /// Snapshot bytes emitted by checkpointing.
     pub const SNAPSHOT_BYTES: &str = "snapshot_bytes";
     /// Snapshots emitted by checkpointing.
     pub const SNAPSHOTS: &str = "snapshots";
-    /// Heap allocator calls (from an installed alloc probe).
-    pub const ALLOC_CALLS: &str = "alloc_calls";
     /// Items claimed across parallel sweeps (summed over workers).
     pub const SWEEP_ITEMS: &str = "sweep_items";
     /// High-water mark of hierarchical `ColorSet` leaf words held by a
@@ -191,14 +187,6 @@ impl CounterRegistry {
         Self::check_name(name);
         let slot = self.counters.entry(name.to_string()).or_insert(0);
         *slot = slot.saturating_add(delta);
-    }
-
-    /// Raise the named counter to `value` if it is below it (for
-    /// high-water-mark style counters; still monotonic).
-    pub fn add_max(&mut self, name: &str, value: u64) {
-        Self::check_name(name);
-        let slot = self.counters.entry(name.to_string()).or_insert(0);
-        *slot = (*slot).max(value);
     }
 
     /// The named counter's value (0 if never touched).
@@ -399,10 +387,8 @@ mod tests {
         reg.add("zeta", 2);
         reg.add("alpha", 1);
         reg.add("zeta", 3);
-        reg.add_max("alpha", 7);
-        reg.add_max("alpha", 4); // below the high-water mark: no-op
         assert_eq!(reg.get("zeta"), 5);
-        assert_eq!(reg.get("alpha"), 7);
+        assert_eq!(reg.get("alpha"), 1);
         assert_eq!(reg.get("missing"), 0);
         let names: Vec<&str> = reg.counters().map(|(n, _)| n).collect();
         assert_eq!(names, ["alpha", "zeta"], "BTreeMap order is the serialization order");

@@ -107,11 +107,6 @@ impl SweepTelemetry {
         }
     }
 
-    /// Total busy time across all workers.
-    pub fn total_busy(&self) -> Duration {
-        self.workers.iter().map(|w| w.busy).sum()
-    }
-
     /// A human-readable per-worker utilization table (advisory wall-clock
     /// numbers; not part of any deterministic output).
     pub fn render(&self) -> String {

@@ -10,6 +10,8 @@ use std::collections::VecDeque;
 
 use rrs_model::{ColorId, ColorMap, SnapError, SnapReader, SnapWriter};
 
+use crate::checkpoint::get_sparse;
+
 /// Pending unit jobs, bucketed by color and deadline.
 ///
 /// Both per-color tables are dense [`ColorMap`]s, so lookups are flat
@@ -179,13 +181,13 @@ impl PendingStore {
 
     /// Serialize the store into a snapshot writer (DESIGN.md §10).
     ///
-    /// v2 layout: coverage (color-universe size), the number of colors
-    /// with a nonempty queue, then per such color in ascending id order
-    /// its id, queue length, and `(deadline, count)` pairs, then the
-    /// `min_due` bound. Idle colors cost nothing on the wire — a sparse
-    /// store over a huge universe snapshots in O(pending colors). `counts`
-    /// and `total` are derived on load, so they cannot drift from the
-    /// queues. (v1 wrote one queue per covered color; see `load_state`.)
+    /// Layout: coverage (color-universe size), then a sparse section
+    /// (`get_sparse`) listing each color with a nonempty queue in
+    /// ascending id order with its queue length and `(deadline, count)`
+    /// pairs, then the `min_due` bound. Idle colors cost nothing on the
+    /// wire — a sparse store over a huge universe snapshots in O(pending
+    /// colors). `counts` and `total` are derived on load, so they cannot
+    /// drift from the queues.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.queues.len() as u64);
         let nonempty = self.queues.iter().filter(|(_, q)| !q.is_empty()).count();
@@ -204,59 +206,30 @@ impl PendingStore {
         w.put_u64(self.min_due);
     }
 
-    /// Decode a store previously written by [`PendingStore::save_state`]
-    /// (v2 sparse layout, or the dense v1 layout when the reader comes
-    /// from a v1 snapshot).
+    /// Decode a store previously written by [`PendingStore::save_state`].
     ///
     /// Validates structural invariants (strictly ascending deadlines per
-    /// color, nonzero counts, a `min_due` that really bounds every pending
-    /// deadline) so a corrupted-but-CRC-valid snapshot cannot smuggle in an
-    /// impossible state.
+    /// color, nonzero counts, job counts that fit a `u64`, a `min_due`
+    /// that really bounds every pending deadline) so a
+    /// corrupted-but-CRC-valid snapshot cannot smuggle in an impossible
+    /// state.
     pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n_colors = r.get_u64("pending color count")?;
-        let n_colors = usize::try_from(n_colors)
-            .map_err(|_| SnapError::Invalid(format!("pending color count {n_colors} too large")))?;
+        let coverage = r.get_u64("pending color count")?;
+        let n_colors = usize::try_from(coverage)
+            .map_err(|_| SnapError::Invalid(format!("pending color count {coverage} too large")))?;
         let mut store = PendingStore::new();
         store.ensure_colors(n_colors);
-        let mut total = 0u64;
         let mut true_min = u64::MAX;
-        let v1 = r.version() < 2;
-        let n_entries = if v1 {
-            n_colors
-        } else {
-            let n = r.get_u64("pending nonempty count")?;
-            usize::try_from(n).ok().filter(|&n| n <= n_colors).ok_or_else(|| {
-                SnapError::Invalid(format!("pending nonempty count {n} too large"))
-            })?
-        };
-        let mut prev_color: Option<u32> = None;
-        for i in 0..n_entries {
-            let color = if v1 {
-                ColorId(i as u32)
-            } else {
-                let id = r.get_u32("pending color id")?;
-                if (id as usize) >= n_colors {
-                    return Err(SnapError::Invalid(format!(
-                        "pending color id {id} beyond coverage {n_colors}"
-                    )));
-                }
-                if let Some(p) = prev_color {
-                    if id <= p {
-                        return Err(SnapError::Invalid(format!(
-                            "pending color ids not strictly ascending ({p} then {id})"
-                        )));
-                    }
-                }
-                prev_color = Some(id);
-                ColorId(id)
-            };
+        get_sparse(r, coverage, "pending queues", |r, color| {
             let q_len = r.get_u64("pending queue length")?;
-            if !v1 && q_len == 0 {
+            if q_len == 0 {
                 return Err(SnapError::Invalid(format!(
                     "pending color {} listed with an empty queue",
                     color.0
                 )));
             }
+            let overflow =
+                || SnapError::Invalid(format!("pending jobs of color {} overflow u64", color.0));
             let mut count_for_color = 0u64;
             let mut last_deadline: Option<u64> = None;
             for _ in 0..q_len {
@@ -268,31 +241,25 @@ impl PendingStore {
                         color.0
                     )));
                 }
-                if let Some(prev) = last_deadline {
-                    if deadline <= prev {
+                match last_deadline {
+                    Some(prev) if deadline <= prev => {
                         return Err(SnapError::Invalid(format!(
                             "pending queue for color {} has non-ascending deadlines \
                              ({prev} then {deadline})",
                             color.0
                         )));
                     }
+                    Some(_) => {}
+                    None => true_min = true_min.min(deadline),
                 }
                 last_deadline = Some(deadline);
                 store.queues.entry(color).push_back((deadline, count));
-                count_for_color += count;
+                count_for_color = count_for_color.checked_add(count).ok_or_else(overflow)?;
             }
-            if count_for_color > 0 {
-                true_min = true_min.min(
-                    store.queues[color]
-                        .front()
-                        .map(|&(d, _)| d)
-                        .expect("color with a positive count has a queued deadline"),
-                );
-                *store.counts.entry(color) = count_for_color;
-                total += count_for_color;
-            }
-        }
-        store.total = total;
+            *store.counts.entry(color) = count_for_color;
+            store.total = store.total.checked_add(count_for_color).ok_or_else(overflow)?;
+            Ok(())
+        })?;
         store.min_due = r.get_u64("pending min_due")?;
         if store.min_due > true_min {
             return Err(SnapError::Invalid(format!(
@@ -519,43 +486,5 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes).unwrap();
         assert!(matches!(PendingStore::load_state(&mut r), Err(SnapError::Invalid(_))));
-    }
-
-    #[test]
-    fn v1_dense_layout_still_loads() {
-        // A v1 snapshot wrote one queue per covered color, empty queues
-        // included, with no color ids on the wire. Re-seal the writer's
-        // header at version 1 and check the dense decode path.
-        let mut w = SnapWriter::new();
-        w.put_u64(3); // three covered colors ...
-        w.put_u64(0); // color 0: idle
-        w.put_u64(2); // color 1: two buckets
-        w.put_u64(4);
-        w.put_u64(2);
-        w.put_u64(9);
-        w.put_u64(1);
-        w.put_u64(0); // color 2: idle
-        w.put_u64(4); // min_due
-        let mut bytes = w.finish();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let len = bytes.len();
-        let crc = rrs_model::crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
-
-        let mut r = SnapReader::new(&bytes).unwrap();
-        let p = PendingStore::load_state(&mut r).unwrap();
-        r.expect_end("pending v1").unwrap();
-        assert_eq!(p.num_colors(), 3);
-        assert_eq!(p.total(), 3);
-        assert_eq!(p.profile(B).collect::<Vec<_>>(), vec![(4, 2), (9, 1)]);
-        assert!(p.is_idle(A));
-
-        // And the sparse re-encode round-trips to the same logical store.
-        let mut w = SnapWriter::new();
-        p.save_state(&mut w);
-        let bytes2 = w.finish();
-        let mut r2 = SnapReader::new(&bytes2).unwrap();
-        let q = PendingStore::load_state(&mut r2).unwrap();
-        assert_eq!(q, p);
     }
 }

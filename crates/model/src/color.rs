@@ -129,15 +129,6 @@ impl ColorTable {
         (0..self.infos.len() as u32).map(ColorId)
     }
 
-    /// The distinct delay bounds present, ascending. Useful for iterating
-    /// block boundaries: there are at most 64 distinct power-of-two bounds.
-    pub fn distinct_bounds(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.infos.iter().map(|i| i.delay_bound).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// The largest delay bound, or 0 for an empty table.
     pub fn max_bound(&self) -> u64 {
         self.infos.iter().map(|i| i.delay_bound).max().unwrap_or(0)
@@ -172,9 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn distinct_bounds_sorted_deduped() {
+    fn max_bound_is_the_largest_bound() {
         let t = ColorTable::from_bounds(&[8, 2, 8, 4, 2]);
-        assert_eq!(t.distinct_bounds(), vec![2, 4, 8]);
         assert_eq!(t.max_bound(), 8);
     }
 
@@ -200,6 +190,5 @@ mod tests {
         let t = ColorTable::new();
         assert!(t.is_empty());
         assert_eq!(t.max_bound(), 0);
-        assert!(t.distinct_bounds().is_empty());
     }
 }

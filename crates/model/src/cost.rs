@@ -15,6 +15,17 @@ pub fn check_delta(delta: u64) -> Result<u64, String> {
     }
 }
 
+/// Validate the deadline `round + bound` of an arrival read from input:
+/// the one deadline check both instance readers share. The round loop
+/// simulates every round up to the latest deadline inclusive, so a
+/// deadline must leave room for the round after it: `u64::MAX` is
+/// rejected along with sums that overflow.
+pub fn check_deadline(round: u64, bound: u64) -> Result<u64, String> {
+    round.checked_add(bound).filter(|&deadline| deadline < u64::MAX).ok_or_else(|| {
+        format!("deadline of round {round} plus delay bound {bound} overflows the round counter")
+    })
+}
+
 /// The cost ledger of a schedule: counts of reconfigurations and drops,
 /// priced per the paper's model (`Δ` per reconfiguration, `1` per drop).
 ///

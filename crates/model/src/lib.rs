@@ -41,12 +41,10 @@ pub mod textio;
 
 pub use classify::{InstanceClass, ValidationError};
 pub use color::{ColorId, ColorTable, BLACK};
-pub use cost::{check_delta, CostLedger, MAX_DELTA};
+pub use cost::{check_deadline, check_delta, CostLedger, MAX_DELTA};
 pub use dense::{ColorMap, ColorSet};
 pub use instance::{Instance, InstanceBuilder};
 pub use request::{Request, RequestSeq};
-pub use snap::{
-    crc32, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_MIN_VERSION, SNAP_VERSION,
-};
+pub use snap::{crc32, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 pub use stream::{InstanceSource, MaterializedSource, StreamError, TextStream};
 pub use textio::{from_text, to_text, ParseError};

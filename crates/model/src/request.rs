@@ -19,21 +19,6 @@ impl Request {
         Self::default()
     }
 
-    /// Build a request from arbitrary `(color, count)` pairs, merging
-    /// duplicates and discarding zero counts.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (ColorId, u64)>) -> Self {
-        let mut v: Vec<(ColorId, u64)> = pairs.into_iter().filter(|&(_, n)| n > 0).collect();
-        v.sort_unstable_by_key(|&(c, _)| c);
-        let mut merged: Vec<(ColorId, u64)> = Vec::with_capacity(v.len());
-        for (c, n) in v {
-            match merged.last_mut() {
-                Some((last, total)) if *last == c => *total += n,
-                _ => merged.push((c, n)),
-            }
-        }
-        Self { arrivals: merged }
-    }
-
     /// Add `count` jobs of `color` (no-op for zero).
     pub fn add(&mut self, color: ColorId, count: u64) {
         if count == 0 {
@@ -82,11 +67,6 @@ impl RequestSeq {
     /// An empty sequence.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Construct from explicit per-round requests.
-    pub fn from_rounds(rounds: Vec<Request>) -> Self {
-        Self { rounds }
     }
 
     /// Ensure the sequence covers rounds `0..=round` and add jobs to the
@@ -141,13 +121,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_pairs_merges_and_sorts() {
-        let r = Request::from_pairs([
-            (ColorId(2), 1),
-            (ColorId(0), 3),
-            (ColorId(2), 2),
-            (ColorId(1), 0),
-        ]);
+    fn add_merges_and_sorts() {
+        let mut r = Request::empty();
+        for (c, n) in [(ColorId(2), 1), (ColorId(0), 3), (ColorId(2), 2), (ColorId(1), 0)] {
+            r.add(c, n);
+        }
         assert_eq!(r.pairs(), &[(ColorId(0), 3), (ColorId(2), 3)]);
         assert_eq!(r.total_jobs(), 6);
         assert_eq!(r.count_of(ColorId(2)), 3);

@@ -1,4 +1,4 @@
-//! Snapshot byte-format primitives (DESIGN.md §10).
+//! Snapshot byte-format primitives (DESIGN.md §11).
 //!
 //! A hand-rolled, versioned, deterministic binary format for simulator
 //! checkpoints. No external dependencies: little-endian integers,
@@ -7,18 +7,16 @@
 //!
 //! ```text
 //! magic    8 bytes   b"RRSSNAP1"
-//! version  u32 LE    SNAP_VERSION (currently 2; readers accept 1..=2)
+//! version  u32 LE    SNAP_VERSION (currently 2; readers accept only it)
 //! payload  ...       writer-defined: integers, length-prefixed byte
 //!                    strings, and named length-prefixed sections
 //! crc      u32 LE    CRC-32/IEEE of every byte above
 //! ```
 //!
 //! The magic is a file-type tag, not a version marker — the version is
-//! the u32 that follows it. Writers always emit the current version;
-//! readers accept every version back to [`SNAP_MIN_VERSION`] and expose
-//! the file's version via [`SnapReader::version`] so higher layers can
-//! branch their decoding (v1 encoded per-color state densely over the
-//! whole universe; v2 encodes only touched colors — DESIGN.md §14).
+//! the u32 that follows it. Writers emit [`SNAP_VERSION`] and readers
+//! accept exactly that version, so no decoder branches on the file's age
+//! (DESIGN.md §11).
 //!
 //! The writer/reader pair here is deliberately dumb: it frames bytes and
 //! checks integrity, and leaves meaning to the caller. Higher layers
@@ -32,13 +30,9 @@ use std::fmt;
 /// Magic prefix identifying a snapshot file.
 pub const SNAP_MAGIC: &[u8; 8] = b"RRSSNAP1";
 
-/// Current snapshot format version. Bump on any layout change; readers
-/// reject versions they do not know.
+/// Current snapshot format version, the only one readers accept. Bump on
+/// any layout change.
 pub const SNAP_VERSION: u32 = 2;
-
-/// Oldest version this build still reads (v1's dense per-color payloads
-/// remain decodable for committed fixtures and long-lived checkpoints).
-pub const SNAP_MIN_VERSION: u32 = 1;
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) lookup table, built at
 /// compile time so the implementation carries no runtime initialization.
@@ -98,8 +92,7 @@ impl fmt::Display for SnapError {
             SnapError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads \
-                     v{SNAP_MIN_VERSION}..=v{SNAP_VERSION})"
+                    "unsupported snapshot version {v} (this build reads v{SNAP_VERSION} only)"
                 )
             }
             SnapError::BadChecksum { stored, computed } => write!(
@@ -204,27 +197,20 @@ impl Default for SnapWriter {
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> SnapReader<'a> {
     /// Open a complete snapshot byte string: checks magic, version, and
     /// the trailing CRC, then positions the cursor at the first payload
-    /// byte. Accepts every version in
-    /// `SNAP_MIN_VERSION..=SNAP_VERSION`; the accepted version is
-    /// reported by [`SnapReader::version`].
+    /// byte. Accepts exactly [`SNAP_VERSION`].
     pub fn new(bytes: &'a [u8]) -> Result<Self, SnapError> {
-        Self::with_frame(bytes, SNAP_MAGIC, SNAP_MIN_VERSION..=SNAP_VERSION)
+        Self::with_frame(bytes, SNAP_MAGIC, SNAP_VERSION)
     }
 
     /// Open a framed file written by [`SnapWriter::with_frame`]: checks
-    /// the caller's magic, that the version falls in `versions`, and the
+    /// the caller's magic, that the file carries exactly `version`, and the
     /// trailing CRC, then positions the cursor at the first payload byte.
-    pub fn with_frame(
-        bytes: &'a [u8],
-        magic: &[u8; 8],
-        versions: std::ops::RangeInclusive<u32>,
-    ) -> Result<Self, SnapError> {
+    pub fn with_frame(bytes: &'a [u8], magic: &[u8; 8], version: u32) -> Result<Self, SnapError> {
         if bytes.len() < magic.len() + 4 + 4 {
             // Too short even for an empty payload — but distinguish a bad
             // prefix from a truncated-but-recognizable one.
@@ -238,9 +224,9 @@ impl<'a> SnapReader<'a> {
         }
         let mut ver = [0u8; 4];
         ver.copy_from_slice(&bytes[magic.len()..magic.len() + 4]);
-        let version = u32::from_le_bytes(ver);
-        if !versions.contains(&version) {
-            return Err(SnapError::BadVersion(version));
+        let found = u32::from_le_bytes(ver);
+        if found != version {
+            return Err(SnapError::BadVersion(found));
         }
         let body = &bytes[..bytes.len() - 4];
         let mut crc_bytes = [0u8; 4];
@@ -250,28 +236,13 @@ impl<'a> SnapReader<'a> {
         if stored != computed {
             return Err(SnapError::BadChecksum { stored, computed });
         }
-        Ok(Self { buf: body, pos: magic.len() + 4, version })
+        Ok(Self { buf: body, pos: magic.len() + 4 })
     }
 
     /// Open a reader over raw payload bytes (a section body already
-    /// extracted from a checked snapshot) with no header or CRC, assuming
-    /// the current format version.
+    /// extracted from a checked snapshot) with no header or CRC.
     pub fn over(buf: &'a [u8]) -> Self {
-        Self::over_versioned(buf, SNAP_VERSION)
-    }
-
-    /// Open a raw-payload reader that reports `version` — used when a
-    /// section body extracted from an old snapshot is handed to another
-    /// decoder that must branch on the file's version.
-    pub fn over_versioned(buf: &'a [u8], version: u32) -> Self {
-        Self { buf, pos: 0, version }
-    }
-
-    /// The format version of the snapshot this reader (or the snapshot
-    /// its bytes were extracted from) was opened with.
-    #[inline]
-    pub fn version(&self) -> u32 {
-        self.version
+        Self { buf, pos: 0 }
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapError> {
@@ -320,15 +291,14 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a named section: verifies the stored name matches `name` and
-    /// returns a reader scoped to the section body, inheriting this
-    /// reader's format version.
+    /// returns a reader scoped to the section body.
     pub fn section(&mut self, name: &'static str) -> Result<SnapReader<'a>, SnapError> {
         let stored = self.get_str("section name")?;
         if stored != name {
             return Err(SnapError::Invalid(format!("expected section '{name}', found '{stored}'")));
         }
         let body = self.get_bytes("section body")?;
-        Ok(SnapReader::over_versioned(body, self.version))
+        Ok(SnapReader::over(body))
     }
 
     /// True when every byte has been consumed. Decoders should check this
@@ -412,24 +382,20 @@ mod tests {
         let mut w = SnapWriter::with_frame(b"RRSTEST1", 7);
         w.put_u64(99);
         let bytes = w.finish();
-        // The matching frame reads back and reports its version.
-        let mut r = SnapReader::with_frame(&bytes, b"RRSTEST1", 7..=7).unwrap();
-        assert_eq!(r.version(), 7);
+        // The matching frame reads back.
+        let mut r = SnapReader::with_frame(&bytes, b"RRSTEST1", 7).unwrap();
         assert_eq!(r.get_u64("x").unwrap(), 99);
         r.expect_end("payload").unwrap();
         // A snapshot reader must not accept a foreign frame, nor the
         // reverse — magic is a file-type tag, not decoration.
         assert_eq!(SnapReader::new(&bytes).unwrap_err(), SnapError::BadMagic);
         let snap = SnapWriter::new().finish();
-        assert_eq!(
-            SnapReader::with_frame(&snap, b"RRSTEST1", 7..=7).unwrap_err(),
-            SnapError::BadMagic
-        );
-        // Out-of-range versions are rejected by the frame check.
+        assert_eq!(SnapReader::with_frame(&snap, b"RRSTEST1", 7).unwrap_err(), SnapError::BadMagic);
+        // Any other version is rejected by the frame check.
         let w = SnapWriter::with_frame(b"RRSTEST1", 8);
         let bytes = w.finish();
         assert_eq!(
-            SnapReader::with_frame(&bytes, b"RRSTEST1", 7..=7).unwrap_err(),
+            SnapReader::with_frame(&bytes, b"RRSTEST1", 7).unwrap_err(),
             SnapError::BadVersion(8)
         );
     }
@@ -444,38 +410,23 @@ mod tests {
     }
 
     #[test]
-    fn bad_version_rejected() {
+    fn only_the_current_version_is_read() {
         let mut w = SnapWriter::new();
         w.put_u64(1);
         let mut bytes = w.finish();
+        assert!(SnapReader::new(&bytes).is_ok());
         // Patch the version field and re-seal with a fresh CRC so only the
-        // version check can fire.
-        bytes[8] = 99;
+        // version check can fire: the retired v1, anything older, the next
+        // version and an unknown future are all rejected alike.
         let len = bytes.len();
-        let crc = crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(SnapReader::new(&bytes).unwrap_err(), SnapError::BadVersion(99));
-    }
-
-    #[test]
-    fn old_versions_accepted_and_reported() {
-        let mut w = SnapWriter::new();
-        w.put_u64(1);
-        let mut bytes = w.finish();
-        let r = SnapReader::new(&bytes).unwrap();
-        assert_eq!(r.version(), SNAP_VERSION);
-        // Patch down to v1 and re-seal: still readable, version exposed.
-        bytes[8..12].copy_from_slice(&SNAP_MIN_VERSION.to_le_bytes());
-        let len = bytes.len();
-        let crc = crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        let r = SnapReader::new(&bytes).unwrap();
-        assert_eq!(r.version(), SNAP_MIN_VERSION);
-        // Versions below the floor are rejected like unknown futures.
-        bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
-        let crc = crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(SnapReader::new(&bytes).unwrap_err(), SnapError::BadVersion(0));
+        for v in [0, 1, SNAP_VERSION + 1, 99] {
+            bytes[8..12].copy_from_slice(&v.to_le_bytes());
+            let crc = crc32(&bytes[..len - 4]);
+            bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+            let e = SnapReader::new(&bytes).unwrap_err();
+            assert_eq!(e, SnapError::BadVersion(v));
+            assert!(e.to_string().contains(&format!("reads v{SNAP_VERSION} only")), "{e}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::io::BufRead;
 
 use crate::color::{ColorId, ColorTable};
-use crate::cost::check_delta;
+use crate::cost::{check_deadline, check_delta};
 use crate::instance::Instance;
 use crate::request::Request;
 use crate::textio::ParseError;
@@ -272,11 +272,7 @@ impl<R: BufRead> TextStream<R> {
         let Some(bound) = self.colors.try_delay_bound(c) else {
             return Err(self.err(format!("undeclared color {color}")));
         };
-        let Some(deadline) = round.checked_add(bound) else {
-            return Err(
-                self.err(format!("deadline of round {round} plus delay bound {bound} overflows"))
-            );
-        };
+        let deadline = check_deadline(round, bound).map_err(|m| self.err(m))?;
         self.horizon = self.horizon.max(deadline);
         self.lookahead = Some((round, c, count));
         Ok(())
@@ -462,6 +458,15 @@ mod tests {
         let text = "delta 2\ncolor 0 18446744073709551615\narrive 1 0 1\n";
         let e = TextStream::new(text.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("line 3") && e.to_string().contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn deadline_of_u64_max_rejected() {
+        let text = "delta 1\ncolor 0 18446744073709551615\narrive 0 0 1\n";
+        let e = TextStream::new(text.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("line 3") && e.to_string().contains("overflows"), "{e}");
+        let last = "delta 1\ncolor 0 18446744073709551614\narrive 0 0 1\n";
+        assert_eq!(TextStream::new(last.as_bytes()).unwrap().horizon(), u64::MAX - 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Colors must be declared with consecutive ids starting at 0 before use.
 
 use crate::color::{ColorId, ColorTable};
-use crate::cost::check_delta;
+use crate::cost::{check_deadline, check_delta};
 use crate::instance::Instance;
 use crate::request::RequestSeq;
 
@@ -106,12 +106,7 @@ pub fn from_text(text: &str) -> Result<Instance, ParseError> {
                 let Some(bound) = colors.try_delay_bound(c) else {
                     return Err(err(line_no, format!("undeclared color {color}")));
                 };
-                if round.checked_add(bound).is_none() {
-                    return Err(err(
-                        line_no,
-                        format!("deadline of round {round} plus delay bound {bound} overflows"),
-                    ));
-                }
+                check_deadline(round, bound).map_err(|m| err(line_no, m))?;
                 requests.add(round, c, count);
             }
             other => return Err(err(line_no, format!("unknown keyword '{other}'"))),
@@ -195,6 +190,15 @@ mod tests {
         let e = from_text("delta 2\ncolor 0 18446744073709551615\narrive 1 0 1\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn deadline_of_u64_max_rejected() {
+        let e = from_text("delta 1\ncolor 0 18446744073709551615\narrive 0 0 1\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("overflows the round counter"), "{e}");
+        let last = from_text("delta 1\ncolor 0 18446744073709551614\narrive 0 0 1\n").unwrap();
+        assert_eq!(last.horizon(), u64::MAX - 1);
     }
 
     #[test]

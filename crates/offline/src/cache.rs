@@ -217,11 +217,6 @@ impl OptCache {
         self.partial = Some(partial);
     }
 
-    /// Drop the partial frontier.
-    pub fn clear_partial(&mut self) {
-        self.partial = None;
-    }
-
     /// All finished solves in `(digest, m)` order.
     pub fn entries(&self) -> impl Iterator<Item = (u64, u32, &SolvedEntry)> {
         self.index.iter().map(|(&(d, m), e)| (d, m, e))
@@ -277,8 +272,7 @@ impl OptCache {
     /// Parse an `RRSOPTC1` byte string, validating frame, CRC, and strict
     /// key ascent in both sections.
     pub fn parse(bytes: &[u8]) -> Result<Self, CacheError> {
-        let mut r =
-            SnapReader::with_frame(bytes, OPT_CACHE_MAGIC, OPT_CACHE_VERSION..=OPT_CACHE_VERSION)?;
+        let mut r = SnapReader::with_frame(bytes, OPT_CACHE_MAGIC, OPT_CACHE_VERSION)?;
 
         let mut index: BTreeMap<(u64, u32), SolvedEntry> = BTreeMap::new();
         let mut s = r.section("index")?;

@@ -60,11 +60,6 @@ impl CorpusEntry {
         evaluate(&self.genome, self.policy, &self.eval_config())
     }
 
-    /// The recorded ratio, for reports.
-    pub fn recorded_ratio(&self) -> f64 {
-        rrs_analysis::ratio(self.cost, self.base)
-    }
-
     /// Render the fixture file (comment lines first).
     pub fn to_text(&self, comments: &[&str]) -> String {
         let mut s = String::new();

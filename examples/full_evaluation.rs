@@ -1,4 +1,4 @@
-//! Regenerate the full experiment suite (E1–E11) and print every table.
+//! Regenerate the full experiment suite (E1–E16) and print every table.
 //! This is the "reproduce the paper" entry point; `EXPERIMENTS.md` records
 //! a snapshot of this output against the paper's analytical predictions.
 //!
@@ -12,5 +12,8 @@ fn main() {
     for table in experiments::all_default() {
         println!("{table}");
     }
-    println!("(E9, the throughput experiment, is timing-based: run `cargo bench -p rrs-bench e9`)");
+    println!(
+        "(E9, the throughput experiment, is timing-based: run the `rrs-benchmark` package \
+         or `rrs-cli bench core`)"
+    );
 }

@@ -1,18 +1,16 @@
 //! Integration: the snapshot wire format. Encode→decode identity on real
-//! checkpoints, hard rejection of truncated and bit-flipped files, and two
-//! committed golden fixtures: `checkpoint_v2.snap` pins the current (v2,
-//! sparse) encoding byte-for-byte, and `checkpoint_v1.snap` proves the old
-//! dense encoding stays loadable — if encoding changes, the golden test
-//! fails and `SNAP_VERSION` must be bumped with it.
+//! checkpoints, hard rejection of truncated and bit-flipped files and of
+//! any version but the current one, and the committed golden fixture
+//! `checkpoint_v2.snap`, which pins the current (v2, sparse) encoding
+//! byte-for-byte — if encoding changes, the golden test fails and
+//! `SNAP_VERSION` must be bumped with it.
 
 use proptest::prelude::*;
 use rrs::prelude::*;
 
 /// A deterministic instance used for the golden snapshot fixtures. Changing
 /// it invalidates `tests/fixtures/checkpoint_v2.snap` — regenerate via the
-/// instructions in the `golden_snapshot_fixture_is_stable` test. (The v1
-/// fixture was produced by a pre-v2 build from this same instance and can
-/// only be preserved, not regenerated.)
+/// instructions in the `golden_snapshot_fixture_is_stable` test.
 fn golden_instance() -> Instance {
     let mut b = InstanceBuilder::new(2);
     let c0 = b.color(2);
@@ -44,7 +42,6 @@ fn header_magic_and_version_are_pinned() {
     assert_eq!(&snap[..8], rrs::model::SNAP_MAGIC);
     assert_eq!(u32::from_le_bytes(snap[8..12].try_into().unwrap()), rrs::model::SNAP_VERSION);
     assert_eq!(rrs::model::SNAP_VERSION, 2, "format bumps must update the golden fixture");
-    assert_eq!(rrs::model::SNAP_MIN_VERSION, 1, "v1 fixtures below must stay loadable");
 }
 
 #[test]
@@ -92,42 +89,18 @@ fn golden_fixture_resumes_the_golden_run() {
 }
 
 #[test]
-fn v1_fixture_still_loads_and_resumes_identically() {
-    // Backward compatibility: the fixture written by the last v1 build
-    // (dense per-color encodings throughout) must parse under
-    // `SNAP_MIN_VERSION` support, rebuild the same policy state, and
-    // resume to the exact outcome of the uninterrupted run.
-    let inst = golden_instance();
-    let want = Simulator::new(&inst, 8).run(&mut full_algorithm());
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v1.snap");
-    let snap = std::fs::read(fixture).unwrap();
-    let out = Simulator::new(&inst, 8)
-        .resume(
-            &mut full_algorithm(),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            &snap,
-        )
-        .expect("committed v1 fixture must stay loadable");
-    assert_eq!(out, want);
-}
-
-#[test]
-fn v1_fixture_reencodes_to_the_v2_bytes() {
-    // Migration is canonical: loading the v1 dense fixture and re-encoding
-    // under the current format yields the v2 fixture byte-for-byte — the
-    // sparse encodings carry exactly the same state, in the same order.
-    let fixture_v1 =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v1.snap");
-    let snap_v1 = std::fs::read(fixture_v1).unwrap();
-    let file = SnapshotFile::parse(&snap_v1).unwrap();
-    let mut policy = full_algorithm();
-    policy.init(file.state.ledger.delta, file.state.n_locations);
-    file.load_policy(&mut policy).unwrap();
-    let reencoded = encode_snapshot(&file.state, &policy);
-    assert_eq!(reencoded, golden_snapshot());
+fn v1_snapshot_is_rejected_with_a_version_error() {
+    // The v1 reader is retired: a file stamped v1 must fail on its version
+    // alone, before any payload decoder runs. Re-stamp the golden snapshot
+    // and re-seal its CRC so only the version check can fire.
+    let mut snap = golden_snapshot();
+    snap[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let len = snap.len();
+    let crc = rrs::model::crc32(&snap[..len - 4]);
+    snap[len - 4..].copy_from_slice(&crc.to_le_bytes());
+    let err = SnapshotFile::parse(&snap).unwrap_err();
+    assert_eq!(err, SnapError::BadVersion(1));
+    assert!(err.to_string().contains("reads v2 only"), "{err}");
 }
 
 #[test]
