@@ -43,7 +43,8 @@ pub use punctuality::{
 pub use ratio::ratio;
 pub use run::{
     collecting, enable_report_collection, observed_run, record_report, run_dlru_edf,
-    run_dlru_edf_labeled, run_policy, simulate, simulate_plain, take_reports, RunReport,
+    run_dlru_edf_labeled, run_policy, simulate, simulate_plain, supervisor, take_reports,
+    RunReport,
 };
 pub use table::Table;
 pub use timeline::{timeline, timeline_table, Window};
@@ -62,7 +63,8 @@ pub mod prelude {
     pub use crate::ratio::ratio;
     pub use crate::run::{
         collecting, enable_report_collection, observed_run, record_report, run_dlru_edf,
-        run_dlru_edf_labeled, run_policy, simulate, simulate_plain, take_reports, RunReport,
+        run_dlru_edf_labeled, run_policy, simulate, simulate_plain, supervisor, take_reports,
+        RunReport,
     };
     pub use crate::table::Table;
     pub use crate::timeline::{timeline, timeline_table, Window};

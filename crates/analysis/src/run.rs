@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use rrs_core::{AlgoMetrics, DeltaLruEdf};
-use rrs_engine::{Outcome, Policy, Recorder, Simulator, Slot};
+use rrs_engine::{NullRecorder, Outcome, Policy, Recorder, Simulator, Slot};
 use rrs_model::json::Quoted;
 use rrs_model::{ColorId, Instance};
 
@@ -165,33 +165,43 @@ pub fn take_reports() -> Vec<RunReport> {
     reports
 }
 
+/// The recorder that supervises a run over `inst`: under `--features
+/// validate`, the shadow-model `InvariantWatcher` from `rrs-check`, which
+/// panics on any phase-law violation (DESIGN.md §9); otherwise a
+/// [`NullRecorder`] that compiles to nothing. This is the one validate
+/// gate for the engine: every choke point — [`simulate`], the CLI, the
+/// golden-fixture and checkpoint tests — tees it after its own recorder.
+/// The watcher seeds itself from the state a run starts from, so the same
+/// supervisor checks fresh, checkpointed, resumed and streamed runs.
+pub fn supervisor(inst: &Instance) -> impl Recorder + '_ {
+    #[cfg(feature = "validate")]
+    {
+        rrs_check::InvariantWatcher::new(inst)
+    }
+    #[cfg(not(feature = "validate"))]
+    {
+        let _ = inst;
+        NullRecorder
+    }
+}
+
 /// Run a configured simulator through this crate's single simulation choke
 /// point. Every harness run — the one-call helpers below, the lemma
-/// checkers, the E1–E15 experiments, punctuality audits and timelines —
+/// checkers, the E1–E16 experiments, punctuality audits and timelines —
 /// goes through here, so building with `--features validate` supervises
-/// all of them with the shadow-model `InvariantWatcher` from `rrs-check`
-/// (DESIGN.md §9). Without the feature this is exactly
-/// `sim.run_traced(policy, recorder)`: the watcher hook monomorphizes to
-/// nothing.
-pub fn simulate<P: Policy, R: Recorder>(
+/// all of them (see [`supervisor`]). Without the feature this is exactly
+/// `sim.run_traced(policy, recorder)`.
+pub fn simulate<P: Policy, R: Recorder + ?Sized>(
     sim: &Simulator<'_>,
     policy: &mut P,
     recorder: &mut R,
 ) -> Outcome {
-    #[cfg(feature = "validate")]
-    {
-        let mut watcher = rrs_check::InvariantWatcher::new(sim.instance());
-        sim.run_watched(policy, recorder, &mut rrs_engine::Scratch::new(), &mut watcher)
-    }
-    #[cfg(not(feature = "validate"))]
-    {
-        sim.run_traced(policy, recorder)
-    }
+    sim.run_traced(policy, &mut (recorder, supervisor(sim.instance())))
 }
 
 /// [`simulate`] without a recorder.
 pub fn simulate_plain<P: Policy>(sim: &Simulator<'_>, policy: &mut P) -> Outcome {
-    simulate(sim, policy, &mut rrs_engine::NullRecorder)
+    simulate(sim, policy, &mut NullRecorder)
 }
 
 /// Run any policy on `n` locations and return the outcome.
@@ -232,7 +242,7 @@ pub fn run_dlru_edf_labeled(label: &str, inst: &Instance, n: usize) -> RunReport
     let mut fold = ColorFold::new(inst);
     // Under `validate`, the headline algorithm additionally runs inside
     // `CheckedPolicy`, which verifies the ΔLRU timestamp laws after every
-    // decision (the watcher installed by `simulate` checks the engine
+    // decision (the supervisor teed in by `simulate` checks the engine
     // side).
     #[cfg(feature = "validate")]
     let (outcome, p) = {
@@ -350,6 +360,22 @@ mod tests {
         assert_eq!(za.len(), 2, "{reports:?}");
         assert_eq!(reports[za[0]].label, "a-first");
         assert_eq!(reports[za[1]].label, "z-last");
+    }
+
+    #[cfg(feature = "validate")]
+    #[test]
+    #[should_panic(expected = "invariant violation")]
+    fn supervisor_of_another_instance_panics() {
+        // The supervisor checks arrivals against its own instance, so one
+        // built for a different instance must fail the run.
+        let mut b = InstanceBuilder::new(2);
+        let c = b.color(4);
+        b.arrive(0, c, 2);
+        let run_inst = b.build();
+        b.arrive(4, c, 1);
+        let other = b.build();
+        let sim = Simulator::new(&run_inst, 1).with_horizon(other.horizon());
+        sim.run_traced(&mut rrs_engine::policy::PinColor(c), &mut supervisor(&other));
     }
 
     #[test]

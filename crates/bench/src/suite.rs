@@ -37,10 +37,10 @@ use std::time::Duration;
 use rrs_engine::obs::names;
 use rrs_engine::{
     encode_snapshot, jobs, par_map_sweep_stats, run_stream_session, set_jobs, CheckpointPolicy,
-    CounterRecorder, CounterRegistry, NoWatcher, NullRecorder, Policy, Recorder, Scratch,
-    SessionResult, Simulator, SnapshotFile, Stopwatch, StreamOptions,
+    CounterRecorder, CounterRegistry, NullRecorder, Policy, Scratch, SessionResult, Simulator,
+    SnapshotFile, Stopwatch, StreamOptions,
 };
-use rrs_model::{Instance, InstanceBuilder, TextStream};
+use rrs_model::{Instance, TextStream};
 use rrs_offline::{solve_opt_guarded, solve_opt_memoized, OptCache, OptConfig};
 use rrs_workloads::bursty::{bursty_instance, BurstyConfig};
 use rrs_workloads::genome::parse_genome;
@@ -49,6 +49,7 @@ use rrs_workloads::pinned::{
 };
 use rrs_workloads::{zipf_popularity, ZipfConfig};
 
+use crate::alloc_fixtures::{batched_instance, RoundAllocs};
 use crate::alloc_probe;
 use crate::artifact::{BenchArtifact, BenchRecord};
 
@@ -125,67 +126,6 @@ fn core_suite(cfg: SuiteConfig) -> Result<BenchArtifact, String> {
     Ok(artifact)
 }
 
-/// The batched `[Δ|1|D_ℓ|D_ℓ]` workload from `tests/alloc_discipline.rs`,
-/// sized by block count (horizon ≈ 2·blocks rounds).
-fn batched_instance(blocks: u64) -> Instance {
-    let mut b = InstanceBuilder::new(3);
-    let c2a = b.color(2);
-    let c2b = b.color(2);
-    let c4a = b.color(4);
-    let c4b = b.color(4);
-    let c8 = b.color(8);
-    for blk in 0..blocks {
-        b.arrive(blk * 2, c2a, 2);
-        if blk % 2 == 0 {
-            b.arrive(blk * 2, c2b, 1);
-        }
-    }
-    for blk in 0..blocks / 2 {
-        b.arrive(blk * 4, c4a, 4).arrive(blk * 4, c4b, 3);
-    }
-    for blk in 0..blocks / 4 {
-        b.arrive(blk * 8, c8, 8);
-    }
-    b.build()
-}
-
-/// Recorder sampling [`alloc_probe::alloc_calls`] at round boundaries.
-/// Storage is preallocated so the probe itself never allocates mid-run.
-struct RoundAllocs {
-    per_round: Vec<(u64, u64)>,
-    at_round_start: u64,
-}
-
-impl RoundAllocs {
-    fn with_capacity(rounds: usize) -> Self {
-        Self { per_round: Vec::with_capacity(rounds + 16), at_round_start: 0 }
-    }
-
-    /// (max, total) allocator calls over rounds `>= warmup`.
-    fn steady(&self, warmup: u64) -> (u64, u64) {
-        let mut max = 0;
-        let mut total = 0;
-        for &(round, allocs) in &self.per_round {
-            if round >= warmup {
-                max = max.max(allocs);
-                total += allocs;
-            }
-        }
-        (max, total)
-    }
-}
-
-impl Recorder for RoundAllocs {
-    fn on_round_start(&mut self, _round: u64) {
-        self.at_round_start = alloc_probe::alloc_calls();
-    }
-    fn on_round_end(&mut self, round: u64) {
-        let now = alloc_probe::alloc_calls();
-        assert!(self.per_round.len() < self.per_round.capacity(), "alloc recorder undersized");
-        self.per_round.push((round, now - self.at_round_start));
-    }
-}
-
 fn steady_round_loop(cfg: SuiteConfig) -> Result<BenchRecord, String> {
     let blocks = cfg.pick(128, 512);
     let inst = batched_instance(blocks);
@@ -196,14 +136,13 @@ fn steady_round_loop(cfg: SuiteConfig) -> Result<BenchRecord, String> {
     // would itself allocate (BTreeMap key strings) inside the measured
     // window and pollute the zero-alloc contract.
     let mut allocs = RoundAllocs::with_capacity(inst.horizon() as usize + 1);
-    let mut scratch = Scratch::new();
     let mut policy = rrs_core::DeltaLruEdf::new();
-    sim.run_traced_with(&mut policy, &mut allocs, &mut scratch);
+    sim.run_traced(&mut policy, &mut allocs);
 
     // Counting pass: deterministic event counters, fresh policy state.
     let mut reg = CounterRegistry::new();
     let mut policy = rrs_core::DeltaLruEdf::new();
-    let out = sim.run_traced_with(&mut policy, &mut CounterRecorder::new(&mut reg), &mut scratch);
+    let out = sim.run_traced(&mut policy, &mut CounterRecorder::new(&mut reg));
     if out.arrived != out.executed + out.dropped {
         return Err(format!(
             "steady_round_loop conservation violated: {} arrived vs {} executed + {} dropped",
@@ -307,13 +246,12 @@ fn stream_soak(cfg: SuiteConfig) -> Result<BenchRecord, String> {
             &mut policy,
             &mut CounterRecorder::new(&mut reg),
             &mut scratch,
-            &mut NoWatcher,
+            &mut NullRecorder,
             StreamOptions {
                 n_locations: 8,
                 speed: 1,
-                resume_from: None,
                 plan: CheckpointPolicy::EveryN(every),
-                stop_before: None,
+                ..Default::default()
             },
             Some(&mut sink),
         )
@@ -348,13 +286,7 @@ fn checkpoint_codec(cfg: SuiteConfig) -> Result<BenchRecord, String> {
     let sim = Simulator::new(&inst, 8);
     let at_round = inst.horizon() / 2;
     let mut policy = rrs_core::full_algorithm();
-    let snapshot = match sim.checkpoint(
-        &mut policy,
-        &mut NullRecorder,
-        &mut Scratch::new(),
-        &mut NoWatcher,
-        at_round,
-    ) {
+    let snapshot = match sim.checkpoint(&mut policy, &mut NullRecorder, at_round) {
         SessionResult::Suspended { snapshot, .. } => snapshot,
         SessionResult::Completed(_) => {
             return Err(format!("checkpoint at round {at_round} unexpectedly completed"));

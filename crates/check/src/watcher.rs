@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use rrs_engine::{EngineState, Outcome, PendingStore, Slot, Watcher};
+use rrs_engine::{EngineState, Outcome, PendingStore, Phase, PhaseState, Recorder, Slot};
 use rrs_model::{ColorId, ColorMap, ColorSet, Instance};
 
 /// Which simulation phase a violation was detected in, for error context.
@@ -22,8 +22,11 @@ enum CheckPhase {
     End,
 }
 
-/// A [`Watcher`] that machine-checks the paper's phase laws (Section 2)
-/// against an independent shadow model of the pending jobs.
+/// A [`Recorder`] that machine-checks the paper's phase laws (Section 2)
+/// against an independent shadow model of the pending jobs. It seeds the
+/// shadow from the state the run starts from, so one built with
+/// [`InvariantWatcher::new`] supervises a fresh run and a run resumed from
+/// a snapshot alike, and the laws hold across the stitch.
 ///
 /// Checked every round:
 ///
@@ -32,8 +35,9 @@ enum CheckPhase {
 ///   order, and the store's full deadline profile matches the shadow.
 /// * **Arrival law** — round `k` arrivals are the instance's request for
 ///   `k`, inserted with deadline `k + D_ℓ`.
-/// * **Reconfiguration law** — the charge equals the number of locations
-///   recolored to a non-black color (Δ each; parking is free).
+/// * **Reconfiguration law** — only a reconfiguration changes the
+///   assignment, and its charge equals the number of locations recolored
+///   to a non-black color (Δ each; parking is free).
 /// * **Execution law** — per mini-round, each color executes at most once,
 ///   at most its replica count in the current assignment, removing
 ///   earliest-deadline jobs whose deadlines are strictly in the future.
@@ -54,6 +58,8 @@ pub struct InvariantWatcher<'a> {
     /// actually hold jobs; the store cross-check closes the gap for
     /// untouched colors through the total-count comparison.
     shadow: ColorMap<BTreeMap<u64, u64>>,
+    /// The assignment the current mini-round executes on.
+    slots: Vec<Slot>,
     /// Colors already executed in the current mini-round.
     exec_seen: ColorSet,
     arrived: u64,
@@ -64,18 +70,17 @@ pub struct InvariantWatcher<'a> {
 }
 
 impl<'a> InvariantWatcher<'a> {
-    /// A watcher for runs over `inst`. The same instance must be the one
-    /// driving the simulator; the watcher cross-checks arrivals against it.
+    /// A watcher for runs over `inst`, fresh or resumed. The same instance
+    /// must be the one driving the simulator; the watcher cross-checks
+    /// arrivals against it.
     pub fn new(inst: &'a Instance) -> Self {
-        let n = inst.colors.len();
-        let mut shadow = ColorMap::new();
-        shadow.grow_to(n);
         Self {
             inst,
             delta: inst.delta,
             n_locations: 0,
             horizon: 0,
-            shadow,
+            shadow: ColorMap::new(),
+            slots: Vec::new(),
             exec_seen: ColorSet::new(),
             arrived: 0,
             executed: 0,
@@ -83,28 +88,6 @@ impl<'a> InvariantWatcher<'a> {
             reconfigs: 0,
             began: false,
         }
-    }
-
-    /// A watcher for a run resumed from a checkpoint of `inst`. The shadow
-    /// is seeded from the snapshot's pending profile and cost counters, so
-    /// the phase laws and end-of-run accounting hold across the stitch
-    /// exactly as they would for the uninterrupted run.
-    pub fn resume_from(inst: &'a Instance, state: &EngineState) -> Self {
-        let mut w = Self::new(inst);
-        let n = inst.colors.len().max(state.pending.num_colors());
-        w.shadow.grow_to(n);
-        for i in 0..state.pending.num_colors() {
-            let c = ColorId(i as u32);
-            let mut profile = state.pending.profile(c).peekable();
-            if profile.peek().is_some() {
-                w.shadow.entry(c).extend(profile);
-            }
-        }
-        w.arrived = state.arrived;
-        w.executed = state.executed;
-        w.dropped = state.dropped;
-        w.reconfigs = state.ledger.reconfigs;
-        w
     }
 
     /// Jobs checked in: total arrivals observed so far.
@@ -175,25 +158,11 @@ impl<'a> InvariantWatcher<'a> {
             );
         }
     }
-}
 
-impl Watcher for InvariantWatcher<'_> {
-    fn begin_run(&mut self, delta: u64, n_locations: usize, speed: u32, horizon: u64) {
-        assert_eq!(
-            delta, self.inst.delta,
-            "watcher instance has Δ={} but the simulator runs Δ={delta}",
-            self.inst.delta
-        );
-        assert!(speed >= 1, "speed must be at least 1");
-        self.n_locations = n_locations;
-        self.horizon = horizon;
-        self.began = true;
-    }
-
-    fn after_drop(&mut self, round: u64, dropped: &[(ColorId, u64)], pending: &PendingStore) {
-        // Shadow drop phase: remove every job with deadline <= round (== in
-        // in-order use) and compare the per-color summary, which the engine
-        // reports in ascending color order with zero entries omitted.
+    /// Shadow drop phase: remove every job with deadline <= round (== in
+    /// in-order use) and compare the per-color summary, which the engine
+    /// reports in ascending color order with zero entries omitted.
+    fn check_drops(&mut self, round: u64, dropped: &[(ColorId, u64)], pending: &PendingStore) {
         let mut want: Vec<(ColorId, u64)> = Vec::new();
         for (c, m) in self.shadow.iter_mut() {
             let mut n = 0;
@@ -219,9 +188,9 @@ impl Watcher for InvariantWatcher<'_> {
         self.check_store(CheckPhase::Drop, round, pending, true);
     }
 
-    fn after_arrivals(&mut self, round: u64, arrivals: &[(ColorId, u64)], pending: &PendingStore) {
-        // The arrivals must be the instance's request for this round, and
-        // each job's shadow deadline is arrival + D_ℓ.
+    /// The arrivals must be the instance's request for this round, and
+    /// each job's shadow deadline is arrival + D_ℓ.
+    fn check_arrivals(&mut self, round: u64, arrivals: &[(ColorId, u64)], pending: &PendingStore) {
         let expected = self.inst.requests.at(round).pairs();
         if arrivals != expected {
             self.fail(
@@ -243,7 +212,8 @@ impl Watcher for InvariantWatcher<'_> {
         self.check_store(CheckPhase::Arrival, round, pending, false);
     }
 
-    fn after_reconfig(&mut self, round: u64, mini: u32, old: &[Slot], new: &[Slot], charged: u64) {
+    fn check_reconfig(&mut self, round: u64, mini: u32, state: &PhaseState<'_>) {
+        let (old, new) = (state.previous_slots, state.slots);
         if old.len() != self.n_locations || new.len() != self.n_locations {
             self.fail(
                 CheckPhase::Reconfig,
@@ -256,21 +226,77 @@ impl Watcher for InvariantWatcher<'_> {
                 ),
             );
         }
-        // Pricing rule: Δ per location recolored to a non-black color;
-        // parking (recoloring to black) is free.
-        let want = old.iter().zip(new).filter(|(o, n)| o != n && n.is_some()).count() as u64;
-        if charged != want {
+        // Nothing but a reconfiguration may change the assignment.
+        if old != self.slots {
             self.fail(
                 CheckPhase::Reconfig,
                 round,
-                &format!("mini {mini}: engine charged {charged} reconfigs, recolor diff is {want}"),
+                &format!(
+                    "mini {mini}: reconfigured from {old:?}, last assignment {:?}",
+                    self.slots
+                ),
             );
         }
-        self.reconfigs += charged;
+        // Pricing rule: Δ per location recolored to a non-black color;
+        // parking (recoloring to black) is free.
+        let want = old.iter().zip(new).filter(|(o, n)| o != n && n.is_some()).count() as u64;
+        if state.charged != want {
+            self.fail(
+                CheckPhase::Reconfig,
+                round,
+                &format!(
+                    "mini {mini}: engine charged {} reconfigs, recolor diff is {want}",
+                    state.charged
+                ),
+            );
+        }
+        self.reconfigs += state.charged;
+        self.slots.clear();
+        self.slots.extend_from_slice(new);
         self.exec_seen.clear();
     }
+}
 
-    fn on_execute(&mut self, round: u64, mini: u32, color: ColorId, count: u64, slots: &[Slot]) {
+impl Recorder for InvariantWatcher<'_> {
+    /// Seed the shadow from the state the run starts from: empty for a
+    /// fresh run, the snapshot's pending profile and counters for a
+    /// resumed one.
+    fn on_run_start(&mut self, state: &EngineState, horizon: u64) {
+        assert_eq!(
+            state.ledger.delta, self.inst.delta,
+            "watcher instance has Δ={} but the simulator runs Δ={}",
+            self.inst.delta, state.ledger.delta
+        );
+        assert!(state.speed >= 1, "speed must be at least 1");
+        self.n_locations = state.n_locations;
+        self.horizon = horizon;
+        self.shadow = ColorMap::new();
+        self.shadow.grow_to(self.inst.colors.len().max(state.pending.num_colors()));
+        for i in 0..state.pending.num_colors() {
+            let c = ColorId(i as u32);
+            let mut profile = state.pending.profile(c).peekable();
+            if profile.peek().is_some() {
+                self.shadow.entry(c).extend(profile);
+            }
+        }
+        self.slots.clone_from(&state.slots);
+        self.arrived = state.arrived;
+        self.executed = state.executed;
+        self.dropped = state.dropped;
+        self.reconfigs = state.ledger.reconfigs;
+        self.began = true;
+    }
+
+    fn on_phase_end(&mut self, round: u64, mini: u32, phase: Phase, state: &PhaseState<'_>) {
+        match phase {
+            Phase::Drop => self.check_drops(round, state.dropped, state.pending),
+            Phase::Arrival => self.check_arrivals(round, state.arrivals, state.pending),
+            Phase::Reconfig => self.check_reconfig(round, mini, state),
+            Phase::Execution => self.check_store(CheckPhase::Execute, round, state.pending, false),
+        }
+    }
+
+    fn on_execute(&mut self, round: u64, mini: u32, color: ColorId, count: u64) {
         if count == 0 {
             return;
         }
@@ -281,7 +307,7 @@ impl Watcher for InvariantWatcher<'_> {
                 &format!("mini {mini}: color {color} executed twice in one mini-round"),
             );
         }
-        let replicas = slots.iter().filter(|&&s| s == Some(color)).count() as u64;
+        let replicas = self.slots.iter().filter(|&&s| s == Some(color)).count() as u64;
         if count > replicas {
             self.fail(
                 CheckPhase::Execute,
@@ -323,12 +349,8 @@ impl Watcher for InvariantWatcher<'_> {
         self.executed += count;
     }
 
-    fn after_execution(&mut self, round: u64, _mini: u32, pending: &PendingStore) {
-        self.check_store(CheckPhase::Execute, round, pending, false);
-    }
-
-    fn end_run(&mut self, outcome: &Outcome) {
-        assert!(self.began, "end_run without begin_run");
+    fn on_run_end(&mut self, outcome: &Outcome) {
+        assert!(self.began, "on_run_end without on_run_start");
         let f = |msg: String| -> ! { self.fail(CheckPhase::End, outcome.rounds, &msg) };
         if outcome.arrived != self.arrived {
             f(format!("outcome.arrived {} != watched {}", outcome.arrived, self.arrived));
@@ -393,17 +415,12 @@ mod tests {
     use super::*;
     use rrs_core::{full_algorithm, DeltaLruEdf};
     use rrs_engine::policy::{DoNothing, PinColor};
-    use rrs_engine::{NullRecorder, Scratch, Simulator};
+    use rrs_engine::Simulator;
     use rrs_model::InstanceBuilder;
 
     fn watch<P: rrs_engine::Policy>(inst: &Instance, n: usize, policy: &mut P) -> Outcome {
         let mut w = InvariantWatcher::new(inst);
-        let out = Simulator::new(inst, n).run_watched(
-            policy,
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut w,
-        );
+        let out = Simulator::new(inst, n).run_traced(policy, &mut w);
         assert_eq!(w.arrived(), inst.total_jobs());
         assert_eq!(w.shadow_pending(), 0);
         out
@@ -445,12 +462,7 @@ mod tests {
         b.arrive(0, c, 3).arrive(4, c, 3);
         let inst = b.build();
         let mut w = InvariantWatcher::new(&inst);
-        let out = Simulator::new(&inst, 1).with_speed(2).run_watched(
-            &mut PinColor(c),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut w,
-        );
+        let out = Simulator::new(&inst, 1).with_speed(2).run_traced(&mut PinColor(c), &mut w);
         assert!(out.conserved());
         assert_eq!(w.shadow_pending(), 0);
     }
@@ -464,12 +476,7 @@ mod tests {
         let mut w = InvariantWatcher::new(&inst);
         // `with_horizon` can only extend past the instance horizon; the
         // extra idle rounds must not confuse any phase check.
-        let out = Simulator::new(&inst, 0).with_horizon(20).run_watched(
-            &mut DoNothing,
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut w,
-        );
+        let out = Simulator::new(&inst, 0).with_horizon(20).run_traced(&mut DoNothing, &mut w);
         assert!(out.conserved());
         assert_eq!(out.rounds, 21);
         assert_eq!(w.shadow_pending(), 0);
@@ -477,9 +484,10 @@ mod tests {
 
     #[test]
     fn resumed_runs_satisfy_the_watcher() {
-        // Checkpoint mid-run, then resume with a shadow seeded from the
-        // snapshot: both halves pass every phase check and the stitched
-        // outcome matches the uninterrupted watched run.
+        // Checkpoint mid-run, then resume under a fresh watcher, which
+        // seeds its shadow from the snapshot state: both halves pass every
+        // phase check and the stitched outcome matches the uninterrupted
+        // watched run.
         let mut b = InstanceBuilder::new(2);
         let c0 = b.color(2);
         let c1 = b.color(8);
@@ -491,27 +499,11 @@ mod tests {
         let full = watch(&inst, 8, &mut full_algorithm());
 
         for k in [1, 4, 9] {
+            let sim = Simulator::new(&inst, 8);
             let mut w = InvariantWatcher::new(&inst);
-            let snap = Simulator::new(&inst, 8)
-                .checkpoint(
-                    &mut full_algorithm(),
-                    &mut NullRecorder,
-                    &mut Scratch::new(),
-                    &mut w,
-                    k,
-                )
-                .into_snapshot();
-            let file = rrs_engine::SnapshotFile::parse(&snap).unwrap();
-            let mut w2 = InvariantWatcher::resume_from(&inst, &file.state);
-            let out = Simulator::new(&inst, 8)
-                .resume(
-                    &mut full_algorithm(),
-                    &mut NullRecorder,
-                    &mut Scratch::new(),
-                    &mut w2,
-                    &snap,
-                )
-                .unwrap();
+            let snap = sim.checkpoint(&mut full_algorithm(), &mut w, k).into_snapshot();
+            let mut w2 = InvariantWatcher::new(&inst);
+            let out = sim.resume(&mut full_algorithm(), &mut w2, &snap).unwrap();
             assert_eq!(out, full, "resume at round {k} diverged");
             assert_eq!(w2.arrived(), inst.total_jobs());
             assert_eq!(w2.shadow_pending(), 0);
@@ -530,12 +522,9 @@ mod tests {
         b.arrive(4, c, 1);
         let other = b.build();
         let mut w = InvariantWatcher::new(&other);
-        Simulator::new(&run_inst, 1).with_horizon(other.horizon()).run_watched(
-            &mut PinColor(c),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut w,
-        );
+        Simulator::new(&run_inst, 1)
+            .with_horizon(other.horizon())
+            .run_traced(&mut PinColor(c), &mut w);
     }
 
     #[test]
@@ -550,11 +539,39 @@ mod tests {
         b2.arrive(0, c2, 1);
         let other = b2.build();
         let mut w = InvariantWatcher::new(&other);
-        Simulator::new(&inst, 1).run_watched(
-            &mut PinColor(c),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut w,
-        );
+        Simulator::new(&inst, 1).run_traced(&mut PinColor(c), &mut w);
+    }
+
+    #[test]
+    #[should_panic(expected = "last assignment")]
+    fn assignment_changed_outside_reconfiguration_is_caught() {
+        // A run starts with its one location black; a reconfiguration
+        // that claims to start from color 0 means something else moved it.
+        let mut b = InstanceBuilder::new(2);
+        let c = b.color(4);
+        let inst = b.build();
+        let start = EngineState {
+            next_round: 0,
+            speed: 1,
+            n_locations: 1,
+            horizon_hint: 0,
+            slots: vec![None],
+            ledger: rrs_model::CostLedger::new(inst.delta),
+            arrived: 0,
+            executed: 0,
+            dropped: 0,
+            pending: PendingStore::new(),
+        };
+        let mut w = InvariantWatcher::new(&inst);
+        w.on_run_start(&start, 0);
+        let state = PhaseState {
+            dropped: &[],
+            arrivals: &[],
+            previous_slots: &[Some(c)],
+            slots: &[Some(c)],
+            charged: 0,
+            pending: &start.pending,
+        };
+        w.on_phase_end(0, 0, Phase::Reconfig, &state);
     }
 }

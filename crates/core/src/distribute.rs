@@ -252,7 +252,7 @@ impl<P: Policy> Policy for Distribute<P> {
             obs.speed,
             obs.delta,
         );
-        self.kernel.execute(|_, _, _| {});
+        self.kernel.execute(|_, _| {});
 
         // Physical projection: sub-color (ℓ, j) → ℓ.
         for (o, &v) in out.iter_mut().zip(self.kernel.slots()) {

@@ -175,7 +175,7 @@ impl<P: Policy> Policy for VarBatch<P> {
             obs.speed,
             obs.delta,
         );
-        self.kernel.execute(|_, _, _| {});
+        self.kernel.execute(|_, _| {});
 
         // Physical projection is the identity on colors.
         out.copy_from_slice(self.kernel.slots());

@@ -15,6 +15,7 @@ use rrs_model::{ColorId, ColorMap, ColorTable, SnapError, SnapReader, SnapWriter
 use crate::checkpoint::{get_slots, put_slots, Snapshot};
 use crate::pending::PendingStore;
 use crate::policy::{ColorCounts, Observation, Policy, Slot};
+use crate::trace::PhaseState;
 
 /// The state and buffers of one round loop (see the module docs).
 #[derive(Debug, Default)]
@@ -128,8 +129,8 @@ impl RoundKernel {
 
     /// Phase 4: every configured location executes one earliest-deadline
     /// job of its color. Colors run in ascending order, calling
-    /// `on_execute(color, executed, slots)` for each that executed any.
-    pub fn execute(&mut self, mut on_execute: impl FnMut(ColorId, u64, &[Slot])) {
+    /// `on_execute(color, executed)` for each that executed any.
+    pub fn execute(&mut self, mut on_execute: impl FnMut(ColorId, u64)) {
         self.touched.clear();
         for &s in &self.slots {
             if let Some(c) = s {
@@ -145,7 +146,7 @@ impl RoundKernel {
             let q = std::mem::take(&mut self.exec_count[c]);
             let e = self.pending.execute(c, q);
             if e > 0 {
-                on_execute(c, e, &self.slots);
+                on_execute(c, e);
             }
         }
     }
@@ -178,6 +179,20 @@ impl RoundKernel {
     #[inline]
     pub fn dropped(&self) -> &ColorCounts {
         &self.dropped
+    }
+
+    /// The state a recorder sees at the end of a phase, with `charged`
+    /// locations charged Δ by the round's latest reconfiguration.
+    #[inline]
+    pub fn phase_state(&self, charged: u64) -> PhaseState<'_> {
+        PhaseState {
+            dropped: &self.dropped,
+            arrivals: &self.arrivals,
+            previous_slots: &self.next,
+            slots: &self.slots,
+            charged,
+            pending: &self.pending,
+        }
     }
 
     /// Live pages of the kernel's paged per-color maps (DESIGN.md §14).
@@ -258,8 +273,8 @@ mod tests {
         assert_eq!(k.previous_slots(), &[None, None]);
         assert_eq!(k.slots(), &[Some(a), Some(a)]);
         let mut seen = Vec::new();
-        k.execute(|c, e, slots| seen.push((c, e, slots.len())));
-        assert_eq!(seen, vec![(a, 2, 2)]);
+        k.execute(|c, e| seen.push((c, e)));
+        assert_eq!(seen, vec![(a, 2)]);
         assert_eq!(k.pending().total(), 2);
 
         // Round 2 drops the remaining color-a job; b is still pending.

@@ -56,7 +56,6 @@ pub mod replay;
 pub mod sim;
 pub mod sink;
 pub mod trace;
-pub mod watch;
 
 pub use assign::{recolor_reconfigs, stable_assign, stable_assign_into, AssignScratch};
 pub use checkpoint::{
@@ -77,10 +76,13 @@ pub use sink::{
     parse_trace, parse_trace_line, JsonlSink, ParsedTrace, PhaseTimer, TraceLine, TraceMeta,
     TraceParseError, TRACE_SCHEMA_VERSION,
 };
+/// The no-op recorder under the name callers pass as
+/// [`run_stream_session`]'s `watcher`.
+pub use trace::NullRecorder as NoWatcher;
 pub use trace::{
-    NullRecorder, Phase, Recorder, RoundSummary, SummaryRecorder, TraceEvent, TraceRecorder,
+    NullRecorder, Phase, PhaseState, Recorder, RoundSummary, SummaryRecorder, TraceEvent,
+    TraceRecorder,
 };
-pub use watch::{NoWatcher, Watcher};
 
 /// Convenient re-exports for downstream crates.
 pub mod prelude {
@@ -101,7 +103,6 @@ pub mod prelude {
     pub use crate::sim::{run_stream_session, Outcome, Simulator, StreamOptions};
     pub use crate::sink::{parse_trace, JsonlSink, ParsedTrace, PhaseTimer, TraceMeta};
     pub use crate::trace::{
-        NullRecorder, Phase, Recorder, SummaryRecorder, TraceEvent, TraceRecorder,
+        NullRecorder, Phase, PhaseState, Recorder, SummaryRecorder, TraceEvent, TraceRecorder,
     };
-    pub use crate::watch::{NoWatcher, Watcher};
 }

@@ -1,15 +1,18 @@
 //! The simulator: drives a [`Policy`] through an [`Instance`] and accounts
 //! all costs.
 //!
-//! All run variants — plain, traced, watched, checkpointed, resumed, and
-//! streamed — share one private round loop, `drive_session`, generic over
-//! the instance source and a round-boundary hook. It runs each round's
-//! phases through the [`Scratch`] round kernel and does the accounting,
-//! recording and watching between the kernel's calls. The plain paths use
-//! the no-op hook (which monomorphizes to nothing, keeping them free of any
-//! [`Snapshot`] bound); the checkpoint paths install a hook that captures
-//! state at the top of a round, before any of the round's events, so a
-//! resumed run re-emits the identical trace suffix.
+//! All run variants — plain, traced, checkpointed, resumed, and streamed —
+//! share one private round loop, `drive_session`, generic over the
+//! instance source, the [`Recorder`] and a round-boundary hook. It runs
+//! each round's phases through the [`Scratch`] round kernel and does the
+//! accounting between the kernel's calls. The recorder is the run's one
+//! observer: it sees every event and, at the start of the run, the end of
+//! every phase and the end of the run, the engine state itself — which is
+//! all an invariant checker needs (DESIGN.md §9). The plain paths use the
+//! no-op recorder and hook, which monomorphize to nothing (keeping them
+//! free of any [`Snapshot`] bound); the checkpoint paths install a hook
+//! that captures state at the top of a round, before any of the round's
+//! events, so a resumed run re-emits the identical trace suffix.
 
 use rrs_model::{CostLedger, Instance, InstanceSource, MaterializedSource, SnapError};
 
@@ -20,7 +23,6 @@ use crate::checkpoint::{
 use crate::kernel::Scratch;
 use crate::policy::{Policy, Slot};
 use crate::trace::{NullRecorder, Phase, Recorder};
-use crate::watch::{NoWatcher, Watcher};
 
 /// The result of a simulation run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,58 +111,20 @@ impl<'a> Simulator<'a> {
         self.run_traced(policy, &mut NullRecorder)
     }
 
-    /// Run a policy, emitting every event to `recorder`, with a private
-    /// [`Scratch`] workspace.
+    /// Run a policy, emitting every event to `recorder`.
     pub fn run_traced<P: Policy, R: Recorder>(&self, policy: &mut P, recorder: &mut R) -> Outcome {
-        self.run_traced_with(policy, recorder, &mut Scratch::new())
-    }
-
-    /// Run a policy, emitting every event to `recorder`, reusing the caller's
-    /// [`Scratch`] workspace. Sweeps that run many simulations can keep one
-    /// workspace per worker so the round loop never re-grows its buffers;
-    /// outcomes are identical to [`Simulator::run_traced`].
-    pub fn run_traced_with<P: Policy, R: Recorder>(
-        &self,
-        policy: &mut P,
-        recorder: &mut R,
-        scratch: &mut Scratch,
-    ) -> Outcome {
-        self.run_watched(policy, recorder, scratch, &mut NoWatcher)
-    }
-
-    /// Run a policy with an invariant [`Watcher`] observing every phase
-    /// transition in addition to the `recorder`. With [`NoWatcher`] (what
-    /// every other `run*` method passes) the hooks monomorphize to nothing,
-    /// so the unwatched hot path is unchanged. Watchers observe but never
-    /// influence the run: outcomes and traces are byte-identical with any
-    /// watcher installed.
-    pub fn run_watched<P: Policy, R: Recorder, W: Watcher>(
-        &self,
-        policy: &mut P,
-        recorder: &mut R,
-        scratch: &mut Scratch,
-        watcher: &mut W,
-    ) -> Outcome {
         let seed = self.start(policy);
-        self.drive(seed, policy, recorder, scratch, watcher, &mut NoHook).into_outcome()
+        self.drive(seed, policy, recorder, &mut NoHook).into_outcome()
     }
 
     /// Run from round 0 and suspend at the top of `at_round`, returning the
     /// snapshot that resumes it (events of rounds `0..at_round` go to
     /// `recorder`). If `at_round` is past the horizon the run completes
     /// instead.
-    pub fn checkpoint<P, R, W>(
-        &self,
-        policy: &mut P,
-        recorder: &mut R,
-        scratch: &mut Scratch,
-        watcher: &mut W,
-        at_round: u64,
-    ) -> SessionResult
+    pub fn checkpoint<P, R>(&self, policy: &mut P, recorder: &mut R, at_round: u64) -> SessionResult
     where
         P: Snapshot + ?Sized,
         R: Recorder,
-        W: Watcher,
     {
         let seed = self.start(policy);
         let mut hook = CheckpointHook {
@@ -168,28 +132,25 @@ impl<'a> Simulator<'a> {
             sink: None,
             stop_before: Some(at_round),
         };
-        self.drive(seed, policy, recorder, scratch, watcher, &mut hook)
+        self.drive(seed, policy, recorder, &mut hook)
     }
 
     /// Run to completion, emitting a snapshot to `sink` at the top of every
     /// round `plan` marks due.
-    pub fn run_checkpointed<P, R, W>(
+    pub fn run_checkpointed<P, R>(
         &self,
         policy: &mut P,
         recorder: &mut R,
-        scratch: &mut Scratch,
-        watcher: &mut W,
         plan: &CheckpointPolicy,
         sink: &mut dyn FnMut(u64, &[u8]),
     ) -> Outcome
     where
         P: Snapshot + ?Sized,
         R: Recorder,
-        W: Watcher,
     {
         let seed = self.start(policy);
         let mut hook = CheckpointHook { plan, sink: Some(sink), stop_before: None };
-        self.drive(seed, policy, recorder, scratch, watcher, &mut hook).into_outcome()
+        self.drive(seed, policy, recorder, &mut hook).into_outcome()
     }
 
     /// Resume a run from a snapshot taken by [`Simulator::checkpoint`] (or
@@ -198,19 +159,17 @@ impl<'a> Simulator<'a> {
     /// exactly as for the checkpointing run; its state is restored from the
     /// snapshot after [`Policy::init`]. The `recorder` receives exactly the
     /// events of rounds `k..`, so prefix + suffix is byte-identical to the
-    /// uninterrupted trace.
-    pub fn resume<P, R, W>(
+    /// uninterrupted trace, and its [`Recorder::on_run_start`] sees the
+    /// decoded snapshot state.
+    pub fn resume<P, R>(
         &self,
         policy: &mut P,
         recorder: &mut R,
-        scratch: &mut Scratch,
-        watcher: &mut W,
         snapshot: &[u8],
     ) -> Result<Outcome, SnapError>
     where
         P: Snapshot + ?Sized,
         R: Recorder,
-        W: Watcher,
     {
         debug_assert!(self.inst.check_colors(), "instance references unknown colors");
         let file = SnapshotFile::parse(snapshot)?;
@@ -224,7 +183,7 @@ impl<'a> Simulator<'a> {
         }
         policy.init(self.inst.delta, self.n_locations);
         file.load_policy(policy)?;
-        Ok(self.drive(file.state, policy, recorder, scratch, watcher, &mut NoHook).into_outcome())
+        Ok(self.drive(file.state, policy, recorder, &mut NoHook).into_outcome())
     }
 
     /// Initialize `policy` for a fresh run and return the engine state
@@ -236,25 +195,24 @@ impl<'a> Simulator<'a> {
     }
 
     /// Drive the instance from `seed` to the horizon (or a hook's
-    /// suspension). A materialized source never fails.
-    fn drive<P, R, W, H>(
+    /// suspension) with a private [`Scratch`]. A materialized source never
+    /// fails.
+    fn drive<P, R, H>(
         &self,
         seed: EngineState,
         policy: &mut P,
         recorder: &mut R,
-        scratch: &mut Scratch,
-        watcher: &mut W,
         hook: &mut H,
     ) -> SessionResult
     where
         P: Policy + ?Sized,
         R: Recorder,
-        W: Watcher,
         H: SessionHook<P>,
     {
         let mut source = MaterializedSource::new(self.inst);
         let horizon = Some(self.horizon);
-        match drive_session(&mut source, horizon, seed, policy, recorder, scratch, watcher, hook) {
+        let scratch = &mut Scratch::new();
+        match drive_session(&mut source, horizon, seed, policy, recorder, scratch, hook) {
             Ok(res) => res,
             Err(_) => unreachable!("a materialized run cannot fail"),
         }
@@ -287,6 +245,12 @@ pub struct StreamOptions<'s> {
 /// source's look-ahead contract keeps from stopping short across arrival
 /// gaps. A streamed run over an instance's text encoding is byte-identical
 /// (trace and `Outcome`) to the materialized run of the same instance.
+///
+/// `watcher` is a second [`Recorder`] teed after `recorder` — a run's
+/// supervisor, say, next to its trace sink. `scratch` is the round
+/// kernel's workspace: a caller running many sessions can reuse one so the
+/// round loop never re-grows its buffers; outcomes are identical either
+/// way.
 pub fn run_stream_session<Src, P, R, W>(
     source: &mut Src,
     policy: &mut P,
@@ -297,10 +261,10 @@ pub fn run_stream_session<Src, P, R, W>(
     sink: Option<SnapshotSink<'_>>,
 ) -> Result<SessionResult, SessionError>
 where
-    Src: InstanceSource,
+    Src: InstanceSource + ?Sized,
     P: Snapshot + ?Sized,
-    R: Recorder,
-    W: Watcher,
+    R: Recorder + ?Sized,
+    W: Recorder + ?Sized,
 {
     assert!(opts.speed >= 1, "speed must be at least 1");
     let delta = source.delta();
@@ -323,7 +287,7 @@ where
         }
     };
     let mut hook = CheckpointHook { plan: &opts.plan, sink, stop_before: opts.stop_before };
-    drive_session(source, None, seed, policy, recorder, scratch, watcher, &mut hook)
+    drive_session(source, None, seed, policy, &mut (recorder, watcher), scratch, &mut hook)
 }
 
 /// The one round loop every run variant shares, from the engine state
@@ -332,44 +296,40 @@ where
 /// `None` for streamed runs, where the loop re-reads the source's growing
 /// horizon each round (floored by the seed's hint so a resumed run never
 /// finishes earlier than the uninterrupted one).
-#[allow(clippy::too_many_arguments)] // a run's source, state, policy and observers; a struct would just rename them
-fn drive_session<Src, P, R, W, H>(
+fn drive_session<Src, P, R, H>(
     source: &mut Src,
     fixed_horizon: Option<u64>,
     seed: EngineState,
     policy: &mut P,
     recorder: &mut R,
-    scratch: &mut Scratch,
-    watcher: &mut W,
+    kernel: &mut Scratch,
     hook: &mut H,
 ) -> Result<SessionResult, SessionError>
 where
-    Src: InstanceSource,
+    Src: InstanceSource + ?Sized,
     P: Policy + ?Sized,
     R: Recorder,
-    W: Watcher,
     H: SessionHook<P>,
 {
+    let horizon_hint = seed.horizon_hint;
+    let horizon_now = |src: &Src| fixed_horizon.unwrap_or_else(|| src.horizon().max(horizon_hint));
+    recorder.on_run_start(&seed, horizon_now(source));
     let EngineState {
         next_round: start_round,
         speed,
         n_locations,
-        horizon_hint,
         slots,
         mut ledger,
         mut arrived,
         mut executed,
         dropped: mut dropped_total,
         pending,
+        ..
     } = seed;
     debug_assert_eq!(slots.len(), n_locations);
     let delta = source.delta();
-    let kernel = scratch;
     kernel.restore(pending, slots);
     kernel.ensure_colors(source.colors().len());
-
-    let horizon_now = |src: &Src| fixed_horizon.unwrap_or_else(|| src.horizon().max(horizon_hint));
-    watcher.begin_run(delta, n_locations, speed, horizon_now(source));
 
     let mut round = start_round;
     loop {
@@ -410,7 +370,7 @@ where
         for &(c, n) in kernel.dropped() {
             recorder.on_drop(round, c, n);
         }
-        watcher.after_drop(round, kernel.dropped(), kernel.pending());
+        recorder.on_phase_end(round, 0, Phase::Drop, &kernel.phase_state(0));
 
         // Phase 2: arrival.
         recorder.on_phase_start(round, 0, Phase::Arrival);
@@ -420,7 +380,7 @@ where
             arrived += n;
             recorder.on_arrive(round, c, n);
         }
-        watcher.after_arrivals(round, kernel.arrivals(), kernel.pending());
+        recorder.on_phase_end(round, 0, Phase::Arrival, &kernel.phase_state(0));
 
         for mini in 0..speed {
             // Phase 3: reconfiguration, charged Δ per location recolored
@@ -437,16 +397,15 @@ where
                 }
             }
             ledger.add_reconfigs(reconfigs);
-            watcher.after_reconfig(round, mini, kernel.previous_slots(), kernel.slots(), reconfigs);
+            recorder.on_phase_end(round, mini, Phase::Reconfig, &kernel.phase_state(reconfigs));
 
             // Phase 4: execution.
             recorder.on_phase_start(round, mini, Phase::Execution);
-            kernel.execute(|c, e, slots| {
+            kernel.execute(|c, e| {
                 executed += e;
                 recorder.on_execute(round, mini, c, e);
-                watcher.on_execute(round, mini, c, e, slots);
             });
-            watcher.after_execution(round, mini, kernel.pending());
+            recorder.on_phase_end(round, mini, Phase::Execution, &kernel.phase_state(reconfigs));
         }
         recorder.on_round_end(round);
         round += 1;
@@ -462,7 +421,7 @@ where
         rounds: round,
         final_slots,
     };
-    watcher.end_run(&outcome);
+    recorder.on_run_end(&outcome);
     Ok(SessionResult::Completed(outcome))
 }
 
@@ -587,16 +546,22 @@ mod tests {
     fn reused_scratch_gives_identical_outcomes() {
         let (inst, c) = one_color_instance();
         let mut scratch = Scratch::new();
-        let a = Simulator::new(&inst, 1).run_traced_with(
-            &mut PinColor(c),
-            &mut NullRecorder,
-            &mut scratch,
-        );
-        let b = Simulator::new(&inst, 2).run_traced_with(
-            &mut DoNothing,
-            &mut NullRecorder,
-            &mut scratch,
-        );
+        let mut session = |policy: &mut dyn Snapshot, n_locations| {
+            let opts = StreamOptions { n_locations, speed: 1, ..Default::default() };
+            let source = &mut MaterializedSource::new(&inst);
+            run_stream_session(
+                source,
+                policy,
+                &mut NullRecorder,
+                &mut scratch,
+                &mut NullRecorder,
+                opts,
+                None,
+            )
+            .map(SessionResult::into_outcome)
+        };
+        let a = session(&mut PinColor(c), 1).unwrap();
+        let b = session(&mut DoNothing, 2).unwrap();
         assert_eq!(a, Simulator::new(&inst, 1).run(&mut PinColor(c)));
         assert_eq!(b, Simulator::new(&inst, 2).run(&mut DoNothing));
     }
@@ -616,7 +581,72 @@ mod tests {
 mod more_tests {
     use super::*;
     use crate::policy::{Observation, PinColor};
-    use rrs_model::InstanceBuilder;
+    use crate::trace::PhaseState;
+    use rrs_model::{ColorId, InstanceBuilder};
+
+    /// A recorder that counts the state hooks, to pin the call protocol.
+    #[derive(Default)]
+    struct HookCounter {
+        starts: u32,
+        phase_ends: [u32; 4],
+        executes: u32,
+        ends: u32,
+    }
+
+    impl Recorder for HookCounter {
+        fn on_run_start(&mut self, _state: &EngineState, _horizon: u64) {
+            self.starts += 1;
+        }
+        fn on_execute(&mut self, _round: u64, _mini: u32, _color: ColorId, _count: u64) {
+            self.executes += 1;
+        }
+        fn on_phase_end(&mut self, _r: u64, _m: u32, phase: Phase, _s: &PhaseState<'_>) {
+            self.phase_ends[phase.index()] += 1;
+        }
+        fn on_run_end(&mut self, _outcome: &Outcome) {
+            self.ends += 1;
+        }
+    }
+
+    fn two_jobs() -> (Instance, ColorId) {
+        let mut b = InstanceBuilder::new(1);
+        let c = b.color(2);
+        b.arrive(0, c, 2);
+        (b.build(), c)
+    }
+
+    #[test]
+    fn state_hooks_fire_once_per_phase() {
+        let (inst, c) = two_jobs();
+        let mut rec = HookCounter::default();
+        let out = Simulator::new(&inst, 1).run_traced(&mut PinColor(c), &mut rec);
+        assert_eq!((rec.starts, rec.ends), (1, 1));
+        // Speed 1: each of the four phases ends once per round.
+        assert_eq!(rec.phase_ends.map(u64::from), [out.rounds; 4]);
+        // on_execute fires only for colors that actually executed jobs.
+        assert_eq!(rec.executes, 2);
+    }
+
+    #[test]
+    fn speed_multiplies_mini_round_hooks_only() {
+        let (inst, c) = two_jobs();
+        let mut rec = HookCounter::default();
+        let out = Simulator::new(&inst, 1).with_speed(3).run_traced(&mut PinColor(c), &mut rec);
+        let r = out.rounds;
+        assert_eq!(rec.phase_ends.map(u64::from), [r, r, 3 * r, 3 * r]);
+    }
+
+    #[test]
+    fn observed_run_matches_plain_run() {
+        let mut b = InstanceBuilder::new(2);
+        let c = b.color(4);
+        b.arrive(0, c, 3).arrive(4, c, 2);
+        let inst = b.build();
+        let plain = Simulator::new(&inst, 2).run(&mut PinColor(c));
+        let observed =
+            Simulator::new(&inst, 2).run_traced(&mut PinColor(c), &mut HookCounter::default());
+        assert_eq!(plain, observed);
+    }
 
     #[test]
     fn triple_speed_triples_execution_capacity() {

@@ -2,7 +2,10 @@
 
 use rrs_model::ColorId;
 
-use crate::policy::Slot;
+use crate::checkpoint::EngineState;
+use crate::pending::PendingStore;
+use crate::policy::{ColorCounts, Slot};
+use crate::sim::Outcome;
 
 /// One observable event in a simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,9 +60,38 @@ impl Phase {
     }
 }
 
-/// Observer of simulation events. All methods default to no-ops so
-/// recorders implement only what they need.
+/// The engine state at the end of a phase, lent to
+/// [`Recorder::on_phase_end`]. The references point into the live round
+/// loop and are valid for the call only.
+#[derive(Clone, Copy, Debug)]
+pub struct PhaseState<'a> {
+    /// The round's drops, in ascending color order, zero counts omitted.
+    pub dropped: &'a ColorCounts,
+    /// The round's arrivals, in ascending color order.
+    pub arrivals: &'a ColorCounts,
+    /// The assignment before the round's latest reconfiguration.
+    pub previous_slots: &'a [Slot],
+    /// The current assignment.
+    pub slots: &'a [Slot],
+    /// Locations the latest reconfiguration of this round was charged Δ
+    /// for; 0 before the round's first reconfiguration.
+    pub charged: u64,
+    /// The pending store, as the next phase will see it.
+    pub pending: &'a PendingStore,
+}
+
+/// Observer of a simulation run: its events, and the engine state at the
+/// start of the run, at the end of every phase and at the end of the run.
+/// All methods default to no-ops so recorders implement only what they
+/// need; one that overrides none of them compiles to nothing. Recorders
+/// observe but never influence a run: outcomes are identical with any
+/// recorder attached.
 pub trait Recorder {
+    /// Once before the first round, with the state the run starts from
+    /// (fresh, or decoded from a snapshot) and the horizon known then.
+    fn on_run_start(&mut self, state: &EngineState, horizon: u64) {
+        let _ = (state, horizon);
+    }
     /// Start of a round, before its drop phase.
     fn on_round_start(&mut self, round: u64) {
         let _ = round;
@@ -85,13 +117,25 @@ pub trait Recorder {
     fn on_execute(&mut self, round: u64, mini: u32, color: ColorId, count: u64) {
         let _ = (round, mini, color, count);
     }
+    /// End of a phase within (`round`, `mini`), after its events.
+    fn on_phase_end(&mut self, round: u64, mini: u32, phase: Phase, state: &PhaseState<'_>) {
+        let _ = (round, mini, phase, state);
+    }
     /// End of a round, after its last execution phase.
     fn on_round_end(&mut self, round: u64) {
         let _ = round;
     }
+    /// Once after the final round, with the outcome about to be returned.
+    /// A run suspended at a checkpoint does not reach it.
+    fn on_run_end(&mut self, outcome: &Outcome) {
+        let _ = outcome;
+    }
 }
 
 impl<R: Recorder + ?Sized> Recorder for &mut R {
+    fn on_run_start(&mut self, state: &EngineState, horizon: u64) {
+        (**self).on_run_start(state, horizon);
+    }
     fn on_round_start(&mut self, round: u64) {
         (**self).on_round_start(round);
     }
@@ -110,14 +154,24 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     fn on_execute(&mut self, round: u64, mini: u32, color: ColorId, count: u64) {
         (**self).on_execute(round, mini, color, count);
     }
+    fn on_phase_end(&mut self, round: u64, mini: u32, phase: Phase, state: &PhaseState<'_>) {
+        (**self).on_phase_end(round, mini, phase, state);
+    }
     fn on_round_end(&mut self, round: u64) {
         (**self).on_round_end(round);
+    }
+    fn on_run_end(&mut self, outcome: &Outcome) {
+        (**self).on_run_end(outcome);
     }
 }
 
 /// Tee: drive two recorders from one run (e.g. a JSONL sink plus a phase
 /// timer). Nest tees for more than two.
 impl<A: Recorder, B: Recorder> Recorder for (A, B) {
+    fn on_run_start(&mut self, state: &EngineState, horizon: u64) {
+        self.0.on_run_start(state, horizon);
+        self.1.on_run_start(state, horizon);
+    }
     fn on_round_start(&mut self, round: u64) {
         self.0.on_round_start(round);
         self.1.on_round_start(round);
@@ -142,9 +196,17 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
         self.0.on_execute(round, mini, color, count);
         self.1.on_execute(round, mini, color, count);
     }
+    fn on_phase_end(&mut self, round: u64, mini: u32, phase: Phase, state: &PhaseState<'_>) {
+        self.0.on_phase_end(round, mini, phase, state);
+        self.1.on_phase_end(round, mini, phase, state);
+    }
     fn on_round_end(&mut self, round: u64) {
         self.0.on_round_end(round);
         self.1.on_round_end(round);
+    }
+    fn on_run_end(&mut self, outcome: &Outcome) {
+        self.0.on_run_end(outcome);
+        self.1.on_run_end(outcome);
     }
 }
 

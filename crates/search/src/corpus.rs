@@ -82,7 +82,7 @@ impl CorpusEntry {
     }
 }
 
-/// Parse a fixture file.
+/// Parse a fixture file. Every key may appear at most once.
 pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
     let mut schema = None;
     let mut policy = None;
@@ -102,22 +102,25 @@ pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
             .ok_or_else(|| format!("line {}: expected 'key = value', got '{line}'", idx + 1))?;
         let (key, value) = (key.trim(), value.trim());
         let num = || value.parse::<u64>().map_err(|e| format!("bad {key} '{value}': {e}"));
-        match key {
-            "schema" => schema = Some(num()?),
-            "policy" => policy = Some(PolicyKind::parse(value)?),
-            "genome" => genome = Some(parse_genome(value)?),
-            "locations" => locations = Some(num()? as usize),
-            "referee_m" => referee_m = Some(num()? as usize),
-            "cost" => cost = Some(num()?),
-            "base" => base = Some(num()?),
-            "referee" => {
-                referee = Some(match value {
+        let duplicate = match key {
+            "schema" => schema.replace(num()?).is_some(),
+            "policy" => policy.replace(PolicyKind::parse(value)?).is_some(),
+            "genome" => genome.replace(parse_genome(value)?).is_some(),
+            "locations" => locations.replace(num()? as usize).is_some(),
+            "referee_m" => referee_m.replace(num()? as usize).is_some(),
+            "cost" => cost.replace(num()?).is_some(),
+            "base" => base.replace(num()?).is_some(),
+            "referee" => referee
+                .replace(match value {
                     "exact" => Referee::Exact,
                     "lower-bound" => Referee::LowerBound,
                     other => return Err(format!("unknown referee '{other}'")),
                 })
-            }
+                .is_some(),
             other => return Err(format!("unknown key '{other}'")),
+        };
+        if duplicate {
+            return Err(format!("line {}: duplicate key '{key}'", idx + 1));
         }
     }
     let schema = schema.ok_or("missing 'schema'")?;
@@ -177,5 +180,8 @@ mod tests {
         assert!(parse_corpus_entry(&ok.replace("cost = 1\n", "")).is_err());
         assert!(parse_corpus_entry(&ok.replace("referee = exact", "referee = vibes")).is_err());
         assert!(parse_corpus_entry("junk line\n").is_err());
+        let err =
+            parse_corpus_entry(&ok.replace("cost = 1\n", "cost = 5\ncost = 7\n")).unwrap_err();
+        assert!(err.contains("duplicate key 'cost'"), "{err}");
     }
 }

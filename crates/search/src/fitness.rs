@@ -20,8 +20,8 @@
 use std::cmp::Ordering;
 
 use rrs_core::{full_algorithm, ClassicLru, DeltaLru, DeltaLruEdf, Distribute, Edf};
-use rrs_engine::policy::Policy;
 use rrs_engine::sim::Simulator;
+use rrs_engine::Snapshot;
 use rrs_model::Instance;
 use rrs_offline::{
     combined_lower_bound, instance_digest, solve_opt_memoized, OptCache, OptConfig, SolvedEntry,
@@ -77,8 +77,9 @@ impl PolicyKind {
         })
     }
 
-    /// A fresh policy instance.
-    pub fn make(self) -> Box<dyn Policy> {
+    /// A fresh policy instance, checkpointable (a `dyn Snapshot` is a
+    /// `Policy` too).
+    pub fn make(self) -> Box<dyn Snapshot> {
         match self {
             PolicyKind::DeltaLru => Box::new(DeltaLru::new()),
             PolicyKind::Edf => Box::new(Edf::new()),

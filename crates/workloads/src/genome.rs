@@ -23,6 +23,8 @@
 //! adversary-search` output. [`parse_genome`] ∘ [`Genome::encode`] is the
 //! identity on normalized genomes.
 
+use std::num::TryFromIntError;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrs_model::{Instance, InstanceBuilder};
@@ -178,12 +180,13 @@ pub fn parse_genome(text: &str) -> Result<Genome, String> {
         let num = |i: usize, what: &str| -> Result<u64, String> {
             fields[i].parse().map_err(|e| format!("bad {what} in gene '{seg}': {e}"))
         };
+        let wide = |_: TryFromIntError| format!("gene '{seg}' has a field out of range");
         colors.push(ColorGene {
-            bound_exp: num(0, "bound_exp")? as u8,
+            bound_exp: u8::try_from(num(0, "bound_exp")?).map_err(wide)?,
             batch: num(1, "batch")?,
-            period: num(2, "period")? as u16,
-            phase: num(3, "phase")? as u16,
-            bursts: num(4, "bursts")? as u16,
+            period: u16::try_from(num(2, "period")?).map_err(wide)?,
+            phase: u16::try_from(num(3, "phase")?).map_err(wide)?,
+            bursts: u16::try_from(num(4, "bursts")?).map_err(wide)?,
         });
     }
     if colors.len() > MAX_COLORS {
@@ -467,6 +470,10 @@ mod tests {
         assert!(parse_genome("d2|1:nope:1:0:1").is_err());
         // Non-canonical: batch 9 exceeds bound 2^1 = 2.
         assert!(parse_genome("d2|1:9:1:0:1").is_err());
+        // Fields too wide for their gene type, which would otherwise wrap
+        // to the canonical `d3|3:1:1:0:1`.
+        assert!(parse_genome("d3|259:1:1:0:1").is_err());
+        assert!(parse_genome("d3|3:1:65537:0:1").is_err());
         // Too many genes.
         let seg = "|1:1:1:0:1".repeat(MAX_COLORS + 1);
         assert!(parse_genome(&format!("d2{seg}")).is_err());

@@ -43,8 +43,11 @@
 //! `PREFIX-r<round>.snap` at the top of every Nth round, and `checkpoint` /
 //! `resume` suspend a run at an exact round and continue it later — the
 //! resumed trace suffix is byte-identical to the uninterrupted run
-//! (DESIGN.md §11). Under `--features validate` a resumed run is watched by
-//! the shadow model seeded from the snapshot.
+//! (DESIGN.md §11).
+//!
+//! Every run is supervised by `rrs::analysis::supervisor`: under
+//! `--features validate` that is the shadow-model invariant watcher
+//! (DESIGN.md §9), which seeds itself from a resumed run's snapshot state.
 //!
 //! `--trace-out` streams the run as self-describing JSONL (one event per
 //! line, meta header first; schema in `DESIGN.md`); `report` re-derives the
@@ -69,22 +72,6 @@ use rrs::prelude::*;
 // allocation, negligible against `System`'s own work.
 #[global_allocator]
 static GLOBAL: rrs::bench::AllocProbe = rrs::bench::AllocProbe;
-
-/// The binary's single simulation choke point. Under `--features
-/// validate` every run — `run`, traced runs, and the `report` replay
-/// cross-check — is supervised by the shadow-model `InvariantWatcher`
-/// (DESIGN.md §9); otherwise it is a plain traced run.
-fn simulate(sim: &Simulator<'_>, policy: &mut dyn Policy, rec: &mut dyn Recorder) -> Outcome {
-    #[cfg(feature = "validate")]
-    {
-        let mut watcher = rrs::check::InvariantWatcher::new(sim.instance());
-        sim.run_watched(&mut &mut *policy, &mut &mut *rec, &mut Scratch::new(), &mut watcher)
-    }
-    #[cfg(not(feature = "validate"))]
-    {
-        sim.run_traced(&mut &mut *policy, &mut &mut *rec)
-    }
-}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -184,32 +171,10 @@ fn cmd_generate(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn make_policy(name: &str) -> Result<Box<dyn Policy>, String> {
-    Ok(match name {
-        "dlru" => Box::new(DeltaLru::new()),
-        "edf" => Box::new(Edf::new()),
-        "classic-lru" => Box::new(ClassicLru::new()),
-        "dlru-edf" => Box::new(DeltaLruEdf::new()),
-        "distribute" => Box::new(Distribute::new(DeltaLruEdf::new())),
-        "full" => Box::new(full_algorithm()),
-        other => return Err(format!("unknown policy '{other}'")),
-    })
-}
-
-/// Same policies as [`make_policy`], as checkpointable trait objects for
-/// the `checkpoint`/`resume`/`--checkpoint-every`/`--stream` paths. (A
-/// `Box<dyn Snapshot>` cannot be upcast to `Box<dyn Policy>` on this
-/// toolchain, hence the parallel constructor.)
-fn make_snapshot_policy(name: &str) -> Result<Box<dyn Snapshot>, String> {
-    Ok(match name {
-        "dlru" => Box::new(DeltaLru::new()),
-        "edf" => Box::new(Edf::new()),
-        "classic-lru" => Box::new(ClassicLru::new()),
-        "dlru-edf" => Box::new(DeltaLruEdf::new()),
-        "distribute" => Box::new(Distribute::new(DeltaLruEdf::new())),
-        "full" => Box::new(full_algorithm()),
-        other => return Err(format!("unknown policy '{other}'")),
-    })
+/// A fresh policy by CLI name, checkpointable for the
+/// `checkpoint`/`resume`/`--checkpoint-every`/`--stream` paths.
+fn make_policy(name: &str) -> Result<Box<dyn Snapshot>, String> {
+    Ok(rrs::search::PolicyKind::parse(name)?.make())
 }
 
 /// Run a policy by name with a recorder attached, returning the policy's
@@ -217,7 +182,7 @@ fn make_snapshot_policy(name: &str) -> Result<Box<dyn Snapshot>, String> {
 /// policies that don't expose [`AlgoMetrics`]), and its post-run
 /// per-color-state footprint. Every policy is matched concretely:
 /// [`rrs::core::Footprint`] is not object-safe through `Box<dyn Policy>`.
-fn run_traced_with_metrics(
+fn run_by_name(
     policy_name: &str,
     inst: &Instance,
     n: usize,
@@ -318,18 +283,14 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
         let sim = Simulator::new(&inst, n);
         if counters {
             let mut reg = CounterRegistry::new();
-            let (name, out, _, fp) = run_traced_with_metrics(
-                &policy_name,
-                &inst,
-                n,
-                &mut CounterRecorder::new(&mut reg),
-            )?;
+            let (name, out, _, fp) =
+                run_by_name(&policy_name, &inst, n, &mut CounterRecorder::new(&mut reg))?;
             record_footprint(&mut reg, &fp);
             print_run(&name, n, &inst, &out);
             print!("{}", reg.render());
             return Ok(());
         }
-        let out = simulate(&sim, &mut policy.as_mut(), &mut NullRecorder);
+        let out = simulate(&sim, &mut policy, &mut NullRecorder);
         print_run(policy.name(), n, &inst, &out);
         return Ok(());
     }
@@ -348,10 +309,10 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
                 // Counters records are opt-in: appending them to every
                 // trace would break byte-pinned golden fixtures.
                 let mut tee = (CounterRecorder::new(&mut reg), (&mut trace, &mut sink));
-                run_traced_with_metrics(&policy_name, &inst, n, &mut tee)?
+                run_by_name(&policy_name, &inst, n, &mut tee)?
             } else {
                 let mut tee = (&mut trace, &mut sink);
-                run_traced_with_metrics(&policy_name, &inst, n, &mut tee)?
+                run_by_name(&policy_name, &inst, n, &mut tee)?
             };
             if counters {
                 record_footprint(&mut reg, &result.3);
@@ -363,9 +324,9 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
         }
         None if counters => {
             let mut tee = (CounterRecorder::new(&mut reg), &mut trace);
-            run_traced_with_metrics(&policy_name, &inst, n, &mut tee)?
+            run_by_name(&policy_name, &inst, n, &mut tee)?
         }
-        None => run_traced_with_metrics(&policy_name, &inst, n, &mut trace)?,
+        None => run_by_name(&policy_name, &inst, n, &mut trace)?,
     };
     if counters && trace_out.is_none() {
         record_footprint(&mut reg, &fp);
@@ -393,8 +354,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
 /// A `run` with streaming ingestion and/or periodic checkpointing. The
 /// streamed path never materializes the instance (so the summary omits the
 /// lower bound, which needs the whole request sequence) — except under
-/// `--features validate`, where the shadow watcher inspects arrivals
-/// against the full instance by design.
+/// `--features validate`, see [`stream_from`].
 fn run_session(
     policy_name: &str,
     path: &str,
@@ -404,7 +364,7 @@ fn run_session(
     prefix: &str,
     trace_out: Option<&str>,
 ) -> Result<(), String> {
-    let mut policy = make_snapshot_policy(policy_name)?;
+    let mut policy = make_policy(policy_name)?;
     let display_name = policy.name().to_string();
     let mut sink_err: Option<String> = None;
     let mut emit = |round: u64, bytes: &[u8]| {
@@ -420,46 +380,19 @@ fn run_session(
     };
 
     let out = if stream {
-        #[cfg(feature = "validate")]
-        {
-            // The shadow watcher cross-checks arrivals against the full
-            // instance; validate builds trade the streaming footprint for
-            // that check.
-            let inst = load(path)?;
-            let mut watcher = rrs::check::InvariantWatcher::new(&inst);
-            let mut source = MaterializedSource::new(&inst);
+        let opts =
+            StreamOptions { n_locations: n, speed: 1, plan: plan.clone(), ..Default::default() };
+        stream_from(path, |source, supervisor| {
             drive_stream(
-                &mut source,
+                source,
                 policy.as_mut(),
                 &display_name,
-                inst.delta,
-                n,
-                plan,
-                &mut watcher,
+                supervisor,
+                opts,
                 &mut emit,
                 trace_out,
-                None,
-            )?
-        }
-        #[cfg(not(feature = "validate"))]
-        {
-            let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            let mut source = TextStream::new(std::io::BufReader::new(file))
-                .map_err(|e| format!("parse {path}: {e}"))?;
-            let delta = source.delta();
-            drive_stream(
-                &mut source,
-                policy.as_mut(),
-                &display_name,
-                delta,
-                n,
-                plan,
-                &mut NoWatcher,
-                &mut emit,
-                trace_out,
-                None,
-            )?
-        }
+            )
+        })?
     } else {
         let inst = load(path)?;
         let sim = Simulator::new(&inst, n);
@@ -474,14 +407,13 @@ fn run_session(
                     speed: 1,
                 };
                 let mut sink = JsonlSink::with_meta(BufWriter::new(file), &meta);
-                let out = simulate_checkpointed(&sim, policy.as_mut(), &mut sink, plan, &mut emit);
+                let mut rec = (&mut sink, supervisor(&inst));
+                let out = sim.run_checkpointed(policy.as_mut(), &mut rec, plan, &mut emit);
                 sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
                 eprintln!("wrote trace to {tpath}");
                 out
             }
-            None => {
-                simulate_checkpointed(&sim, policy.as_mut(), &mut NullRecorder, plan, &mut emit)
-            }
+            None => sim.run_checkpointed(policy.as_mut(), &mut supervisor(&inst), plan, &mut emit),
         };
         if let Some(e) = sink_err {
             return Err(e);
@@ -509,40 +441,56 @@ fn print_stream_summary(display_name: &str, n: usize, out: &Outcome) {
     println!("total cost:  {}", out.total_cost());
 }
 
-/// Drive a streaming session over any [`InstanceSource`], optionally
-/// recording the trace to JSONL.
-#[allow(clippy::too_many_arguments)]
-fn drive_stream<Src: InstanceSource, W: Watcher>(
-    source: &mut Src,
+/// Run `drive` over the instance at `path` and the run's supervisor. The
+/// text is read incrementally, so memory stays bounded by the live state —
+/// except under `--features validate`, where the instance is materialized
+/// because the supervisor checks every round's arrivals against it.
+fn stream_from<T>(
+    path: &str,
+    drive: impl FnOnce(&mut dyn InstanceSource, &mut dyn Recorder) -> Result<T, String>,
+) -> Result<T, String> {
+    #[cfg(feature = "validate")]
+    {
+        let inst = load(path)?;
+        let (mut source, mut supervisor) = (MaterializedSource::new(&inst), supervisor(&inst));
+        drive(&mut source, &mut supervisor)
+    }
+    #[cfg(not(feature = "validate"))]
+    {
+        let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+        let mut source = TextStream::new(std::io::BufReader::new(file))
+            .map_err(|e| format!("parse {path}: {e}"))?;
+        drive(&mut source, &mut NullRecorder)
+    }
+}
+
+/// Drive a streaming session, optionally recording the trace to JSONL.
+fn drive_stream(
+    source: &mut dyn InstanceSource,
     policy: &mut dyn Snapshot,
     display_name: &str,
-    delta: u64,
-    n: usize,
-    plan: &CheckpointPolicy,
-    watcher: &mut W,
+    supervisor: &mut dyn Recorder,
+    opts: StreamOptions<'_>,
     emit: &mut dyn FnMut(u64, &[u8]),
     trace_out: Option<&str>,
-    resume_from: Option<&[u8]>,
 ) -> Result<Outcome, String> {
-    let opts = StreamOptions {
-        n_locations: n,
-        speed: 1,
-        resume_from,
-        plan: plan.clone(),
-        stop_before: None,
-    };
+    let scratch = &mut Scratch::new();
     match trace_out {
         Some(tpath) => {
             let file = std::fs::File::create(tpath).map_err(|e| format!("create {tpath}: {e}"))?;
-            let meta =
-                TraceMeta { policy: display_name.to_string(), delta, locations: n, speed: 1 };
+            let meta = TraceMeta {
+                policy: display_name.to_string(),
+                delta: source.delta(),
+                locations: opts.n_locations,
+                speed: opts.speed,
+            };
             let mut sink = JsonlSink::with_meta(BufWriter::new(file), &meta);
             let result = run_stream_session(
                 source,
-                &mut &mut *policy,
+                policy,
                 &mut sink,
-                &mut Scratch::new(),
-                watcher,
+                scratch,
+                supervisor,
                 opts,
                 Some(emit),
             )
@@ -553,50 +501,15 @@ fn drive_stream<Src: InstanceSource, W: Watcher>(
         }
         None => run_stream_session(
             source,
-            &mut &mut *policy,
+            policy,
             &mut NullRecorder,
-            &mut Scratch::new(),
-            watcher,
+            scratch,
+            supervisor,
             opts,
             Some(emit),
         )
         .map(SessionResult::into_outcome)
         .map_err(|e| e.to_string()),
-    }
-}
-
-/// [`Simulator::run_checkpointed`] behind the same validate gate as
-/// [`simulate`]: under `--features validate` the run is supervised by the
-/// shadow-model watcher.
-fn simulate_checkpointed(
-    sim: &Simulator<'_>,
-    policy: &mut dyn Snapshot,
-    rec: &mut dyn Recorder,
-    plan: &CheckpointPolicy,
-    emit: &mut dyn FnMut(u64, &[u8]),
-) -> Outcome {
-    #[cfg(feature = "validate")]
-    {
-        let mut watcher = rrs::check::InvariantWatcher::new(sim.instance());
-        sim.run_checkpointed(
-            &mut &mut *policy,
-            &mut &mut *rec,
-            &mut Scratch::new(),
-            &mut watcher,
-            plan,
-            emit,
-        )
-    }
-    #[cfg(not(feature = "validate"))]
-    {
-        sim.run_checkpointed(
-            &mut &mut *policy,
-            &mut &mut *rec,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            plan,
-            emit,
-        )
     }
 }
 
@@ -612,31 +525,9 @@ fn cmd_checkpoint(mut args: Vec<String>) -> Result<(), String> {
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
     let inst = load(&path)?;
-    let mut policy = make_snapshot_policy(&policy_name)?;
+    let mut policy = make_policy(&policy_name)?;
     let sim = Simulator::new(&inst, n);
-    let result = {
-        #[cfg(feature = "validate")]
-        {
-            let mut watcher = rrs::check::InvariantWatcher::new(&inst);
-            sim.checkpoint(
-                policy.as_mut(),
-                &mut NullRecorder,
-                &mut Scratch::new(),
-                &mut watcher,
-                at,
-            )
-        }
-        #[cfg(not(feature = "validate"))]
-        {
-            sim.checkpoint(
-                policy.as_mut(),
-                &mut NullRecorder,
-                &mut Scratch::new(),
-                &mut NoWatcher,
-                at,
-            )
-        }
-    };
+    let result = sim.checkpoint(policy.as_mut(), &mut supervisor(&inst), at);
     match result {
         SessionResult::Suspended { round, snapshot } => {
             let out_path = out_path.unwrap_or_else(|| format!("{path}.r{round}.snap"));
@@ -668,7 +559,7 @@ fn cmd_resume(mut args: Vec<String>) -> Result<(), String> {
         return resume_stream(&policy_name, &path, n, &snapshot, trace_out.as_deref());
     }
     let inst = load(&path)?;
-    let mut policy = make_snapshot_policy(&policy_name)?;
+    let mut policy = make_policy(&policy_name)?;
     let sim = Simulator::new(&inst, n);
     let out = match &trace_out {
         Some(tpath) => {
@@ -680,40 +571,19 @@ fn cmd_resume(mut args: Vec<String>) -> Result<(), String> {
                 speed: 1,
             };
             let mut sink = JsonlSink::with_meta(BufWriter::new(file), &meta);
-            let out = resume_watched(&sim, policy.as_mut(), &mut sink, &inst, &snapshot)?;
+            let out = sim
+                .resume(policy.as_mut(), &mut (&mut sink, supervisor(&inst)), &snapshot)
+                .map_err(|e| format!("snapshot: {e}"))?;
             sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
             eprintln!("wrote trace to {tpath}");
             out
         }
-        None => resume_watched(&sim, policy.as_mut(), &mut NullRecorder, &inst, &snapshot)?,
+        None => sim
+            .resume(policy.as_mut(), &mut supervisor(&inst), &snapshot)
+            .map_err(|e| format!("snapshot: {e}"))?,
     };
     print_run(policy.name(), n, &inst, &out);
     Ok(())
-}
-
-/// [`Simulator::resume`] behind the validate gate; the watcher's shadow is
-/// seeded from the snapshot so the stitched run passes the same checks as
-/// an uninterrupted one.
-fn resume_watched(
-    sim: &Simulator<'_>,
-    policy: &mut dyn Snapshot,
-    rec: &mut dyn Recorder,
-    inst: &Instance,
-    snapshot: &[u8],
-) -> Result<Outcome, String> {
-    #[cfg(feature = "validate")]
-    {
-        let file = SnapshotFile::parse(snapshot).map_err(|e| format!("snapshot: {e}"))?;
-        let mut watcher = rrs::check::InvariantWatcher::resume_from(inst, &file.state);
-        sim.resume(&mut &mut *policy, &mut &mut *rec, &mut Scratch::new(), &mut watcher, snapshot)
-            .map_err(|e| format!("snapshot: {e}"))
-    }
-    #[cfg(not(feature = "validate"))]
-    {
-        let _ = inst;
-        sim.resume(&mut &mut *policy, &mut &mut *rec, &mut Scratch::new(), &mut NoWatcher, snapshot)
-            .map_err(|e| format!("snapshot: {e}"))
-    }
 }
 
 /// `resume --stream`: continue a run from a snapshot through the streaming
@@ -728,49 +598,25 @@ fn resume_stream(
     snapshot: &[u8],
     trace_out: Option<&str>,
 ) -> Result<(), String> {
-    let mut policy = make_snapshot_policy(policy_name)?;
+    let mut policy = make_policy(policy_name)?;
     let display_name = policy.name().to_string();
-    let mut emit = |_round: u64, _bytes: &[u8]| {};
-    let out = {
-        #[cfg(feature = "validate")]
-        {
-            let inst = load(path)?;
-            let file = SnapshotFile::parse(snapshot).map_err(|e| format!("snapshot: {e}"))?;
-            let mut watcher = rrs::check::InvariantWatcher::resume_from(&inst, &file.state);
-            let mut source = MaterializedSource::new(&inst);
-            drive_stream(
-                &mut source,
-                policy.as_mut(),
-                &display_name,
-                inst.delta,
-                n,
-                &CheckpointPolicy::Never,
-                &mut watcher,
-                &mut emit,
-                trace_out,
-                Some(snapshot),
-            )?
-        }
-        #[cfg(not(feature = "validate"))]
-        {
-            let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            let mut source = TextStream::new(std::io::BufReader::new(file))
-                .map_err(|e| format!("parse {path}: {e}"))?;
-            let delta = source.delta();
-            drive_stream(
-                &mut source,
-                policy.as_mut(),
-                &display_name,
-                delta,
-                n,
-                &CheckpointPolicy::Never,
-                &mut NoWatcher,
-                &mut emit,
-                trace_out,
-                Some(snapshot),
-            )?
-        }
+    let opts = StreamOptions {
+        n_locations: n,
+        speed: 1,
+        resume_from: Some(snapshot),
+        ..Default::default()
     };
+    let out = stream_from(path, |source, supervisor| {
+        drive_stream(
+            source,
+            policy.as_mut(),
+            &display_name,
+            supervisor,
+            opts,
+            &mut |_, _| {},
+            trace_out,
+        )
+    })?;
     print_stream_summary(&display_name, n, &out);
     Ok(())
 }
@@ -917,7 +763,7 @@ fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
     let mut timer = PhaseTimer::new();
     let (name, out, metrics, _fp) = {
         let mut tee = (&mut timer, &mut trace);
-        run_traced_with_metrics(policy_name, &inst, n, &mut tee)?
+        run_by_name(policy_name, &inst, n, &mut tee)?
     };
     println!("policy:      {name}");
     println!("locations:   {n}");

@@ -50,8 +50,6 @@
 
 pub use rrs_analysis as analysis;
 pub use rrs_bench as bench;
-#[cfg(feature = "validate")]
-pub use rrs_check as check;
 pub use rrs_core as core;
 pub use rrs_engine as engine;
 pub use rrs_model as model;

@@ -1,13 +1,14 @@
 //! Memory discipline of the round loop (DESIGN.md §8).
 //!
 //! The counting global allocator — shared with `tests/stream_stress.rs`
-//! and the `rrs bench` harness via `rrs_bench::alloc_probe` — measures
-//! heap allocations per simulated round. After a warm-up prefix (buffers
-//! growing to their high-water marks, colors becoming eligible), a
-//! steady-state round must perform **zero** allocations for ΔLRU-EDF at
-//! speed 1, and only boundedly many for the full reduction stack
-//! `VarBatch<Distribute<ΔLRU-EDF>>` (whose virtual universe may still grow
-//! while batches are being split).
+//! and the `rrs bench` harness via `rrs_bench::alloc_probe`, as are the
+//! per-round recorder and the batched workload (`rrs_bench::alloc_fixtures`)
+//! — measures heap allocations per simulated round. After a warm-up
+//! prefix (buffers growing to their high-water marks, colors becoming
+//! eligible), a steady-state round must perform **zero** allocations for
+//! ΔLRU-EDF at speed 1, and only boundedly many for the full reduction
+//! stack `VarBatch<Distribute<ΔLRU-EDF>>` (whose virtual universe may
+//! still grow while batches are being split).
 //!
 //! Everything lives in ONE test function. Allocator calls are counted per
 //! thread, so the per-round deltas are immune to sibling tests, but the
@@ -15,59 +16,11 @@
 //! tests in the same binary would inflate.
 
 use rrs::prelude::*;
+use rrs_bench::alloc_fixtures::{batched_instance, RoundAllocs};
 use rrs_bench::alloc_probe;
 
 #[global_allocator]
 static GLOBAL: rrs_bench::AllocProbe = rrs_bench::AllocProbe;
-
-/// Recorder measuring allocator calls per round. All storage is
-/// preallocated so the probe itself never allocates mid-run.
-struct RoundAllocs {
-    per_round: Vec<(u64, u64)>,
-    at_round_start: u64,
-}
-
-impl RoundAllocs {
-    fn with_capacity(rounds: usize) -> Self {
-        Self { per_round: Vec::with_capacity(rounds + 16), at_round_start: 0 }
-    }
-}
-
-impl Recorder for RoundAllocs {
-    fn on_round_start(&mut self, _round: u64) {
-        self.at_round_start = alloc_probe::alloc_calls();
-    }
-
-    fn on_round_end(&mut self, round: u64) {
-        let now = alloc_probe::alloc_calls();
-        assert!(self.per_round.len() < self.per_round.capacity(), "probe undersized");
-        self.per_round.push((round, now - self.at_round_start));
-    }
-}
-
-/// A batched `[Δ|1|D_ℓ|D_ℓ]` workload: five colors over three bounds with
-/// periodic batches, long enough to reach a steady state.
-fn batched_instance(blocks: u64) -> rrs_model::Instance {
-    let mut b = rrs_model::InstanceBuilder::new(3);
-    let c2a = b.color(2);
-    let c2b = b.color(2);
-    let c4a = b.color(4);
-    let c4b = b.color(4);
-    let c8 = b.color(8);
-    for blk in 0..blocks {
-        b.arrive(blk * 2, c2a, 2);
-        if blk % 2 == 0 {
-            b.arrive(blk * 2, c2b, 1);
-        }
-    }
-    for blk in 0..blocks / 2 {
-        b.arrive(blk * 4, c4a, 4).arrive(blk * 4, c4b, 3);
-    }
-    for blk in 0..blocks / 4 {
-        b.arrive(blk * 8, c8, 8);
-    }
-    b.build()
-}
 
 /// A general (off-boundary, oversized-batch) workload for the reduction
 /// stack.
@@ -91,8 +44,7 @@ fn general_instance(rounds: u64) -> rrs_model::Instance {
 fn run_with_probe<P: Policy>(inst: &rrs_model::Instance, n: usize, policy: &mut P) -> RoundAllocs {
     let sim = Simulator::new(inst, n);
     let mut probe = RoundAllocs::with_capacity(inst.horizon() as usize + 1);
-    let mut scratch = Scratch::new();
-    sim.run_traced_with(policy, &mut probe, &mut scratch);
+    sim.run_traced(policy, &mut probe);
     probe
 }
 

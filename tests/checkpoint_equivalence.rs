@@ -2,9 +2,9 @@
 //! round and resumed from its snapshot must re-emit the exact trace suffix
 //! and finish with the exact `Outcome` of the uninterrupted run — for every
 //! policy, both reductions, and the full stack, on adversarial, bursty and
-//! random workloads. Under `--features validate` the resumed half is
-//! additionally supervised by the shadow-model watcher seeded from the
-//! snapshot.
+//! random workloads. Under `--features validate` both halves are
+//! additionally supervised by the shadow-model watcher, which the resumed
+//! half seeds from the snapshot state.
 
 use proptest::prelude::*;
 use rrs::prelude::*;
@@ -52,21 +52,12 @@ fn assert_resume_equivalent(
 
     let mut prefix = TraceRecorder::new();
     let mut p = make();
-    let snapshot =
-        sim.checkpoint(&mut p, &mut prefix, &mut Scratch::new(), &mut NoWatcher, k).into_snapshot();
+    let snapshot = sim.checkpoint(&mut p, &mut (&mut prefix, supervisor(inst)), k).into_snapshot();
 
     let mut suffix = TraceRecorder::new();
     let mut q = make();
-    #[cfg(feature = "validate")]
-    let out = {
-        let file = SnapshotFile::parse(&snapshot).expect("parse own snapshot");
-        let mut w = rrs::check::InvariantWatcher::resume_from(inst, &file.state);
-        sim.resume(&mut q, &mut suffix, &mut Scratch::new(), &mut w, &snapshot)
-            .expect("resume own snapshot")
-    };
-    #[cfg(not(feature = "validate"))]
     let out = sim
-        .resume(&mut q, &mut suffix, &mut Scratch::new(), &mut NoWatcher, &snapshot)
+        .resume(&mut q, &mut (&mut suffix, supervisor(inst)), &snapshot)
         .expect("resume own snapshot");
 
     assert_eq!(out, want_out, "{name}: outcome diverged after resume at round {k}");
@@ -150,24 +141,8 @@ fn resume_composes_with_speed() {
         (Simulator::new(&inst, 8).with_speed(2).run_traced(&mut p, &mut rec), rec)
     };
     let sim = Simulator::new(&inst, 8).with_speed(2);
-    let snap = sim
-        .checkpoint(
-            &mut full_algorithm(),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            5,
-        )
-        .into_snapshot();
-    let out = sim
-        .resume(
-            &mut full_algorithm(),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            &snap,
-        )
-        .unwrap();
+    let snap = sim.checkpoint(&mut full_algorithm(), &mut NullRecorder, 5).into_snapshot();
+    let out = sim.resume(&mut full_algorithm(), &mut NullRecorder, &snap).unwrap();
     assert_eq!(out, want);
 }
 
@@ -181,8 +156,6 @@ fn checkpoint_every_n_snapshots_all_resume_identically() {
     let out = sim.run_checkpointed(
         &mut full_algorithm(),
         &mut NullRecorder,
-        &mut Scratch::new(),
-        &mut NoWatcher,
         &CheckpointPolicy::EveryN(3),
         &mut sink,
     );
@@ -191,13 +164,7 @@ fn checkpoint_every_n_snapshots_all_resume_identically() {
     for (round, snap) in snaps {
         assert!(round % 3 == 0 && round > 0);
         let resumed = sim
-            .resume(
-                &mut full_algorithm(),
-                &mut NullRecorder,
-                &mut Scratch::new(),
-                &mut NoWatcher,
-                &snap,
-            )
+            .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
             .unwrap_or_else(|e| panic!("resume r{round}: {e}"));
         assert_eq!(resumed, want, "snapshot at round {round} resumed differently");
     }
@@ -218,7 +185,7 @@ fn streamed_session_matches_materialized_run() {
         &mut full_algorithm(),
         &mut rec,
         &mut Scratch::new(),
-        &mut NoWatcher,
+        &mut supervisor(&inst),
         StreamOptions { n_locations: 8, speed: 1, ..Default::default() },
         None,
     )
@@ -236,7 +203,7 @@ fn streamed_session_matches_materialized_run() {
         &mut full_algorithm(),
         &mut prefix,
         &mut Scratch::new(),
-        &mut NoWatcher,
+        &mut supervisor(&inst),
         StreamOptions { n_locations: 8, speed: 1, stop_before: Some(6), ..Default::default() },
         None,
     )
@@ -249,7 +216,7 @@ fn streamed_session_matches_materialized_run() {
         &mut full_algorithm(),
         &mut suffix,
         &mut Scratch::new(),
-        &mut NoWatcher,
+        &mut supervisor(&inst),
         StreamOptions { n_locations: 8, speed: 1, resume_from: Some(&snap), ..Default::default() },
         None,
     )

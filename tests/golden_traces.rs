@@ -31,17 +31,10 @@ fn check_trace_fixture(instance_file: &str, mut policy: Box<dyn Policy>, trace_f
     let meta =
         TraceMeta { policy: policy.name().to_string(), delta: inst.delta, locations: n, speed: 1 };
     let mut sink = JsonlSink::with_meta(Vec::new(), &meta);
-    let sim = Simulator::new(&inst, n);
-    // Under `--features validate` the same run is supervised by the
-    // shadow-model invariant watcher; it only observes, so the emitted
-    // bytes are identical either way.
-    #[cfg(feature = "validate")]
-    let out = {
-        let mut watcher = rrs::check::InvariantWatcher::new(&inst);
-        sim.run_watched(&mut policy, &mut sink, &mut Scratch::new(), &mut watcher)
-    };
-    #[cfg(not(feature = "validate"))]
-    let out = sim.run_traced(&mut policy, &mut sink);
+    // `simulate` tees in the run's supervisor, which under `--features
+    // validate` is the shadow-model invariant watcher; it only observes, so
+    // the emitted bytes are identical either way.
+    let out = simulate(&Simulator::new(&inst, n), &mut policy, &mut sink);
     let bytes = sink.finish().expect("Vec<u8> sink cannot fail");
 
     let path = fixture_path(trace_file);

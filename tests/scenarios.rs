@@ -80,21 +80,14 @@ fn scenarios_conserve_arrivals_through_the_simulator() {
     }
 }
 
-/// Under `--features validate`, run each scenario supervised by the
-/// shadow-model invariant watcher: any bookkeeping violation panics.
-/// Without the feature this still exercises the plain runs.
+/// Run each scenario through `simulate`, whose supervisor under
+/// `--features validate` is the shadow-model invariant watcher: any
+/// bookkeeping violation panics. Without the feature this still exercises
+/// the plain runs.
 #[test]
 fn scenarios_run_cleanly_under_the_invariant_watcher() {
     for (name, inst) in scenario_instances() {
-        let sim = Simulator::new(&inst, 8);
-        let mut policy = DeltaLruEdf::new();
-        #[cfg(feature = "validate")]
-        let out = {
-            let mut watcher = rrs::check::InvariantWatcher::new(&inst);
-            sim.run_watched(&mut policy, &mut NullRecorder, &mut Scratch::new(), &mut watcher)
-        };
-        #[cfg(not(feature = "validate"))]
-        let out = sim.run(&mut policy);
+        let out = simulate_plain(&Simulator::new(&inst, 8), &mut DeltaLruEdf::new());
         assert!(out.conserved(), "{name}");
     }
 }

@@ -26,13 +26,7 @@ fn golden_instance() -> Instance {
 
 fn golden_snapshot() -> Vec<u8> {
     Simulator::new(&golden_instance(), 8)
-        .checkpoint(
-            &mut full_algorithm(),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            8,
-        )
+        .checkpoint(&mut full_algorithm(), &mut NullRecorder, 8)
         .into_snapshot()
 }
 
@@ -77,13 +71,7 @@ fn golden_fixture_resumes_the_golden_run() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2.snap");
     let snap = std::fs::read(fixture).unwrap();
     let out = Simulator::new(&inst, 8)
-        .resume(
-            &mut full_algorithm(),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            &snap,
-        )
+        .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
         .expect("committed fixture must stay loadable");
     assert_eq!(out, want);
 }
@@ -184,26 +172,14 @@ fn resume_on_wrong_configuration_is_rejected() {
     let snap = golden_snapshot();
     // Wrong location count.
     let err = Simulator::new(&inst, 4)
-        .resume(
-            &mut full_algorithm(),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            &snap,
-        )
+        .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
         .unwrap_err()
         .to_string();
     assert!(err.contains("locations"), "{err}");
     // Wrong speed.
     let err = Simulator::new(&inst, 8)
         .with_speed(2)
-        .resume(
-            &mut full_algorithm(),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            &snap,
-        )
+        .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
         .unwrap_err()
         .to_string();
     assert!(err.contains("speed"), "{err}");
@@ -239,8 +215,6 @@ proptest! {
             .checkpoint(
                 &mut full_algorithm(),
                 &mut NullRecorder,
-                &mut Scratch::new(),
-                &mut NoWatcher,
                 k,
             )
             .into_snapshot();
@@ -264,8 +238,6 @@ proptest! {
             .checkpoint(
                 &mut full_algorithm(),
                 &mut NullRecorder,
-                &mut Scratch::new(),
-                &mut NoWatcher,
                 k,
             )
             .into_snapshot();

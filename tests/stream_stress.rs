@@ -104,13 +104,12 @@ fn soak(rounds: u64, every: u64, max_live_bytes: u64) {
         &mut policy,
         &mut NullRecorder,
         &mut scratch,
-        &mut NoWatcher,
+        &mut NullRecorder,
         StreamOptions {
             n_locations: 8,
             speed: 1,
-            resume_from: None,
             plan: CheckpointPolicy::EveryN(every),
-            stop_before: None,
+            ..Default::default()
         },
         Some(&mut sink),
     )
@@ -195,11 +194,9 @@ fn zipf_soak(num_colors: usize, rounds: u64, max_live_bytes: u64) {
     let mut scratch = Scratch::new();
     // Under `--features validate` the soak is supervised by the invariant
     // watcher (its paged shadow is part of the measured heap); otherwise
-    // the run is bare, like the long-horizon soak.
-    #[cfg(feature = "validate")]
-    let mut watcher = rrs::check::InvariantWatcher::new(&inst);
-    #[cfg(not(feature = "validate"))]
-    let mut watcher = NoWatcher;
+    // the supervisor is a no-op and the run is bare, like the long-horizon
+    // soak.
+    let mut watcher = supervisor(&inst);
 
     let mut snapshots = 0u64;
     let mut sink = |_round: u64, _bytes: &[u8]| snapshots += 1;
@@ -214,9 +211,8 @@ fn zipf_soak(num_colors: usize, rounds: u64, max_live_bytes: u64) {
         StreamOptions {
             n_locations: 8,
             speed: 1,
-            resume_from: None,
             plan: CheckpointPolicy::EveryN(rounds / 4),
-            stop_before: None,
+            ..Default::default()
         },
         Some(&mut sink),
     )

@@ -42,23 +42,11 @@ fn dlru_edf_ratio_bound_survives_checkpoint_stitching() {
 
         let k = (inst.horizon() / 2).max(1);
         let snap = Simulator::new(&inst, 8)
-            .checkpoint(
-                &mut DeltaLruEdf::new(),
-                &mut NullRecorder,
-                &mut Scratch::new(),
-                &mut NoWatcher,
-                k,
-            )
+            .checkpoint(&mut DeltaLruEdf::new(), &mut NullRecorder, k)
             .into_snapshot();
         let mut resumed_policy = DeltaLruEdf::new();
         let stitched = Simulator::new(&inst, 8)
-            .resume(
-                &mut resumed_policy,
-                &mut NullRecorder,
-                &mut Scratch::new(),
-                &mut NoWatcher,
-                &snap,
-            )
+            .resume(&mut resumed_policy, &mut NullRecorder, &snap)
             .expect("seed-generated snapshot must resume");
         assert_eq!(stitched, whole, "seed {seed}: stitched run diverged at k={k}");
 
@@ -82,18 +70,11 @@ fn opt_never_exceeds_checkpoint_stitched_runs() {
         let opt4 = solve_opt(&inst, 4, OptConfig::default()).expect("small instance").cost;
         for k in [1, inst.horizon() / 3 + 1, inst.horizon()] {
             let snap = Simulator::new(&inst, 4)
-                .checkpoint(
-                    &mut DeltaLruEdf::new(),
-                    &mut NullRecorder,
-                    &mut Scratch::new(),
-                    &mut NoWatcher,
-                    k,
-                )
+                .checkpoint(&mut DeltaLruEdf::new(), &mut NullRecorder, k)
                 .into_snapshot();
             let mut p = DeltaLruEdf::new();
-            let out = Simulator::new(&inst, 4)
-                .resume(&mut p, &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
-                .expect("resume");
+            let out =
+                Simulator::new(&inst, 4).resume(&mut p, &mut NullRecorder, &snap).expect("resume");
             assert!(
                 opt4 <= out.total_cost(),
                 "seed {seed} k {k}: OPT(4)={opt4} > stitched online {}",
