@@ -97,6 +97,10 @@ pub struct ColorBook {
     states: ColorMap<ColorState>,
     /// Colors whose state has materialized (ever received an arrival).
     touched: ColorSet,
+    /// The colors whose `eligible` flag is set: a derived index, updated
+    /// where eligibility flips (a wrap, a retirement, a load) and kept out
+    /// of snapshots and [`ColorBook::footprint`].
+    eligible: ColorSet,
     /// Number of colors known from the color table (the dense id range),
     /// whether or not they ever materialized.
     synced: usize,
@@ -127,6 +131,7 @@ impl ColorBook {
             delta,
             states: ColorMap::new(),
             touched: ColorSet::new(),
+            eligible: ColorSet::new(),
             synced: 0,
             by_bound: Vec::new(),
             super_epoch_threshold: None,
@@ -192,11 +197,10 @@ impl ColorBook {
         self.states.get(c).is_some_and(|s| s.eligible)
     }
 
-    /// Iterate over all eligible colors in consistent order. Only
-    /// materialized colors can be eligible, so walking the touched set
-    /// suffices (and costs O(touched), not O(universe)).
+    /// Iterate over all eligible colors in consistent order, at a cost
+    /// proportional to the eligible colors, not the touched ones.
     pub fn eligible_colors(&self) -> impl Iterator<Item = ColorId> + '_ {
-        self.touched.iter().filter(|&c| self.states[c].eligible)
+        self.eligible.iter()
     }
 
     /// Learn about new colors from a (possibly grown) color table. Only
@@ -267,6 +271,7 @@ impl ColorBook {
                 }
                 if s.eligible && !in_cache(c) {
                     s.eligible = false;
+                    self.eligible.remove(c);
                     s.cnt = 0;
                     if s.epoch_active {
                         s.epoch_active = false;
@@ -321,6 +326,7 @@ impl ColorBook {
                     self.metrics.counter_wraps += 1;
                     if !s.eligible {
                         s.eligible = true;
+                        self.eligible.insert(c);
                     }
                 }
             }
@@ -331,9 +337,9 @@ impl ColorBook {
     ///
     /// Δ and the super-epoch threshold are configuration, not state: they
     /// are written only so [`ColorBook::load_state`] can verify the resumed
-    /// book was constructed identically. `by_bound` is derived from the
-    /// states and rebuilt on load; the `ts_updates` scratch buffer is dead
-    /// between rounds and excluded.
+    /// book was constructed identically. `by_bound` and `eligible` are
+    /// derived from the states and rebuilt on load; the `ts_updates`
+    /// scratch buffer is dead between rounds and excluded.
     ///
     /// Layout: synced color count, then a sparse section (`get_sparse`)
     /// listing each touched color in ascending id order with its seven
@@ -368,6 +374,7 @@ impl ColorBook {
     /// Restore the book's mutable state from a checkpoint, mirroring
     /// [`ColorBook::save_state`]. The book must have been constructed with
     /// the same Δ and super-epoch threshold as the checkpointing run.
+    /// The epoch count must match the colors with an epoch in progress.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let delta = r.get_u64("book delta")?;
         if delta != self.delta {
@@ -391,7 +398,9 @@ impl ColorBook {
         self.states.grow_to(n);
         self.synced = n;
         self.touched = ColorSet::new();
+        self.eligible = ColorSet::new();
         self.by_bound.clear();
+        let mut epochs_in_progress = 0u64;
         get_sparse(r, synced, "book states", |r, c| {
             let delay_bound = r.get_u64("color delay bound")?;
             if delay_bound == 0 {
@@ -404,6 +413,10 @@ impl ColorBook {
             let last_wrap = get_opt_u64(r, "color last wrap")?;
             let epoch_active = get_bool(r, "color epoch flag")?;
             self.touched.insert(c);
+            if eligible {
+                self.eligible.insert(c);
+            }
+            epochs_in_progress += u64::from(epoch_active);
             self.materialize(c, delay_bound);
             *self.states.entry(c) =
                 ColorState { delay_bound, cnt, deadline, eligible, ts, last_wrap, epoch_active };
@@ -419,6 +432,12 @@ impl ColorBook {
             ineligible_drops: r.get_u64("ineligible drops")?,
             super_epochs: r.get_u64("super epochs")?,
         };
+        if self.metrics.active_epochs != epochs_in_progress {
+            return Err(SnapError::Invalid(format!(
+                "book counts {} active epochs but {epochs_in_progress} colors have one in progress",
+                self.metrics.active_epochs
+            )));
+        }
         self.ts_updates.clear();
         Ok(())
     }
@@ -608,6 +627,67 @@ mod tests {
     #[should_panic(expected = ">= 1")]
     fn zero_delta_rejected() {
         ColorBook::new(0);
+    }
+
+    #[test]
+    fn load_rebuilds_the_eligible_index_from_the_flags() {
+        let colors = ColorTable::from_bounds(&[2, 2, 4, 2]);
+        let c = ColorId;
+        let mut book = ColorBook::new(2);
+        // Colors 0, 2 and 3 wrap; 1 stays below Δ. At round 2 the uncached
+        // color 3 retires, and color 2 (bound 4) is not at a boundary.
+        step(&mut book, &colors, 0, &[(c(0), 2), (c(1), 1), (c(2), 3), (c(3), 2)], &[], &[]);
+        step(&mut book, &colors, 2, &[], &[], &[c(0)]);
+        let mut w = SnapWriter::new();
+        book.save_state(&mut w);
+        let bytes = w.finish();
+        let mut restored = ColorBook::new(2);
+        restored.load_state(&mut SnapReader::new(&bytes).unwrap()).unwrap();
+        let flagged: Vec<ColorId> = (0..4).map(c).filter(|&x| restored.state(x).eligible).collect();
+        assert_eq!(flagged, vec![c(0), c(2)]);
+        assert_eq!(restored.eligible_colors().collect::<Vec<_>>(), flagged);
+        assert!(restored.eligible_colors().eq(book.eligible_colors()));
+    }
+
+    /// A hand-built book section for Δ = 1: one eligible bound-2 color with
+    /// the given epoch flag, and `active_epochs` in the metrics.
+    fn one_color_section(epoch_active: bool, active_epochs: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u64(1); // delta
+        put_opt_u64(&mut w, None); // super-epoch threshold
+        w.put_u64(1); // synced colors
+        w.put_u64(1); // touched colors
+        w.put_u32(0);
+        w.put_u64(2); // delay bound
+        w.put_u64(0); // counter
+        w.put_u64(2); // deadline
+        put_bool(&mut w, true); // eligible
+        put_opt_u64(&mut w, None); // timestamp
+        put_opt_u64(&mut w, Some(0)); // last wrap
+        put_bool(&mut w, epoch_active);
+        put_color_set(&mut w, &ColorSet::new()); // super-epoch colors
+
+        // Metrics: wraps, timestamp updates, completed and active epochs,
+        // eligible and ineligible drops, super-epochs.
+        for v in [1, 0, 0, active_epochs, 0, 0, 0] {
+            w.put_u64(v);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn load_rejects_an_epoch_count_that_contradicts_the_colors() {
+        let load = |bytes: Vec<u8>| ColorBook::new(1).load_state(&mut SnapReader::new(&bytes)?);
+        assert!(load(one_color_section(true, 1)).is_ok());
+        assert!(load(one_color_section(false, 0)).is_ok());
+        // Zero epochs while the color has one in progress: its next
+        // retirement would subtract below zero.
+        for (flag, count) in [(true, 0), (false, 1), (true, 2)] {
+            match load(one_color_section(flag, count)) {
+                Err(SnapError::Invalid(msg)) => assert!(msg.contains("active epochs"), "{msg}"),
+                other => panic!("epoch flag {flag} with count {count} loaded: {other:?}"),
+            }
+        }
     }
 
     #[test]

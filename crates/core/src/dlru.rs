@@ -14,7 +14,7 @@ use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
 use crate::book::ColorBook;
 use crate::metrics::AlgoMetrics;
-use crate::ranking::sort_by_lru;
+use crate::ranking::top_k_by_lru;
 
 /// The ΔLRU policy. Uses the paper's cache discipline: the first half of
 /// the locations hold distinct colors, the second half replicate them, so
@@ -97,7 +97,7 @@ impl Policy for DeltaLru {
         // timestamps, ties broken by the consistent order of colors.
         self.scratch.clear();
         self.scratch.extend(book.eligible_colors());
-        sort_by_lru(book, &mut self.scratch);
+        top_k_by_lru(book, &mut self.scratch, self.capacity);
         self.scratch.truncate(self.capacity);
 
         self.cached.clear();

@@ -24,7 +24,7 @@ use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
 use crate::book::ColorBook;
 use crate::metrics::AlgoMetrics;
-use crate::ranking::{edf_key, sort_by_edf, sort_by_lru};
+use crate::ranking::{edf_key, top_k_by_edf, top_k_by_lru};
 
 /// The ΔLRU-EDF policy.
 #[derive(Debug)]
@@ -49,7 +49,6 @@ pub struct DeltaLruEdf {
     /// Total distinct capacity (`n/2`).
     capacity: usize,
     scratch: Vec<ColorId>,
-    nonlru: Vec<ColorId>,
     keep: Vec<ColorId>,
     desired: Vec<(ColorId, u64)>,
     assign: AssignScratch,
@@ -77,7 +76,6 @@ impl DeltaLruEdf {
             edf_window: 0,
             capacity: 0,
             scratch: Vec::new(),
-            nonlru: Vec::new(),
             keep: Vec::new(),
             desired: Vec::new(),
             assign: AssignScratch::new(),
@@ -193,7 +191,7 @@ impl Policy for DeltaLruEdf {
         // timestamps become the LRU set.
         self.scratch.clear();
         self.scratch.extend(book.eligible_colors());
-        sort_by_lru(book, &mut self.scratch);
+        top_k_by_lru(book, &mut self.scratch, self.lru_slots);
         let lru_len = self.scratch.len().min(self.lru_slots);
         self.lru_set.clear();
         self.lru_set.extend(self.scratch[..lru_len].iter().copied());
@@ -201,14 +199,13 @@ impl Policy for DeltaLruEdf {
         // Scheme 2 (EDF over non-LRU colors): rank the eligible non-LRU
         // colors; X = nonidle colors in the top n/4 ranks not already
         // cached.
-        self.nonlru.clear();
-        self.nonlru.extend(self.scratch[lru_len..].iter().copied());
-        sort_by_edf(book, obs.pending, &mut self.nonlru);
+        let nonlru = &mut self.scratch[lru_len..];
+        top_k_by_edf(book, obs.pending, nonlru, self.edf_window);
 
         self.keep.clear();
         // Cached non-LRU colors stay unless evicted for space.
         self.keep.extend(self.cached.iter().filter(|&c| !self.lru_set.contains(c)));
-        for &c in self.nonlru.iter().take(self.edf_window) {
+        for &c in nonlru.iter().take(self.edf_window) {
             if !obs.pending.is_idle(c) && !self.cached.contains(c) {
                 self.keep.push(c);
             }

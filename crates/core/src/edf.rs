@@ -18,7 +18,7 @@ use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
 use crate::book::ColorBook;
 use crate::metrics::AlgoMetrics;
-use crate::ranking::{edf_key, sort_by_edf};
+use crate::ranking::{edf_key, top_k_by_edf};
 
 /// The EDF policy, parameterized by replication so it covers both the
 /// §3.1.2 algorithm (replication 2) and Seq-EDF (replication 1).
@@ -129,7 +129,7 @@ impl Policy for Edf {
         // lowest-ranked cached colors when full.
         self.scratch.clear();
         self.scratch.extend(book.eligible_colors());
-        sort_by_edf(book, obs.pending, &mut self.scratch);
+        top_k_by_edf(book, obs.pending, &mut self.scratch, self.capacity);
 
         let top = &self.scratch[..self.scratch.len().min(self.capacity)];
         self.union.clear();

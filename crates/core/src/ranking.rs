@@ -6,6 +6,10 @@
 //!   *better*.
 //! * The **LRU rank** (§3.1.1): most recent timestamp first, ties broken by
 //!   the consistent order of colors.
+//!
+//! Both keys end in the color id, so they are total orders. The policies
+//! read only the best-`k` *set* of a ranking, which a linear-time
+//! selection finds without sorting the rest.
 
 use rrs_engine::PendingStore;
 use rrs_model::ColorId;
@@ -73,19 +77,54 @@ pub fn lru_key(book: &ColorBook, c: ColorId) -> LruKey {
     LruKey { ts_rev: std::cmp::Reverse(Recency::from_ts(book.state(c).ts)), color: c }
 }
 
-/// Sort colors ascending by EDF key (best rank first).
-pub fn sort_by_edf(book: &ColorBook, pending: &PendingStore, colors: &mut [ColorId]) {
-    colors.sort_unstable_by_key(|&c| edf_key(book, pending, c));
+/// Move the `k` colors with the smallest keys to the front of `colors`, in
+/// unspecified order. For a total order `key` this front is, as a set, the
+/// first `k` colors of a full sort.
+fn select_top_k<K: Ord>(colors: &mut [ColorId], k: usize, key: impl FnMut(&ColorId) -> K) {
+    if k > 0 && k < colors.len() {
+        colors.select_nth_unstable_by_key(k - 1, key);
+    }
 }
 
-/// Sort colors ascending by LRU key (most recent timestamp first).
-pub fn sort_by_lru(book: &ColorBook, colors: &mut [ColorId]) {
-    colors.sort_unstable_by_key(|&c| lru_key(book, c));
+/// Move the `k` best EDF-ranked colors to the front of `colors`, in
+/// unspecified order.
+pub fn top_k_by_edf(book: &ColorBook, pending: &PendingStore, colors: &mut [ColorId], k: usize) {
+    select_top_k(colors, k, |&c| edf_key(book, pending, c));
+}
+
+/// Move the `k` best LRU-ranked colors (most recent timestamps) to the
+/// front of `colors`, in unspecified order.
+pub fn top_k_by_lru(book: &ColorBook, colors: &mut [ColorId], k: usize) {
+    select_top_k(colors, k, |&c| lru_key(book, c));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Keys with many ties in their first component, broken by id as
+        /// the ranking keys are: for every `k`, the selected front equals
+        /// the sorted prefix as a set.
+        #[test]
+        fn selected_front_is_the_sorted_prefix_as_a_set(
+            ranks in prop::collection::vec(0u64..6, 0..40),
+        ) {
+            let key = |c: &ColorId| (ranks[c.index()], *c);
+            let mut sorted: Vec<ColorId> = (0..ranks.len() as u32).map(ColorId).collect();
+            sorted.sort_by_key(key);
+            for k in 0..=ranks.len() {
+                let mut items: Vec<ColorId> = (0..ranks.len() as u32).rev().map(ColorId).collect();
+                select_top_k(&mut items, k, key);
+                let mut front = items[..k].to_vec();
+                front.sort_by_key(key);
+                prop_assert_eq!(&front[..], &sorted[..k], "k = {}", k);
+            }
+        }
+    }
 
     #[test]
     fn edf_key_orders_nonidle_first() {

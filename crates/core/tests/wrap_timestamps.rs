@@ -7,11 +7,11 @@
 //! total per color and derives wraps arithmetically. These tests drive a
 //! [`ColorBook`] and the oracle through the same rounds — unit cases across
 //! the wrap boundary plus randomized schedules — and assert the book's
-//! counters, timestamps and the full ΔLRU recency *order* agree with the
-//! oracle everywhere.
+//! counters, timestamps, eligible set and the full ΔLRU recency *order*
+//! agree with the oracle everywhere.
 
 use proptest::prelude::*;
-use rrs_core::ranking::{lru_key, sort_by_lru, Recency};
+use rrs_core::ranking::{lru_key, Recency};
 use rrs_core::ColorBook;
 use rrs_engine::{Observation, PendingStore};
 use rrs_model::{ColorId, ColorTable};
@@ -90,7 +90,8 @@ impl Oracle {
 }
 
 /// Drive one round of both the book and the oracle and cross-check
-/// counters, wrap rounds, committed timestamps and the recency order.
+/// counters, wrap rounds, committed timestamps, the eligible index and the
+/// recency order.
 fn step_both(
     book: &mut ColorBook,
     oracle: &mut Oracle,
@@ -128,8 +129,17 @@ fn step_both(
             "round {round}, color {c}: recency value diverged"
         );
     }
+    let eligible: Vec<ColorId> = (0..oracle.colors.len() as u32)
+        .map(ColorId)
+        .filter(|c| oracle.colors[c.index()].eligible)
+        .collect();
+    assert_eq!(
+        book.eligible_colors().collect::<Vec<_>>(),
+        eligible,
+        "round {round}: eligible index diverged"
+    );
     let mut ids: Vec<ColorId> = (0..oracle.colors.len() as u32).map(ColorId).collect();
-    sort_by_lru(book, &mut ids);
+    ids.sort_by_key(|&c| lru_key(book, c));
     assert_eq!(ids, oracle.recency_order(), "round {round}: \u{0394}LRU order diverged");
 }
 

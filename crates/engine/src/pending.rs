@@ -5,8 +5,13 @@
 //! Arrivals for a fixed color carry strictly increasing deadlines
 //! (`round + D_ℓ` with `round` increasing), so the queue stays sorted with
 //! `push_back` plus tail merging.
+//!
+//! A min-heap of `(deadline, color)` entries indexes the queues, so the
+//! drop phase visits only the colors with due jobs. It is derived state:
+//! rebuilt on load and kept out of snapshots and equality (DESIGN.md §8).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rrs_model::{ColorId, ColorMap, SnapError, SnapReader, SnapWriter};
 
@@ -17,12 +22,19 @@ use crate::checkpoint::get_sparse;
 /// Both per-color tables are dense [`ColorMap`]s, so lookups are flat
 /// indexing and the store allocates only when the color universe (or a
 /// queue's high-water mark) grows — never in a steady-state round.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct PendingStore {
     queues: ColorMap<VecDeque<(u64, u64)>>, // per color: (deadline, count), ascending
     counts: ColorMap<u64>,                  // per color total
     total: u64,
     min_due: u64, // lower bound on the earliest pending deadline
+    /// One entry per queue entry ever pushed, earliest deadline on top.
+    /// An entry whose jobs were executed goes *stale* and is discarded
+    /// when it reaches the top, so the heap holds at most the arrivals
+    /// within the largest delay bound.
+    due: BinaryHeap<Reverse<(u64, ColorId)>>,
+    /// Heap entries `drop_due` has popped (telemetry only).
+    drop_probes: u64,
 }
 
 impl Default for PendingStore {
@@ -32,9 +44,25 @@ impl Default for PendingStore {
             counts: ColorMap::new(),
             total: 0,
             min_due: u64::MAX,
+            due: BinaryHeap::new(),
+            drop_probes: 0,
         }
     }
 }
+
+/// Equality of the pending jobs and the `min_due` bound; the derived
+/// deadline heap (which may hold stale entries) and the probe counter
+/// are not state.
+impl PartialEq for PendingStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.queues == other.queues
+            && self.counts == other.counts
+            && self.total == other.total
+            && self.min_due == other.min_due
+    }
+}
+
+impl Eq for PendingStore {}
 
 impl PendingStore {
     /// An empty store.
@@ -73,11 +101,14 @@ impl PendingStore {
         let q = &mut self.queues[color];
         match q.back_mut() {
             Some((d, n)) if *d == deadline => *n += count,
-            Some((d, _)) => {
-                debug_assert!(*d < deadline, "arrivals must have nondecreasing deadlines");
+            back => {
+                debug_assert!(
+                    back.is_none_or(|&mut (d, _)| d < deadline),
+                    "arrivals must have nondecreasing deadlines"
+                );
                 q.push_back((deadline, count));
+                self.due.push(Reverse((deadline, color)));
             }
-            None => q.push_back((deadline, count)),
         }
         self.counts[color] += count;
         self.total += count;
@@ -87,17 +118,30 @@ impl PendingStore {
     /// Drop every job with deadline `<= round` (the drop phase of `round`
     /// only ever sees deadlines `== round` when fed in order, but `<=` makes
     /// the store robust to sparse use). Appends `(color, dropped)` pairs to
-    /// `out` in consistent color order and returns the total dropped.
+    /// `out` in ascending color order and returns the total dropped.
+    ///
+    /// The work is the heap entries popped: the due ones, plus the stale
+    /// ones that reach the top — never a walk over every queue.
     pub fn drop_due(&mut self, round: u64, out: &mut Vec<(ColorId, u64)>) -> u64 {
         // `min_due` is a lower bound on every pending deadline, so most
-        // rounds skip the per-color scan entirely (executions can only
-        // raise the true minimum, which keeps the bound valid).
+        // rounds return here (executions can only raise the true minimum,
+        // which keeps the bound valid).
         if round < self.min_due {
             return 0;
         }
+        let start = out.len();
         let mut total = 0;
-        let mut next_due = u64::MAX;
-        for (c, q) in self.queues.iter_mut() {
+        // Pop until the top is a live entry beyond `round`. A color's first
+        // due entry drains all its due jobs; its later due entries, and the
+        // stale ones, find nothing. Popping stale entries past `round` as
+        // well leaves `min_due` the exact earliest pending deadline.
+        while let Some(&Reverse((d, c))) = self.due.peek() {
+            let q = &mut self.queues[c];
+            if d > round && q.front().is_some_and(|&(f, _)| f == d) {
+                break;
+            }
+            self.due.pop();
+            self.drop_probes += 1;
             let mut dropped = 0;
             while let Some(&(d, n)) = q.front() {
                 if d > round {
@@ -106,17 +150,15 @@ impl PendingStore {
                 dropped += n;
                 q.pop_front();
             }
-            if let Some(&(d, _)) = q.front() {
-                next_due = next_due.min(d);
-            }
             if dropped > 0 {
                 self.counts[c] -= dropped;
                 total += dropped;
                 out.push((c, dropped));
             }
         }
+        out[start..].sort_unstable_by_key(|&(c, _)| c);
         self.total -= total;
-        self.min_due = next_due;
+        self.min_due = self.due.peek().map_or(u64::MAX, |&Reverse((d, _))| d);
         total
     }
 
@@ -142,6 +184,14 @@ impl PendingStore {
             self.total -= executed;
         }
         executed
+    }
+
+    /// Heap entries [`PendingStore::drop_due`] has popped, due or stale,
+    /// since the store was created or loaded: a deterministic work counter
+    /// that stays proportional to the drops, not to the live colors.
+    /// Telemetry only — outside snapshots and equality.
+    pub fn drop_probes(&self) -> u64 {
+        self.drop_probes
     }
 
     /// Number of pending jobs of `color`.
@@ -186,8 +236,8 @@ impl PendingStore {
     /// ascending id order with its queue length and `(deadline, count)`
     /// pairs, then the `min_due` bound. Idle colors cost nothing on the
     /// wire — a sparse store over a huge universe snapshots in O(pending
-    /// colors). `counts` and `total` are derived on load, so they cannot
-    /// drift from the queues.
+    /// colors). `counts`, `total` and the deadline heap are derived on
+    /// load, so they cannot drift from the queues.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.queues.len() as u64);
         let nonempty = self.queues.iter().filter(|(_, q)| !q.is_empty()).count();
@@ -220,6 +270,7 @@ impl PendingStore {
         let mut store = PendingStore::new();
         store.ensure_colors(n_colors);
         let mut true_min = u64::MAX;
+        let mut due = Vec::new();
         get_sparse(r, coverage, "pending queues", |r, color| {
             let q_len = r.get_u64("pending queue length")?;
             if q_len == 0 {
@@ -254,12 +305,14 @@ impl PendingStore {
                 }
                 last_deadline = Some(deadline);
                 store.queues.entry(color).push_back((deadline, count));
+                due.push(Reverse((deadline, color)));
                 count_for_color = count_for_color.checked_add(count).ok_or_else(overflow)?;
             }
             *store.counts.entry(color) = count_for_color;
             store.total = store.total.checked_add(count_for_color).ok_or_else(overflow)?;
             Ok(())
         })?;
+        store.due = BinaryHeap::from(due);
         store.min_due = r.get_u64("pending min_due")?;
         if store.min_due > true_min {
             return Err(SnapError::Invalid(format!(
@@ -326,6 +379,35 @@ mod tests {
         assert_eq!(p.count(A), 1);
         assert_eq!(p.count(B), 0);
         assert_eq!(p.total(), 1);
+    }
+
+    #[test]
+    fn drop_due_drains_several_due_entries_per_color_in_color_order() {
+        let mut p = PendingStore::new();
+        p.arrive(B, 2, 1);
+        p.arrive(A, 3, 2);
+        p.arrive(A, 4, 1); // a second due heap entry for A
+        p.arrive(A, 9, 1);
+        let mut out = vec![(ColorId(7), 1)]; // earlier contents stay put
+        assert_eq!(p.drop_due(5, &mut out), 4);
+        assert_eq!(out, vec![(ColorId(7), 1), (A, 3), (B, 1)]);
+        assert_eq!(p.min_due, 9);
+    }
+
+    #[test]
+    fn stale_heap_entries_never_become_min_due() {
+        let mut p = PendingStore::new();
+        p.arrive(A, 4, 1);
+        p.arrive(B, 6, 1);
+        p.arrive(A, 5, 1);
+        p.execute(A, 2); // both of A's heap entries go stale
+        let mut out = Vec::new();
+        assert_eq!(p.drop_due(4, &mut out), 0);
+        assert!(out.is_empty());
+        // The stale (5, A) entry lies past the round but is popped too, so
+        // the bound is B's deadline, as a walk over every queue finds it.
+        assert_eq!(p.min_due, 6);
+        assert_eq!(p.drop_probes(), 2);
     }
 
     #[test]

@@ -3,21 +3,38 @@
 
 use proptest::prelude::*;
 use rrs_engine::{recolor_reconfigs, stable_assign, PendingStore, Slot};
-use rrs_model::ColorId;
+use rrs_model::{ColorId, SnapReader, SnapWriter};
 
 /// Operations against the pending store.
 #[derive(Clone, Debug)]
 enum Op {
-    Arrive { color: u8, count: u8 },
-    Execute { color: u8, slots: u8 },
-    AdvanceAndDrop,
+    Arrive {
+        color: u8,
+        count: u8,
+    },
+    Execute {
+        color: u8,
+        slots: u8,
+    },
+    /// Advance `rounds` rounds at once, then drop: several deadlines fall
+    /// due in one `drop_due`, and one color may hold several due entries.
+    Advance {
+        rounds: u8,
+    },
+    /// Round-trip the store through its snapshot codec, which rebuilds the
+    /// deadline heap without the live store's stale entries.
+    Reload,
 }
+
+const COLORS: u8 = 4;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..4, 1u8..6).prop_map(|(color, count)| Op::Arrive { color, count }),
-        (0u8..4, 1u8..4).prop_map(|(color, slots)| Op::Execute { color, slots }),
-        Just(Op::AdvanceAndDrop),
+        (0u8..COLORS, 1u8..6).prop_map(|(color, count)| Op::Arrive { color, count }),
+        (0u8..COLORS, 1u8..4).prop_map(|(color, slots)| Op::Execute { color, slots }),
+        Just(Op::Advance { rounds: 1 }),
+        (2u8..8).prop_map(|rounds| Op::Advance { rounds }),
+        Just(Op::Reload),
     ]
 }
 
@@ -33,10 +50,20 @@ impl RefModel {
             self.jobs.push((color, deadline));
         }
     }
-    fn drop_due(&mut self, round: u64) -> u64 {
-        let before = self.jobs.len();
-        self.jobs.retain(|&(_, d)| d > round);
-        (before - self.jobs.len()) as u64
+    /// The `(color, dropped)` pairs of the jobs due by `round`, in
+    /// ascending color order.
+    fn drop_due(&mut self, round: u64) -> Vec<(ColorId, u64)> {
+        let mut per_color = [0u64; COLORS as usize];
+        self.jobs.retain(|&(c, d)| {
+            if d <= round {
+                per_color[c as usize] += 1;
+            }
+            d > round
+        });
+        (0..COLORS)
+            .filter(|&c| per_color[c as usize] > 0)
+            .map(|c| (ColorId(c as u32), per_color[c as usize]))
+            .collect()
     }
     fn execute(&mut self, color: u8, slots: u8) -> u64 {
         let mut executed = 0;
@@ -64,46 +91,87 @@ impl RefModel {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn snapshot_bytes(store: &PendingStore) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    store.save_state(&mut w);
+    w.finish()
+}
 
+fn reload(store: &PendingStore) -> PendingStore {
+    let bytes = snapshot_bytes(store);
+    let mut r = SnapReader::new(&bytes).unwrap();
+    PendingStore::load_state(&mut r).unwrap()
+}
+
+proptest! {
+    // Enough cases that a stale entry left before a `Reload` reaches the
+    // heap top in some later drop.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The store against the bag model, with a delay bound per color. Once
+    /// a `Reload` has happened, a reloaded copy takes every later op too,
+    /// and both must keep identical snapshot bytes: `min_due` (which the
+    /// snapshot records) stays exact although only the live store's heap
+    /// holds stale entries.
     #[test]
-    fn pending_store_matches_reference_model(ops in prop::collection::vec(op_strategy(), 0..60)) {
+    fn pending_store_matches_reference_model(
+        bounds in prop::collection::vec(1u64..6, COLORS as usize),
+        ops in prop::collection::vec(op_strategy(), 0..80),
+    ) {
         let mut store = PendingStore::new();
+        let mut reloaded: Option<PendingStore> = None;
         let mut model = RefModel::default();
         let mut round = 0u64;
-        const BOUND: u64 = 4; // all jobs get deadline round + 4
 
         for op in ops {
             match op {
                 Op::Arrive { color, count } => {
-                    store.arrive(ColorId(color as u32), round + BOUND, count as u64);
-                    model.arrive(color, round + BOUND, count);
+                    let c = ColorId(color as u32);
+                    let deadline = round + bounds[color as usize];
+                    store.arrive(c, deadline, count as u64);
+                    if let Some(r) = reloaded.as_mut() {
+                        r.arrive(c, deadline, count as u64);
+                    }
+                    model.arrive(color, deadline, count);
                 }
                 Op::Execute { color, slots } => {
-                    let a = store.execute(ColorId(color as u32), slots as u64);
+                    let c = ColorId(color as u32);
+                    let a = store.execute(c, slots as u64);
+                    if let Some(r) = reloaded.as_mut() {
+                        prop_assert_eq!(r.execute(c, slots as u64), a);
+                    }
                     let b = model.execute(color, slots);
                     prop_assert_eq!(a, b, "execute mismatch at round {}", round);
                 }
-                Op::AdvanceAndDrop => {
-                    round += 1;
+                Op::Advance { rounds } => {
+                    round += rounds as u64;
                     let mut buf = Vec::new();
                     let a = store.drop_due(round, &mut buf);
-                    let b = model.drop_due(round);
-                    prop_assert_eq!(a, b, "drop mismatch at round {}", round);
+                    let expected = model.drop_due(round);
+                    prop_assert_eq!(&buf, &expected, "drop pairs at round {}", round);
                     let buf_total: u64 = buf.iter().map(|&(_, n)| n).sum();
                     prop_assert_eq!(buf_total, a);
+                    if let Some(r) = reloaded.as_mut() {
+                        let mut rbuf = Vec::new();
+                        prop_assert_eq!(r.drop_due(round, &mut rbuf), a);
+                        prop_assert_eq!(&rbuf, &buf);
+                    }
                 }
+                Op::Reload => reloaded = Some(reload(&store)),
             }
-            for c in 0..4u8 {
+            for c in 0..COLORS {
                 prop_assert_eq!(
                     store.count(ColorId(c as u32)),
                     model.count(c),
                     "count mismatch for color {} at round {}", c, round
                 );
             }
-            let total: u64 = (0..4u8).map(|c| model.count(c)).sum();
+            let total: u64 = (0..COLORS).map(|c| model.count(c)).sum();
             prop_assert_eq!(store.total(), total);
+            if let Some(r) = &reloaded {
+                prop_assert_eq!(snapshot_bytes(r), snapshot_bytes(&store), "round {}", round);
+                prop_assert!(*r == store);
+            }
         }
     }
 

@@ -36,6 +36,41 @@ fn medium_scale_full_stack_on_general_traffic() {
     assert!(out.dropped <= inst.total_jobs());
 }
 
+/// The drop phase's work guard: 10⁵ colors hold far-deadline jobs while
+/// one color falls due per round. `drop_probes` counts the deadline-heap
+/// entries `drop_due` pops, due or stale; it must stay within the entries
+/// the falling-due colors pushed, where a walk over every live color would
+/// inspect ~10⁸ queue fronts.
+#[test]
+fn drop_work_follows_due_entries_not_live_colors() {
+    const LIVE: u32 = 100_000;
+    const ROUNDS: u64 = 1_000;
+    const BOUND: u64 = 8;
+    let mut p = rrs::engine::PendingStore::new();
+    for c in 0..LIVE {
+        p.arrive(ColorId(c), 1 << 40, 1);
+    }
+    let mut out = Vec::new();
+    let mut dropped = 0;
+    for round in 0..ROUNDS {
+        dropped += p.drop_due(round, &mut out);
+        let c = ColorId(LIVE + (round % BOUND) as u32);
+        p.arrive(c, round + BOUND, 1);
+        if round % 2 == 0 {
+            p.execute(c, 1); // leaves a stale heap entry
+        }
+    }
+    // The odd rounds' jobs fall due BOUND rounds later; the even rounds'
+    // heap entries are discarded as stale.
+    assert_eq!(dropped, (ROUNDS - BOUND) / 2);
+    assert_eq!(p.total(), u64::from(LIVE) + BOUND / 2);
+    assert!(
+        p.drop_probes() <= ROUNDS,
+        "drop_due examined {} entries for {dropped} due jobs over {ROUNDS} rounds",
+        p.drop_probes()
+    );
+}
+
 #[test]
 fn medium_scale_adversaries() {
     // Larger appendix instances than the experiment defaults.
