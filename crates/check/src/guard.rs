@@ -81,7 +81,7 @@ impl<P: Policy + Instrumented> CheckedPolicy<P> {
                 // until then it reads as the untouched sentinel, which must
                 // be inert in every ranking.
                 assert!(
-                    s.ts.is_none() && s.cnt == 0 && !s.eligible && s.deadline == 0,
+                    s.ts.is_none() && s.cnt == 0 && !s.eligible && book.deadline(c) == 0,
                     "round {}: never-arrived color {c} has live state",
                     obs.round
                 );
@@ -116,13 +116,12 @@ impl<P: Policy + Instrumented> CheckedPolicy<P> {
                 "round {}: color {c} is eligible but never wrapped",
                 obs.round
             );
-            let block_deadline = (obs.round / d) * d + d;
+            let (deadline, block_deadline) = (book.deadline(c), (obs.round / d) * d + d);
             assert!(
-                s.deadline == 0 || s.deadline == block_deadline,
-                "round {}: color {c} deadline {} is neither unset nor the block's {}",
-                obs.round,
-                s.deadline,
-                block_deadline
+                deadline == 0 || deadline == block_deadline,
+                "round {}: color {c} deadline {deadline} is neither unset nor the block's \
+                 {block_deadline}",
+                obs.round
             );
         }
     }

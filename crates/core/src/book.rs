@@ -5,7 +5,9 @@
 //! * a **counter** `ℓ.cnt` of jobs received since the last counter wrap —
 //!   when it reaches Δ it wraps (`cnt mod Δ`), a *counter wrapping event*;
 //! * a **deadline** `ℓ.dd`, refreshed to `k + D_ℓ` at every block boundary
-//!   `k` (an integral multiple of `D_ℓ`);
+//!   `k` (an integral multiple of `D_ℓ`). Every refreshed color of one
+//!   bound shares it, so the book keeps it once per bound
+//!   ([`ColorBook::deadline`]);
 //! * an **eligibility** bit: a color becomes eligible at its first counter
 //!   wrap and becomes ineligible again (counter reset to 0) at a block
 //!   boundary where it is eligible but not cached;
@@ -13,7 +15,12 @@
 //!   recent multiple of `D_ℓ`, in which a counter wrap of `ℓ` occurred
 //!   (0 if none). Since wraps only happen at block boundaries, the book
 //!   maintains the committed value plus the most recent wrap round and
-//!   refreshes the committed value at each boundary.
+//!   commits the latter at the next boundary.
+//!
+//! A block boundary changes a color only when a wrap commits, an uncached
+//! eligible color retires, or a counter that reached Δ wraps, so each bound
+//! keeps work lists of exactly those colors and a boundary costs the colors
+//! that change at it, not every color of the bound.
 //!
 //! The book also accumulates the [`AlgoMetrics`] the paper's lemmas are
 //! stated over: epochs, counter wraps, timestamp updates, super-epochs, and
@@ -27,15 +34,15 @@ use rrs_model::{ColorId, ColorMap, ColorSet, ColorTable, SnapError, SnapReader, 
 
 use crate::metrics::AlgoMetrics;
 
-/// Per-color algorithm state.
+/// Per-color algorithm state. The deadline is not a field: read it with
+/// [`ColorBook::deadline`].
 #[derive(Clone, Debug)]
 pub struct ColorState {
     /// The color's delay bound `D_ℓ`.
     pub delay_bound: u64,
-    /// Job counter since the last wrap (`< Δ` between rounds).
+    /// Job counter since the last wrap (`< Δ` at a block boundary; an
+    /// off-boundary arrival can leave it higher until the next one).
     pub cnt: u64,
-    /// Current deadline `ℓ.dd` (refreshed to `k + D_ℓ` at each boundary).
-    pub deadline: u64,
     /// Whether the color is eligible.
     pub eligible: bool,
     /// Committed timestamp (§3.1.1): the latest counter-wrap round strictly
@@ -49,6 +56,11 @@ pub struct ColorState {
     /// Whether an epoch is in progress (jobs arrived since the color last
     /// became ineligible).
     pub epoch_active: bool,
+    /// Index of the color's bucket in `ColorBook::buckets` (derived).
+    bucket: u32,
+    /// Whether a block boundary has refreshed the color's deadline; false
+    /// only for a color first seen off a boundary, until the next one.
+    refreshed: bool,
 }
 
 impl ColorState {
@@ -58,25 +70,63 @@ impl ColorState {
         self.ts.unwrap_or(0)
     }
 
-    fn new(delay_bound: u64) -> Self {
+    fn new(delay_bound: u64, bucket: u32, refreshed: bool) -> Self {
         Self {
             delay_bound,
             cnt: 0,
-            deadline: 0,
             eligible: false,
             ts: None,
             last_wrap: None,
             epoch_active: false,
+            bucket,
+            refreshed,
         }
     }
 }
 
 /// The default state is the never-touched sentinel (`delay_bound` 0 never
 /// occurs for a real color) — it backs absent pages of the book's sparse
-/// state map and is never entered into a bound bucket.
+/// state map, is never entered into a bound bucket, and reads deadline 0.
 impl Default for ColorState {
     fn default() -> Self {
-        Self::new(0)
+        Self::new(0, 0, false)
+    }
+}
+
+/// The touched colors of one delay bound, and the colors its next block
+/// boundary must change. Everything but `members` is derived state:
+/// rebuilt by [`ColorBook::load_state`] and kept out of snapshots and
+/// [`ColorBook::footprint`].
+#[derive(Clone, Debug)]
+struct Bucket {
+    bound: u64,
+    /// Every touched color of this bound.
+    members: ColorSet,
+    /// The eligible members: the only colors a boundary can retire.
+    eligible: ColorSet,
+    /// The deadline of every refreshed member: the last boundary this
+    /// bucket processed plus `bound`, or 0 before its first boundary.
+    deadline: u64,
+    /// Members whose latest wrap has not committed into `ts`.
+    uncommitted: Vec<u32>,
+    /// Members whose counter reached Δ since the last boundary. A
+    /// retirement can reset such a counter first; the boundary skips it.
+    full: Vec<u32>,
+    /// Members first seen off a boundary, awaiting their first refresh.
+    unrefreshed: Vec<u32>,
+}
+
+impl Bucket {
+    fn new(bound: u64) -> Self {
+        Self {
+            bound,
+            members: ColorSet::new(),
+            eligible: ColorSet::new(),
+            deadline: 0,
+            uncommitted: Vec::new(),
+            full: Vec::new(),
+            unrefreshed: Vec::new(),
+        }
     }
 }
 
@@ -88,8 +138,11 @@ impl Default for ColorState {
 /// job. This is sound because every observable read goes through colors
 /// that have arrived: eligibility requires a counter wrap, wraps require
 /// arrivals, and the EDF/LRU rankings only consult eligible or cached
-/// colors (cached ⊆ ever-eligible). A never-arrived color's deadline is
-/// simply never refreshed — and never read.
+/// colors (cached ⊆ ever-eligible). A never-arrived color's deadline reads
+/// 0 and is never read by a ranking.
+///
+/// Deadlines are kept per bound, not per color: [`ColorBook::deadline`] is
+/// an accessor, and snapshots record its value for each color.
 #[derive(Clone, Debug)]
 pub struct ColorBook {
     delta: u64,
@@ -104,21 +157,25 @@ pub struct ColorBook {
     /// Number of colors known from the color table (the dense id range),
     /// whether or not they ever materialized.
     synced: usize,
-    /// Touched colors grouped by delay bound so block boundaries walk only
-    /// the relevant buckets (there are at most 64 distinct power-of-two
-    /// bounds). Kept sorted ascending by bound; each bucket is a
-    /// [`ColorSet`], so membership inserts are O(1) and iteration is
-    /// ascending by id — the paper's consistent order. A sorted vec rather
-    /// than a `BTreeMap`: the bucket count is tiny, iteration is the hot
-    /// operation, and inserts happen only when a brand-new bound appears.
-    by_bound: Vec<(u64, ColorSet)>,
+    /// Touched colors grouped by delay bound, in creation order so a
+    /// color's bucket index never moves. A new bound is rare (there are at
+    /// most 64 distinct power-of-two bounds); a boundary round is not.
+    buckets: Vec<Bucket>,
+    /// Bucket indexes in ascending bound order: boundaries commit
+    /// timestamps in this order, then ascending id within a bucket — the
+    /// consistent order super-epochs count in.
+    by_bound: Vec<u32>,
     /// Super-epoch machinery (§3.4): once this many distinct colors have
     /// updated their timestamps, the super-epoch ends. `None` disables it.
     super_epoch_threshold: Option<u64>,
     super_epoch_colors: ColorSet,
-    /// Colors whose timestamps committed this round, in bound-bucket order;
+    /// Colors whose timestamps committed this round, in `by_bound` order;
     /// a member buffer so `begin_round` allocates nothing once warm.
     ts_updates: Vec<u32>,
+    /// Eligible colors retiring at the current boundary (member buffer).
+    retiring: Vec<u32>,
+    /// Backs [`ColorBook::boundary_visits`]; telemetry only.
+    boundary_visits: u64,
     /// Accumulated lemma counters.
     pub metrics: AlgoMetrics,
 }
@@ -133,10 +190,13 @@ impl ColorBook {
             touched: ColorSet::new(),
             eligible: ColorSet::new(),
             synced: 0,
+            buckets: Vec::new(),
             by_bound: Vec::new(),
             super_epoch_threshold: None,
             super_epoch_colors: ColorSet::new(),
             ts_updates: Vec::new(),
+            retiring: Vec::new(),
+            boundary_visits: 0,
             metrics: AlgoMetrics::default(),
         }
     }
@@ -173,16 +233,25 @@ impl ColorBook {
     }
 
     /// Sparse-container footprint of the whole book: leaf words across the
-    /// touched set, the per-bound buckets, and the super-epoch set, plus
-    /// the state map's live pages.
+    /// touched set, the per-bound member sets, and the super-epoch set,
+    /// plus the state map's live pages. The buckets' work lists and
+    /// eligible sets are derived and not counted.
     pub fn footprint(&self) -> crate::StateFootprint {
         let words = self.touched.leaf_words()
             + self.super_epoch_colors.leaf_words()
-            + self.by_bound.iter().map(|(_, b)| b.leaf_words()).sum::<usize>();
+            + self.buckets.iter().map(|b| b.members.leaf_words()).sum::<usize>();
         crate::StateFootprint {
             colorset_leaf_words: words as u64,
             colormap_live_pages: self.states.live_pages() as u64,
         }
+    }
+
+    /// Colors `begin_round` has examined at block boundaries since the
+    /// book was created or loaded: entries of the per-bound work lists
+    /// plus the eligible colors checked for retirement. A deterministic
+    /// work counter, kept out of snapshots and [`ColorBook::footprint`].
+    pub fn boundary_visits(&self) -> u64 {
+        self.boundary_visits
     }
 
     /// The state of a known color. Colors that never received an arrival
@@ -190,6 +259,21 @@ impl ColorBook {
     /// indistinguishable, for every ranking, from the eager representation.
     pub fn state(&self, c: ColorId) -> &ColorState {
         &self.states[c]
+    }
+
+    /// The color's deadline `ℓ.dd`: its bound's last block boundary plus
+    /// the bound, or 0 before the color's first boundary (and for a color
+    /// that never arrived).
+    pub fn deadline(&self, c: ColorId) -> u64 {
+        self.deadline_of(&self.states[c])
+    }
+
+    fn deadline_of(&self, s: &ColorState) -> u64 {
+        if s.refreshed {
+            self.buckets[s.bucket as usize].deadline
+        } else {
+            0
+        }
     }
 
     /// Whether a color is currently eligible.
@@ -214,19 +298,26 @@ impl ColorBook {
     }
 
     /// Materialize state for `c` with delay bound `d` and register it in
-    /// its bound bucket. Caller guarantees `c` is fresh (not touched).
-    fn materialize(&mut self, c: ColorId, d: u64) {
-        *self.states.entry(c) = ColorState::new(d);
-        match self.by_bound.binary_search_by_key(&d, |&(b, _)| b) {
-            Ok(i) => {
-                self.by_bound[i].1.insert(c);
+    /// its bound bucket, on that bucket's list of colors awaiting their
+    /// first refresh unless `refreshed`. Caller guarantees `c` is fresh
+    /// (not touched). Returns the bucket index.
+    fn materialize(&mut self, c: ColorId, d: u64, refreshed: bool) -> usize {
+        let buckets = &self.buckets;
+        let bi = match self.by_bound.binary_search_by_key(&d, |&i| buckets[i as usize].bound) {
+            Ok(pos) => self.by_bound[pos] as usize,
+            Err(pos) => {
+                self.by_bound.insert(pos, self.buckets.len() as u32);
+                self.buckets.push(Bucket::new(d));
+                self.buckets.len() - 1
             }
-            Err(i) => {
-                let mut bucket = ColorSet::new();
-                bucket.insert(c);
-                self.by_bound.insert(i, (d, bucket));
-            }
+        };
+        let bucket = &mut self.buckets[bi];
+        bucket.members.insert(c);
+        if !refreshed {
+            bucket.unrefreshed.push(c.0);
         }
+        *self.states.entry(c) = ColorState::new(d, bi as u32, refreshed);
+        bi
     }
 
     /// Run the §3.1 drop-phase and arrival-phase bookkeeping for round
@@ -249,35 +340,37 @@ impl ColorBook {
             }
         }
 
-        // Drop phase (§3.1): at each block boundary, commit the timestamp
-        // and retire eligible-but-uncached colors. Buckets hold touched
-        // colors only, so a boundary walks the live working set, not the
-        // universe.
+        // Drop phase (§3.1): at each block boundary, commit the wraps of
+        // the previous blocks into the timestamps and retire
+        // eligible-but-uncached colors. Wraps happen only at boundaries, so
+        // every uncommitted wrap precedes the current block.
         self.ts_updates.clear();
-        for &(d, ref bucket) in &self.by_bound {
-            if !k.is_multiple_of(d) {
+        for &bi in &self.by_bound {
+            let bucket = &mut self.buckets[bi as usize];
+            if !k.is_multiple_of(bucket.bound) {
                 continue;
             }
-            for c in bucket.iter() {
+            self.boundary_visits += (bucket.uncommitted.len() + bucket.eligible.len()) as u64;
+            bucket.uncommitted.sort_unstable();
+            for &id in &bucket.uncommitted {
+                let s = &mut self.states[ColorId(id)];
+                s.ts = s.last_wrap;
+            }
+            self.ts_updates.extend_from_slice(&bucket.uncommitted);
+            bucket.uncommitted.clear();
+            self.retiring.clear();
+            self.retiring.extend(bucket.eligible.iter().filter(|&c| !in_cache(c)).map(|c| c.0));
+            for &id in &self.retiring {
+                let c = ColorId(id);
+                bucket.eligible.remove(c);
+                self.eligible.remove(c);
                 let s = &mut self.states[c];
-                if let Some(w) = s.last_wrap {
-                    // Wraps happen only at boundaries, so `w < k` means the
-                    // wrap precedes the current block and becomes the
-                    // committed timestamp.
-                    if w < k && s.ts != Some(w) {
-                        s.ts = Some(w);
-                        self.ts_updates.push(c.0);
-                    }
-                }
-                if s.eligible && !in_cache(c) {
-                    s.eligible = false;
-                    self.eligible.remove(c);
-                    s.cnt = 0;
-                    if s.epoch_active {
-                        s.epoch_active = false;
-                        self.metrics.active_epochs -= 1;
-                        self.metrics.completed_epochs += 1;
-                    }
+                s.eligible = false;
+                s.cnt = 0;
+                if s.epoch_active {
+                    s.epoch_active = false;
+                    self.metrics.active_epochs -= 1;
+                    self.metrics.completed_epochs += 1;
                 }
             }
         }
@@ -294,42 +387,56 @@ impl ColorBook {
 
         // Arrival phase (§3.1): count arrivals (materializing first-time
         // colors), then refresh deadlines and wrap counters at block
-        // boundaries. A color materialized this round enters its bucket
-        // before the boundary walk below, so its first deadline refresh
-        // and a possible immediate wrap happen in the same round — exactly
-        // as the eager book behaved.
+        // boundaries. A color materialized at its boundary is refreshed by
+        // that boundary below, and may wrap in the same round — exactly as
+        // the eager book behaved. One first seen off a boundary (a bare
+        // policy on unbatched input) waits for its next one.
         for &(c, n) in obs.arrivals {
             if self.touched.insert(c) {
-                self.materialize(c, obs.colors.delay_bound(c));
+                let d = obs.colors.delay_bound(c);
+                self.materialize(c, d, k.is_multiple_of(d));
             }
             let s = &mut self.states[c];
             debug_assert!(
                 k.is_multiple_of(s.delay_bound),
                 "batched-arrival policy fed an off-boundary arrival (color {c}, round {k})"
             );
+            if s.cnt < self.delta && s.cnt + n >= self.delta {
+                self.buckets[s.bucket as usize].full.push(c.0);
+            }
             s.cnt += n;
             if n > 0 && !s.epoch_active {
                 s.epoch_active = true;
                 self.metrics.active_epochs += 1;
             }
         }
-        for &(d, ref bucket) in &self.by_bound {
-            if !k.is_multiple_of(d) {
+        for bucket in &mut self.buckets {
+            if !k.is_multiple_of(bucket.bound) {
                 continue;
             }
-            for c in bucket.iter() {
+            bucket.deadline = k + bucket.bound;
+            self.boundary_visits += (bucket.unrefreshed.len() + bucket.full.len()) as u64;
+            for &id in &bucket.unrefreshed {
+                self.states[ColorId(id)].refreshed = true;
+            }
+            bucket.unrefreshed.clear();
+            for &id in &bucket.full {
+                let c = ColorId(id);
                 let s = &mut self.states[c];
-                s.deadline = k + d;
-                if s.cnt >= self.delta {
-                    s.cnt %= self.delta;
-                    s.last_wrap = Some(k);
-                    self.metrics.counter_wraps += 1;
-                    if !s.eligible {
-                        s.eligible = true;
-                        self.eligible.insert(c);
-                    }
+                if s.cnt < self.delta {
+                    continue;
+                }
+                s.cnt %= self.delta;
+                s.last_wrap = Some(k);
+                bucket.uncommitted.push(id);
+                self.metrics.counter_wraps += 1;
+                if !s.eligible {
+                    s.eligible = true;
+                    bucket.eligible.insert(c);
+                    self.eligible.insert(c);
                 }
             }
+            bucket.full.clear();
         }
     }
 
@@ -337,13 +444,15 @@ impl ColorBook {
     ///
     /// Δ and the super-epoch threshold are configuration, not state: they
     /// are written only so [`ColorBook::load_state`] can verify the resumed
-    /// book was constructed identically. `by_bound` and `eligible` are
-    /// derived from the states and rebuilt on load; the `ts_updates`
-    /// scratch buffer is dead between rounds and excluded.
+    /// book was constructed identically. The buckets' deadlines, work lists
+    /// and eligible sets and the `eligible` index are derived from the
+    /// states and rebuilt on load; the scratch buffers are dead between
+    /// rounds and excluded.
     ///
     /// Layout: synced color count, then a sparse section (`get_sparse`)
     /// listing each touched color in ascending id order with its seven
-    /// state fields. Untouched colors cost nothing on the wire.
+    /// state fields (the deadline read through [`ColorBook::deadline`]).
+    /// Untouched colors cost nothing on the wire.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.delta);
         put_opt_u64(w, self.super_epoch_threshold);
@@ -354,7 +463,7 @@ impl ColorBook {
             w.put_u32(c.0);
             w.put_u64(s.delay_bound);
             w.put_u64(s.cnt);
-            w.put_u64(s.deadline);
+            w.put_u64(self.deadline_of(s));
             put_bool(w, s.eligible);
             put_opt_u64(w, s.ts);
             put_opt_u64(w, s.last_wrap);
@@ -374,7 +483,14 @@ impl ColorBook {
     /// Restore the book's mutable state from a checkpoint, mirroring
     /// [`ColorBook::save_state`]. The book must have been constructed with
     /// the same Δ and super-epoch threshold as the checkpointing run.
-    /// The epoch count must match the colors with an epoch in progress.
+    ///
+    /// Only states some run can reach load, because the derived bucket
+    /// state represents no others: a nonzero deadline is a multiple of its
+    /// bound and shared by every refreshed color of that bound; `ts` and
+    /// `last_wrap` are boundaries, `ts` never later than `last_wrap`, and
+    /// `last_wrap` no later than the color's last refresh; an eligible
+    /// color has wrapped; and the epoch count matches the colors with an
+    /// epoch in progress.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let delta = r.get_u64("book delta")?;
         if delta != self.delta {
@@ -399,12 +515,15 @@ impl ColorBook {
         self.synced = n;
         self.touched = ColorSet::new();
         self.eligible = ColorSet::new();
+        self.buckets.clear();
         self.by_bound.clear();
+        self.boundary_visits = 0;
         let mut epochs_in_progress = 0u64;
         get_sparse(r, synced, "book states", |r, c| {
-            let delay_bound = r.get_u64("color delay bound")?;
-            if delay_bound == 0 {
-                return Err(SnapError::Invalid(format!("color {} has zero delay bound", c.0)));
+            let invalid = |what: String| SnapError::Invalid(format!("color {} {what}", c.0));
+            let d = r.get_u64("color delay bound")?;
+            if d == 0 {
+                return Err(invalid("has zero delay bound".into()));
             }
             let cnt = r.get_u64("color counter")?;
             let deadline = r.get_u64("color deadline")?;
@@ -412,14 +531,67 @@ impl ColorBook {
             let ts = get_opt_u64(r, "color timestamp")?;
             let last_wrap = get_opt_u64(r, "color last wrap")?;
             let epoch_active = get_bool(r, "color epoch flag")?;
+            if !deadline.is_multiple_of(d) {
+                return Err(invalid(format!("deadline {deadline} is not a multiple of bound {d}")));
+            }
+            if let Some(v) = ts.into_iter().chain(last_wrap).find(|v| !v.is_multiple_of(d)) {
+                return Err(invalid(format!("wrap round {v} is not a multiple of bound {d}")));
+            }
+            match (ts, last_wrap) {
+                (Some(t), None) => {
+                    return Err(invalid(format!("has timestamp {t} but never wrapped")));
+                }
+                (Some(t), Some(w)) if t > w => {
+                    return Err(invalid(format!("timestamp {t} is later than its last wrap {w}")));
+                }
+                _ => {}
+            }
+            if eligible && last_wrap.is_none() {
+                return Err(invalid("is eligible but never wrapped".into()));
+            }
+            // A wrap at boundary w refreshes the deadline to w + d.
+            match last_wrap {
+                Some(w) if deadline == 0 => {
+                    return Err(invalid(format!("wrapped at {w} but was never refreshed")));
+                }
+                Some(w) if w > deadline - d => {
+                    let last = deadline - d;
+                    return Err(invalid(format!(
+                        "wrapped at {w}, after its last refresh at {last}"
+                    )));
+                }
+                _ => {}
+            }
             self.touched.insert(c);
+            let bi = self.materialize(c, d, deadline != 0);
+            let bucket = &mut self.buckets[bi];
+            if deadline != 0 {
+                if bucket.deadline == 0 {
+                    bucket.deadline = deadline;
+                } else if bucket.deadline != deadline {
+                    return Err(invalid(format!(
+                        "deadline {deadline} differs from {} of another color of bound {d}",
+                        bucket.deadline
+                    )));
+                }
+            }
             if eligible {
+                bucket.eligible.insert(c);
                 self.eligible.insert(c);
             }
+            if cnt >= self.delta {
+                bucket.full.push(c.0);
+            }
+            if last_wrap.is_some() && ts != last_wrap {
+                bucket.uncommitted.push(c.0);
+            }
             epochs_in_progress += u64::from(epoch_active);
-            self.materialize(c, delay_bound);
-            *self.states.entry(c) =
-                ColorState { delay_bound, cnt, deadline, eligible, ts, last_wrap, epoch_active };
+            let s = &mut self.states[c];
+            s.cnt = cnt;
+            s.eligible = eligible;
+            s.ts = ts;
+            s.last_wrap = last_wrap;
+            s.epoch_active = epoch_active;
             Ok(())
         })?;
         self.super_epoch_colors = get_color_set(r, "super-epoch colors")?;
@@ -497,11 +669,11 @@ mod tests {
         // The first arrival materializes the state; its block boundary
         // refreshes the deadline in the same round.
         step(&mut book, &colors, 0, &[(A, 1)], &[], &[]);
-        assert_eq!(book.state(A).deadline, 4);
+        assert_eq!(book.deadline(A), 4);
         step(&mut book, &colors, 1, &[], &[], &[]);
-        assert_eq!(book.state(A).deadline, 4); // not a boundary
+        assert_eq!(book.deadline(A), 4); // not a boundary
         step(&mut book, &colors, 4, &[], &[], &[]);
-        assert_eq!(book.state(A).deadline, 8);
+        assert_eq!(book.deadline(A), 8);
     }
 
     #[test]
@@ -515,7 +687,7 @@ mod tests {
         let b = ColorId(1);
         assert!(!book.is_eligible(b));
         assert_eq!(book.state(b).cnt, 0);
-        assert_eq!(book.state(b).deadline, 0, "never refreshed, never read");
+        assert_eq!(book.deadline(b), 0, "never refreshed, never read");
         // ... and never shows up in eligible iteration.
         assert!(book.eligible_colors().all(|c| c == A));
     }
@@ -649,22 +821,48 @@ mod tests {
         assert!(restored.eligible_colors().eq(book.eligible_colors()));
     }
 
-    /// A hand-built book section for Δ = 1: one eligible bound-2 color with
-    /// the given epoch flag, and `active_epochs` in the metrics.
-    fn one_color_section(epoch_active: bool, active_epochs: u64) -> Vec<u8> {
+    /// One color's seven snapshot fields, in `save_state` order.
+    #[derive(Clone, Copy, Debug)]
+    struct Fields {
+        bound: u64,
+        cnt: u64,
+        deadline: u64,
+        eligible: bool,
+        ts: Option<u64>,
+        last_wrap: Option<u64>,
+        epoch_active: bool,
+    }
+
+    /// An eligible bound-2 color that wrapped at round 0, the boundary that
+    /// set its deadline to 2, with no epoch in progress.
+    const WRAPPED: Fields = Fields {
+        bound: 2,
+        cnt: 0,
+        deadline: 2,
+        eligible: true,
+        ts: None,
+        last_wrap: Some(0),
+        epoch_active: false,
+    };
+
+    /// A hand-built book section for Δ = 1 holding `colors` as ids 0, 1, …,
+    /// with `active_epochs` in the metrics.
+    fn section(colors: &[Fields], active_epochs: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_u64(1); // delta
         put_opt_u64(&mut w, None); // super-epoch threshold
-        w.put_u64(1); // synced colors
-        w.put_u64(1); // touched colors
-        w.put_u32(0);
-        w.put_u64(2); // delay bound
-        w.put_u64(0); // counter
-        w.put_u64(2); // deadline
-        put_bool(&mut w, true); // eligible
-        put_opt_u64(&mut w, None); // timestamp
-        put_opt_u64(&mut w, Some(0)); // last wrap
-        put_bool(&mut w, epoch_active);
+        w.put_u64(colors.len() as u64); // synced colors
+        w.put_u64(colors.len() as u64); // touched colors
+        for (id, f) in colors.iter().enumerate() {
+            w.put_u32(id as u32);
+            w.put_u64(f.bound);
+            w.put_u64(f.cnt);
+            w.put_u64(f.deadline);
+            put_bool(&mut w, f.eligible);
+            put_opt_u64(&mut w, f.ts);
+            put_opt_u64(&mut w, f.last_wrap);
+            put_bool(&mut w, f.epoch_active);
+        }
         put_color_set(&mut w, &ColorSet::new()); // super-epoch colors
 
         // Metrics: wraps, timestamp updates, completed and active epochs,
@@ -675,19 +873,103 @@ mod tests {
         w.finish()
     }
 
+    fn load(bytes: &[u8]) -> Result<ColorBook, SnapError> {
+        let mut book = ColorBook::new(1);
+        book.load_state(&mut SnapReader::new(bytes)?)?;
+        Ok(book)
+    }
+
+    /// Loading `colors` fails with a message that names color `id` and
+    /// contains `what`.
+    fn assert_rejected(colors: &[Fields], id: u32, what: &str) {
+        let epochs = colors.iter().filter(|f| f.epoch_active).count() as u64;
+        match load(&section(colors, epochs)) {
+            Err(SnapError::Invalid(msg)) => {
+                assert!(msg.starts_with(&format!("color {id} ")) && msg.contains(what), "{msg}");
+            }
+            other => panic!("{colors:?} loaded: {other:?}"),
+        }
+    }
+
     #[test]
     fn load_rejects_an_epoch_count_that_contradicts_the_colors() {
-        let load = |bytes: Vec<u8>| ColorBook::new(1).load_state(&mut SnapReader::new(&bytes)?);
-        assert!(load(one_color_section(true, 1)).is_ok());
-        assert!(load(one_color_section(false, 0)).is_ok());
+        let one_color = |epoch_active, count| section(&[Fields { epoch_active, ..WRAPPED }], count);
+        assert!(load(&one_color(true, 1)).is_ok());
+        assert!(load(&one_color(false, 0)).is_ok());
         // Zero epochs while the color has one in progress: its next
         // retirement would subtract below zero.
         for (flag, count) in [(true, 0), (false, 1), (true, 2)] {
-            match load(one_color_section(flag, count)) {
+            match load(&one_color(flag, count)) {
                 Err(SnapError::Invalid(msg)) => assert!(msg.contains("active epochs"), "{msg}"),
                 other => panic!("epoch flag {flag} with count {count} loaded: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn load_rejects_a_deadline_off_its_bound() {
+        assert_rejected(&[Fields { deadline: 3, ..WRAPPED }], 0, "deadline 3 is not a multiple");
+    }
+
+    #[test]
+    fn load_rejects_two_deadlines_for_one_bound() {
+        assert_rejected(&[WRAPPED, Fields { deadline: 4, ..WRAPPED }], 1, "differs from 2");
+    }
+
+    #[test]
+    fn load_rejects_a_wrap_round_off_its_bound() {
+        let ts_off = Fields { deadline: 4, ts: Some(1), last_wrap: Some(2), ..WRAPPED };
+        assert_rejected(&[ts_off], 0, "wrap round 1 is not a multiple");
+        assert_rejected(&[Fields { last_wrap: Some(1), ..WRAPPED }], 0, "wrap round 1");
+    }
+
+    #[test]
+    fn load_rejects_a_timestamp_without_or_after_its_wrap() {
+        let unwrapped = Fields { eligible: false, ts: Some(0), last_wrap: None, ..WRAPPED };
+        assert_rejected(&[unwrapped], 0, "timestamp 0 but never wrapped");
+        let early = Fields { deadline: 4, ts: Some(2), last_wrap: Some(0), ..WRAPPED };
+        assert_rejected(&[early], 0, "timestamp 2 is later than its last wrap 0");
+    }
+
+    #[test]
+    fn load_rejects_an_eligible_color_that_never_wrapped() {
+        assert_rejected(&[Fields { last_wrap: None, ..WRAPPED }], 0, "eligible but never wrapped");
+    }
+
+    #[test]
+    fn load_rejects_a_wrap_after_the_last_refresh() {
+        // A wrap at boundary w refreshes the deadline to w + D.
+        assert_rejected(&[Fields { deadline: 2, last_wrap: Some(2), ..WRAPPED }], 0, "at 0");
+        assert_rejected(&[Fields { deadline: 0, ..WRAPPED }], 0, "never refreshed");
+    }
+
+    #[test]
+    fn load_accepts_what_an_off_boundary_arrival_leaves() {
+        // A color first seen off a boundary: deadline 0 beside a refreshed
+        // color of its bound, and a counter at Δ that has not wrapped yet.
+        let late = Fields {
+            cnt: 3,
+            deadline: 0,
+            eligible: false,
+            last_wrap: None,
+            epoch_active: true,
+            ..WRAPPED
+        };
+        let bytes = section(&[WRAPPED, late], 1);
+        let mut book = load(&bytes).unwrap();
+        let (a, b) = (ColorId(0), ColorId(1));
+        assert_eq!((book.deadline(a), book.deadline(b)), (2, 0));
+        let mut w = SnapWriter::new();
+        book.save_state(&mut w);
+        assert_eq!(w.finish(), bytes, "a loaded book saves the bytes it read");
+        // Its next boundary refreshes it and wraps its counter.
+        let colors = ColorTable::from_bounds(&[2, 2]);
+        step(&mut book, &colors, 2, &[], &[], &[a]);
+        assert_eq!((book.deadline(a), book.deadline(b)), (4, 4));
+        assert_eq!(book.state(b).last_wrap, Some(2));
+        assert_eq!(book.state(b).cnt, 0);
+        assert!(book.is_eligible(b));
+        assert_eq!(book.state(a).ts, Some(0), "color 0's round-0 wrap commits");
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct EdfKey {
 
 /// The EDF ranking key of an (eligible) color.
 pub fn edf_key(book: &ColorBook, pending: &PendingStore, c: ColorId) -> EdfKey {
-    let s = book.state(c);
-    EdfKey { idle: pending.is_idle(c), deadline: s.deadline, delay_bound: s.delay_bound, color: c }
+    let delay_bound = book.state(c).delay_bound;
+    EdfKey { idle: pending.is_idle(c), deadline: book.deadline(c), delay_bound, color: c }
 }
 
 /// A committed ΔLRU recency timestamp (§3.1.1): the latest counter-wrap

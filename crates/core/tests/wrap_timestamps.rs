@@ -4,41 +4,60 @@
 //! Δ; a wrap at a block boundary becomes the color's timestamp one block
 //! later, and rankings compare those committed wrap rounds. The oracle
 //! below never wraps anything: it tracks the unbounded cumulative arrival
-//! total per color and derives wraps arithmetically. These tests drive a
+//! total per color and derives wraps arithmetically, walks every color at
+//! every boundary, and keeps a deadline per color. These tests drive a
 //! [`ColorBook`] and the oracle through the same rounds — unit cases across
-//! the wrap boundary plus randomized schedules — and assert the book's
-//! counters, timestamps, eligible set and the full ΔLRU recency *order*
-//! agree with the oracle everywhere.
+//! the wrap boundary plus randomized schedules, some with a checkpoint
+//! reload partway — and assert the book's counters, timestamps, deadlines,
+//! eligible set, lemma counters and the full ΔLRU recency *order* agree
+//! with the oracle everywhere.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rrs_core::ranking::{lru_key, Recency};
-use rrs_core::ColorBook;
+use rrs_core::{AlgoMetrics, ColorBook};
 use rrs_engine::{Observation, PendingStore};
-use rrs_model::{ColorId, ColorTable};
+use rrs_model::{ColorId, ColorTable, SnapReader, SnapWriter};
 
 /// Unbounded-counter shadow of one color's §3.1 bookkeeping.
 #[derive(Clone, Debug, Default)]
 struct OracleColor {
+    /// Whether the color has ever appeared in an arrival batch.
+    touched: bool,
     /// Cumulative arrivals, never reset and never wrapped.
     total: u64,
     /// Arrivals consumed by wraps or discarded by retirement.
     consumed: u64,
+    /// `k + D` for the color's latest boundary `k` since it was touched.
+    deadline: u64,
     eligible: bool,
     last_wrap: Option<u64>,
     ts: Option<u64>,
+    epoch_active: bool,
 }
 
 /// The oracle: replays the drop/arrival-phase bookkeeping with unbounded
-/// arithmetic instead of a wrapping counter.
+/// arithmetic instead of a wrapping counter, and counts the lemma metrics.
 struct Oracle {
     delta: u64,
     bounds: Vec<u64>,
     colors: Vec<OracleColor>,
+    metrics: AlgoMetrics,
+    super_epoch_threshold: Option<u64>,
+    super_epoch_colors: BTreeSet<usize>,
 }
 
 impl Oracle {
     fn new(delta: u64, bounds: &[u64]) -> Self {
-        Self { delta, bounds: bounds.to_vec(), colors: vec![OracleColor::default(); bounds.len()] }
+        Self {
+            delta,
+            bounds: bounds.to_vec(),
+            colors: vec![OracleColor::default(); bounds.len()],
+            metrics: AlgoMetrics::default(),
+            super_epoch_threshold: None,
+            super_epoch_colors: BTreeSet::new(),
+        }
     }
 
     /// The live counter value the book must agree with.
@@ -48,34 +67,60 @@ impl Oracle {
 
     fn begin_round(&mut self, round: u64, arrivals: &[(ColorId, u64)], cached: &[bool]) {
         // Drop phase: commit timestamps, retire uncached eligible colors.
-        for (i, s) in self.colors.iter_mut().enumerate() {
+        // Commits count toward super-epochs in ascending bound, then
+        // ascending id.
+        let mut order: Vec<usize> = (0..self.colors.len()).collect();
+        order.sort_by_key(|&i| (self.bounds[i], i));
+        for i in order {
+            let s = &mut self.colors[i];
             if !round.is_multiple_of(self.bounds[i]) {
                 continue;
             }
             if let Some(w) = s.last_wrap {
-                if w < round {
+                if w < round && s.ts != Some(w) {
                     s.ts = Some(w);
+                    self.metrics.timestamp_updates += 1;
+                    if let Some(t) = self.super_epoch_threshold {
+                        self.super_epoch_colors.insert(i);
+                        if self.super_epoch_colors.len() as u64 >= t {
+                            self.metrics.super_epochs += 1;
+                            self.super_epoch_colors.clear();
+                        }
+                    }
                 }
             }
             if s.eligible && !cached[i] {
                 s.eligible = false;
                 // Retirement discards the partial count entirely.
                 s.consumed = s.total;
+                if s.epoch_active {
+                    s.epoch_active = false;
+                    self.metrics.active_epochs -= 1;
+                    self.metrics.completed_epochs += 1;
+                }
             }
         }
-        // Arrival phase: accumulate, then wrap at boundaries.
+        // Arrival phase: accumulate, then refresh and wrap at boundaries.
         for &(c, n) in arrivals {
-            self.colors[c.index()].total += n;
+            let s = &mut self.colors[c.index()];
+            s.touched = true;
+            s.total += n;
+            if n > 0 && !s.epoch_active {
+                s.epoch_active = true;
+                self.metrics.active_epochs += 1;
+            }
         }
         for (i, s) in self.colors.iter_mut().enumerate() {
-            if !round.is_multiple_of(self.bounds[i]) {
+            if !s.touched || !round.is_multiple_of(self.bounds[i]) {
                 continue;
             }
+            s.deadline = round + self.bounds[i];
             let avail = s.total - s.consumed;
             if avail >= self.delta {
                 s.consumed += (avail / self.delta) * self.delta;
                 s.last_wrap = Some(round);
                 s.eligible = true;
+                self.metrics.counter_wraps += 1;
             }
         }
     }
@@ -89,11 +134,51 @@ impl Oracle {
     }
 }
 
-/// Drive one round of both the book and the oracle and cross-check
-/// counters, wrap rounds, committed timestamps, the eligible index and the
-/// recency order.
-fn step_both(
-    book: &mut ColorBook,
+fn save(book: &ColorBook) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    book.save_state(&mut w);
+    w.finish()
+}
+
+/// Cross-check one book against the oracle: counters, wrap rounds,
+/// committed timestamps, deadlines, epochs, the lemma counters, the
+/// eligible index and the recency order.
+fn check(book: &ColorBook, oracle: &Oracle, round: u64) {
+    for i in 0..oracle.colors.len() {
+        let c = ColorId(i as u32);
+        let s = book.state(c);
+        let o = &oracle.colors[i];
+        assert_eq!(s.cnt, oracle.counter(i), "round {round}, color {c}: counter diverged");
+        assert_eq!(s.last_wrap, o.last_wrap, "round {round}, color {c}: wrap round diverged");
+        assert_eq!(s.ts, o.ts, "round {round}, color {c}: committed timestamp diverged");
+        assert_eq!(s.eligible, o.eligible, "round {round}, color {c}: eligibility diverged");
+        assert_eq!(book.deadline(c), o.deadline, "round {round}, color {c}: deadline diverged");
+        assert_eq!(s.epoch_active, o.epoch_active, "round {round}, color {c}: epoch diverged");
+        assert_eq!(
+            Recency::from_ts(s.ts).value(),
+            o.ts.unwrap_or(0),
+            "round {round}, color {c}: recency value diverged"
+        );
+    }
+    assert_eq!(book.metrics, oracle.metrics, "round {round}: lemma counters diverged");
+    let eligible: Vec<ColorId> = (0..oracle.colors.len() as u32)
+        .map(ColorId)
+        .filter(|c| oracle.colors[c.index()].eligible)
+        .collect();
+    assert_eq!(
+        book.eligible_colors().collect::<Vec<_>>(),
+        eligible,
+        "round {round}: eligible index diverged"
+    );
+    let mut ids: Vec<ColorId> = (0..oracle.colors.len() as u32).map(ColorId).collect();
+    ids.sort_by_key(|&c| lru_key(book, c));
+    assert_eq!(ids, oracle.recency_order(), "round {round}: \u{0394}LRU order diverged");
+}
+
+/// Drive one round of every book and the oracle, check each book against
+/// the oracle, and require every book to save the first one's bytes.
+fn step_all(
+    books: &mut [ColorBook],
     oracle: &mut Oracle,
     table: &ColorTable,
     round: u64,
@@ -112,35 +197,31 @@ fn step_both(
         pending: &pending,
         slots: &[],
     };
-    book.begin_round(&obs, |c| cached[c.index()]);
-    oracle.begin_round(round, arrivals, cached);
-
-    for i in 0..oracle.colors.len() {
-        let c = ColorId(i as u32);
-        let s = book.state(c);
-        let o = &oracle.colors[i];
-        assert_eq!(s.cnt, oracle.counter(i), "round {round}, color {c}: counter diverged");
-        assert_eq!(s.last_wrap, o.last_wrap, "round {round}, color {c}: wrap round diverged");
-        assert_eq!(s.ts, o.ts, "round {round}, color {c}: committed timestamp diverged");
-        assert_eq!(s.eligible, o.eligible, "round {round}, color {c}: eligibility diverged");
-        assert_eq!(
-            Recency::from_ts(s.ts).value(),
-            o.ts.unwrap_or(0),
-            "round {round}, color {c}: recency value diverged"
-        );
+    for book in books.iter_mut() {
+        book.begin_round(&obs, |c| cached[c.index()]);
     }
-    let eligible: Vec<ColorId> = (0..oracle.colors.len() as u32)
-        .map(ColorId)
-        .filter(|c| oracle.colors[c.index()].eligible)
-        .collect();
-    assert_eq!(
-        book.eligible_colors().collect::<Vec<_>>(),
-        eligible,
-        "round {round}: eligible index diverged"
-    );
-    let mut ids: Vec<ColorId> = (0..oracle.colors.len() as u32).map(ColorId).collect();
-    ids.sort_by_key(|&c| lru_key(book, c));
-    assert_eq!(ids, oracle.recency_order(), "round {round}: \u{0394}LRU order diverged");
+    oracle.begin_round(round, arrivals, cached);
+    for book in books.iter() {
+        check(book, oracle, round);
+    }
+    if let Some((first, rest)) = books.split_first() {
+        let bytes = save(first);
+        for book in rest {
+            assert!(save(book) == bytes, "round {round}: a reloaded book saves other bytes");
+        }
+    }
+}
+
+/// Drive one round of a single book and the oracle, and cross-check them.
+fn step_both(
+    book: &mut ColorBook,
+    oracle: &mut Oracle,
+    table: &ColorTable,
+    round: u64,
+    arrivals: &[(ColorId, u64)],
+    cached: &[bool],
+) {
+    step_all(std::slice::from_mut(book), oracle, table, round, arrivals, cached);
 }
 
 #[test]
@@ -211,34 +292,62 @@ fn multi_delta_batch_consumes_every_full_multiple() {
     assert_eq!(book.state(a).last_wrap, Some(0));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Two colors per bound, the longest bound at the lowest id: a round-0
+/// batch in id order creates the bound-4 bucket before the bound-1 one, so
+/// bucket creation order differs from the bound order commits run in.
+const BOUNDS: [u64; 6] = [4, 2, 1, 4, 2, 1];
+const ROUNDS: u64 = 33;
 
-    /// Random batched schedules over three colors with mixed bounds: the
+/// Off-boundary arrivals trip the book's debug assertion (batched input is
+/// every paper policy's contract). A release build accepts them — a bare
+/// Section 3 policy on unbatched input — so there the schedules include
+/// them, and the book's first-refresh and pending-wrap paths see use.
+const OFF_BOUNDARY_ARRIVALS: bool = !cfg!(debug_assertions);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Random schedules over two colors of each of three bounds: the
     /// wrapping-counter book and the unbounded oracle must agree on every
-    /// counter, timestamp and the full recency order, every round.
+    /// counter, timestamp, deadline, lemma counter (super-epochs under a
+    /// random threshold, which pins the commit order) and the full recency
+    /// order, every round. Partway through, a second book loads the first
+    /// one's snapshot; from then on both run every round, must save
+    /// identical bytes, and must each agree with the oracle.
     #[test]
     fn random_schedules_agree_with_unbounded_oracle(
         delta in 1u64..5,
-        arrivals in prop::collection::vec(0u64..5, 3 * 33),
-        cache_bits in prop::collection::vec(0u8..2, 3 * 33),
+        threshold in 1u64..4,
+        reload_at in 0u64..ROUNDS,
+        arrivals in prop::collection::vec(0u64..5, BOUNDS.len() * ROUNDS as usize),
+        cache_bits in prop::collection::vec(0u8..2, BOUNDS.len() * ROUNDS as usize),
     ) {
-        let bounds = [1u64, 2, 4];
-        let table = ColorTable::from_bounds(&bounds);
-        let mut book = ColorBook::new(delta);
-        let mut oracle = Oracle::new(delta, &bounds);
-        for round in 0..33u64 {
+        let n = BOUNDS.len();
+        let table = ColorTable::from_bounds(&BOUNDS);
+        let mut books = vec![ColorBook::new(delta).with_super_epoch_threshold(threshold)];
+        let mut oracle = Oracle::new(delta, &BOUNDS);
+        oracle.super_epoch_threshold = Some(threshold);
+        for round in 0..ROUNDS {
+            if round == reload_at {
+                let bytes = save(&books[0]);
+                let mut reloaded = ColorBook::new(delta).with_super_epoch_threshold(threshold);
+                reloaded.load_state(&mut SnapReader::new(&bytes).unwrap()).unwrap();
+                prop_assert!(save(&reloaded) == bytes, "round {round}: reload changed the bytes");
+                books.push(reloaded);
+            }
             let mut batch: Vec<(ColorId, u64)> = Vec::new();
-            for (i, &d) in bounds.iter().enumerate() {
-                // Arrivals only at the color's block boundaries.
-                let n = arrivals[round as usize * 3 + i];
-                if round % d == 0 && n > 0 {
-                    batch.push((ColorId(i as u32), n));
+            for (i, &d) in BOUNDS.iter().enumerate() {
+                let mut jobs = arrivals[round as usize * n + i];
+                if round == 0 && i == 0 {
+                    jobs = jobs.max(1); // materialize the bound-4 bucket first
+                }
+                if jobs > 0 && (round % d == 0 || OFF_BOUNDARY_ARRIVALS) {
+                    batch.push((ColorId(i as u32), jobs));
                 }
             }
             let cached: Vec<bool> =
-                (0..3).map(|i| cache_bits[round as usize * 3 + i] == 1).collect();
-            step_both(&mut book, &mut oracle, &table, round, &batch, &cached);
+                (0..n).map(|i| cache_bits[round as usize * n + i] == 1).collect();
+            step_all(&mut books, &mut oracle, &table, round, &batch, &cached);
         }
     }
 }

@@ -71,6 +71,53 @@ fn drop_work_follows_due_entries_not_live_colors() {
     );
 }
 
+/// The boundary phase's work guard: 10⁵ bound-2 colors sit below Δ while
+/// one bound-1 color arrives, wraps, commits and retires every round.
+/// `boundary_visits` counts the colors `begin_round` examines at block
+/// boundaries; it must follow those changes, where a walk over every
+/// touched color of each boundary's bound would visit ~10⁸.
+#[test]
+fn boundary_work_follows_changed_colors_not_touched_colors() {
+    const IDLE: u32 = 100_000;
+    const ROUNDS: u64 = 1_000;
+    const DELTA: u64 = 2;
+    let mut bounds = vec![2; IDLE as usize];
+    bounds.push(1);
+    let colors = ColorTable::from_bounds(&bounds);
+    let busy = ColorId(IDLE);
+    let pending = PendingStore::new();
+    let observe = |round, arrivals| Observation {
+        round,
+        mini_round: 0,
+        speed: 1,
+        delta: DELTA,
+        colors: &colors,
+        arrivals,
+        dropped: &[],
+        pending: &pending,
+        slots: &[],
+    };
+    let mut book = rrs::core::ColorBook::new(DELTA);
+    let idle: Vec<(ColorId, u64)> = (0..IDLE).map(|c| (ColorId(c), 1)).collect();
+    book.begin_round(&observe(0, &idle), |_| false);
+    let batch = [(busy, DELTA)];
+    for round in 1..=ROUNDS {
+        book.begin_round(&observe(round, &batch), |_| false);
+    }
+    let m = book.metrics;
+    assert_eq!(book.touched_len(), IDLE as usize + 1);
+    assert_eq!((m.counter_wraps, m.timestamp_updates), (ROUNDS, ROUNDS - 1));
+    assert_eq!(m.completed_epochs, ROUNDS - 1, "the busy color retires every round");
+    assert_eq!(book.deadline(ColorId(0)), ROUNDS + 2, "idle colors still refresh");
+    let changes = ROUNDS + m.counter_wraps + m.timestamp_updates + m.completed_epochs;
+    assert!(
+        book.boundary_visits() <= changes,
+        "begin_round examined {} colors at boundaries for {changes} arrivals, wraps, \
+         commits and retirements",
+        book.boundary_visits()
+    );
+}
+
 #[test]
 fn medium_scale_adversaries() {
     // Larger appendix instances than the experiment defaults.
