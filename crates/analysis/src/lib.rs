@@ -44,7 +44,7 @@ pub use ratio::ratio;
 pub use run::{
     collecting, enable_report_collection, observed_run, record_report, run_dlru_edf,
     run_dlru_edf_labeled, run_policy, simulate, simulate_plain, supervisor, take_reports,
-    RunReport,
+    RunReport, SUPERVISED,
 };
 pub use table::Table;
 pub use timeline::{timeline, timeline_table, Window};

@@ -185,6 +185,11 @@ pub fn supervisor(inst: &Instance) -> impl Recorder + '_ {
     }
 }
 
+/// Whether [`supervisor`] watches anything: true under `--features
+/// validate`. A caller that streams its input loads the instance only when
+/// this is set, because the watcher checks every round against it.
+pub const SUPERVISED: bool = cfg!(feature = "validate");
+
 /// Run a configured simulator through this crate's single simulation choke
 /// point. Every harness run — the one-call helpers below, the lemma
 /// checkers, the E1–E16 experiments, punctuality audits and timelines —

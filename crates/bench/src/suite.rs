@@ -36,9 +36,9 @@ use std::time::Duration;
 
 use rrs_engine::obs::names;
 use rrs_engine::{
-    encode_snapshot, jobs, par_map_sweep_stats, run_stream_session, set_jobs, CheckpointPolicy,
-    CounterRecorder, CounterRegistry, NullRecorder, Policy, Scratch, SessionResult, Simulator,
-    SnapshotFile, Stopwatch, StreamOptions,
+    encode_snapshot, jobs, par_map_sweep_stats, set_jobs, CheckpointPolicy, CounterRecorder,
+    CounterRegistry, NullRecorder, Policy, Session, SessionResult, Simulator, SnapshotFile,
+    Stopwatch,
 };
 use rrs_model::{Instance, TextStream};
 use rrs_offline::{solve_opt_guarded, solve_opt_memoized, OptCache, OptConfig};
@@ -228,10 +228,9 @@ fn stream_soak(cfg: SuiteConfig) -> Result<BenchRecord, String> {
     let mut samples = Vec::new();
     let mut peak_heap = 0u64;
     for rep in 0..cfg.repetitions {
-        let mut source = TextStream::new(BufReader::new(SoakText::new(rounds)))
+        let source = TextStream::new(BufReader::new(SoakText::new(rounds)))
             .map_err(|e| format!("soak header: {e}"))?;
         let mut policy = rrs_core::full_algorithm();
-        let mut scratch = Scratch::new();
         let mut reg = CounterRegistry::new();
         let mut snapshots = 0u64;
         let mut snapshot_bytes = 0u64;
@@ -241,22 +240,11 @@ fn stream_soak(cfg: SuiteConfig) -> Result<BenchRecord, String> {
         };
         let baseline = alloc_probe::reset_peak();
         let sw = Stopwatch::start();
-        let out = run_stream_session(
-            &mut source,
-            &mut policy,
-            &mut CounterRecorder::new(&mut reg),
-            &mut scratch,
-            &mut NullRecorder,
-            StreamOptions {
-                n_locations: 8,
-                speed: 1,
-                plan: CheckpointPolicy::EveryN(every),
-                ..Default::default()
-            },
-            Some(&mut sink),
-        )
-        .map_err(|e| format!("soak run failed: {e:?}"))?
-        .into_outcome();
+        let out = Session::new(source, 8)
+            .checkpoints(CheckpointPolicy::EveryN(every), &mut sink)
+            .run(&mut policy, &mut CounterRecorder::new(&mut reg))
+            .map_err(|e| format!("soak run failed: {e:?}"))?
+            .into_outcome();
         samples.push(per_sec(out.rounds, sw.elapsed()));
         peak_heap = peak_heap.max(alloc_probe::peak_bytes().saturating_sub(baseline));
         if out.arrived != out.executed + out.dropped {
@@ -286,7 +274,8 @@ fn checkpoint_codec(cfg: SuiteConfig) -> Result<BenchRecord, String> {
     let sim = Simulator::new(&inst, 8);
     let at_round = inst.horizon() / 2;
     let mut policy = rrs_core::full_algorithm();
-    let snapshot = match sim.checkpoint(&mut policy, &mut NullRecorder, at_round) {
+    let session = sim.session().stop_before(at_round);
+    let snapshot = match session.run(&mut policy, &mut NullRecorder).map_err(|e| e.to_string())? {
         SessionResult::Suspended { snapshot, .. } => snapshot,
         SessionResult::Completed(_) => {
             return Err(format!("checkpoint at round {at_round} unexpectedly completed"));

@@ -501,10 +501,11 @@ mod tests {
         for k in [1, 4, 9] {
             let sim = Simulator::new(&inst, 8);
             let mut w = InvariantWatcher::new(&inst);
-            let snap = sim.checkpoint(&mut full_algorithm(), &mut w, k).into_snapshot();
+            let snap = sim.session().stop_before(k).run(&mut full_algorithm(), &mut w).unwrap();
+            let snap = snap.into_snapshot();
             let mut w2 = InvariantWatcher::new(&inst);
-            let out = sim.resume(&mut full_algorithm(), &mut w2, &snap).unwrap();
-            assert_eq!(out, full, "resume at round {k} diverged");
+            let out = sim.session().resume(&snap).run(&mut full_algorithm(), &mut w2).unwrap();
+            assert_eq!(out.into_outcome(), full, "resume at round {k} diverged");
             assert_eq!(w2.arrived(), inst.total_jobs());
             assert_eq!(w2.shadow_pending(), 0);
         }

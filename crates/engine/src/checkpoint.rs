@@ -234,10 +234,11 @@ pub fn get_slots(r: &mut SnapReader<'_>, what: &'static str) -> Result<Vec<Slot>
 ///
 /// `next_round` is the first round the resumed run will simulate; the
 /// snapshot was taken before any of that round's events. `horizon_hint`
-/// records the horizon the checkpointing run knew at that moment, so a
-/// streamed resume can never under-run the uninterrupted run: a job that
-/// arrived (and resolved) before the checkpoint may still own the latest
-/// deadline of the whole instance.
+/// records the horizon the checkpointing run knew at that moment: a
+/// materialized resume demands it exactly, and a streamed one never stops
+/// before it (the two rules of `crate::sim`). A run stops or emits only
+/// at a round within that horizon, with every pending job due inside it,
+/// and [`EngineState::load`] rejects a state that claims otherwise.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineState {
     /// First round the resumed run simulates.
@@ -360,6 +361,19 @@ impl EngineState {
         if delta.checked_mul(reconfigs).and_then(|c| c.checked_add(drops)).is_none() {
             return Err(SnapError::Invalid(format!(
                 "ledger cost overflows u64: delta {delta} * {reconfigs} reconfigs + {drops} drops"
+            )));
+        }
+        // A run suspends or emits only at a round within its horizon, and
+        // every job pending then is due within the horizon it knew.
+        if next_round > horizon_hint {
+            return Err(SnapError::Invalid(format!(
+                "next round {next_round} is past the horizon hint {horizon_hint}"
+            )));
+        }
+        let latest = pending.nonidle_colors().filter_map(|c| pending.profile(c).last()).max();
+        if let Some((deadline, _)) = latest.filter(|&(d, _)| d > horizon_hint) {
+            return Err(SnapError::Invalid(format!(
+                "pending deadline {deadline} is past the horizon hint {horizon_hint}"
             )));
         }
         let mut ledger = CostLedger::new(delta);
@@ -691,6 +705,55 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes).unwrap();
         assert!(matches!(EngineState::load(&mut r), Err(SnapError::Invalid(_))));
+    }
+
+    /// Load `state` back through a CRC-valid engine section.
+    fn reload(state: &EngineState) -> Result<EngineState, SnapError> {
+        let mut w = SnapWriter::new();
+        state.save(&mut w);
+        EngineState::load(&mut SnapReader::new(&w.finish()).unwrap())
+    }
+
+    /// A consistent state at round 3 of a run whose horizon is 16, with 4
+    /// jobs of color 0 due at 8.
+    fn mid_run_state() -> EngineState {
+        let mut pending = PendingStore::new();
+        pending.arrive(ColorId(0), 8, 4);
+        EngineState {
+            next_round: 3,
+            speed: 1,
+            n_locations: 1,
+            horizon_hint: 16,
+            slots: vec![None],
+            ledger: CostLedger::new(1),
+            arrived: 4,
+            executed: 0,
+            dropped: 0,
+            pending,
+        }
+    }
+
+    #[test]
+    fn engine_state_rejects_a_next_round_past_the_horizon() {
+        assert_eq!(reload(&mid_run_state()), Ok(mid_run_state()));
+        assert!(reload(&EngineState { next_round: 16, ..mid_run_state() }).is_ok());
+        let err = reload(&EngineState { next_round: 1000, ..mid_run_state() }).unwrap_err();
+        assert_eq!(err, SnapError::Invalid("next round 1000 is past the horizon hint 16".into()));
+    }
+
+    #[test]
+    fn engine_state_rejects_a_pending_deadline_past_the_horizon() {
+        let mut state = mid_run_state();
+        state.pending.arrive(ColorId(2), 16, 1);
+        state.arrived += 1;
+        assert!(reload(&state).is_ok());
+        state.pending.arrive(ColorId(2), 17, 1);
+        state.arrived += 1;
+        let err = reload(&state).unwrap_err();
+        assert_eq!(
+            err,
+            SnapError::Invalid("pending deadline 17 is past the horizon hint 16".into())
+        );
     }
 
     /// A CRC-valid snapshot of a one-location run whose engine section

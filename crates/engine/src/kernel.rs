@@ -33,10 +33,10 @@ pub struct RoundKernel {
     touched: Vec<ColorId>,
 }
 
-/// The simulator's reusable per-run workspace is its round kernel: reused
-/// across runs (e.g. one per sweep worker), it keeps every buffer's
-/// allocation while each run moves its pending store and assignment in
-/// and back out, so outcomes are identical either way.
+/// The round kernel under the name of [`crate::run_stream_session`]'s
+/// `scratch` argument, which the benchmark package
+/// (`crates/bench/src/bin/rrs-benchmark`) passes; it goes with that
+/// forwarder. A session owns its kernel.
 pub type Scratch = RoundKernel;
 
 impl RoundKernel {

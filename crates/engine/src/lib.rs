@@ -71,13 +71,14 @@ pub use par::{
 pub use pending::PendingStore;
 pub use policy::{Observation, Policy, Slot};
 pub use replay::{FixedSchedule, ReplayPolicy};
-pub use sim::{run_stream_session, Outcome, Simulator, StreamOptions};
+pub use sim::{run_stream_session, Outcome, Session, Simulator, StreamOptions};
 pub use sink::{
     parse_trace, parse_trace_line, JsonlSink, ParsedTrace, PhaseTimer, TraceLine, TraceMeta,
     TraceParseError, TRACE_SCHEMA_VERSION,
 };
-/// The no-op recorder under the name callers pass as
-/// [`run_stream_session`]'s `watcher`.
+/// The no-op recorder under the name the benchmark package
+/// (`crates/bench/src/bin/rrs-benchmark`) passes as [`run_stream_session`]'s
+/// `watcher`; it goes with that forwarder.
 pub use trace::NullRecorder as NoWatcher;
 pub use trace::{
     NullRecorder, Phase, PhaseState, Recorder, RoundSummary, SummaryRecorder, TraceEvent,
@@ -100,7 +101,7 @@ pub mod prelude {
     pub use crate::pending::PendingStore;
     pub use crate::policy::{Observation, Policy, Slot};
     pub use crate::replay::{FixedSchedule, ReplayPolicy};
-    pub use crate::sim::{run_stream_session, Outcome, Simulator, StreamOptions};
+    pub use crate::sim::{run_stream_session, Outcome, Session, Simulator, StreamOptions};
     pub use crate::sink::{parse_trace, JsonlSink, ParsedTrace, PhaseTimer, TraceMeta};
     pub use crate::trace::{
         NullRecorder, Phase, PhaseState, Recorder, SummaryRecorder, TraceEvent, TraceRecorder,

@@ -1,18 +1,27 @@
-//! The simulator: drives a [`Policy`] through an [`Instance`] and accounts
-//! all costs.
+//! The simulator: drives a [`Policy`] through an instance source and
+//! accounts all costs.
 //!
-//! All run variants — plain, traced, checkpointed, resumed, and streamed —
-//! share one private round loop, `drive_session`, generic over the
-//! instance source, the [`Recorder`] and a round-boundary hook. It runs
-//! each round's phases through the [`Scratch`] round kernel and does the
-//! accounting between the kernel's calls. The recorder is the run's one
-//! observer: it sees every event and, at the start of the run, the end of
-//! every phase and the end of the run, the engine state itself — which is
-//! all an invariant checker needs (DESIGN.md §9). The plain paths use the
-//! no-op recorder and hook, which monomorphize to nothing (keeping them
-//! free of any [`Snapshot`] bound); the checkpoint paths install a hook
-//! that captures state at the top of a round, before any of the round's
-//! events, so a resumed run re-emits the identical trace suffix.
+//! Every run goes through one private round loop, `drive_session`, generic
+//! over the source, the [`Recorder`] (the run's one observer, which also
+//! sees the engine state at the start, after every phase and at the end;
+//! DESIGN.md §9) and a round-boundary hook. There are two ways in:
+//! [`Simulator::run`]/[`Simulator::run_traced`], the plain path, whose
+//! no-op hook compiles to nothing (no [`Snapshot`] bound, no allocation in
+//! a steady round), and [`Session`] for every checkpointed, suspended,
+//! resumed or streamed run, whose hook captures state at the top of a
+//! round, before any of its events, so a resumed run re-emits the identical
+//! trace suffix.
+//!
+//! **Horizons.** A run simulates rounds `0..=horizon` under one of two
+//! rules, picked by the source ([`InstanceSource::horizon_is_final`]). A
+//! materialized instance's horizon is final, so a resume must present a
+//! snapshot taken with exactly that horizon. A stream's grows as it is
+//! read, so the loop re-reads it every round, floored by the snapshot's
+//! `horizon_hint`, the horizon the checkpointing run already knew: the
+//! floor keeps a resumed stream from stopping before that round when the
+//! snapshot knew more than the stream has read (a materialized snapshot
+//! resumed through a stream). A stream cannot check the hint against input
+//! it has not read, so it trusts it.
 
 use rrs_model::{CostLedger, Instance, InstanceSource, MaterializedSource, SnapError};
 
@@ -20,7 +29,7 @@ use crate::checkpoint::{
     CheckpointHook, CheckpointPolicy, EngineState, EngineView, HookVerdict, NoHook, SessionError,
     SessionHook, SessionResult, Snapshot, SnapshotFile, SnapshotSink,
 };
-use crate::kernel::Scratch;
+use crate::kernel::{RoundKernel, Scratch};
 use crate::policy::{Policy, Slot};
 use crate::trace::{NullRecorder, Phase, Recorder};
 
@@ -113,114 +122,175 @@ impl<'a> Simulator<'a> {
 
     /// Run a policy, emitting every event to `recorder`.
     pub fn run_traced<P: Policy, R: Recorder>(&self, policy: &mut P, recorder: &mut R) -> Outcome {
-        let seed = self.start(policy);
-        self.drive(seed, policy, recorder, &mut NoHook).into_outcome()
-    }
-
-    /// Run from round 0 and suspend at the top of `at_round`, returning the
-    /// snapshot that resumes it (events of rounds `0..at_round` go to
-    /// `recorder`). If `at_round` is past the horizon the run completes
-    /// instead.
-    pub fn checkpoint<P, R>(&self, policy: &mut P, recorder: &mut R, at_round: u64) -> SessionResult
-    where
-        P: Snapshot + ?Sized,
-        R: Recorder,
-    {
-        let seed = self.start(policy);
-        let mut hook = CheckpointHook {
-            plan: &CheckpointPolicy::Never,
-            sink: None,
-            stop_before: Some(at_round),
-        };
-        self.drive(seed, policy, recorder, &mut hook)
-    }
-
-    /// Run to completion, emitting a snapshot to `sink` at the top of every
-    /// round `plan` marks due.
-    pub fn run_checkpointed<P, R>(
-        &self,
-        policy: &mut P,
-        recorder: &mut R,
-        plan: &CheckpointPolicy,
-        sink: &mut dyn FnMut(u64, &[u8]),
-    ) -> Outcome
-    where
-        P: Snapshot + ?Sized,
-        R: Recorder,
-    {
-        let seed = self.start(policy);
-        let mut hook = CheckpointHook { plan, sink: Some(sink), stop_before: None };
-        self.drive(seed, policy, recorder, &mut hook).into_outcome()
-    }
-
-    /// Resume a run from a snapshot taken by [`Simulator::checkpoint`] (or
-    /// a due-round emission of [`Simulator::run_checkpointed`]) over the
-    /// same instance and configuration. `policy` must be constructed
-    /// exactly as for the checkpointing run; its state is restored from the
-    /// snapshot after [`Policy::init`]. The `recorder` receives exactly the
-    /// events of rounds `k..`, so prefix + suffix is byte-identical to the
-    /// uninterrupted trace, and its [`Recorder::on_run_start`] sees the
-    /// decoded snapshot state.
-    pub fn resume<P, R>(
-        &self,
-        policy: &mut P,
-        recorder: &mut R,
-        snapshot: &[u8],
-    ) -> Result<Outcome, SnapError>
-    where
-        P: Snapshot + ?Sized,
-        R: Recorder,
-    {
-        debug_assert!(self.inst.check_colors(), "instance references unknown colors");
-        let file = SnapshotFile::parse(snapshot)?;
-        file.state.check_resumable(self.n_locations, self.speed, self.inst.delta)?;
-        if file.state.horizon_hint != self.horizon {
-            return Err(SnapError::Invalid(format!(
-                "snapshot was taken with horizon {}, simulator has horizon {} \
-                 (same instance and with_horizon required for byte-identical resume)",
-                file.state.horizon_hint, self.horizon
-            )));
+        let mut session = self.session();
+        let seed = session.fresh(policy);
+        match drive_session(&mut session.source, seed, policy, recorder, &mut NoHook) {
+            Ok(res) => res.into_outcome(),
+            Err(_) => unreachable!("a materialized run cannot fail"),
         }
-        policy.init(self.inst.delta, self.n_locations);
-        file.load_policy(policy)?;
-        Ok(self.drive(file.state, policy, recorder, &mut NoHook).into_outcome())
+    }
+
+    /// A [`Session`] over this simulator's instance, locations, speed and
+    /// horizon: the entry point for its checkpointed, suspended and resumed
+    /// runs. The horizon is final, so a resume needs a snapshot taken with
+    /// exactly this horizon.
+    pub fn session<'s>(&self) -> Session<'s, MaterializedSource<'a>> {
+        debug_assert!(self.inst.check_colors(), "instance references unknown colors");
+        let source = MaterializedSource::new(self.inst).with_horizon(self.horizon);
+        Session::new(source, self.n_locations).speed(self.speed)
+    }
+}
+
+/// One run over an [`InstanceSource`]: configured by the builder calls,
+/// started by [`Session::run`], with a round kernel of its own. The source
+/// picks the horizon rule (see the module docs); [`Simulator::session`]
+/// builds a session over a materialized instance. A stream is consumed
+/// incrementally, so memory stays bounded by the live state, and a run over
+/// an instance's text is byte-identical (trace and `Outcome`) to the
+/// materialized run of the same instance.
+///
+/// ```
+/// use rrs_engine::{policy::PinColor, NullRecorder, Session, Simulator};
+/// use rrs_model::{InstanceBuilder, TextStream};
+///
+/// let mut b = InstanceBuilder::new(3);
+/// let c = b.color(4);
+/// b.arrive(0, c, 2).arrive(4, c, 2);
+/// let inst = b.build();
+/// let sim = Simulator::new(&inst, 1);
+/// // Suspend at the top of round 3, then resume over the streamed text.
+/// let run = sim.session().stop_before(3).run(&mut PinColor(c), &mut NullRecorder);
+/// let snap = run.unwrap().into_snapshot();
+/// let text = rrs_model::to_text(&inst);
+/// let stream = Session::new(TextStream::new(text.as_bytes()).unwrap(), 1);
+/// let rest = stream.resume(&snap).run(&mut PinColor(c), &mut NullRecorder).unwrap();
+/// assert_eq!(rest.into_outcome(), sim.run(&mut PinColor(c)));
+/// ```
+pub struct Session<'s, S> {
+    source: S,
+    n_locations: usize,
+    speed: u32,
+    resume_from: Option<&'s [u8]>,
+    plan: CheckpointPolicy,
+    sink: Option<SnapshotSink<'s>>,
+    stop_before: Option<u64>,
+}
+
+impl<'s, S: InstanceSource> Session<'s, S> {
+    /// A fresh speed-1 run over `source` with `n_locations` locations, no
+    /// checkpoints and no suspension.
+    pub fn new(source: S, n_locations: usize) -> Self {
+        Session {
+            source,
+            n_locations,
+            speed: 1,
+            resume_from: None,
+            plan: CheckpointPolicy::Never,
+            sink: None,
+            stop_before: None,
+        }
+    }
+
+    /// Set the schedule speed (mini-rounds per round).
+    ///
+    /// # Panics
+    /// Panics if `speed` is 0.
+    pub fn speed(mut self, speed: u32) -> Self {
+        assert!(speed >= 1, "speed must be at least 1");
+        self.speed = speed;
+        self
+    }
+
+    /// Resume from `snapshot` instead of starting at round 0. The policy
+    /// passed to [`Session::run`] must be constructed exactly as for the
+    /// checkpointing run; its state is restored after [`Policy::init`].
+    /// The recorder receives exactly the events of rounds `k..`, so prefix
+    /// plus suffix is byte-identical to the uninterrupted trace, and its
+    /// [`Recorder::on_run_start`] sees the decoded snapshot state.
+    pub fn resume(mut self, snapshot: &'s [u8]) -> Self {
+        self.resume_from = Some(snapshot);
+        self
+    }
+
+    /// Send a snapshot to `sink` at the top of every round `plan` marks
+    /// due, with the round it resumes.
+    pub fn checkpoints(mut self, plan: CheckpointPolicy, sink: SnapshotSink<'s>) -> Self {
+        self.plan = plan;
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Suspend at the top of `round` and return the snapshot that resumes
+    /// it. A round past the horizon lets the run complete instead.
+    pub fn stop_before(mut self, round: u64) -> Self {
+        self.stop_before = Some(round);
+        self
+    }
+
+    /// Run `policy` to the horizon or the suspension round, emitting every
+    /// event to `recorder`. Fails on a snapshot that does not decode or
+    /// does not match this run (locations, speed, Δ, policy, or a final
+    /// horizon), and on a source that fails to read.
+    pub fn run<P, R>(
+        mut self,
+        policy: &mut P,
+        recorder: &mut R,
+    ) -> Result<SessionResult, SessionError>
+    where
+        P: Snapshot + ?Sized,
+        R: Recorder + ?Sized,
+    {
+        let seed = match self.resume_from {
+            None => self.fresh(policy),
+            Some(bytes) => self.resume_state(policy, bytes)?,
+        };
+        let mut hook =
+            CheckpointHook { plan: &self.plan, sink: self.sink, stop_before: self.stop_before };
+        drive_session(&mut self.source, seed, policy, recorder, &mut hook)
     }
 
     /// Initialize `policy` for a fresh run and return the engine state
     /// before round 0.
-    fn start<P: Policy + ?Sized>(&self, policy: &mut P) -> EngineState {
-        debug_assert!(self.inst.check_colors(), "instance references unknown colors");
-        policy.init(self.inst.delta, self.n_locations);
-        EngineState::fresh(self.inst.delta, self.speed, self.n_locations)
+    fn fresh<P: Policy + ?Sized>(&self, policy: &mut P) -> EngineState {
+        let delta = self.source.delta();
+        policy.init(delta, self.n_locations);
+        EngineState::fresh(delta, self.speed, self.n_locations)
     }
 
-    /// Drive the instance from `seed` to the horizon (or a hook's
-    /// suspension) with a private [`Scratch`]. A materialized source never
-    /// fails.
-    fn drive<P, R, H>(
-        &self,
-        seed: EngineState,
+    /// The one resume path: parse `snapshot`, check it against this run,
+    /// restore `policy` from it and fast-forward the source past the
+    /// rounds it already accounts for.
+    fn resume_state<P: Snapshot + ?Sized>(
+        &mut self,
         policy: &mut P,
-        recorder: &mut R,
-        hook: &mut H,
-    ) -> SessionResult
-    where
-        P: Policy + ?Sized,
-        R: Recorder,
-        H: SessionHook<P>,
-    {
-        let mut source = MaterializedSource::new(self.inst);
-        let horizon = Some(self.horizon);
-        let scratch = &mut Scratch::new();
-        match drive_session(&mut source, horizon, seed, policy, recorder, scratch, hook) {
-            Ok(res) => res,
-            Err(_) => unreachable!("a materialized run cannot fail"),
+        snapshot: &[u8],
+    ) -> Result<EngineState, SessionError> {
+        let file = SnapshotFile::parse(snapshot)?;
+        let delta = self.source.delta();
+        file.state.check_resumable(self.n_locations, self.speed, delta)?;
+        let horizon = self.source.horizon();
+        if self.source.horizon_is_final() && file.state.horizon_hint != horizon {
+            return Err(SnapError::Invalid(format!(
+                "snapshot was taken with horizon {}, simulator has horizon {horizon} \
+                 (same instance and with_horizon required for byte-identical resume)",
+                file.state.horizon_hint
+            ))
+            .into());
         }
+        policy.init(delta, self.n_locations);
+        file.load_policy(policy)?;
+        // The requests of the skipped rounds are discarded.
+        for r in 0..file.state.next_round {
+            self.source.advance(r)?;
+        }
+        Ok(file.state)
     }
 }
 
 /// Options for [`run_stream_session`]: the engine configuration plus the
-/// session's checkpoint behavior.
+/// session's checkpoint behavior. Kept only for the benchmark package
+/// (`crates/bench/src/bin/rrs-benchmark`), which builds them; in-repo code
+/// configures a [`Session`] instead.
 #[derive(Debug, Default)]
 pub struct StreamOptions<'s> {
     /// Number of locations the policy controls.
@@ -235,27 +305,15 @@ pub struct StreamOptions<'s> {
     pub stop_before: Option<u64>,
 }
 
-/// Drive a policy over a streaming [`InstanceSource`] without ever
-/// materializing the full instance: the request sequence is consumed
-/// incrementally and memory stays bounded by the live state (pending jobs,
-/// policy state), not the horizon.
-///
-/// The horizon is discovered as the stream is read: the run continues while
-/// `round <= max(source.horizon(), snapshot horizon hint)`, which the
-/// source's look-ahead contract keeps from stopping short across arrival
-/// gaps. A streamed run over an instance's text encoding is byte-identical
-/// (trace and `Outcome`) to the materialized run of the same instance.
-///
-/// `watcher` is a second [`Recorder`] teed after `recorder` — a run's
-/// supervisor, say, next to its trace sink. `scratch` is the round
-/// kernel's workspace: a caller running many sessions can reuse one so the
-/// round loop never re-grows its buffers; outcomes are identical either
-/// way.
+/// [`Session::run`] in the seven-argument form the benchmark package
+/// (`crates/bench/src/bin/rrs-benchmark`) calls; it goes with that
+/// package's next change. `watcher` is a second [`Recorder`] teed after
+/// `recorder`. `scratch` goes unused: the session owns its round kernel.
 pub fn run_stream_session<Src, P, R, W>(
     source: &mut Src,
     policy: &mut P,
     recorder: &mut R,
-    scratch: &mut Scratch,
+    _scratch: &mut Scratch,
     watcher: &mut W,
     opts: StreamOptions<'_>,
     sink: Option<SnapshotSink<'_>>,
@@ -266,54 +324,39 @@ where
     R: Recorder + ?Sized,
     W: Recorder + ?Sized,
 {
-    assert!(opts.speed >= 1, "speed must be at least 1");
-    let delta = source.delta();
-    let seed = match opts.resume_from {
-        None => {
-            policy.init(delta, opts.n_locations);
-            EngineState::fresh(delta, opts.speed, opts.n_locations)
-        }
-        Some(bytes) => {
-            let file = SnapshotFile::parse(bytes)?;
-            file.state.check_resumable(opts.n_locations, opts.speed, delta)?;
-            policy.init(delta, opts.n_locations);
-            file.load_policy(policy)?;
-            // Fast-forward the stream past the prefix the checkpoint
-            // already accounts for; the requests themselves are discarded.
-            for r in 0..file.state.next_round {
-                source.advance(r)?;
-            }
-            file.state
-        }
-    };
-    let mut hook = CheckpointHook { plan: &opts.plan, sink, stop_before: opts.stop_before };
-    drive_session(source, None, seed, policy, &mut (recorder, watcher), scratch, &mut hook)
+    let mut session = Session::new(source, opts.n_locations).speed(opts.speed);
+    if let Some(snapshot) = opts.resume_from {
+        session = session.resume(snapshot);
+    }
+    if let Some(sink) = sink {
+        session = session.checkpoints(opts.plan, sink);
+    }
+    if let Some(round) = opts.stop_before {
+        session = session.stop_before(round);
+    }
+    session.run(policy, &mut (recorder, watcher))
 }
 
-/// The one round loop every run variant shares, from the engine state
-/// `seed` (fresh, or decoded from a snapshot). `fixed_horizon` is `Some`
-/// for materialized runs (the `Simulator` knows its horizon up front) and
-/// `None` for streamed runs, where the loop re-reads the source's growing
-/// horizon each round (floored by the seed's hint so a resumed run never
-/// finishes earlier than the uninterrupted one).
+/// The one round loop every run shares, from the engine state `seed`
+/// (fresh, or decoded from a snapshot). The horizon is re-read from the
+/// source every round, floored by the seed's hint: a stream's grows as it
+/// is read, and a final one already equals the hint of any snapshot the
+/// run resumed from.
 fn drive_session<Src, P, R, H>(
     source: &mut Src,
-    fixed_horizon: Option<u64>,
     seed: EngineState,
     policy: &mut P,
     recorder: &mut R,
-    kernel: &mut Scratch,
     hook: &mut H,
 ) -> Result<SessionResult, SessionError>
 where
     Src: InstanceSource + ?Sized,
     P: Policy + ?Sized,
-    R: Recorder,
+    R: Recorder + ?Sized,
     H: SessionHook<P>,
 {
     let horizon_hint = seed.horizon_hint;
-    let horizon_now = |src: &Src| fixed_horizon.unwrap_or_else(|| src.horizon().max(horizon_hint));
-    recorder.on_run_start(&seed, horizon_now(source));
+    recorder.on_run_start(&seed, source.horizon().max(horizon_hint));
     let EngineState {
         next_round: start_round,
         speed,
@@ -328,12 +371,13 @@ where
     } = seed;
     debug_assert_eq!(slots.len(), n_locations);
     let delta = source.delta();
+    let mut kernel = RoundKernel::new();
     kernel.restore(pending, slots);
     kernel.ensure_colors(source.colors().len());
 
     let mut round = start_round;
     loop {
-        let horizon = horizon_now(source);
+        let horizon = source.horizon().max(horizon_hint);
         if round > horizon {
             break;
         }
@@ -352,12 +396,8 @@ where
             dropped: dropped_total,
             pending: kernel.pending(),
         };
-        match hook.on_round(round, &view, policy) {
-            HookVerdict::Continue => {}
-            HookVerdict::Suspend(snapshot) => {
-                kernel.take();
-                return Ok(SessionResult::Suspended { round, snapshot });
-            }
+        if let HookVerdict::Suspend(snapshot) = hook.on_round(round, &view, policy) {
+            return Ok(SessionResult::Suspended { round, snapshot });
         }
 
         recorder.on_round_start(round);
@@ -430,7 +470,7 @@ mod tests {
     use super::*;
     use crate::policy::{DoNothing, PinColor};
     use crate::trace::{SummaryRecorder, TraceRecorder};
-    use rrs_model::{ColorId, InstanceBuilder};
+    use rrs_model::{ColorId, InstanceBuilder, TextStream};
 
     fn one_color_instance() -> (Instance, ColorId) {
         let mut b = InstanceBuilder::new(3);
@@ -543,27 +583,50 @@ mod tests {
     }
 
     #[test]
-    fn reused_scratch_gives_identical_outcomes() {
+    fn run_stream_session_forwards_to_session() {
+        // The benchmark package's seven-argument form gives a session's
+        // outcome, trace and checkpoint bytes for a fresh, a stopped and a
+        // resumed run.
         let (inst, c) = one_color_instance();
-        let mut scratch = Scratch::new();
-        let mut session = |policy: &mut dyn Snapshot, n_locations| {
-            let opts = StreamOptions { n_locations, speed: 1, ..Default::default() };
-            let source = &mut MaterializedSource::new(&inst);
-            run_stream_session(
-                source,
-                policy,
-                &mut NullRecorder,
-                &mut scratch,
-                &mut NullRecorder,
-                opts,
-                None,
-            )
-            .map(SessionResult::into_outcome)
+        let text = rrs_model::to_text(&inst);
+        let run = |forward: bool, resume_from: Option<&[u8]>, stop_before: Option<u64>| {
+            let mut source = TextStream::new(text.as_bytes()).unwrap();
+            let (mut rec, mut snaps) = (TraceRecorder::new(), Vec::new());
+            let mut sink = |round: u64, bytes: &[u8]| snaps.push((round, bytes.to_vec()));
+            let plan = CheckpointPolicy::EveryN(2);
+            let result = if forward {
+                let opts =
+                    StreamOptions { n_locations: 1, speed: 1, resume_from, plan, stop_before };
+                let (scratch, watcher) = (&mut Scratch::new(), &mut NullRecorder);
+                let sink = Some(&mut sink as SnapshotSink<'_>);
+                run_stream_session(
+                    &mut source,
+                    &mut PinColor(c),
+                    &mut rec,
+                    scratch,
+                    watcher,
+                    opts,
+                    sink,
+                )
+            } else {
+                let mut session = Session::new(&mut source, 1).checkpoints(plan, &mut sink);
+                if let Some(snapshot) = resume_from {
+                    session = session.resume(snapshot);
+                }
+                if let Some(round) = stop_before {
+                    session = session.stop_before(round);
+                }
+                session.run(&mut PinColor(c), &mut rec)
+            };
+            (result.unwrap(), rec.events, snaps)
         };
-        let a = session(&mut PinColor(c), 1).unwrap();
-        let b = session(&mut DoNothing, 2).unwrap();
-        assert_eq!(a, Simulator::new(&inst, 1).run(&mut PinColor(c)));
-        assert_eq!(b, Simulator::new(&inst, 2).run(&mut DoNothing));
+        let stopped = run(true, None, Some(5));
+        assert_eq!(stopped, run(false, None, Some(5)));
+        assert_eq!(run(true, None, None), run(false, None, None));
+        let snap = stopped.0.into_snapshot();
+        let resumed = run(true, Some(&snap), None);
+        assert_eq!(resumed, run(false, Some(&snap), None));
+        assert_eq!(resumed.0.into_outcome(), Simulator::new(&inst, 1).run(&mut PinColor(c)));
     }
 
     #[test]

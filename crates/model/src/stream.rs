@@ -21,10 +21,9 @@
 use std::io::BufRead;
 
 use crate::color::{ColorId, ColorTable};
-use crate::cost::{check_deadline, check_delta};
 use crate::instance::Instance;
 use crate::request::Request;
-use crate::textio::ParseError;
+use crate::textio::{check_arrival, declare_color, parse_line, Line, ParseError};
 
 /// A failure while pulling requests from a source.
 #[derive(Debug)]
@@ -85,23 +84,58 @@ pub trait InstanceSource {
     /// seen so far (max `arrival_round + D_ℓ` over arrivals read, plus the
     /// buffered look-ahead).
     fn horizon(&self) -> u64;
+
+    /// Whether [`InstanceSource::horizon`] is already final, as for a
+    /// materialized instance, rather than growing as the input is read. A
+    /// session resuming over a final horizon demands a snapshot taken with
+    /// exactly that horizon; over a growing one, the snapshot's horizon is
+    /// a floor.
+    fn horizon_is_final(&self) -> bool {
+        false
+    }
+}
+
+impl<S: InstanceSource + ?Sized> InstanceSource for &mut S {
+    fn delta(&self) -> u64 {
+        (**self).delta()
+    }
+    fn colors(&self) -> &ColorTable {
+        (**self).colors()
+    }
+    fn advance(&mut self, round: u64) -> Result<(), StreamError> {
+        (**self).advance(round)
+    }
+    fn current(&self) -> &Request {
+        (**self).current()
+    }
+    fn horizon(&self) -> u64 {
+        (**self).horizon()
+    }
+    fn horizon_is_final(&self) -> bool {
+        (**self).horizon_is_final()
+    }
 }
 
 /// [`InstanceSource`] over a fully materialized [`Instance`] — the
-/// classic in-memory path, with a fixed horizon.
+/// classic in-memory path, with a final horizon.
 #[derive(Debug)]
 pub struct MaterializedSource<'a> {
     inst: &'a Instance,
     round: u64,
-    /// The instance's horizon, computed once: a streamed session asks for
-    /// it every round.
+    /// The horizon, computed once: a session asks for it every round.
     horizon: u64,
 }
 
 impl<'a> MaterializedSource<'a> {
-    /// Wrap an instance.
+    /// Wrap an instance, over its natural horizon.
     pub fn new(inst: &'a Instance) -> Self {
         Self { inst, round: 0, horizon: inst.horizon() }
+    }
+
+    /// Extend the horizon past the instance's own; it never shrinks.
+    pub fn with_horizon(mut self, horizon: u64) -> Self {
+        self.horizon = self.horizon.max(horizon);
+        self
     }
 }
 
@@ -125,6 +159,10 @@ impl InstanceSource for MaterializedSource<'_> {
 
     fn horizon(&self) -> u64 {
         self.horizon
+    }
+
+    fn horizon_is_final(&self) -> bool {
+        true
     }
 }
 
@@ -150,14 +188,6 @@ pub struct TextStream<R: BufRead> {
     eof: bool,
 }
 
-/// One parsed line of the textio stream.
-enum Line {
-    Delta(u64),
-    Color(u64, u64),
-    Arrive(u64, u64, u64),
-    Blank,
-}
-
 impl<R: BufRead> TextStream<R> {
     /// Open a stream: reads the prologue (delta and any color
     /// declarations) up to and including the first arrival, which is
@@ -181,13 +211,9 @@ impl<R: BufRead> TextStream<R> {
                     s.eof = true;
                     break;
                 }
-                Some(Line::Blank) => {}
-                Some(Line::Delta(v)) => {
-                    if delta.replace(v).is_some() {
-                        return Err(s.err("duplicate delta"));
-                    }
-                }
-                Some(Line::Color(id, bound)) => s.declare_color(id, bound)?,
+                Some(Line::Delta(_)) if delta.is_some() => return Err(s.err("duplicate delta")),
+                Some(Line::Delta(v)) => delta = Some(v),
+                Some(Line::Color(id, bound)) => declare_color(&mut s.colors, id, bound, s.line_no)?,
                 Some(Line::Arrive(round, color, count)) => {
                     if delta.is_none() {
                         return Err(s.err("streaming requires delta before the first arrive"));
@@ -202,77 +228,27 @@ impl<R: BufRead> TextStream<R> {
     }
 
     fn err(&self, message: impl Into<String>) -> StreamError {
-        StreamError::Parse(ParseError { line: self.line_no.max(1), message: message.into() })
+        StreamError::Parse(ParseError::at(self.line_no.max(1), message))
     }
 
-    /// Read and tokenize the next line; `None` at end of input.
+    /// Read and parse the next nonblank line; `None` at end of input.
     fn next_line(&mut self) -> Result<Option<Line>, StreamError> {
-        self.line_buf.clear();
-        let n = self.reader.read_line(&mut self.line_buf).map_err(StreamError::Io)?;
-        if n == 0 {
-            return Ok(None);
+        loop {
+            self.line_buf.clear();
+            if self.reader.read_line(&mut self.line_buf).map_err(StreamError::Io)? == 0 {
+                return Ok(None);
+            }
+            self.line_no += 1;
+            if let Some(line) = parse_line(&self.line_buf, self.line_no)? {
+                return Ok(Some(line));
+            }
         }
-        self.line_no += 1;
-        let line = self.line_buf.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            return Ok(Some(Line::Blank));
-        }
-        let mut parts = line.split_whitespace();
-        let keyword = parts.next().expect("non-blank line has a first token");
-        let line_no = self.line_no;
-        let mut arg = |name: &str| -> Result<u64, StreamError> {
-            parts
-                .next()
-                .ok_or_else(|| {
-                    StreamError::Parse(ParseError {
-                        line: line_no,
-                        message: format!("missing {name}"),
-                    })
-                })?
-                .parse::<u64>()
-                .map_err(|e| {
-                    StreamError::Parse(ParseError {
-                        line: line_no,
-                        message: format!("bad {name}: {e}"),
-                    })
-                })
-        };
-        let parsed = match keyword {
-            "delta" => Line::Delta(check_delta(arg("delta value")?).map_err(|m| self.err(m))?),
-            "color" => Line::Color(arg("color id")?, arg("delay bound")?),
-            "arrive" => Line::Arrive(arg("round")?, arg("color")?, arg("count")?),
-            other => return Err(self.err(format!("unknown keyword '{other}'"))),
-        };
-        if parts.next().is_some() {
-            return Err(self.err("trailing tokens"));
-        }
-        Ok(Some(parsed))
-    }
-
-    fn declare_color(&mut self, id: u64, bound: u64) -> Result<(), StreamError> {
-        if id != self.colors.len() as u64 {
-            return Err(self.err(format!(
-                "color ids must be consecutive; expected {}, got {id}",
-                self.colors.len()
-            )));
-        }
-        if bound == 0 {
-            return Err(self.err("delay bound must be positive"));
-        }
-        self.colors.push(bound);
-        Ok(())
     }
 
     /// Validate an arrival line and park it as look-ahead, folding its
     /// deadline into the horizon.
     fn buffer_arrival(&mut self, round: u64, color: u64, count: u64) -> Result<(), StreamError> {
-        let c = ColorId(
-            u32::try_from(color).map_err(|_| self.err(format!("color id {color} out of range")))?,
-        );
-        let Some(bound) = self.colors.try_delay_bound(c) else {
-            return Err(self.err(format!("undeclared color {color}")));
-        };
-        let deadline = check_deadline(round, bound).map_err(|m| self.err(m))?;
+        let (c, deadline) = check_arrival(&self.colors, round, color, self.line_no)?;
         self.horizon = self.horizon.max(deadline);
         self.lookahead = Some((round, c, count));
         Ok(())
@@ -302,9 +278,10 @@ impl<R: BufRead> TextStream<R> {
                     self.eof = true;
                     return Ok(());
                 }
-                Some(Line::Blank) => {}
                 Some(Line::Delta(_)) => return Err(self.err("duplicate delta")),
-                Some(Line::Color(id, bound)) => self.declare_color(id, bound)?,
+                Some(Line::Color(id, bound)) => {
+                    declare_color(&mut self.colors, id, bound, self.line_no)?
+                }
                 Some(Line::Arrive(r, color, count)) => self.buffer_arrival(r, color, count)?,
             }
         }

@@ -49,80 +49,117 @@ pub fn to_text(inst: &Instance) -> String {
     out
 }
 
-/// Parse an instance from the text format.
+/// Parse an instance from the text format. The delta line may come
+/// anywhere, and arrivals in any order.
 pub fn from_text(text: &str) -> Result<Instance, ParseError> {
     let mut delta: Option<u64> = None;
     let mut colors = ColorTable::new();
     let mut requests = RequestSeq::new();
-
-    let err = |line: usize, message: String| ParseError { line, message };
     for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let keyword = parts.next().expect("non-blank line has a first token");
-        let mut arg = |name: &str| -> Result<u64, ParseError> {
-            parts
-                .next()
-                .ok_or_else(|| err(line_no, format!("missing {name}")))?
-                .parse::<u64>()
-                .map_err(|e| err(line_no, format!("bad {name}: {e}")))
-        };
-        match keyword {
-            "delta" => {
-                let v = check_delta(arg("delta value")?).map_err(|m| err(line_no, m))?;
-                if delta.replace(v).is_some() {
-                    return Err(err(line_no, "duplicate delta".into()));
-                }
+        let line = idx + 1;
+        match parse_line(raw, line)? {
+            None => {}
+            Some(Line::Delta(_)) if delta.is_some() => {
+                return Err(ParseError::at(line, "duplicate delta"));
             }
-            "color" => {
-                let id = arg("color id")?;
-                let bound = arg("delay bound")?;
-                if id != colors.len() as u64 {
-                    return Err(err(
-                        line_no,
-                        format!(
-                            "color ids must be consecutive; expected {}, got {id}",
-                            colors.len()
-                        ),
-                    ));
-                }
-                if bound == 0 {
-                    return Err(err(line_no, "delay bound must be positive".into()));
-                }
-                colors.push(bound);
-            }
-            "arrive" => {
-                let round = arg("round")?;
-                let color = arg("color")?;
-                let count = arg("count")?;
-                let c = ColorId(
-                    u32::try_from(color)
-                        .map_err(|_| err(line_no, format!("color id {color} out of range")))?,
-                );
-                let Some(bound) = colors.try_delay_bound(c) else {
-                    return Err(err(line_no, format!("undeclared color {color}")));
-                };
-                check_deadline(round, bound).map_err(|m| err(line_no, m))?;
+            Some(Line::Delta(v)) => delta = Some(v),
+            Some(Line::Color(id, bound)) => declare_color(&mut colors, id, bound, line)?,
+            Some(Line::Arrive(round, color, count)) => {
+                let (c, _) = check_arrival(&colors, round, color, line)?;
                 requests.add(round, c, count);
             }
-            other => return Err(err(line_no, format!("unknown keyword '{other}'"))),
-        }
-        if parts.next().is_some() {
-            return Err(err(line_no, "trailing tokens".into()));
         }
     }
-    let delta = delta.ok_or_else(|| err(text.lines().count().max(1), "missing delta".into()))?;
+    let delta =
+        delta.ok_or_else(|| ParseError::at(text.lines().count().max(1), "missing delta"))?;
     Ok(Instance::new(delta, colors, requests))
+}
+
+impl ParseError {
+    pub(crate) fn at(line: usize, message: impl Into<String>) -> Self {
+        ParseError { line, message: message.into() }
+    }
+}
+
+/// One nonblank line of the text format, tokenized and with a delta in
+/// range. What a line means in context — a duplicate delta, a color id out
+/// of sequence, an undeclared color — is left to the reader.
+pub(crate) enum Line {
+    Delta(u64),
+    Color(u64, u64),
+    Arrive(u64, u64, u64),
+}
+
+/// The line parser both readers share: strip the comment, match the
+/// keyword, parse its arguments and reject trailing tokens, then check the
+/// delta's range. `None` for a blank line. Allocates only on error.
+pub(crate) fn parse_line(raw: &str, line: usize) -> Result<Option<Line>, ParseError> {
+    let mut parts = raw.split('#').next().unwrap_or("").split_whitespace();
+    let Some(keyword) = parts.next() else {
+        return Ok(None);
+    };
+    let mut arg = |name: &str| -> Result<u64, ParseError> {
+        let token = parts.next().ok_or_else(|| ParseError::at(line, format!("missing {name}")))?;
+        token.parse::<u64>().map_err(|e| ParseError::at(line, format!("bad {name}: {e}")))
+    };
+    let parsed = match keyword {
+        "delta" => Line::Delta(arg("delta value")?),
+        "color" => Line::Color(arg("color id")?, arg("delay bound")?),
+        "arrive" => Line::Arrive(arg("round")?, arg("color")?, arg("count")?),
+        other => return Err(ParseError::at(line, format!("unknown keyword '{other}'"))),
+    };
+    if parts.next().is_some() {
+        return Err(ParseError::at(line, "trailing tokens"));
+    }
+    if let Line::Delta(v) = parsed {
+        check_delta(v).map_err(|m| ParseError::at(line, m))?;
+    }
+    Ok(Some(parsed))
+}
+
+/// Declare color `id` with delay `bound`: ids are consecutive from 0 and
+/// bounds positive.
+pub(crate) fn declare_color(
+    colors: &mut ColorTable,
+    id: u64,
+    bound: u64,
+    line: usize,
+) -> Result<(), ParseError> {
+    if id != colors.len() as u64 {
+        let expected = colors.len();
+        let message = format!("color ids must be consecutive; expected {expected}, got {id}");
+        return Err(ParseError::at(line, message));
+    }
+    if bound == 0 {
+        return Err(ParseError::at(line, "delay bound must be positive"));
+    }
+    colors.push(bound);
+    Ok(())
+}
+
+/// Check an arrival of `color` in `round` against the colors declared so
+/// far, returning the color and the arrival's deadline.
+pub(crate) fn check_arrival(
+    colors: &ColorTable,
+    round: u64,
+    color: u64,
+    line: usize,
+) -> Result<(ColorId, u64), ParseError> {
+    let c = u32::try_from(color)
+        .map(ColorId)
+        .map_err(|_| ParseError::at(line, format!("color id {color} out of range")))?;
+    let Some(bound) = colors.try_delay_bound(c) else {
+        return Err(ParseError::at(line, format!("undeclared color {color}")));
+    };
+    let deadline = check_deadline(round, bound).map_err(|m| ParseError::at(line, m))?;
+    Ok((c, deadline))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use crate::stream::{InstanceSource, StreamError, TextStream};
 
     fn sample() -> Instance {
         let mut b = InstanceBuilder::new(4);
@@ -207,6 +244,59 @@ mod tests {
         assert_eq!(e.line, 2);
         assert!(e.message.contains("exceeds the maximum 4294967295"), "{e}");
         assert_eq!(from_text("delta 4294967295\n").unwrap().delta, u64::from(u32::MAX));
+    }
+
+    /// The error `TextStream` reports on `text`, read to the end.
+    fn stream_error(text: &str) -> ParseError {
+        let read = TextStream::new(text.as_bytes()).and_then(|mut s| {
+            let mut round = 0;
+            while round <= s.horizon() {
+                s.advance(round)?;
+                round += 1;
+            }
+            Ok(())
+        });
+        match read {
+            Err(StreamError::Parse(e)) => e,
+            other => panic!("{text:?}: expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn both_readers_report_the_same_error_for_a_bad_line() {
+        // Each line breaks one shared rule, and the last five break two:
+        // tokens are checked before meaning, so every one of those reports
+        // its trailing tokens. Each line is read both in the prologue and
+        // after the first arrival.
+        let lines = [
+            "delta 4294967296",
+            "color 5 4",
+            "color 2 0",
+            "arrive 0 3 1",
+            "arrive 1 1 1",
+            "arrive 0 0 1 2",
+            "arrive 0 4294967296 1",
+            "frob 1",
+            "color 2",
+            "arrive x 0 1",
+            "arrive 0 5 1 extra",
+            "color 2 0 extra",
+            "color 5 4 extra",
+            "arrive 1 1 1 extra",
+            "delta 4294967296 extra",
+        ];
+        let prologue = "delta 1\ncolor 0 2\ncolor 1 18446744073709551615\n";
+        for line in lines {
+            for text in [format!("{prologue}{line}\n"), format!("{prologue}arrive 0 0 1\n{line}\n")]
+            {
+                let e = from_text(&text).unwrap_err();
+                assert_eq!(e, stream_error(&text), "{text:?}");
+                assert_eq!(e.line, text.lines().count());
+                if line.ends_with("extra") {
+                    assert_eq!(e.message, "trailing tokens", "{text:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -234,15 +234,24 @@ fn record_footprint(reg: &mut CounterRegistry, fp: &rrs::core::StateFootprint) {
     reg.add(names::COLORMAP_LIVE_PAGES, fp.colormap_live_pages);
 }
 
-fn print_run(name: &str, n: usize, inst: &Instance, out: &Outcome) {
+/// Print a run's summary. A streamed run never materialized the instance,
+/// so it reports its rounds in place of the lower bound, which needs the
+/// whole request sequence.
+fn print_run(name: &str, n: usize, inst: Option<&Instance>, out: &Outcome) {
     println!("policy:      {name}");
     println!("locations:   {n}");
+    if inst.is_none() {
+        println!("rounds:      {}", out.rounds);
+    }
     println!("arrived:     {}", out.arrived);
     println!("executed:    {}", out.executed);
     println!("dropped:     {}", out.dropped);
     println!("reconfigs:   {} (cost {})", out.cost.reconfigs, out.cost.reconfig_cost());
     println!("total cost:  {}", out.total_cost());
-    println!("lower bound: {} (m = max(1, n/8))", combined_lower_bound(inst, (n / 8).max(1)));
+    if let Some(inst) = inst {
+        let bound = combined_lower_bound(inst, (n / 8).max(1));
+        println!("lower bound: {bound} (m = max(1, n/8))");
+    }
 }
 
 fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
@@ -271,7 +280,27 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
             None => CheckpointPolicy::Never,
         };
         let prefix = ckpt_out.unwrap_or_else(|| format!("{path}.ckpt"));
-        return run_session(&policy_name, &path, n, stream, &plan, &prefix, trace_out.as_deref());
+        let mut sink_err: Option<String> = None;
+        let mut emit = |round: u64, bytes: &[u8]| {
+            let p = format!("{prefix}-r{round}.snap");
+            match std::fs::write(&p, bytes) {
+                Ok(()) => eprintln!("wrote checkpoint {p} ({} bytes)", bytes.len()),
+                Err(e) => {
+                    if sink_err.is_none() {
+                        sink_err = Some(format!("write {p}: {e}"));
+                    }
+                }
+            }
+        };
+        let trace_out = trace_out.as_deref();
+        let ran = session_command(&policy_name, &path, n, stream, trace_out, |s| {
+            s.checkpoints(plan, &mut emit)
+        })?;
+        if let Some(e) = sink_err {
+            return Err(e);
+        }
+        ran.print_summary(n);
+        return Ok(());
     }
     if ckpt_out.is_some() {
         return Err("--checkpoint-out requires --checkpoint-every".into());
@@ -286,12 +315,12 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
             let (name, out, _, fp) =
                 run_by_name(&policy_name, &inst, n, &mut CounterRecorder::new(&mut reg))?;
             record_footprint(&mut reg, &fp);
-            print_run(&name, n, &inst, &out);
+            print_run(&name, n, Some(&inst), &out);
             print!("{}", reg.render());
             return Ok(());
         }
         let out = simulate(&sim, &mut policy, &mut NullRecorder);
-        print_run(policy.name(), n, &inst, &out);
+        print_run(policy.name(), n, Some(&inst), &out);
         return Ok(());
     }
 
@@ -344,173 +373,87 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
             .map_err(|e| format!("write {mpath}: {e}"))?;
         eprintln!("wrote metrics to {mpath}");
     }
-    print_run(&name, n, &inst, &out);
+    print_run(&name, n, Some(&inst), &out);
     if counters {
         print!("{}", reg.render());
     }
     Ok(())
 }
 
-/// A `run` with streaming ingestion and/or periodic checkpointing. The
-/// streamed path never materializes the instance (so the summary omits the
-/// lower bound, which needs the whole request sequence) — except under
-/// `--features validate`, see [`stream_from`].
-fn run_session(
+/// A session over the CLI's input, streamed or materialized.
+type CliSession<'s, 'x> = Session<'s, &'x mut dyn InstanceSource>;
+
+/// How a session command's run ended.
+struct Ran {
+    /// The policy's reported name.
+    policy: String,
+    /// The instance, unless the input was streamed.
+    inst: Option<Instance>,
+    result: SessionResult,
+}
+
+impl Ran {
+    /// Print a completed run's summary.
+    fn print_summary(self, n: usize) {
+        print_run(&self.policy, n, self.inst.as_ref(), &self.result.into_outcome());
+    }
+}
+
+/// The one runner behind `run --stream`/`--checkpoint-every`, `checkpoint`
+/// and `resume [--stream]`: open the input at `path` (a [`TextStream`]
+/// under `--stream`, so memory stays bounded by the live state, else the
+/// materialized instance), the optional JSONL trace and the run's
+/// supervisor, then run the session `configure` sets up. A supervised build
+/// (`--features validate`) loads the instance under `--stream` too, for the
+/// supervisor only: it checks every round's arrivals against it.
+fn session_command<'s>(
     policy_name: &str,
     path: &str,
     n: usize,
     stream: bool,
-    plan: &CheckpointPolicy,
-    prefix: &str,
     trace_out: Option<&str>,
-) -> Result<(), String> {
+    configure: impl for<'x> FnOnce(CliSession<'s, 'x>) -> CliSession<'s, 'x>,
+) -> Result<Ran, String> {
     let mut policy = make_policy(policy_name)?;
-    let display_name = policy.name().to_string();
-    let mut sink_err: Option<String> = None;
-    let mut emit = |round: u64, bytes: &[u8]| {
-        let p = format!("{prefix}-r{round}.snap");
-        match std::fs::write(&p, bytes) {
-            Ok(()) => eprintln!("wrote checkpoint {p} ({} bytes)", bytes.len()),
-            Err(e) => {
-                if sink_err.is_none() {
-                    sink_err = Some(format!("write {p}: {e}"));
-                }
-            }
+    let name = policy.name().to_string();
+    let inst = if stream && !rrs::analysis::SUPERVISED { None } else { Some(load(path)?) };
+    let mut source: Box<dyn InstanceSource + '_> = match &inst {
+        Some(inst) if !stream => Box::new(MaterializedSource::new(inst)),
+        _ => {
+            let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+            let reader = std::io::BufReader::new(file);
+            Box::new(TextStream::new(reader).map_err(|e| format!("parse {path}: {e}"))?)
         }
     };
-
-    let out = if stream {
-        let opts =
-            StreamOptions { n_locations: n, speed: 1, plan: plan.clone(), ..Default::default() };
-        stream_from(path, |source, supervisor| {
-            drive_stream(
-                source,
-                policy.as_mut(),
-                &display_name,
-                supervisor,
-                opts,
-                &mut emit,
-                trace_out,
-            )
-        })?
-    } else {
-        let inst = load(path)?;
-        let sim = Simulator::new(&inst, n);
-        let out = match trace_out {
-            Some(tpath) => {
-                let file =
-                    std::fs::File::create(tpath).map_err(|e| format!("create {tpath}: {e}"))?;
-                let meta = TraceMeta {
-                    policy: display_name.clone(),
-                    delta: inst.delta,
-                    locations: n,
-                    speed: 1,
-                };
-                let mut sink = JsonlSink::with_meta(BufWriter::new(file), &meta);
-                let mut rec = (&mut sink, supervisor(&inst));
-                let out = sim.run_checkpointed(policy.as_mut(), &mut rec, plan, &mut emit);
-                sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
-                eprintln!("wrote trace to {tpath}");
-                out
-            }
-            None => sim.run_checkpointed(policy.as_mut(), &mut supervisor(&inst), plan, &mut emit),
-        };
-        if let Some(e) = sink_err {
-            return Err(e);
-        }
-        print_run(&display_name, n, &inst, &out);
-        return Ok(());
-    };
-    if let Some(e) = sink_err {
-        return Err(e);
-    }
-    print_stream_summary(&display_name, n, &out);
-    Ok(())
-}
-
-/// The streamed-run summary: the instance was never materialized, so the
-/// lower-bound line of [`print_run`] is unavailable.
-fn print_stream_summary(display_name: &str, n: usize, out: &Outcome) {
-    println!("policy:      {display_name}");
-    println!("locations:   {n}");
-    println!("rounds:      {}", out.rounds);
-    println!("arrived:     {}", out.arrived);
-    println!("executed:    {}", out.executed);
-    println!("dropped:     {}", out.dropped);
-    println!("reconfigs:   {} (cost {})", out.cost.reconfigs, out.cost.reconfig_cost());
-    println!("total cost:  {}", out.total_cost());
-}
-
-/// Run `drive` over the instance at `path` and the run's supervisor. The
-/// text is read incrementally, so memory stays bounded by the live state —
-/// except under `--features validate`, where the instance is materialized
-/// because the supervisor checks every round's arrivals against it.
-fn stream_from<T>(
-    path: &str,
-    drive: impl FnOnce(&mut dyn InstanceSource, &mut dyn Recorder) -> Result<T, String>,
-) -> Result<T, String> {
-    #[cfg(feature = "validate")]
-    {
-        let inst = load(path)?;
-        let (mut source, mut supervisor) = (MaterializedSource::new(&inst), supervisor(&inst));
-        drive(&mut source, &mut supervisor)
-    }
-    #[cfg(not(feature = "validate"))]
-    {
-        let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        let mut source = TextStream::new(std::io::BufReader::new(file))
-            .map_err(|e| format!("parse {path}: {e}"))?;
-        drive(&mut source, &mut NullRecorder)
-    }
-}
-
-/// Drive a streaming session, optionally recording the trace to JSONL.
-fn drive_stream(
-    source: &mut dyn InstanceSource,
-    policy: &mut dyn Snapshot,
-    display_name: &str,
-    supervisor: &mut dyn Recorder,
-    opts: StreamOptions<'_>,
-    emit: &mut dyn FnMut(u64, &[u8]),
-    trace_out: Option<&str>,
-) -> Result<Outcome, String> {
-    let scratch = &mut Scratch::new();
-    match trace_out {
+    let mut trace = match trace_out {
         Some(tpath) => {
             let file = std::fs::File::create(tpath).map_err(|e| format!("create {tpath}: {e}"))?;
-            let meta = TraceMeta {
-                policy: display_name.to_string(),
-                delta: source.delta(),
-                locations: opts.n_locations,
-                speed: opts.speed,
-            };
-            let mut sink = JsonlSink::with_meta(BufWriter::new(file), &meta);
-            let result = run_stream_session(
-                source,
-                policy,
-                &mut sink,
-                scratch,
-                supervisor,
-                opts,
-                Some(emit),
-            )
-            .map_err(|e| e.to_string())?;
-            sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
-            eprintln!("wrote trace to {tpath}");
-            Ok(result.into_outcome())
+            let meta =
+                TraceMeta { policy: name.clone(), delta: source.delta(), locations: n, speed: 1 };
+            Some(JsonlSink::with_meta(BufWriter::new(file), &meta))
         }
-        None => run_stream_session(
-            source,
-            policy,
-            &mut NullRecorder,
-            scratch,
-            supervisor,
-            opts,
-            Some(emit),
-        )
-        .map(SessionResult::into_outcome)
-        .map_err(|e| e.to_string()),
+        None => None,
+    };
+    let mut supervisor: Box<dyn Recorder + '_> = match &inst {
+        Some(inst) => Box::new(supervisor(inst)),
+        None => Box::new(NullRecorder),
+    };
+    let sink: &mut dyn Recorder = match &mut trace {
+        Some(sink) => sink,
+        None => &mut NullRecorder,
+    };
+    let result = configure(Session::new(&mut *source, n))
+        .run(policy.as_mut(), &mut (sink, &mut *supervisor))
+        .map_err(|e| match e {
+            SessionError::Snapshot(e) if !stream => format!("snapshot: {e}"),
+            e => e.to_string(),
+        })?;
+    if let (Some(sink), Some(tpath)) = (trace, trace_out) {
+        sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
+        eprintln!("wrote trace to {tpath}");
     }
+    drop((source, supervisor));
+    Ok(Ran { policy: name, inst: inst.filter(|_| !stream), result })
 }
 
 /// `checkpoint <policy> <FILE> --at-round K`: run rounds `0..K` and write
@@ -524,29 +467,30 @@ fn cmd_checkpoint(mut args: Vec<String>) -> Result<(), String> {
     let out_path = take_flag(&mut args, "--out");
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
-    let inst = load(&path)?;
-    let mut policy = make_policy(&policy_name)?;
-    let sim = Simulator::new(&inst, n);
-    let result = sim.checkpoint(policy.as_mut(), &mut supervisor(&inst), at);
-    match result {
+    let ran = session_command(&policy_name, &path, n, false, None, |s| s.stop_before(at))?;
+    match ran.result {
         SessionResult::Suspended { round, snapshot } => {
             let out_path = out_path.unwrap_or_else(|| format!("{path}.r{round}.snap"));
             std::fs::write(&out_path, &snapshot).map_err(|e| format!("write {out_path}: {e}"))?;
             println!("checkpoint:  {out_path}");
-            println!("policy:      {}", policy.name());
+            println!("policy:      {}", ran.policy);
             println!("round:       {round}");
             println!("bytes:       {}", snapshot.len());
             Ok(())
         }
-        SessionResult::Completed(_) => Err(format!(
+        // A completed run simulated rounds `0..=horizon`.
+        SessionResult::Completed(out) => Err(format!(
             "--at-round {at} is past the run's horizon ({}); nothing left to checkpoint",
-            inst.horizon()
+            out.rounds - 1
         )),
     }
 }
 
-/// `resume <policy> <FILE> --from SNAP`: continue a checkpointed run; the
-/// recorder sees exactly the rounds from the snapshot onward.
+/// `resume <policy> <FILE> --from SNAP [--stream]`: continue a checkpointed
+/// run; the recorder sees exactly the rounds from the snapshot onward. A
+/// materialized run demands the snapshot's exact horizon; under `--stream`
+/// the horizon is re-discovered from the text, floored by the snapshot's,
+/// so snapshots written by `run --stream --checkpoint-every` resume there.
 fn cmd_resume(mut args: Vec<String>) -> Result<(), String> {
     let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
     let from = take_flag(&mut args, "--from").ok_or("missing --from SNAP")?;
@@ -555,69 +499,9 @@ fn cmd_resume(mut args: Vec<String>) -> Result<(), String> {
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
     let snapshot = std::fs::read(&from).map_err(|e| format!("read {from}: {e}"))?;
-    if stream {
-        return resume_stream(&policy_name, &path, n, &snapshot, trace_out.as_deref());
-    }
-    let inst = load(&path)?;
-    let mut policy = make_policy(&policy_name)?;
-    let sim = Simulator::new(&inst, n);
-    let out = match &trace_out {
-        Some(tpath) => {
-            let file = std::fs::File::create(tpath).map_err(|e| format!("create {tpath}: {e}"))?;
-            let meta = TraceMeta {
-                policy: policy.name().to_string(),
-                delta: inst.delta,
-                locations: n,
-                speed: 1,
-            };
-            let mut sink = JsonlSink::with_meta(BufWriter::new(file), &meta);
-            let out = sim
-                .resume(policy.as_mut(), &mut (&mut sink, supervisor(&inst)), &snapshot)
-                .map_err(|e| format!("snapshot: {e}"))?;
-            sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
-            eprintln!("wrote trace to {tpath}");
-            out
-        }
-        None => sim
-            .resume(policy.as_mut(), &mut supervisor(&inst), &snapshot)
-            .map_err(|e| format!("snapshot: {e}"))?,
-    };
-    print_run(policy.name(), n, &inst, &out);
-    Ok(())
-}
-
-/// `resume --stream`: continue a run from a snapshot through the streaming
-/// reader. Snapshots written by `run --stream --checkpoint-every` carry the
-/// horizon known *at suspension time*, so they resume here (where the
-/// horizon is re-discovered from the stream) rather than through the
-/// materialized [`Simulator::resume`], which demands an exact match.
-fn resume_stream(
-    policy_name: &str,
-    path: &str,
-    n: usize,
-    snapshot: &[u8],
-    trace_out: Option<&str>,
-) -> Result<(), String> {
-    let mut policy = make_policy(policy_name)?;
-    let display_name = policy.name().to_string();
-    let opts = StreamOptions {
-        n_locations: n,
-        speed: 1,
-        resume_from: Some(snapshot),
-        ..Default::default()
-    };
-    let out = stream_from(path, |source, supervisor| {
-        drive_stream(
-            source,
-            policy.as_mut(),
-            &display_name,
-            supervisor,
-            opts,
-            &mut |_, _| {},
-            trace_out,
-        )
-    })?;
-    print_stream_summary(&display_name, n, &out);
+    let trace_out = trace_out.as_deref();
+    session_command(&policy_name, &path, n, stream, trace_out, |s| s.resume(&snapshot))?
+        .print_summary(n);
     Ok(())
 }
 

@@ -52,13 +52,21 @@ fn assert_resume_equivalent(
 
     let mut prefix = TraceRecorder::new();
     let mut p = make();
-    let snapshot = sim.checkpoint(&mut p, &mut (&mut prefix, supervisor(inst)), k).into_snapshot();
+    let snapshot = sim
+        .session()
+        .stop_before(k)
+        .run(&mut p, &mut (&mut prefix, supervisor(inst)))
+        .expect("checkpoint")
+        .into_snapshot();
 
     let mut suffix = TraceRecorder::new();
     let mut q = make();
     let out = sim
-        .resume(&mut q, &mut (&mut suffix, supervisor(inst)), &snapshot)
-        .expect("resume own snapshot");
+        .session()
+        .resume(&snapshot)
+        .run(&mut q, &mut (&mut suffix, supervisor(inst)))
+        .expect("resume own snapshot")
+        .into_outcome();
 
     assert_eq!(out, want_out, "{name}: outcome diverged after resume at round {k}");
     let stitched: Vec<TraceEvent> =
@@ -141,9 +149,10 @@ fn resume_composes_with_speed() {
         (Simulator::new(&inst, 8).with_speed(2).run_traced(&mut p, &mut rec), rec)
     };
     let sim = Simulator::new(&inst, 8).with_speed(2);
-    let snap = sim.checkpoint(&mut full_algorithm(), &mut NullRecorder, 5).into_snapshot();
-    let out = sim.resume(&mut full_algorithm(), &mut NullRecorder, &snap).unwrap();
-    assert_eq!(out, want);
+    let snap = sim.session().stop_before(5).run(&mut full_algorithm(), &mut NullRecorder);
+    let snap = snap.unwrap().into_snapshot();
+    let out = sim.session().resume(&snap).run(&mut full_algorithm(), &mut NullRecorder);
+    assert_eq!(out.unwrap().into_outcome(), want);
 }
 
 #[test]
@@ -153,20 +162,22 @@ fn checkpoint_every_n_snapshots_all_resume_identically() {
     let (want, _) = full_run(&inst, 8, || Box::new(full_algorithm()));
     let mut snaps: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut sink = |round: u64, bytes: &[u8]| snaps.push((round, bytes.to_vec()));
-    let out = sim.run_checkpointed(
-        &mut full_algorithm(),
-        &mut NullRecorder,
-        &CheckpointPolicy::EveryN(3),
-        &mut sink,
-    );
+    let out = sim
+        .session()
+        .checkpoints(CheckpointPolicy::EveryN(3), &mut sink)
+        .run(&mut full_algorithm(), &mut NullRecorder)
+        .unwrap()
+        .into_outcome();
     assert_eq!(out, want, "checkpoint emission must not perturb the run");
     assert!(!snaps.is_empty());
     for (round, snap) in snaps {
         assert!(round % 3 == 0 && round > 0);
         let resumed = sim
-            .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
+            .session()
+            .resume(&snap)
+            .run(&mut full_algorithm(), &mut NullRecorder)
             .unwrap_or_else(|e| panic!("resume r{round}: {e}"));
-        assert_eq!(resumed, want, "snapshot at round {round} resumed differently");
+        assert_eq!(resumed.into_outcome(), want, "snapshot at round {round} resumed differently");
     }
 }
 
@@ -178,50 +189,26 @@ fn streamed_session_matches_materialized_run() {
     let text = rrs::model::to_text(&inst);
     let (want, want_trace) = full_run(&inst, 8, || Box::new(full_algorithm()));
 
-    let mut source = TextStream::new(text.as_bytes()).unwrap();
+    let stream = || Session::new(TextStream::new(text.as_bytes()).unwrap(), 8);
     let mut rec = TraceRecorder::new();
-    let out = run_stream_session(
-        &mut source,
-        &mut full_algorithm(),
-        &mut rec,
-        &mut Scratch::new(),
-        &mut supervisor(&inst),
-        StreamOptions { n_locations: 8, speed: 1, ..Default::default() },
-        None,
-    )
-    .unwrap()
-    .into_outcome();
-    assert_eq!(out, want);
+    let out = stream().run(&mut full_algorithm(), &mut (&mut rec, supervisor(&inst)));
+    assert_eq!(out.unwrap().into_outcome(), want);
     assert_eq!(rec.events, want_trace.events);
 
     // Suspend the stream at round 6, resume a fresh stream from the
     // snapshot; stitched trace must again be identical.
-    let mut source = TextStream::new(text.as_bytes()).unwrap();
     let mut prefix = TraceRecorder::new();
-    let snap = run_stream_session(
-        &mut source,
-        &mut full_algorithm(),
-        &mut prefix,
-        &mut Scratch::new(),
-        &mut supervisor(&inst),
-        StreamOptions { n_locations: 8, speed: 1, stop_before: Some(6), ..Default::default() },
-        None,
-    )
-    .unwrap()
-    .into_snapshot();
-    let mut source = TextStream::new(text.as_bytes()).unwrap();
+    let snap = stream()
+        .stop_before(6)
+        .run(&mut full_algorithm(), &mut (&mut prefix, supervisor(&inst)))
+        .unwrap()
+        .into_snapshot();
     let mut suffix = TraceRecorder::new();
-    let out = run_stream_session(
-        &mut source,
-        &mut full_algorithm(),
-        &mut suffix,
-        &mut Scratch::new(),
-        &mut supervisor(&inst),
-        StreamOptions { n_locations: 8, speed: 1, resume_from: Some(&snap), ..Default::default() },
-        None,
-    )
-    .unwrap()
-    .into_outcome();
+    let out = stream()
+        .resume(&snap)
+        .run(&mut full_algorithm(), &mut (&mut suffix, supervisor(&inst)))
+        .unwrap()
+        .into_outcome();
     assert_eq!(out, want);
     let stitched: Vec<TraceEvent> =
         prefix.events.iter().chain(suffix.events.iter()).cloned().collect();

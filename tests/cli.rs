@@ -438,7 +438,54 @@ fn checkpoint_every_and_stream_match_plain_run() {
     assert!(out.status.success(), "stream resume: {}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(field(&String::from_utf8_lossy(&out.stdout), "total cost:"), want);
 
+    // On zipf seed 3 the stream knows horizon 130 at round 100, the whole
+    // instance 287. A materialized resume demands the exact horizon, so it
+    // rejects the streamed snapshot; a streamed resume takes the
+    // materialized snapshot's horizon as a floor and lands on the totals.
+    let zipf = tmpfile("every-zipf.rrs");
+    let out = cli().args(["generate", "zipf", "--seed", "3", "--out"]).arg(&zipf).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let zprefix = tmpfile("every-ck-zipf");
+    let out = cli()
+        .args(["run", "full"])
+        .arg(&zipf)
+        .args(["--stream", "--checkpoint-every", "100", "--checkpoint-out"])
+        .arg(&zprefix)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "zipf stream: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(field(&String::from_utf8_lossy(&out.stdout), "total cost:"), 9847);
+    let streamed = format!("{}-r100.snap", zprefix.display());
+    let out =
+        cli().args(["resume", "full"]).arg(&zipf).args(["--from", &streamed]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("snapshot was taken with horizon 130, simulator has horizon 287"),
+        "{err}"
+    );
+    let materialized = tmpfile("every-ck-zipf-m100.snap");
+    let out = cli()
+        .args(["checkpoint", "full"])
+        .arg(&zipf)
+        .args(["--at-round", "100", "--out"])
+        .arg(&materialized)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "zipf checkpoint: {}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .args(["resume", "full"])
+        .arg(&zipf)
+        .arg("--from")
+        .arg(&materialized)
+        .arg("--stream")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "zipf resume: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(field(&String::from_utf8_lossy(&out.stdout), "total cost:"), 9847);
+
     std::fs::remove_file(&inst).ok();
+    std::fs::remove_file(&zipf).ok();
     for entry in std::fs::read_dir(std::env::temp_dir()).unwrap().flatten() {
         let name = entry.file_name();
         if name

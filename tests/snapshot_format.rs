@@ -25,9 +25,13 @@ fn golden_instance() -> Instance {
 }
 
 fn golden_snapshot() -> Vec<u8> {
-    Simulator::new(&golden_instance(), 8)
-        .checkpoint(&mut full_algorithm(), &mut NullRecorder, 8)
-        .into_snapshot()
+    checkpoint(&golden_instance(), 8)
+}
+
+/// The full stack's snapshot of `inst` at the top of round `k`.
+fn checkpoint(inst: &Instance, k: u64) -> Vec<u8> {
+    let session = Simulator::new(inst, 8).session().stop_before(k);
+    session.run(&mut full_algorithm(), &mut NullRecorder).unwrap().into_snapshot()
 }
 
 #[test]
@@ -71,9 +75,11 @@ fn golden_fixture_resumes_the_golden_run() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2.snap");
     let snap = std::fs::read(fixture).unwrap();
     let out = Simulator::new(&inst, 8)
-        .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
+        .session()
+        .resume(&snap)
+        .run(&mut full_algorithm(), &mut NullRecorder)
         .expect("committed fixture must stay loadable");
-    assert_eq!(out, want);
+    assert_eq!(out.into_outcome(), want);
 }
 
 #[test]
@@ -166,23 +172,61 @@ fn wrapper_rejects_a_different_inner_policy() {
     assert!(err.contains("\"dlru-edf\"") && err.contains("\"edf\""), "{err}");
 }
 
+/// The messages a resume of `snapshot` fails with through a materialized
+/// session over `sim` and through a streamed one over the same instance's
+/// text, locations and speed.
+fn resume_errors(sim: &Simulator<'_>, snapshot: &[u8]) -> [String; 2] {
+    let text = rrs::model::to_text(sim.instance());
+    let stream = TextStream::new(text.as_bytes()).unwrap();
+    let streamed = Session::new(stream, sim.n_locations()).speed(sim.speed());
+    let err = |run: Result<SessionResult, SessionError>| run.unwrap_err().to_string();
+    [
+        err(sim.session().resume(snapshot).run(&mut full_algorithm(), &mut NullRecorder)),
+        err(streamed.resume(snapshot).run(&mut full_algorithm(), &mut NullRecorder)),
+    ]
+}
+
 #[test]
 fn resume_on_wrong_configuration_is_rejected() {
     let inst = golden_instance();
     let snap = golden_snapshot();
-    // Wrong location count.
-    let err = Simulator::new(&inst, 4)
-        .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("locations"), "{err}");
-    // Wrong speed.
-    let err = Simulator::new(&inst, 8)
-        .with_speed(2)
-        .resume(&mut full_algorithm(), &mut NullRecorder, &snap)
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("speed"), "{err}");
+    let other_delta = Instance { delta: 3, ..golden_instance() };
+    for (sim, want) in [
+        (Simulator::new(&inst, 4), "snapshot has 8 locations, this run has 4"),
+        (Simulator::new(&inst, 8).with_speed(2), "taken at speed 1, this run has speed 2"),
+        (Simulator::new(&other_delta, 8), "snapshot has delta 2, this run has delta 3"),
+    ] {
+        for msg in resume_errors(&sim, &snap) {
+            assert!(msg.contains(want), "{msg}");
+        }
+    }
+    // A materialized horizon is final, so it must be the snapshot's; a
+    // stream's grows as it reads, and the snapshot's is only its floor.
+    let longer = Simulator::new(&inst, 8).with_horizon(inst.horizon() + 5);
+    let msg = longer.session().resume(&snap).run(&mut full_algorithm(), &mut NullRecorder);
+    let msg = msg.unwrap_err().to_string();
+    assert!(msg.contains("taken with horizon 16, simulator has horizon 21"), "{msg}");
+}
+
+#[test]
+fn a_snapshot_resuming_past_its_horizon_is_rejected() {
+    // A CRC-valid forgery of a snapshot at round 3 (horizon 16) that
+    // claims to resume at round 1000. Loading it used to drive the run
+    // past its horizon with jobs still pending.
+    let mut b = InstanceBuilder::new(2);
+    let (c0, c1) = (b.color(4), b.color(16));
+    b.arrive(0, c0, 4).arrive(0, c1, 8);
+    let inst = b.build();
+    let file_bytes = checkpoint(&inst, 3);
+    let file = SnapshotFile::parse(&file_bytes).unwrap();
+    assert_eq!((file.state.horizon_hint, file.state.pending.total() > 0), (16, true));
+    let mut policy = full_algorithm();
+    policy.init(file.state.ledger.delta, file.state.n_locations);
+    file.load_policy(&mut policy).unwrap();
+    let forged = encode_snapshot(&EngineState { next_round: 1000, ..file.state }, &policy);
+    for msg in resume_errors(&Simulator::new(&inst, 8), &forged) {
+        assert!(msg.contains("next round 1000 is past the horizon hint 16"), "{msg}");
+    }
 }
 
 /// Strategy: a small general instance plus a checkpoint round.
@@ -211,13 +255,7 @@ proptest! {
     #[test]
     fn parse_reencode_identity_on_random_checkpoints(pair in instance_and_round()) {
         let (inst, k) = pair;
-        let snap = Simulator::new(&inst, 8)
-            .checkpoint(
-                &mut full_algorithm(),
-                &mut NullRecorder,
-                k,
-            )
-            .into_snapshot();
+        let snap = checkpoint(&inst, k);
         let file = SnapshotFile::parse(&snap).unwrap();
         prop_assert_eq!(file.state.next_round, k);
         let mut policy = full_algorithm();
@@ -234,13 +272,7 @@ proptest! {
         flip in 0usize..=4096,
     ) {
         let (inst, k) = pair;
-        let snap = Simulator::new(&inst, 8)
-            .checkpoint(
-                &mut full_algorithm(),
-                &mut NullRecorder,
-                k,
-            )
-            .into_snapshot();
+        let snap = checkpoint(&inst, k);
         let cut = cut % snap.len();
         prop_assert!(SnapshotFile::parse(&snap[..cut]).is_err());
         let mut evil = snap.clone();

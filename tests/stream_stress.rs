@@ -85,10 +85,9 @@ impl Read for SoakText {
 /// checkpoints, asserting conservation and the live-heap bound.
 fn soak(rounds: u64, every: u64, max_live_bytes: u64) {
     assert!(alloc_probe::probe_active(), "probe must be installed as the global allocator");
-    let mut source =
+    let source =
         TextStream::new(BufReader::new(SoakText::new(rounds))).expect("synthesized header parses");
     let mut policy = full_algorithm();
-    let mut scratch = Scratch::new();
 
     let mut snapshots = 0u64;
     let mut snapshot_bytes = 0u64;
@@ -99,22 +98,11 @@ fn soak(rounds: u64, every: u64, max_live_bytes: u64) {
 
     let baseline = alloc_probe::reset_peak();
 
-    let out = run_stream_session(
-        &mut source,
-        &mut policy,
-        &mut NullRecorder,
-        &mut scratch,
-        &mut NullRecorder,
-        StreamOptions {
-            n_locations: 8,
-            speed: 1,
-            plan: CheckpointPolicy::EveryN(every),
-            ..Default::default()
-        },
-        Some(&mut sink),
-    )
-    .expect("soak run completes")
-    .into_outcome();
+    let out = Session::new(source, 8)
+        .checkpoints(CheckpointPolicy::EveryN(every), &mut sink)
+        .run(&mut policy, &mut NullRecorder)
+        .expect("soak run completes")
+        .into_outcome();
 
     let peak = alloc_probe::peak_bytes().saturating_sub(baseline);
 
@@ -188,10 +176,8 @@ fn zipf_soak(num_colors: usize, rounds: u64, max_live_bytes: u64) {
         rrs_workloads::ZipfConfig { num_colors, rounds, ..rrs_workloads::ZipfConfig::default() };
     let inst = rrs_workloads::zipf_popularity(&cfg, 11);
     let text = rrs_model::textio::to_text(&inst);
-    let mut source =
-        TextStream::new(BufReader::new(text.as_bytes())).expect("generated text parses");
+    let source = TextStream::new(BufReader::new(text.as_bytes())).expect("generated text parses");
     let mut policy = full_algorithm();
-    let mut scratch = Scratch::new();
     // Under `--features validate` the soak is supervised by the invariant
     // watcher (its paged shadow is part of the measured heap); otherwise
     // the supervisor is a no-op and the run is bare, like the long-horizon
@@ -202,22 +188,11 @@ fn zipf_soak(num_colors: usize, rounds: u64, max_live_bytes: u64) {
     let mut sink = |_round: u64, _bytes: &[u8]| snapshots += 1;
 
     let baseline = alloc_probe::reset_peak();
-    let out = run_stream_session(
-        &mut source,
-        &mut policy,
-        &mut NullRecorder,
-        &mut scratch,
-        &mut watcher,
-        StreamOptions {
-            n_locations: 8,
-            speed: 1,
-            plan: CheckpointPolicy::EveryN(rounds / 4),
-            ..Default::default()
-        },
-        Some(&mut sink),
-    )
-    .expect("zipf soak completes watcher-clean")
-    .into_outcome();
+    let out = Session::new(source, 8)
+        .checkpoints(CheckpointPolicy::EveryN(rounds / 4), &mut sink)
+        .run(&mut policy, &mut watcher)
+        .expect("zipf soak completes watcher-clean")
+        .into_outcome();
     let peak = alloc_probe::peak_bytes().saturating_sub(baseline);
 
     assert_eq!(out.arrived, inst.total_jobs());

@@ -41,13 +41,15 @@ fn dlru_edf_ratio_bound_survives_checkpoint_stitching() {
         let whole = Simulator::new(&inst, 8).run(&mut DeltaLruEdf::new());
 
         let k = (inst.horizon() / 2).max(1);
-        let snap = Simulator::new(&inst, 8)
-            .checkpoint(&mut DeltaLruEdf::new(), &mut NullRecorder, k)
-            .into_snapshot();
-        let mut resumed_policy = DeltaLruEdf::new();
-        let stitched = Simulator::new(&inst, 8)
-            .resume(&mut resumed_policy, &mut NullRecorder, &snap)
-            .expect("seed-generated snapshot must resume");
+        let sim = Simulator::new(&inst, 8);
+        let snap = sim.session().stop_before(k).run(&mut DeltaLruEdf::new(), &mut NullRecorder);
+        let snap = snap.expect("checkpoint").into_snapshot();
+        let stitched = sim
+            .session()
+            .resume(&snap)
+            .run(&mut DeltaLruEdf::new(), &mut NullRecorder)
+            .expect("seed-generated snapshot must resume")
+            .into_outcome();
         assert_eq!(stitched, whole, "seed {seed}: stitched run diverged at k={k}");
 
         let r = ratio(stitched.total_cost(), opt);
@@ -69,12 +71,11 @@ fn opt_never_exceeds_checkpoint_stitched_runs() {
         let inst = rate_limited_instance(&small_cfg(2), seed);
         let opt4 = solve_opt(&inst, 4, OptConfig::default()).expect("small instance").cost;
         for k in [1, inst.horizon() / 3 + 1, inst.horizon()] {
-            let snap = Simulator::new(&inst, 4)
-                .checkpoint(&mut DeltaLruEdf::new(), &mut NullRecorder, k)
-                .into_snapshot();
-            let mut p = DeltaLruEdf::new();
-            let out =
-                Simulator::new(&inst, 4).resume(&mut p, &mut NullRecorder, &snap).expect("resume");
+            let sim = Simulator::new(&inst, 4);
+            let snap = sim.session().stop_before(k).run(&mut DeltaLruEdf::new(), &mut NullRecorder);
+            let snap = snap.expect("checkpoint").into_snapshot();
+            let out = sim.session().resume(&snap).run(&mut DeltaLruEdf::new(), &mut NullRecorder);
+            let out = out.expect("resume").into_outcome();
             assert!(
                 opt4 <= out.total_cost(),
                 "seed {seed} k {k}: OPT(4)={opt4} > stitched online {}",
