@@ -2,10 +2,9 @@
 //!
 //! One allocator serves every heap-discipline measurement in the
 //! workspace: call counting (the `tests/alloc_discipline.rs` zero-alloc
-//! round-loop contract), live/peak byte tracking (the
-//! `tests/stream_stress.rs` bounded-soak contract), and the bench
-//! harness's `allocs_per_round` / peak-heap metrics — previously three
-//! near-identical private copies.
+//! round-loop contract), peak byte tracking (the `tests/stream_stress.rs`
+//! bounded-soak contract), and the bench harness's `allocs_per_round` /
+//! peak-heap metrics — previously three near-identical private copies.
 //!
 //! A global allocator must be *installed* by the final binary; a library
 //! cannot do it. Consumers write:
@@ -15,87 +14,92 @@
 //! static GLOBAL: rrs_bench::AllocProbe = rrs_bench::AllocProbe;
 //! ```
 //!
-//! and read the counters through [`alloc_calls`], [`live_bytes`] and
-//! [`peak_bytes`]. Without an installed probe the counters stay frozen at
-//! zero — [`probe_active`] detects that, so measurements can fail loudly
-//! instead of reporting a fake clean zero.
+//! and read the counters through [`alloc_calls`] and, around a measured
+//! window, [`reset_peak`] then [`peak_growth`]. Without an installed probe
+//! the counters stay frozen at zero — [`probe_active`] detects that, so
+//! measurements can fail loudly instead of reporting a fake clean zero.
 //!
-//! The two kinds of counter differ in scope:
-//!
-//! * **Allocator calls are per thread.** Each thread counts its own calls
-//!   in a `const`-initialized thread-local `Cell`, which allocates nothing
-//!   and needs no destructor. [`alloc_calls`] reads the calling thread's
-//!   count, so a measured window sees exactly the allocations of the code
-//!   it runs — sibling threads (another test in the same binary, a sweep
-//!   worker) cannot pollute it.
-//! * **Live and peak bytes are whole-process.** Memory freed on one thread
-//!   may have been allocated on another, so bytes are kept in global
-//!   `Relaxed` atomics. A reading covers every thread that allocated
-//!   during the window; it is exact only when the window has the process
-//!   to itself.
+//! **Every counter is per thread.** Each thread keeps its call count, its
+//! net bytes (allocated minus freed) and their high-water mark in
+//! `const`-initialized thread-local `Cell`s, which allocate nothing, need
+//! no destructor and are never shared: an allocation writes no memory
+//! another thread reads, so installing the probe costs a parallel sweep
+//! nothing beyond the counter updates themselves. A reading covers
+//! exactly the code the calling thread ran in its window; sibling threads
+//! (another test in the same binary, a sweep worker) cannot perturb it.
+//! A thread that frees memory another thread allocated sees its net bytes
+//! fall, possibly below zero; the counts are signed, so no reading wraps.
 
 // Audited exception to the workspace-wide `forbid(unsafe_code)` (see this
 // crate's root): implementing `GlobalAlloc` is inherently unsafe. The impl
 // delegates every operation verbatim to `std::alloc::System` and only adds
-// relaxed atomic accounting on the side, so the safety argument is exactly
+// thread-local accounting on the side, so the safety argument is exactly
 // `System`'s.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The probe allocator. Install with `#[global_allocator]`; its state is
-/// static (per-thread call counts, process-wide byte counts), so the unit
-/// struct carries nothing.
+/// per-thread and static, so the unit struct carries nothing.
 pub struct AllocProbe;
 
-thread_local! {
-    static CALLS: Cell<u64> = const { Cell::new(0) };
+/// One thread's counters.
+struct Counters {
+    /// Allocator calls (alloc + alloc_zeroed + realloc) since the thread
+    /// started.
+    calls: Cell<u64>,
+    /// Bytes allocated minus bytes freed since the last [`reset_peak`].
+    net: Cell<i64>,
+    /// High-water mark of `net` since the last [`reset_peak`].
+    peak: Cell<i64>,
 }
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
 
-fn count_call() {
+thread_local! {
+    static COUNTERS: Counters =
+        const { Counters { calls: Cell::new(0), net: Cell::new(0), peak: Cell::new(0) } };
+}
+
+/// Move the calling thread's net bytes by `delta`, counting one allocator
+/// call when `call` is set.
+fn track(call: bool, delta: i64) {
     // `try_with`: a thread may still allocate while its thread-locals are
     // being torn down; such calls go uncounted instead of panicking.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = COUNTERS.try_with(|c| {
+        c.calls.set(c.calls.get() + u64::from(call));
+        let net = c.net.get() + delta;
+        c.net.set(net);
+        c.peak.set(c.peak.get().max(net));
+    });
 }
 
-fn on_alloc(bytes: usize) {
-    count_call();
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+/// A layout size as a signed byte count (`Layout` caps sizes at
+/// `isize::MAX`, so the cast is exact).
+fn bytes(size: usize) -> i64 {
+    size as i64
 }
 
 // SAFETY: every operation delegates to `System` with unchanged arguments;
-// the only additions are counter updates (a thread-local `Cell` and relaxed
-// atomics), which allocate nothing.
+// the only additions are updates of the calling thread's `Cell` counters,
+// which allocate nothing.
 unsafe impl GlobalAlloc for AllocProbe {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
+        track(true, bytes(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
+        track(true, bytes(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
-        if new_size >= layout.size() {
-            let grow = (new_size - layout.size()) as u64;
-            let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        } else {
-            LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
-        }
+        track(true, bytes(new_size) - bytes(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        track(false, -bytes(layout.size()));
         System.dealloc(ptr, layout)
     }
 }
@@ -104,28 +108,23 @@ unsafe impl GlobalAlloc for AllocProbe {
 /// thread since it started. Other threads' calls never show up here, so
 /// the difference across a measured window is exact and deterministic.
 pub fn alloc_calls() -> u64 {
-    CALLS.try_with(Cell::get).unwrap_or(0)
+    COUNTERS.try_with(|c| c.calls.get()).unwrap_or(0)
 }
 
-/// Live heap bytes currently outstanding (allocated minus freed), over the
-/// whole process.
-pub fn live_bytes() -> u64 {
-    LIVE.load(Ordering::Relaxed)
+/// Open a measured window on the calling thread: its net and peak bytes
+/// restart from zero.
+pub fn reset_peak() {
+    let _ = COUNTERS.try_with(|c| {
+        c.net.set(0);
+        c.peak.set(0);
+    });
 }
 
-/// High-water mark of [`live_bytes`] since process start or the last
-/// [`reset_peak`], over the whole process.
-pub fn peak_bytes() -> u64 {
-    PEAK.load(Ordering::Relaxed)
-}
-
-/// Reset the peak to the current live level and return that baseline, so a
-/// measured section can report its *own* high-water mark as
-/// `peak_bytes() - baseline`.
-pub fn reset_peak() -> u64 {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    live
+/// The most bytes the calling thread has held above the level of its last
+/// [`reset_peak`]: the window's own heap high-water mark. Never negative,
+/// whatever the thread freed.
+pub fn peak_growth() -> u64 {
+    COUNTERS.try_with(|c| c.peak.get()).map_or(0, |peak| peak.max(0) as u64)
 }
 
 /// Whether the probe is actually installed as the global allocator. A
@@ -155,8 +154,9 @@ mod tests {
     fn uninstalled_probe_reports_inactive() {
         assert!(!probe_active());
         assert_eq!(alloc_calls(), 0);
-        assert_eq!(live_bytes(), 0);
-        assert_eq!(peak_bytes(), 0);
-        assert_eq!(reset_peak(), 0);
+        reset_peak();
+        let v: Vec<u64> = std::hint::black_box(vec![7; 1024]);
+        drop(std::hint::black_box(v));
+        assert_eq!(peak_growth(), 0);
     }
 }

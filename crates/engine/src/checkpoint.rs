@@ -11,8 +11,8 @@
 //! policy and both reductions.
 //!
 //! What is deliberately *excluded*: per-round scratch buffers (dead at
-//! round boundaries), advisory telemetry (`PhaseTimer`, sweep worker
-//! stats), and anything derivable from the instance itself. A snapshot
+//! round boundaries), advisory telemetry (`PhaseTimer`), and anything
+//! derivable from the instance itself. A snapshot
 //! pairs with the instance it was taken from; it does not embed the
 //! request sequence.
 //!

@@ -64,10 +64,7 @@ pub use checkpoint::{
 };
 pub use kernel::{RoundKernel, Scratch};
 pub use obs::{CounterRecorder, CounterRegistry, Histogram, Stopwatch};
-pub use par::{
-    jobs, par_map_sweep, par_map_sweep_stats, set_jobs, take_sweep_telemetry, SweepTelemetry,
-    WorkerStats,
-};
+pub use par::{jobs, par_map_sweep, set_jobs};
 pub use pending::PendingStore;
 pub use policy::{Observation, Policy, Slot};
 pub use replay::{FixedSchedule, ReplayPolicy};
@@ -94,10 +91,7 @@ pub mod prelude {
     };
     pub use crate::kernel::{RoundKernel, Scratch};
     pub use crate::obs::{CounterRecorder, CounterRegistry, Histogram, Stopwatch};
-    pub use crate::par::{
-        jobs, par_map_sweep, par_map_sweep_stats, set_jobs, take_sweep_telemetry, SweepTelemetry,
-        WorkerStats,
-    };
+    pub use crate::par::{jobs, par_map_sweep, set_jobs};
     pub use crate::pending::PendingStore;
     pub use crate::policy::{Observation, Policy, Slot};
     pub use crate::replay::{FixedSchedule, ReplayPolicy};

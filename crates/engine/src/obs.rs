@@ -44,7 +44,7 @@ pub mod names {
     pub const SNAPSHOT_BYTES: &str = "snapshot_bytes";
     /// Snapshots emitted by checkpointing.
     pub const SNAPSHOTS: &str = "snapshots";
-    /// Items claimed across parallel sweeps (summed over workers).
+    /// Results a parallel sweep returned (one per input item).
     pub const SWEEP_ITEMS: &str = "sweep_items";
     /// High-water mark of hierarchical `ColorSet` leaf words held by a
     /// policy's per-color state (64 colors per word; see DESIGN.md §14).

@@ -2,11 +2,11 @@
 //!
 //! Experiment tables are built from many *independent* simulator runs — a
 //! seed sweep, a parameter grid, a candidate enumeration. [`par_map_sweep`]
-//! fans those runs across OS threads with a work-stealing index queue and
-//! returns results **in input order**, so a parallel sweep is bit-identical
-//! to the serial one: the simulator is deterministic, each item's closure
-//! sees only its own input, and the scatter-by-index collection step erases
-//! scheduling nondeterminism.
+//! fans those runs across OS threads, each worker claiming the next index
+//! off a shared counter, and returns results **in input order**, so a
+//! parallel sweep is bit-identical to the serial one: the simulator is
+//! deterministic, each item's closure sees only its own input, and the
+//! scatter-by-index collection step erases scheduling nondeterminism.
 //!
 //! The worker count comes from the process-wide [`set_jobs`]/[`jobs`] knob
 //! (CLI `--jobs N`), defaulting to [`std::thread::available_parallelism`].
@@ -14,22 +14,14 @@
 //! on the calling thread — no threads are spawned, so `--jobs 1` is exactly
 //! the pre-parallel code path.
 //!
-//! **Telemetry.** Every sweep additionally measures per-worker statistics —
-//! items processed, busy time, steal count — via
-//! [`par_map_sweep_stats`] or the process-wide accumulator drained by
-//! [`take_sweep_telemetry`]. Telemetry is wall-clock and therefore
-//! *advisory*: it is collected on the side and never influences results or
-//! their ordering, preserving byte-identical output at any worker count.
+//! Only independent runs fan out — E-table rows and the table suite,
+//! search generations, shrink frontiers and the bench sweep ladder. An
+//! item's own work (a simulation, an exact solve) stays serial.
 
-// Audited exception to the determinism wall (clippy.toml): worker
-// wall-time here is telemetry only — it never influences results,
-// which are scattered back by input index.
-#![allow(clippy::disallowed_methods)]
-
+use std::any::Any;
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Process-wide worker-count override; 0 means "unset, use the hardware".
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -60,168 +52,62 @@ pub fn jobs() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Per-worker statistics for one or more sweeps.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Items this worker processed.
-    pub items: u64,
-    /// Claims that were *not* index-sequential with the worker's previous
-    /// claim — i.e. another worker claimed in between, which is the dynamic
-    /// queue balancing load away from slower peers.
-    pub steals: u64,
-    /// Wall-clock time spent inside the mapped closure.
-    pub busy: Duration,
-}
-
-impl WorkerStats {
-    fn merge(&mut self, other: &WorkerStats) {
-        self.items += other.items;
-        self.steals += other.steals;
-        self.busy += other.busy;
-    }
-}
-
-/// Aggregated sweep telemetry: per-worker-slot statistics summed over every
-/// [`par_map_sweep`] call since the last [`take_sweep_telemetry`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SweepTelemetry {
-    /// Sweeps observed.
-    pub sweeps: u64,
-    /// Total items across those sweeps.
-    pub items: u64,
-    /// Per-worker-slot statistics (slot 0 is the calling thread for serial
-    /// sweeps; parallel sweeps index spawned workers in spawn order).
-    pub workers: Vec<WorkerStats>,
-}
-
-impl SweepTelemetry {
-    /// Fold one sweep's per-worker stats into the aggregate.
-    pub fn absorb(&mut self, items: usize, per_worker: &[WorkerStats]) {
-        self.sweeps += 1;
-        self.items += items as u64;
-        if self.workers.len() < per_worker.len() {
-            self.workers.resize(per_worker.len(), WorkerStats::default());
-        }
-        for (slot, stats) in self.workers.iter_mut().zip(per_worker) {
-            slot.merge(stats);
-        }
-    }
-
-    /// A human-readable per-worker utilization table (advisory wall-clock
-    /// numbers; not part of any deterministic output).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "sweep telemetry: {} sweep(s), {} item(s), {} worker slot(s)\n",
-            self.sweeps,
-            self.items,
-            self.workers.len()
-        ));
-        out.push_str("  worker   items  steals          busy\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "  {i:>6}  {items:>6}  {steals:>6}  {busy:>12.3?}\n",
-                items = w.items,
-                steals = w.steals,
-                busy = w.busy
-            ));
-        }
-        out
-    }
-}
-
-/// Process-wide telemetry accumulator fed by [`par_map_sweep`].
-static TELEMETRY: Mutex<SweepTelemetry> =
-    Mutex::new(SweepTelemetry { sweeps: 0, items: 0, workers: Vec::new() });
-
-/// Drain and return the telemetry accumulated by every [`par_map_sweep`]
-/// call since the previous drain.
-pub fn take_sweep_telemetry() -> SweepTelemetry {
-    std::mem::take(&mut TELEMETRY.lock().expect("telemetry lock poisoned"))
-}
+/// A worker's claimed results, or the index and payload of the item that
+/// panicked (the worker stops there).
+type Claimed<R> = Result<Vec<(usize, R)>, (usize, Box<dyn Any + Send>)>;
 
 /// Map `f` over `items` on up to [`jobs`] threads, returning the results
 /// in input order.
 ///
-/// Scheduling is dynamic (workers steal the next unclaimed index from a
+/// Scheduling is dynamic (workers claim the next unclaimed index from a
 /// shared atomic counter), so uneven per-item cost balances automatically;
 /// determinism is unaffected because results are scattered back by index.
-/// Panics in `f` propagate to the caller once all workers have stopped.
-/// Per-worker telemetry is folded into the process-wide accumulator (see
-/// [`take_sweep_telemetry`]).
+///
+/// # Panics
+/// If `f` panics, the sweep re-raises, once every worker has stopped, the
+/// payload of the lowest-index item that panicked — the panic the serial
+/// loop raises — so the message is the same at any worker count. That
+/// item is always reached: claims ascend, and only a panic stops a worker
+/// early.
 pub fn par_map_sweep<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let (results, per_worker) = par_map_sweep_stats(items, f);
-    if !per_worker.is_empty() {
-        TELEMETRY.lock().expect("telemetry lock poisoned").absorb(items.len(), &per_worker);
-    }
-    results
-}
-
-/// [`par_map_sweep`] plus this sweep's per-worker statistics (not folded
-/// into the process-wide accumulator — the caller owns them).
-pub fn par_map_sweep_stats<T, R, F>(items: &[T], f: F) -> (Vec<R>, Vec<WorkerStats>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if items.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
     let workers = jobs().min(items.len());
     if workers <= 1 {
-        let t0 = Instant::now();
-        let results: Vec<R> = items.iter().map(f).collect();
-        let stats = WorkerStats { items: items.len() as u64, steals: 0, busy: t0.elapsed() };
-        return (results, vec![stats]);
+        return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let collected: Vec<(Vec<(usize, R)>, WorkerStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    let mut stats = WorkerStats::default();
-                    let mut last: Option<usize> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            return (local, stats);
-                        }
-                        if last.is_some_and(|l| i != l + 1) {
-                            stats.steals += 1;
-                        }
-                        last = Some(i);
-                        let t0 = Instant::now();
-                        let r = f(&items[i]);
-                        stats.busy += t0.elapsed();
-                        stats.items += 1;
-                        local.push((i, r));
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+    let claim = || -> Claimed<R> {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return Ok(local) };
+            match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(r) => local.push((i, r)),
+                Err(payload) => return Err((i, payload)),
+            }
+        }
+    };
+    let collected: Vec<Claimed<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+        handles.into_iter().map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p))).collect()
     });
-    let mut per_worker = Vec::with_capacity(workers);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
-    for (local, stats) in collected {
-        per_worker.push(stats);
-        for (i, r) in local {
-            slots[i] = Some(r);
+    let mut panicked = Vec::new();
+    for claimed in collected {
+        match claimed {
+            Ok(local) => local.into_iter().for_each(|(i, r)| slots[i] = Some(r)),
+            Err(failure) => panicked.push(failure),
         }
     }
-    let results =
-        slots.into_iter().map(|slot| slot.expect("every index claimed exactly once")).collect();
-    (results, per_worker)
+    if let Some((_, payload)) = panicked.into_iter().min_by_key(|&(i, _)| i) {
+        panic::resume_unwind(payload);
+    }
+    slots.into_iter().map(|slot| slot.expect("every index claimed exactly once")).collect()
 }
 
 #[cfg(test)]
@@ -258,35 +144,36 @@ mod tests {
         assert_eq!(par_map_sweep(&[7u32], |&x| x + 1), vec![8]);
     }
 
-    #[test]
-    fn stats_account_every_item() {
-        let items: Vec<u64> = (0..97).collect();
-        let (out, stats) = par_map_sweep_stats(&items, |&x| x + 1);
-        assert_eq!(out.len(), items.len());
-        assert!(!stats.is_empty());
-        let counted: u64 = stats.iter().map(|w| w.items).sum();
-        assert_eq!(counted, items.len() as u64);
-    }
+    /// Serializes the tests that move the process-wide worker knob.
+    static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn telemetry_accumulates_and_drains() {
-        // Other unit tests in this binary may sweep concurrently, so assert
-        // lower bounds rather than exact counts.
-        let _ = take_sweep_telemetry();
-        let items: Vec<u64> = (0..10).collect();
-        let _ = par_map_sweep(&items, |&x| x);
-        let _ = par_map_sweep(&items, |&x| x);
-        let t = take_sweep_telemetry();
-        assert!(t.sweeps >= 2, "{t:?}");
-        assert!(t.items >= 20, "{t:?}");
-        assert_eq!(t.workers.iter().map(|w| w.items).sum::<u64>(), t.items);
-        let rendered = t.render();
-        assert!(rendered.contains("worker"), "{rendered}");
+    fn a_panicking_item_reraises_its_own_payload_at_any_worker_count() {
+        let _knob = KNOB.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Rows 2 and 3 both panic; the serial loop stops at row 2.
+        let payload_at = |workers: usize| {
+            set_jobs(workers);
+            let err = panic::catch_unwind(|| {
+                par_map_sweep(&[0u64, 1, 2, 3], |&x| {
+                    if x >= 2 {
+                        panic!("row {x} violated a law");
+                    }
+                    x
+                })
+            })
+            .expect_err("the sweep must panic");
+            err.downcast_ref::<String>().cloned()
+        };
+        let serial = payload_at(1);
+        let parallel = payload_at(2);
+        JOBS.store(0, Ordering::Relaxed);
+        assert_eq!(serial.as_deref(), Some("row 2 violated a law"));
+        assert_eq!(parallel, serial);
     }
 
     #[test]
     fn jobs_knob_round_trips() {
-        // Relaxed global state: other tests don't touch the knob.
+        let _knob = KNOB.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         set_jobs(3);
         assert_eq!(jobs(), 3);
         set_jobs(1);

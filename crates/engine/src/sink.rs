@@ -10,9 +10,8 @@
 //! **Determinism boundary.** Trace lines carry *no* timestamps or other
 //! host-dependent fields: the byte stream is a pure function of the
 //! (instance, policy, locations, speed) tuple, so traces are golden-testable
-//! at any `--jobs` setting. All wall-clock measurement lives in
-//! [`PhaseTimer`] and the sweep telemetry of [`crate::par`], which are
-//! advisory and never feed deterministic outputs.
+//! at any `--jobs` setting. All wall-clock measurement here lives in
+//! [`PhaseTimer`], which is advisory and never feeds deterministic outputs.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};

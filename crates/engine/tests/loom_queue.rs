@@ -16,13 +16,15 @@
 //! access) and asserts the property under every explored schedule. The
 //! production loop in `par.rs` stays on `std` atomics; the model is kept
 //! line-for-line parallel so a change to the claiming protocol must be
-//! mirrored here (CI runs this with a raised `LOOM_SCHEDULES`).
+//! mirrored here (CI runs this with a raised `LOOM_SCHEDULES`). A worker
+//! whose item panics stops claiming early; that path re-raises the panic
+//! instead of scattering, so it is outside this model.
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
-/// The worker claim loop from `par_map_sweep_stats`, reduced to its
+/// The worker claim loop from `par_map_sweep`, reduced to its
 /// scheduling skeleton: claim indices off the shared counter until
 /// exhausted, recording which indices we claimed.
 fn claim_loop(next: &AtomicUsize, items: usize) -> Vec<usize> {
@@ -48,7 +50,7 @@ fn check_exactly_once(workers: usize, items: usize) {
             })
             .collect();
 
-        // The scatter step from `par_map_sweep_stats`, with the same
+        // The scatter step from `par_map_sweep`, with the same
         // "every index claimed exactly once" expectation.
         let mut slots = vec![0u32; items];
         for h in handles {

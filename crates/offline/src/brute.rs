@@ -6,15 +6,9 @@
 //! correctness oracle. The property tests run both on tiny instances and
 //! assert equal optimal costs.
 //!
-//! The first round's branches fan out across threads
-//! ([`rrs_engine::par_map_sweep`]); the branch-and-bound incumbent is a
-//! shared [`AtomicU64`] updated with `fetch_min`, which keeps the result
-//! deterministic — pruning order affects only speed, never the final
-//! minimum.
+//! The search is one serial depth-first walk on the calling thread, pruned
+//! against the best complete cost found so far (branch and bound).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use rrs_engine::par_map_sweep;
 use rrs_model::Instance;
 
 /// Pending profile as canonical `(color, deadline, count)` rows.
@@ -110,33 +104,27 @@ fn rec_solve(
     cache: &[u32],
     pending: &Pending,
     spent: u64,
-    best: &AtomicU64,
+    best: &mut u64,
 ) {
-    if spent >= best.load(Ordering::Relaxed) {
+    if spent >= *best {
         return; // branch-and-bound prune
     }
     if round > horizon {
-        best.fetch_min(spent, Ordering::Relaxed);
+        *best = spent;
         return;
     }
     let mut p = pending.clone();
     let dropped = drops_due(&mut p, round);
     arrivals(inst, round, &mut p);
 
-    for (newcache, p2, step_cost) in expand(inst, m, round, cache, &p) {
+    for (newcache, p2, step_cost) in expand(inst, m, cache, &p) {
         rec_solve(inst, m, round + 1, horizon, &newcache, &p2, spent + dropped + step_cost, best);
     }
 }
 
 /// All successor states of one round: `(new cache, pending after execution,
 /// reconfiguration cost)` for every candidate cache multiset.
-fn expand(
-    inst: &Instance,
-    m: usize,
-    _round: u64,
-    cache: &[u32],
-    p: &Pending,
-) -> Vec<(Vec<u32>, Pending, u64)> {
+fn expand(inst: &Instance, m: usize, cache: &[u32], p: &Pending) -> Vec<(Vec<u32>, Pending, u64)> {
     let mut cands: Vec<u32> = p.iter().map(|&(c, _, _)| c).collect();
     cands.extend(cache.iter().copied().filter(|&c| c != BLACK));
     cands.push(BLACK);
@@ -169,22 +157,11 @@ fn expand(
 
 /// Exhaustively compute the optimal cost for `m` resources. Exponential;
 /// only for tiny instances (the oracle for [`crate::opt::solve_opt`]).
-/// Round 0's branches run in parallel, sharing the incumbent bound.
 pub fn solve_brute(inst: &Instance, m: usize) -> u64 {
     assert!(m >= 1);
-    let best = AtomicU64::new(u64::MAX);
-    let horizon = inst.horizon();
-    let cache = vec![BLACK; m];
-    // Unroll round 0 by hand so its branches fan out across threads; each
-    // branch then runs the serial DFS against the shared incumbent.
-    let mut p: Pending = Vec::new();
-    let dropped = drops_due(&mut p, 0);
-    arrivals(inst, 0, &mut p);
-    let branches = expand(inst, m, 0, &cache, &p);
-    par_map_sweep(&branches, |(newcache, p2, step_cost)| {
-        rec_solve(inst, m, 1, horizon, newcache, p2, dropped + step_cost, &best);
-    });
-    best.load(Ordering::Relaxed)
+    let mut best = u64::MAX;
+    rec_solve(inst, m, 0, inst.horizon(), &vec![BLACK; m], &Vec::new(), 0, &mut best);
+    best
 }
 
 #[cfg(test)]

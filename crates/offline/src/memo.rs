@@ -34,12 +34,13 @@
 //!    trip, the live frontier is checkpointed into the [`OptCache`] (when
 //!    one is supplied), and the next call **resumes from that exact
 //!    round** — the differential battery proves resumed solves equal
-//!    uninterrupted ones.
-//! 4. **Deterministic fan-out.** Layer expansion fans out over
-//!    [`par_map_sweep`] in fixed-size chunks of the ordered frontier;
-//!    results come back in input order and are merged sequentially, so
-//!    the memo table — and therefore every output byte — is identical at
-//!    any `--jobs N`.
+//!    uninterrupted ones. A checkpoint read back from a file resumes only
+//!    if it fits the instance ([`SolveCtx::resumable`]).
+//! 4. **One serial layer loop.** Each layer expands in one pass over the
+//!    ordered frontier, and successors merge in that same order, so the
+//!    memo table — and therefore every output byte — is a pure function
+//!    of the instance. The solver runs on the calling thread; callers that
+//!    price many instances fan out across them instead.
 //!
 //! The solver never reconstructs schedules: [`OptConfig::reconstruct`] is
 //! ignored and [`MemoResult::schedule`]-equivalent data is not produced.
@@ -50,8 +51,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use rrs_engine::par_map_sweep;
-use rrs_model::Instance;
+use rrs_model::{ColorId, Instance};
 
 use crate::cache::{instance_digest, OptCache, PartialSolve, SolvedEntry};
 use crate::opt::{
@@ -62,16 +62,6 @@ use crate::opt::{
 /// Accumulated `(cost, reconfigs, drops)`; tuple `Ord` is the
 /// lexicographic order the Bellman merge minimizes.
 type Tri = (u64, u64, u64);
-
-/// Expand serially below this frontier size: thread fan-out costs more
-/// than it saves on tiny layers.
-const PAR_MIN_STATES: usize = 64;
-
-/// States per [`par_map_sweep`] work item. Chunks are consecutive slices
-/// of the ordered frontier and results are concatenated in chunk order,
-/// so the merged candidate stream is independent of the chunking — and
-/// of the worker count.
-const PAR_CHUNK: usize = 32;
 
 /// Skip pairwise dominance checks in same-cache groups larger than this:
 /// keeps pruning O(cap²) per group worst-case. Deterministic (a pure
@@ -143,6 +133,7 @@ struct SolveCtx {
     m: usize,
     delta: u64,
     horizon: u64,
+    total_jobs: u64,
     /// Last round with arrivals of each color; `None` = never requested.
     last_arrival: Vec<Option<u64>>,
     /// Interchangeable-color classes (same bound, identical arrival
@@ -191,6 +182,7 @@ impl SolveCtx {
             m,
             delta: inst.delta,
             horizon: inst.horizon(),
+            total_jobs: inst.total_jobs(),
             last_arrival,
             classes,
             color_w: bytes_for(max_id),
@@ -249,6 +241,52 @@ impl SolveCtx {
             pos += entry_w;
         }
         (cache, pending)
+    }
+
+    /// Whether `key` is exactly a key [`SolveCtx::pack`] could write for
+    /// `inst`: `m` cache codes, each black or a declared color, then whole
+    /// pending entries, each of a declared color, with a relative deadline
+    /// below that color's bound and a count from 1 to the instance's total
+    /// jobs.
+    fn key_fits(&self, inst: &Instance, key: &[u8]) -> bool {
+        let cache_w = self.m * self.color_w;
+        let entry_w = self.color_w + self.rel_w + self.cnt_w;
+        let bound = |code: u64| {
+            u32::try_from(code).ok().and_then(|c| inst.colors.try_delay_bound(ColorId(c)))
+        };
+        let Some(entries) = key.len().checked_sub(cache_w) else { return false };
+        entries % entry_w == 0
+            && key[..cache_w].chunks(self.color_w).all(|code| {
+                let code = get_be(code, 0, self.color_w);
+                code == self.black_code() || bound(code).is_some()
+            })
+            && key[cache_w..].chunks(entry_w).all(|entry| {
+                let rel = get_be(entry, self.color_w, self.rel_w);
+                let n = get_be(entry, self.color_w + self.rel_w, self.cnt_w);
+                bound(get_be(entry, 0, self.color_w)).is_some_and(|b| rel < b)
+                    && (1..=self.total_jobs).contains(&n)
+            })
+    }
+
+    /// Whether a checkpointed frontier holds only values a solve of `inst`
+    /// could have written (DESIGN.md §16): a round at most `horizon + 1`
+    /// (a budget trip on the last layer checkpoints that round), a
+    /// nonempty layer of keys that [fit](SolveCtx::key_fits), triples with
+    /// `drops ≤ total jobs`, `reconfigs ≤ m·round` and
+    /// `cost = Δ·reconfigs + drops`, and a state count no smaller than the
+    /// layer. A frontier that passes stays trusted, like an index entry.
+    fn resumable(&self, inst: &Instance, partial: &PartialSolve) -> bool {
+        let max_reconfigs = (self.m as u64).checked_mul(partial.round);
+        partial.round <= self.horizon.saturating_add(1)
+            && !partial.layer.is_empty()
+            && partial.states_explored >= partial.layer.len() as u64
+            && partial.layer.iter().all(|(key, &(cost, reconfigs, drops))| {
+                self.key_fits(inst, key)
+                    && drops <= self.total_jobs
+                    && max_reconfigs.is_some_and(|max| reconfigs <= max)
+                    && self.delta.checked_mul(reconfigs).and_then(|r| r.checked_add(drops))
+                        == Some(cost)
+            })
     }
 
     /// Canonicalize a successor state in place. `base` is the round the
@@ -399,15 +437,16 @@ fn prune_dominated(layer: &mut BTreeMap<Vec<u8>, Tri>, base: u64, ctx: &SolveCtx
     count
 }
 
-/// Expand one memoized state for `round`, appending canonical successor
-/// candidates (in deterministic enumeration order) to `out`.
+/// Expand one memoized state for `round`, merging its canonical
+/// successors into `next` in deterministic enumeration order. The merge
+/// is the lexicographic Bellman rule: each key keeps its smallest triple.
 fn expand_state(
     ctx: &SolveCtx,
     key: &[u8],
     tri: Tri,
     round: u64,
     arrivals: &[(u32, u64, u64)],
-    out: &mut Vec<(Vec<u8>, Tri)>,
+    next: &mut BTreeMap<Vec<u8>, Tri>,
 ) {
     let (cache, mut pending) = ctx.unpack(key, round);
     let dropped = apply_drops(&mut pending, round);
@@ -439,7 +478,9 @@ fn expand_state(
         }
         ctx.canonicalize(&mut newcache, &mut p, round + 1);
         let succ = ctx.pack(&newcache, &p, round + 1);
-        out.push((succ, (tri.0 + dropped + ctx.delta * rc, tri.1 + rc, tri.2 + dropped)));
+        let cand = (tri.0 + dropped + ctx.delta * rc, tri.1 + rc, tri.2 + dropped);
+        let best = next.entry(succ).or_insert(cand);
+        *best = (*best).min(cand);
     }
 }
 
@@ -475,7 +516,9 @@ fn checkpoint(
 /// * `cache` — consulted for a whole-solve hit before any work, updated
 ///   with the finished answer on success, and used to checkpoint/resume
 ///   the frontier across [`OptError::Interrupted`] /
-///   [`OptError::BudgetExhausted`] boundaries.
+///   [`OptError::BudgetExhausted`] boundaries. A checkpoint for this
+///   `(instance, m)` that does not fit the instance is ignored, like one
+///   for another instance: the solve starts at round 0.
 /// * The returned breakdown is the **lexicographically minimal**
 ///   `(cost, reconfigs, drops)` triple over all optimal schedules — the
 ///   same rule the plain DP applies, so the two agree exactly.
@@ -517,10 +560,10 @@ pub fn solve_opt_memoized(
     let mut states_explored = 1usize;
     if let Some(c) = cache.as_deref() {
         if let Some(p) = c.partial() {
-            if p.digest == digest && p.m == m as u32 {
+            if p.digest == digest && p.m == m as u32 && ctx.resumable(inst, p) {
                 start_round = p.round;
                 layer = p.layer.clone();
-                states_explored = p.states_explored as usize;
+                states_explored = usize::try_from(p.states_explored).unwrap_or(usize::MAX);
                 stats.partial_resumes += 1;
             }
         }
@@ -537,40 +580,9 @@ pub fn solve_opt_memoized(
             arrivals_buf.push((c.0, round + inst.colors.delay_bound(c), n));
         }
 
-        // Fan the frontier out over the sweep pool. Chunks are consecutive
-        // slices of the ordered frontier; par_map_sweep returns results in
-        // input order, so the flattened candidate stream — and with it the
-        // merged layer — is byte-identical at any worker count.
-        let items: Vec<(Vec<u8>, Tri)> = std::mem::take(&mut layer).into_iter().collect();
-        let candidate_lists: Vec<Vec<(Vec<u8>, Tri)>> = if items.len() >= PAR_MIN_STATES {
-            let chunks: Vec<&[(Vec<u8>, Tri)]> = items.chunks(PAR_CHUNK).collect();
-            par_map_sweep(&chunks, |chunk| {
-                let mut out = Vec::new();
-                for (key, tri) in *chunk {
-                    expand_state(&ctx, key, *tri, round, &arrivals_buf, &mut out);
-                }
-                out
-            })
-        } else {
-            let mut out = Vec::new();
-            for (key, tri) in &items {
-                expand_state(&ctx, key, *tri, round, &arrivals_buf, &mut out);
-            }
-            vec![out]
-        };
-
         let mut next: BTreeMap<Vec<u8>, Tri> = BTreeMap::new();
-        for list in candidate_lists {
-            for (key, tri) in list {
-                match next.get_mut(&key) {
-                    // Lexicographic Bellman merge; first writer wins ties.
-                    Some(existing) if *existing <= tri => {}
-                    Some(existing) => *existing = tri,
-                    None => {
-                        next.insert(key, tri);
-                    }
-                }
-            }
+        for (key, &tri) in &layer {
+            expand_state(&ctx, key, tri, round, &arrivals_buf, &mut next);
         }
 
         stats.pruned_states += prune_dominated(&mut next, round + 1, &ctx);
@@ -578,7 +590,9 @@ pub fn solve_opt_memoized(
         if next.len() > config.max_states {
             return Err(OptError::StateSpaceExceeded { round, states: next.len() });
         }
-        states_explored += next.len();
+        // Saturating: a resumed count near the top trips the budget below
+        // instead of wrapping past it.
+        states_explored = states_explored.saturating_add(next.len());
         let layer_bytes: u64 = next.keys().map(|k| k.len() as u64 + 3 * 8).sum();
         stats.peak_memo_bytes = stats.peak_memo_bytes.max(layer_bytes);
         if config.state_budget.is_some_and(|budget| states_explored > budget) {
@@ -606,7 +620,7 @@ pub fn solve_opt_memoized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::{solve_opt, solve_opt_guarded};
+    use crate::opt::solve_opt;
     use rrs_model::InstanceBuilder;
 
     fn memo(inst: &Instance, m: usize) -> MemoResult {
@@ -843,36 +857,5 @@ mod tests {
         // count sorts after a lighter one with equal prefix.
         let heavier = ctx.pack(&cache, &[(c0.0, 4, 3), (c1.0, 10, 5)], 2);
         assert!(key < heavier);
-    }
-
-    #[test]
-    fn results_are_identical_at_any_worker_count() {
-        // Big enough to cross PAR_MIN_STATES so the fan-out actually runs.
-        let mut b = InstanceBuilder::new(2);
-        let colors: Vec<_> = (0..4).map(|_| b.color(4)).collect();
-        for blk in 0..6 {
-            for (i, &c) in colors.iter().enumerate() {
-                b.arrive(blk * 4 + i as u64 % 2, c, 1 + (i as u64 % 3));
-            }
-        }
-        let inst = b.build();
-        let saved = rrs_engine::jobs();
-        let mut caches: Vec<Vec<u8>> = Vec::new();
-        for jobs in [1, 2, 4] {
-            rrs_engine::set_jobs(jobs);
-            let mut cache = OptCache::new();
-            let r = solve_opt_memoized(&inst, 2, OptConfig::default(), None, Some(&mut cache))
-                .expect("solves");
-            assert_eq!(r.cost, ctx_free_cost(&inst));
-            caches.push(cache.encode());
-        }
-        rrs_engine::set_jobs(saved);
-        assert_eq!(caches[0], caches[1], "jobs=1 vs jobs=2 caches differ");
-        assert_eq!(caches[0], caches[2], "jobs=1 vs jobs=4 caches differ");
-    }
-
-    /// The plain DP's cost, as an independent reference.
-    fn ctx_free_cost(inst: &Instance) -> u64 {
-        solve_opt_guarded(inst, 2, OptConfig::default(), None).expect("plain DP solves").cost
     }
 }

@@ -66,10 +66,10 @@ use std::process::ExitCode;
 use rrs::analysis::experiments;
 use rrs::prelude::*;
 
-// The bench suites and the alloc-discipline metrics (allocs/round, peak
-// heap) read process-global counters that only move when the probe is the
-// global allocator; installing it costs two relaxed atomic adds per
-// allocation, negligible against `System`'s own work.
+// The bench suites' alloc-discipline metrics (allocs/round, peak heap)
+// read counters that only move when the probe is the global allocator.
+// Every counter is per thread, so an allocation writes only its own
+// thread's cells and parallel sweeps share no cache line through it.
 #[global_allocator]
 static GLOBAL: rrs::bench::AllocProbe = rrs::bench::AllocProbe;
 
@@ -913,13 +913,6 @@ fn cmd_evaluate(mut args: Vec<String>) -> Result<(), String> {
         }
         std::fs::write(&mpath, text).map_err(|e| format!("write {mpath}: {e}"))?;
         eprintln!("wrote {} run reports to {mpath}", reports.len());
-    }
-    // Worker-scaling stats from every parallel sweep the evaluation ran.
-    // Advisory wall-clock data — printed to stderr so stdout stays
-    // byte-identical at any --jobs setting.
-    let telemetry = take_sweep_telemetry();
-    if telemetry.sweeps > 0 {
-        eprint!("{}", telemetry.render());
     }
     Ok(())
 }

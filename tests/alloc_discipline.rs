@@ -10,11 +10,12 @@
 //! stack `VarBatch<Distribute<ΔLRU-EDF>>` (whose virtual universe may
 //! still grow while batches are being split).
 //!
-//! Everything lives in ONE test function. Allocator calls are counted per
-//! thread, so the per-round deltas are immune to sibling tests, but the
-//! live-heap peak of Part 4 is a whole-process quantity that concurrent
-//! tests in the same binary would inflate.
+//! Every probe counter is per thread, so each test's readings cover only
+//! the code it runs and are immune to sibling tests in this binary. The
+//! same counters show that the exact solvers do all their work on the
+//! calling thread at any worker count.
 
+use rrs::engine::set_jobs;
 use rrs::prelude::*;
 use rrs_bench::alloc_fixtures::{batched_instance, RoundAllocs};
 use rrs_bench::alloc_probe;
@@ -131,14 +132,53 @@ fn steady_state_rounds_do_not_allocate() {
         b.arrive(64, c, 1);
     }
     let inst = b.build();
-    let baseline = alloc_probe::reset_peak();
+    alloc_probe::reset_peak();
     run_with_probe(&inst, 8, &mut rrs_core::DeltaLruEdf::new());
-    let peak = alloc_probe::peak_bytes().saturating_sub(baseline);
+    let peak = alloc_probe::peak_growth();
     eprintln!("10^6-universe/{live}-live run: live-heap peak {peak} bytes");
     let cap = 24 * 1024 * 1024;
     assert!(
         peak < cap,
         "10^6-color universe with {live} live colors grew live heap by {peak} bytes \
          (cap {cap}); per-color state is no longer proportional to the live colors"
+    );
+}
+
+#[test]
+fn exact_solvers_run_on_the_calling_thread_at_any_worker_count() {
+    assert!(alloc_probe::probe_active(), "probe must be installed as the global allocator");
+    // Four colors of bound 4 over six blocks: at m = 2 the memo's layers
+    // grow past 64 states.
+    let mut b = rrs_model::InstanceBuilder::new(2);
+    let colors: Vec<_> = (0..4).map(|_| b.color(4)).collect();
+    for blk in 0..6 {
+        for (i, &c) in colors.iter().enumerate() {
+            b.arrive(blk * 4 + i as u64 % 2, c, 1 + (i as u64 % 3));
+        }
+    }
+    let memo_inst = b.build();
+    let mut b = rrs_model::InstanceBuilder::new(2);
+    let c0 = b.color(2);
+    let c1 = b.color(4);
+    b.arrive(0, c0, 2).arrive(0, c1, 3).arrive(2, c0, 2);
+    let brute_inst = b.build();
+
+    // (memo cost, brute cost, memo calls, brute calls) on this thread.
+    let solve_at = |jobs: usize| {
+        set_jobs(jobs);
+        let start = alloc_probe::alloc_calls();
+        let memo = solve_opt_memoized(&memo_inst, 2, OptConfig::default(), None, None)
+            .expect("memo solves");
+        let mid = alloc_probe::alloc_calls();
+        let brute = solve_brute(&brute_inst, 2);
+        let end = alloc_probe::alloc_calls();
+        (memo.cost, brute, mid - start, end - mid)
+    };
+    let serial = solve_at(1);
+    let parallel = solve_at(4);
+    assert_eq!(
+        parallel, serial,
+        "(memo cost, brute cost, memo allocs, brute allocs) on the calling thread moved with \
+         the worker count: a solver handed work to other threads"
     );
 }

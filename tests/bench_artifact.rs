@@ -57,26 +57,33 @@ fn core_suite_is_deterministic_and_round_trips() {
 
 #[test]
 fn allocations_on_other_threads_are_not_counted() {
-    // The probe's call count is per thread: a sibling thread allocating
-    // inside this thread's measured window must leave its delta at 0.
+    // Every probe counter is per thread: a sibling thread allocating
+    // inside this thread's measured window must leave its call delta at 0,
+    // and a 64 MiB buffer the sibling holds must not reach this thread's
+    // peak growth.
     use std::sync::{Arc, Barrier};
     assert!(alloc_probe::probe_active(), "probe must be installed as the global allocator");
     let go = Arc::new(Barrier::new(2));
     let done = Arc::new(Barrier::new(2));
     let (go2, done2) = (Arc::clone(&go), Arc::clone(&done));
+    alloc_probe::reset_peak();
     let sibling = std::thread::spawn(move || {
         go2.wait();
         for n in 1..=256usize {
             drop(std::hint::black_box(Vec::<u64>::with_capacity(n)));
         }
+        let held = std::hint::black_box(vec![0u8; 64 << 20]);
         done2.wait();
+        drop(held);
     });
     let before = alloc_probe::alloc_calls();
     go.wait();
     done.wait();
     let delta = alloc_probe::alloc_calls() - before;
+    let peak = alloc_probe::peak_growth();
     sibling.join().expect("sibling thread");
     assert_eq!(delta, 0, "another thread's allocations leaked into this thread's count");
+    assert!(peak < 1 << 20, "a sibling's 64 MiB reached this thread's peak growth: {peak} bytes");
 }
 
 #[test]

@@ -735,13 +735,3 @@ fn bench_rejects_unknown_suite() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown suite"));
 }
-
-#[test]
-fn evaluate_jobs_prints_sweep_telemetry_on_stderr_only() {
-    let out = cli().args(["evaluate", "--only", "e3", "--jobs", "2"]).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("sweep telemetry"), "telemetry must reach stderr: {err}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(!text.contains("sweep telemetry"), "stdout must stay telemetry-free: {text}");
-}

@@ -4,9 +4,11 @@
 //! parse→reencode is the identity, every truncation and every single-bit
 //! flip is rejected as a structured error, a stale version dies on the
 //! version field (not the checksum), and a lookup keyed by the wrong
-//! genome misses with a clear error instead of a wrong answer.
+//! genome misses with a clear error instead of a wrong answer. A
+//! CRC-valid partial frontier that does not fit its instance is ignored:
+//! the solve starts fresh instead of panicking or recording a wrong cost.
 
-use rrs::offline::{OPT_CACHE_MAGIC, OPT_CACHE_VERSION};
+use rrs::offline::{PartialSolve, OPT_CACHE_MAGIC, OPT_CACHE_VERSION};
 use rrs::prelude::*;
 
 /// The deterministic cache behind `tests/fixtures/opt_cache_v1.optc`:
@@ -156,4 +158,88 @@ fn wrong_genome_lookup_misses_with_a_clear_error() {
         let inst = parse_genome(text).unwrap().decode();
         assert!(cache.lookup(instance_digest(&inst), 1).is_some(), "{text} missing");
     }
+}
+
+/// The forgery target: one resource, four colors (bounds 2, 4, 8, 8),
+/// horizon 64, exact OPT 55. Its packed keys use one byte per field, so
+/// the all-black cache with nothing pending is the key `[0xff]`.
+fn forgery_target() -> Instance {
+    rate_limited_instance(&RateLimitedConfig::default(), 3)
+}
+
+/// A partial-frontier entry: packed key and `(cost, reconfigs, drops)`.
+type LayerEntry<'a> = (&'a [u8], (u64, u64, u64));
+
+/// A cache holding only a partial for [`forgery_target`] at m = 1,
+/// encoded and parsed back: the CRC is valid, as a forged file's would be.
+fn forged(round: u64, states_explored: u64, layer: &[LayerEntry]) -> OptCache {
+    let mut cache = OptCache::new();
+    cache.set_partial(PartialSolve {
+        digest: instance_digest(&forgery_target()),
+        m: 1,
+        round,
+        states_explored,
+        layer: layer.iter().map(|&(key, tri)| (key.to_vec(), tri)).collect(),
+    });
+    OptCache::parse(&cache.encode()).expect("a re-sealed forgery parses")
+}
+
+/// Solve [`forgery_target`] against a cache holding a forged partial: the
+/// partial must be ignored, and the solve must return the fresh solve's
+/// exact answer and record it.
+fn assert_forgery_ignored(mut cache: OptCache) {
+    let inst = forgery_target();
+    let fresh = solve_opt_memoized(&inst, 1, OptConfig::default(), None, None).unwrap();
+    assert_eq!(fresh.cost, 55);
+    let r = solve_opt_memoized(&inst, 1, OptConfig::default(), None, Some(&mut cache))
+        .expect("a forged partial must not fail the solve");
+    assert_eq!(r.stats.partial_resumes, 0, "the forged partial was resumed");
+    assert_eq!((r.cost, r.reconfigs, r.drops), (fresh.cost, fresh.reconfigs, fresh.drops));
+    assert_eq!(r.states_explored, fresh.states_explored);
+    let entry = cache.lookup(instance_digest(&inst), 1).expect("the answer is recorded");
+    assert_eq!(entry.cost, fresh.cost);
+    assert!(cache.partial().is_none(), "the finished solve clears the forgery");
+}
+
+#[test]
+fn a_partial_past_the_horizon_is_ignored() {
+    assert_forgery_ignored(forged(69, 1, &[(&[0xff], (0, 0, 0))]));
+}
+
+#[test]
+fn a_partial_with_an_empty_key_is_ignored() {
+    assert_forgery_ignored(forged(0, 1, &[(&[], (0, 0, 0))]));
+}
+
+#[test]
+fn a_partial_pending_an_undeclared_color_is_ignored() {
+    assert_forgery_ignored(forged(0, 1, &[(&[0xff, 200, 1, 1], (0, 0, 0))]));
+}
+
+#[test]
+fn a_partial_with_an_impossible_triple_is_ignored() {
+    assert_forgery_ignored(forged(1, 1, &[(&[0xff], (u64::MAX - 1, 0, u64::MAX - 1))]));
+}
+
+#[test]
+fn an_empty_partial_layer_is_ignored() {
+    assert_forgery_ignored(forged(3, 1, &[]));
+}
+
+#[test]
+fn a_forged_state_count_trips_the_budget_instead_of_wrapping() {
+    // Every key and triple is plausible, so the partial is trusted; its
+    // count saturates and trips the budget on the first layer rather than
+    // wrapping back under it. A resume without a budget then finishes on
+    // the fresh solve's exact triple.
+    let inst = forgery_target();
+    let mut cache = forged(0, u64::MAX, &[(&[0xff], (0, 0, 0))]);
+    let budget = OptConfig { state_budget: Some(1_000_000), ..Default::default() };
+    let err = solve_opt_memoized(&inst, 1, budget, None, Some(&mut cache));
+    assert_eq!(err.err(), Some(OptError::BudgetExhausted { round: 0, states: usize::MAX }));
+    assert!(cache.is_empty(), "a tripped solve records nothing");
+    let fresh = solve_opt_memoized(&inst, 1, OptConfig::default(), None, None).unwrap();
+    let r = solve_opt_memoized(&inst, 1, OptConfig::default(), None, Some(&mut cache)).unwrap();
+    assert_eq!(r.stats.partial_resumes, 1);
+    assert_eq!((r.cost, r.reconfigs, r.drops), (fresh.cost, fresh.reconfigs, fresh.drops));
 }

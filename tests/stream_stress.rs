@@ -7,9 +7,9 @@
 //! `tests/alloc_discipline.rs` and the `rrs bench` harness) measures the
 //! peak live-byte high-water mark during the run, which must stay far
 //! below what the materialized instance (~1.75M requests) would cost.
-//! Live and peak bytes are whole-process counters, which a concurrently
-//! running sibling test would inflate, so this binary runs one test per
-//! mode: the smoke by default, the soak under `--ignored`.
+//! The probe counts per thread, so the reading covers exactly the run on
+//! the test's own thread. The binary runs one test per mode: the smoke by
+//! default, the soak under `--ignored`.
 //!
 //! The full-scale soak is `#[ignore]`d for regular CI (it is the nightly
 //! stress job); a 10⁴-round smoke keeps the same path exercised everywhere.
@@ -96,7 +96,7 @@ fn soak(rounds: u64, every: u64, max_live_bytes: u64) {
         snapshot_bytes += bytes.len() as u64;
     };
 
-    let baseline = alloc_probe::reset_peak();
+    alloc_probe::reset_peak();
 
     let out = Session::new(source, 8)
         .checkpoints(CheckpointPolicy::EveryN(every), &mut sink)
@@ -104,7 +104,7 @@ fn soak(rounds: u64, every: u64, max_live_bytes: u64) {
         .expect("soak run completes")
         .into_outcome();
 
-    let peak = alloc_probe::peak_bytes().saturating_sub(baseline);
+    let peak = alloc_probe::peak_growth();
 
     assert!(out.rounds > rounds, "simulated {} rounds, wanted > {rounds}", out.rounds);
     assert_eq!(out.arrived, SoakText::total_jobs(rounds));
@@ -187,13 +187,13 @@ fn zipf_soak(num_colors: usize, rounds: u64, max_live_bytes: u64) {
     let mut snapshots = 0u64;
     let mut sink = |_round: u64, _bytes: &[u8]| snapshots += 1;
 
-    let baseline = alloc_probe::reset_peak();
+    alloc_probe::reset_peak();
     let out = Session::new(source, 8)
         .checkpoints(CheckpointPolicy::EveryN(rounds / 4), &mut sink)
         .run(&mut policy, &mut watcher)
         .expect("zipf soak completes watcher-clean")
         .into_outcome();
-    let peak = alloc_probe::peak_bytes().saturating_sub(baseline);
+    let peak = alloc_probe::peak_growth();
 
     assert_eq!(out.arrived, inst.total_jobs());
     assert_eq!(out.arrived, out.executed + out.dropped, "conservation across the zipf soak");
