@@ -122,11 +122,20 @@ pub fn e2_edf_adversary(
     t
 }
 
+/// E3's instance family: small random rate-limited instances.
+fn e3_config() -> RateLimitedConfig {
+    RateLimitedConfig { delta: 3, bounds: vec![2, 4], rounds: 16, activity: 0.8, load: 0.9 }
+}
+
+/// E10's instance family: E3's at full activity and load.
+fn e10_config() -> RateLimitedConfig {
+    RateLimitedConfig { delta: 3, bounds: vec![2, 4], rounds: 16, activity: 0.9, load: 1.0 }
+}
+
 /// E3 (Theorem 1): ΔLRU-EDF with `n = 8m` against the exact offline optimum
 /// on small random rate-limited instances.
 pub fn e3_vs_opt(seeds: std::ops::Range<u64>) -> Table {
-    let cfg =
-        RateLimitedConfig { delta: 3, bounds: vec![2, 4], rounds: 16, activity: 0.8, load: 0.9 };
+    let cfg = e3_config();
     let m = 1;
     let n = 8 * m;
     let mut t = Table::new(
@@ -327,9 +336,7 @@ pub fn e8_motivation(seed: u64) -> Table {
 /// E10: the resource-augmentation sweep — ΔLRU-EDF's ratio against exact
 /// OPT (m = 1) as its location budget grows.
 pub fn e10_augmentation(seed: u64) -> Table {
-    let cfg =
-        RateLimitedConfig { delta: 3, bounds: vec![2, 4], rounds: 16, activity: 0.9, load: 1.0 };
-    let inst = rate_limited_instance(&cfg, seed);
+    let inst = rate_limited_instance(&e10_config(), seed);
     let opt = solve_opt(&inst, 1, OptConfig::default()).expect("sized for OPT").cost;
     let mut t =
         Table::new("E10: resource augmentation sweep vs OPT(m=1)", &["n", "cost", "opt", "ratio"]);
@@ -792,6 +799,24 @@ mod tests {
         let total = |i: usize| -> u64 { t.cell(i, "total").unwrap().parse().unwrap() };
         let (dlru, edf, both) = (total(0), total(1), total(2));
         assert!(both <= dlru.max(edf), "dlru-edf {both} vs dlru {dlru}, edf {edf}");
+    }
+
+    #[test]
+    fn e3_and_e10_opt_matches_the_plain_dp_oracle() {
+        // The default suite's instances: E3 seeds 0..8 and E10 seed 3. The
+        // tables print only costs; the exact solver must match the oracle
+        // on the whole triple.
+        let e3 = (0..8).map(|seed| rate_limited_instance(&e3_config(), seed));
+        for (i, inst) in e3.chain([rate_limited_instance(&e10_config(), 3)]).enumerate() {
+            let opt = solve_opt(&inst, 1, OptConfig::default()).expect("sized for OPT");
+            let (dp, _) = rrs_offline::solve_plain_dp(&inst, 1, OptConfig::default())
+                .expect("sized for the oracle");
+            assert_eq!(
+                (opt.cost, opt.reconfigs, opt.drops),
+                (dp.cost, dp.reconfigs, dp.drops),
+                "instance {i}"
+            );
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use rrs_engine::{
     Stopwatch,
 };
 use rrs_model::{Instance, TextStream};
-use rrs_offline::{solve_opt_guarded, solve_opt_memoized, OptCache, OptConfig};
+use rrs_offline::{solve_opt, solve_opt_memoized, solve_plain_dp, OptCache, OptConfig};
 use rrs_workloads::bursty::{bursty_instance, BurstyConfig};
 use rrs_workloads::genome::parse_genome;
 use rrs_workloads::pinned::{
@@ -329,7 +329,7 @@ fn opt_guarded(cfg: SuiteConfig) -> BenchRecord {
         let mut last = None;
         for _ in 0..solves {
             last = Some(
-                solve_opt_guarded(&inst, 1, OptConfig::default(), None)
+                solve_opt(&inst, 1, OptConfig::default())
                     .expect("pinned corpus instance solves exactly"),
             );
         }
@@ -546,7 +546,7 @@ fn zipf_sweep_determinism(zcfg: &ZipfConfig, cfg: SuiteConfig) -> Result<BenchRe
 /// bench crate does not depend on the search crate. Never retune without
 /// re-recording `BENCH_opt.json`.
 pub const OPT_BENCH_CONFIG: OptConfig =
-    OptConfig { max_states: 20_000, reconstruct: false, state_budget: Some(200_000) };
+    OptConfig { max_states: 20_000, state_budget: Some(200_000) };
 
 /// Scale-family size for the ≥ 10× certification block: under
 /// [`OPT_BENCH_CONFIG`] the plain DP handles `opt_scale_instance(12)`
@@ -678,7 +678,7 @@ fn opt_memo_warm(
 /// plain DP's refusal on it is re-checked every run.
 fn opt_scale_10x(cfg: SuiteConfig) -> Result<BenchRecord, String> {
     let inst = opt_scale_instance(OPT_SCALE_K);
-    let plain_refuses = match solve_opt_guarded(&inst, 1, OPT_BENCH_CONFIG, None) {
+    let plain_refuses = match solve_plain_dp(&inst, 1, OPT_BENCH_CONFIG) {
         Ok(_) => 0u64,
         Err(_) => 1u64,
     };
@@ -837,7 +837,7 @@ mod tests {
     #[test]
     fn pinned_genome_still_solves_to_the_corpus_cost() {
         let inst = parse_genome(PINNED_OPT_GENOME).expect("parses").decode();
-        let opt = solve_opt_guarded(&inst, 1, OptConfig::default(), None).expect("solves");
+        let opt = solve_opt(&inst, 1, OptConfig::default()).expect("solves");
         assert_eq!(opt.cost, 16, "the dlru-seed42 corpus fixture pins base (OPT) cost 16");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! [`solve_brute`] explores the full decision tree (every cache multiset at
 //! every round) with no state merging at all — exponentially slower than
-//! the DP in [`crate::opt`], but so simple it serves as its independent
-//! correctness oracle. The property tests run both on tiny instances and
-//! assert equal optimal costs.
+//! the exact solver of [`crate::opt`] and the plain DP oracle of
+//! [`crate::plain_dp`], but so simple it serves as the independent
+//! correctness oracle for both. The property tests run them on tiny
+//! instances and assert equal optimal costs.
 //!
 //! The search is one serial depth-first walk on the calling thread, pruned
 //! against the best complete cost found so far (branch and bound).
@@ -156,7 +157,8 @@ fn expand(inst: &Instance, m: usize, cache: &[u32], p: &Pending) -> Vec<(Vec<u32
 }
 
 /// Exhaustively compute the optimal cost for `m` resources. Exponential;
-/// only for tiny instances (the oracle for [`crate::opt::solve_opt`]).
+/// only for tiny instances (the oracle for [`crate::opt::solve_opt`] and
+/// [`crate::plain_dp::solve_plain_dp`]).
 pub fn solve_brute(inst: &Instance, m: usize) -> u64 {
     assert!(m >= 1);
     let mut best = u64::MAX;
@@ -168,18 +170,21 @@ pub fn solve_brute(inst: &Instance, m: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::opt::{solve_opt, OptConfig};
+    use crate::plain_dp::solve_plain_dp;
     use rrs_model::InstanceBuilder;
 
     #[test]
-    fn brute_matches_dp_on_hand_instances() {
+    fn brute_matches_both_solvers_on_hand_instances() {
         let mut b = InstanceBuilder::new(2);
         let c0 = b.color(2);
         let c1 = b.color(4);
         b.arrive(0, c0, 2).arrive(0, c1, 3).arrive(2, c0, 2);
         let inst = b.build();
         for m in 1..=2 {
-            let dp = solve_opt(&inst, m, OptConfig::default()).unwrap().cost;
-            assert_eq!(solve_brute(&inst, m), dp, "m={m}");
+            let dp = solve_plain_dp(&inst, m, OptConfig::default()).unwrap().0.cost;
+            let memo = solve_opt(&inst, m, OptConfig::default()).unwrap().cost;
+            assert_eq!(solve_brute(&inst, m), dp, "plain DP, m={m}");
+            assert_eq!(solve_brute(&inst, m), memo, "memo, m={m}");
         }
     }
 

@@ -5,11 +5,12 @@
 //! *measure* competitive ratios this crate provides three substitutes, each
 //! sound in a precise sense:
 //!
-//! * [`opt`] — an **exact optimal offline solver** (layered dynamic program
-//!   over `(cache multiset, pending profile)` states). Exponential in the
+//! * [`opt`] — the **exact optimal offline solver** [`solve_opt`] (a
+//!   layered dynamic program over `(cache multiset, pending profile)`
+//!   states), run by the memoized, canonicalized, Pareto-pruned solver of
+//!   [`memo`] with its persisted solve [`cache`]. Exponential in the
 //!   number of colors and resources, so it referees the small instances of
-//!   experiment E3; its schedules are replayed through the same engine that
-//!   runs online policies, so both sides are priced identically.
+//!   experiments E3 and E10 and the adversary search's genomes.
 //! * [`par_edf`] — the **Par-EDF** relaxation of §3.3: `m` resources viewed
 //!   as one super-resource executing the `m` best-ranked pending jobs per
 //!   round, with no reconfiguration constraint. Its drop count lower-bounds
@@ -18,6 +19,12 @@
 //!   the per-color configure-or-drop argument with the Par-EDF drop bound.
 //!   Ratios reported against a lower bound over-estimate the true
 //!   competitive ratio, so "bounded by a constant" conclusions are sound.
+//!
+//! Two differential oracles check the exact solver: [`plain_dp`], the
+//! same DP without canonical keys or pruning, whose reconstructed
+//! schedules replay through the engine that runs online policies (so both
+//! sides are priced identically), and [`brute`], a branch-and-bound search
+//! of the full decision tree.
 //!
 //! ```
 //! use rrs_model::InstanceBuilder;
@@ -42,6 +49,7 @@ pub mod cache;
 pub mod memo;
 pub mod opt;
 pub mod par_edf;
+pub mod plain_dp;
 
 pub use bounds::{combined_lower_bound, per_color_lower_bound, portfolio_upper_bound};
 pub use brute::solve_brute;
@@ -49,16 +57,18 @@ pub use cache::{
     instance_digest, CacheError, OptCache, PartialSolve, SolvedEntry, OPT_CACHE_MAGIC,
     OPT_CACHE_VERSION,
 };
-pub use memo::{solve_opt_memoized, MemoResult, MemoStats};
-pub use opt::{solve_opt, solve_opt_guarded, OptConfig, OptError, OptResult};
+pub use memo::{solve_opt_memoized, MemoStats};
+pub use opt::{solve_opt, OptConfig, OptError, OptResult};
 pub use par_edf::{par_edf_drop_cost, ParEdfOutcome};
+pub use plain_dp::solve_plain_dp;
 
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::bounds::{combined_lower_bound, per_color_lower_bound, portfolio_upper_bound};
     pub use crate::brute::solve_brute;
     pub use crate::cache::{instance_digest, CacheError, OptCache, SolvedEntry};
-    pub use crate::memo::{solve_opt_memoized, MemoResult, MemoStats};
-    pub use crate::opt::{solve_opt, solve_opt_guarded, OptConfig, OptError, OptResult};
+    pub use crate::memo::{solve_opt_memoized, MemoStats};
+    pub use crate::opt::{solve_opt, OptConfig, OptError, OptResult};
     pub use crate::par_edf::{par_edf_drop_cost, ParEdfOutcome};
+    pub use crate::plain_dp::solve_plain_dp;
 }

@@ -1,6 +1,6 @@
-//! Exact optimal offline solver.
+//! The exact optimal offline solver's interface.
 //!
-//! A layered dynamic program over rounds. A state is the pair
+//! OPT is a layered dynamic program over rounds. A state is the pair
 //! `(cache multiset, pending profile)`; per round the solver applies the
 //! deterministic drop and arrival phases, enumerates every useful cache
 //! multiset (colors with pending jobs, colors already cached, and black —
@@ -11,17 +11,17 @@
 //! suboptimal for unit jobs with unit drop cost, by a standard exchange
 //! argument). The DP is therefore **exact**, not heuristic.
 //!
+//! [`solve_opt`] runs it through the memoized solver of [`crate::memo`],
+//! the one production solver. The plain DP in [`crate::plain_dp`] walks
+//! the same model without canonical keys or pruning; it is the
+//! differential oracle that also reconstructs replayable schedules.
+//!
 //! Complexity is exponential in colors × resources; the per-layer state cap
-//! turns blow-ups into a clean [`OptError`] instead of an OOM. The solver
-//! can also reconstruct a [`FixedSchedule`] whose engine replay reproduces
-//! the optimal cost — the property tests cross-validate this.
+//! turns blow-ups into a clean [`OptError`] instead of an OOM.
 
-use std::collections::BTreeMap;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use rrs_model::Instance;
 
-use rrs_engine::{stable_assign, FixedSchedule, Slot};
-use rrs_model::{ColorId, Instance};
+use crate::memo::{solve_opt_memoized, MemoStats};
 
 /// Sentinel for an unconfigured (black) cache slot.
 pub(crate) const BLACK: u32 = u32::MAX;
@@ -31,8 +31,6 @@ pub(crate) const BLACK: u32 = u32::MAX;
 pub struct OptConfig {
     /// Maximum distinct states per round layer before giving up.
     pub max_states: usize,
-    /// Whether to keep parent pointers and reconstruct the schedule.
-    pub reconstruct: bool,
     /// Budget on *cumulative* states explored across all layers; `None`
     /// leaves only the per-layer cap. Callers that solve many instances in
     /// a loop (adversary search, sweeps) set this so one oversized instance
@@ -42,7 +40,7 @@ pub struct OptConfig {
 
 impl Default for OptConfig {
     fn default() -> Self {
-        Self { max_states: 500_000, reconstruct: false, state_budget: None }
+        Self { max_states: 500_000, state_budget: None }
     }
 }
 
@@ -88,43 +86,20 @@ impl std::fmt::Display for OptError {
 
 impl std::error::Error for OptError {}
 
-/// The optimal offline solution.
+/// The optimal offline solution: the lexicographically minimal
+/// `(cost, reconfigs, drops)` triple over all optimal schedules.
 #[derive(Clone, Debug)]
 pub struct OptResult {
     /// Optimal total cost `Δ·reconfigs + drops`.
     pub cost: u64,
-    /// Reconfigurations in the optimal schedule found.
+    /// Reconfigurations in the lexicographically minimal optimum.
     pub reconfigs: u64,
-    /// Drops in the optimal schedule found.
+    /// Drops in the lexicographically minimal optimum.
     pub drops: u64,
-    /// The optimal schedule, if reconstruction was requested. Replaying it
-    /// through the engine yields exactly `cost`.
-    pub schedule: Option<FixedSchedule>,
-    /// Total states explored (diagnostic).
+    /// Total states explored (kept states, summed over layers).
     pub states_explored: usize,
-}
-
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct State {
-    /// Sorted cache multiset; `BLACK` for unconfigured slots.
-    cache: Vec<u32>,
-    /// Canonical pending profile: `(color, deadline, count)` sorted by
-    /// `(color, deadline)`, zero counts removed.
-    pending: Vec<(u32, u64, u64)>,
-}
-
-/// Reconstruction chain: the cache multiset chosen in each round.
-struct Step {
-    cache: Vec<u32>,
-    prev: Option<Rc<Step>>,
-}
-
-#[derive(Clone)]
-struct Best {
-    cost: u64,
-    reconfigs: u64,
-    drops: u64,
-    trail: Option<Rc<Step>>,
+    /// Deterministic solve counters.
+    pub stats: MemoStats,
 }
 
 /// Drop every pending entry with `deadline <= round`; returns jobs dropped.
@@ -151,8 +126,8 @@ pub(crate) fn apply_arrivals(pending: &mut Vec<(u32, u64, u64)>, arrivals: &[(u3
     }
 }
 
-/// Execute `q` earliest-deadline jobs of `color`; returns executed count.
-pub(crate) fn apply_execution(pending: &mut Vec<(u32, u64, u64)>, color: u32, q: u64) -> u64 {
+/// Execute `q` earliest-deadline jobs of `color`.
+fn apply_execution(pending: &mut Vec<(u32, u64, u64)>, color: u32, q: u64) {
     let mut remaining = q;
     let mut i = 0;
     while i < pending.len() && remaining > 0 {
@@ -167,7 +142,16 @@ pub(crate) fn apply_execution(pending: &mut Vec<(u32, u64, u64)>, color: u32, q:
         }
         i += 1;
     }
-    q - remaining
+}
+
+/// Greedy execution for one round: each color of the sorted cache
+/// multiset runs as many earliest-deadline jobs as it has copies.
+pub(crate) fn execute_cache(pending: &mut Vec<(u32, u64, u64)>, cache: &[u32]) {
+    for run in cache.chunk_by(|a, b| a == b) {
+        if run[0] != BLACK {
+            apply_execution(pending, run[0], run.len() as u64);
+        }
+    }
 }
 
 /// Reconfiguration count for moving between cache multisets: copies added
@@ -193,201 +177,19 @@ pub(crate) fn reconfig_count(old: &[u32], new: &[u32]) -> u64 {
     added
 }
 
-/// Enumerate all sorted multisets of size `m` over `candidates` (sorted).
-pub(crate) fn multisets(candidates: &[u32], m: usize) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::with_capacity(m);
-    fn rec(cands: &[u32], start: usize, left: usize, cur: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
-        if left == 0 {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..cands.len() {
-            cur.push(cands[i]);
-            rec(cands, i, left - 1, cur, out);
-            cur.pop();
-        }
-    }
-    rec(candidates, 0, m, &mut cur, &mut out);
-    out
-}
-
-/// Solve the instance exactly for `m` resources.
+/// Solve the instance exactly for `m` resources: the memoized solver
+/// ([`solve_opt_memoized`]) with no cache and no interrupt.
 pub fn solve_opt(inst: &Instance, m: usize, config: OptConfig) -> Result<OptResult, OptError> {
-    solve_opt_guarded(inst, m, config, None)
-}
-
-/// [`solve_opt`] with a cooperative interrupt: the flag is polled once per
-/// round layer, and a raised flag aborts the solve with
-/// [`OptError::Interrupted`]. Combined with [`OptConfig::state_budget`]
-/// this is the guard rail that lets batch callers (the adversary-search
-/// fitness loop, large sweeps) fall back to [`crate::combined_lower_bound`]
-/// instead of hanging on an oversized instance.
-pub fn solve_opt_guarded(
-    inst: &Instance,
-    m: usize,
-    config: OptConfig,
-    interrupt: Option<&AtomicBool>,
-) -> Result<OptResult, OptError> {
-    assert!(m >= 1, "OPT needs at least one resource");
-    let horizon = inst.horizon();
-    let delta = inst.delta;
-
-    let init = State { cache: vec![BLACK; m], pending: Vec::new() };
-    // A `BTreeMap` keyed on the canonical state: deterministic iteration
-    // order makes the whole DP — including which of two equal-cost optima
-    // wins — a pure function of the instance (DESIGN.md §9).
-    let mut layer: BTreeMap<State, Best> = BTreeMap::new();
-    layer.insert(init, Best { cost: 0, reconfigs: 0, drops: 0, trail: None });
-    let mut states_explored = 1usize;
-
-    let mut arrivals_buf: Vec<(u32, u64, u64)> = Vec::new();
-    for round in 0..=horizon {
-        if interrupt.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            return Err(OptError::Interrupted { round });
-        }
-        arrivals_buf.clear();
-        for &(c, n) in inst.requests.at(round).pairs() {
-            arrivals_buf.push((c.0, round + inst.colors.delay_bound(c), n));
-        }
-
-        let mut next: BTreeMap<State, Best> = BTreeMap::new();
-        for (state, best) in std::mem::take(&mut layer) {
-            // Deterministic phases: drop, then arrivals.
-            let mut pending = state.pending.clone();
-            let dropped = apply_drops(&mut pending, round);
-            apply_arrivals(&mut pending, &arrivals_buf);
-
-            // Candidate colors: pending colors, currently cached colors,
-            // and black.
-            let mut candidates: Vec<u32> = pending.iter().map(|&(c, _, _)| c).collect();
-            candidates.extend(state.cache.iter().copied().filter(|&c| c != BLACK));
-            candidates.push(BLACK);
-            candidates.sort_unstable();
-            candidates.dedup();
-
-            for newcache in multisets(&candidates, m) {
-                let rc = reconfig_count(&state.cache, &newcache);
-                let mut p = pending.clone();
-                // Greedy execution: for each cached color, run as many
-                // earliest-deadline jobs as it has copies.
-                let mut i = 0;
-                while i < newcache.len() {
-                    let c = newcache[i];
-                    let mut q = 1;
-                    while i + 1 < newcache.len() && newcache[i + 1] == c {
-                        q += 1;
-                        i += 1;
-                    }
-                    if c != BLACK {
-                        apply_execution(&mut p, c, q);
-                    }
-                    i += 1;
-                }
-
-                let cost = best.cost + dropped + delta * rc;
-                let trail = if config.reconstruct {
-                    Some(Rc::new(Step { cache: newcache.clone(), prev: best.trail.clone() }))
-                } else {
-                    None
-                };
-                let cand = Best {
-                    cost,
-                    reconfigs: best.reconfigs + rc,
-                    drops: best.drops + dropped,
-                    trail,
-                };
-                let key = State { cache: newcache, pending: p };
-                match next.get_mut(&key) {
-                    // Lexicographic (cost, reconfigs, drops) Bellman merge:
-                    // ties on cost break toward fewer reconfigurations,
-                    // then fewer drops. Lexicographic comparison is
-                    // invariant under adding a common future triple, so
-                    // the DP computes the lex-minimal optimal breakdown —
-                    // the same rule the memoized solver uses, which is
-                    // what lets the differential battery demand equality
-                    // on the whole triple rather than cost alone.
-                    Some(existing)
-                        if (existing.cost, existing.reconfigs, existing.drops)
-                            <= (cand.cost, cand.reconfigs, cand.drops) => {}
-                    Some(existing) => *existing = cand,
-                    None => {
-                        // Trip the cap the moment the layer overflows
-                        // instead of materializing the whole blow-up
-                        // first: on refused instances the overfull layer
-                        // can be orders of magnitude larger than the cap.
-                        if next.len() >= config.max_states {
-                            return Err(OptError::StateSpaceExceeded {
-                                round,
-                                states: next.len() + 1,
-                            });
-                        }
-                        next.insert(key, cand);
-                    }
-                }
-            }
-        }
-        states_explored += next.len();
-        if config.state_budget.is_some_and(|budget| states_explored > budget) {
-            return Err(OptError::BudgetExhausted { round, states: states_explored });
-        }
-        layer = next;
-    }
-
-    let best = layer
-        .into_values()
-        .min_by_key(|b| (b.cost, b.reconfigs, b.drops))
-        .expect("at least one terminal state");
-    debug_assert_eq!(best.cost, delta * best.reconfigs + best.drops);
-
-    let schedule = if config.reconstruct {
-        // Unwind the trail (last round first), then realize each multiset
-        // as a concrete assignment with stable placement.
-        let mut caches: Vec<Vec<u32>> = Vec::new();
-        let mut cur = best.trail.clone();
-        while let Some(step) = cur {
-            caches.push(step.cache.clone());
-            cur = step.prev.clone();
-        }
-        caches.reverse();
-        let mut sched = FixedSchedule::new(m);
-        let mut slots: Vec<Slot> = vec![None; m];
-        for (round, cache) in caches.iter().enumerate() {
-            let mut desired: Vec<(ColorId, u64)> = Vec::new();
-            for &c in cache {
-                if c == BLACK {
-                    continue;
-                }
-                match desired.iter_mut().find(|(cc, _)| cc.0 == c) {
-                    Some((_, k)) => *k += 1,
-                    None => desired.push((ColorId(c), 1)),
-                }
-            }
-            slots = stable_assign(&slots, &desired);
-            sched.set(round as u64, slots.clone());
-        }
-        Some(sched)
-    } else {
-        None
-    };
-
-    Ok(OptResult {
-        cost: best.cost,
-        reconfigs: best.reconfigs,
-        drops: best.drops,
-        schedule,
-        states_explored,
-    })
+    solve_opt_memoized(inst, m, config, None, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrs_engine::{ReplayPolicy, Simulator};
     use rrs_model::InstanceBuilder;
 
     fn solve(inst: &Instance, m: usize) -> OptResult {
-        solve_opt(inst, m, OptConfig { reconstruct: true, ..Default::default() }).unwrap()
+        solve_opt(inst, m, OptConfig::default()).unwrap()
     }
 
     #[test]
@@ -397,7 +199,8 @@ mod tests {
         let c = b.color(4);
         b.arrive(0, c, 3);
         let inst = b.build();
-        assert_eq!(solve(&inst, 1).cost, 2);
+        let r = solve(&inst, 1);
+        assert_eq!((r.cost, r.reconfigs, r.drops), (2, 1, 0));
 
         // 1 job, Δ=2: dropping (cost 1) beats configuring (cost 2).
         let mut b = InstanceBuilder::new(2);
@@ -405,9 +208,7 @@ mod tests {
         b.arrive(0, c, 1);
         let inst = b.build();
         let r = solve(&inst, 1);
-        assert_eq!(r.cost, 1);
-        assert_eq!(r.reconfigs, 0);
-        assert_eq!(r.drops, 1);
+        assert_eq!((r.cost, r.reconfigs, r.drops), (1, 0, 1));
     }
 
     #[test]
@@ -419,9 +220,7 @@ mod tests {
         b.arrive(0, c, 6);
         let inst = b.build();
         let r = solve(&inst, 1);
-        assert_eq!(r.cost, 5);
-        assert_eq!(r.reconfigs, 1);
-        assert_eq!(r.drops, 4);
+        assert_eq!((r.cost, r.reconfigs, r.drops), (5, 1, 4));
     }
 
     #[test]
@@ -434,9 +233,7 @@ mod tests {
         b.arrive(0, c0, 4).arrive(4, c1, 4);
         let inst = b.build();
         let r = solve(&inst, 1);
-        assert_eq!(r.cost, 2);
-        assert_eq!(r.reconfigs, 2);
-        assert_eq!(r.drops, 0);
+        assert_eq!((r.cost, r.reconfigs, r.drops), (2, 2, 0));
     }
 
     #[test]
@@ -455,26 +252,7 @@ mod tests {
         let r = solve(&inst, 1);
         // Serving long fully: Δ + drop 4 shorts = 8. Serving shorts:
         // Δ + drop 8 longs = 12. Mixing costs more reconfigs.
-        assert_eq!(r.cost, 8);
-        assert_eq!(r.reconfigs, 1);
-        assert_eq!(r.drops, 4);
-    }
-
-    #[test]
-    fn reconstructed_schedule_replays_to_same_cost() {
-        let mut b = InstanceBuilder::new(2);
-        let c0 = b.color(2);
-        let c1 = b.color(4);
-        b.arrive(0, c0, 2).arrive(0, c1, 3).arrive(2, c0, 2).arrive(4, c1, 1);
-        let inst = b.build();
-        for m in 1..=2 {
-            let r = solve(&inst, m);
-            let sched = r.schedule.clone().unwrap();
-            let out = Simulator::new(&inst, m).run(&mut ReplayPolicy::new(sched));
-            assert_eq!(out.total_cost(), r.cost, "replay must match DP cost (m={m})");
-            assert_eq!(out.cost.reconfigs, r.reconfigs);
-            assert_eq!(out.dropped, r.drops);
-        }
+        assert_eq!((r.cost, r.reconfigs, r.drops), (8, 1, 4));
     }
 
     #[test]
@@ -495,7 +273,7 @@ mod tests {
     fn empty_instance_costs_zero() {
         let inst = InstanceBuilder::new(3).build();
         let r = solve(&inst, 2);
-        assert_eq!(r.cost, 0);
+        assert_eq!((r.cost, r.reconfigs, r.drops), (0, 0, 0));
     }
 
     #[test]
@@ -530,30 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn raised_interrupt_aborts_the_solve() {
-        let mut b = InstanceBuilder::new(1);
-        let c = b.color(4);
-        b.arrive(0, c, 2);
-        let inst = b.build();
-        let flag = AtomicBool::new(true);
-        let err = solve_opt_guarded(&inst, 1, OptConfig::default(), Some(&flag));
-        assert!(matches!(err, Err(OptError::Interrupted { round: 0 })), "{err:?}");
-        // A lowered flag is a no-op: same result as the unguarded solve.
-        flag.store(false, Ordering::Relaxed);
-        let guarded = solve_opt_guarded(&inst, 1, OptConfig::default(), Some(&flag)).unwrap();
-        assert_eq!(guarded.cost, solve_opt(&inst, 1, OptConfig::default()).unwrap().cost);
-    }
-
-    #[test]
-    fn multisets_enumeration_counts() {
-        let ms = multisets(&[1, 2, 3], 2);
-        assert_eq!(ms.len(), 6); // C(3+2-1, 2)
-        assert!(ms.contains(&vec![1, 1]));
-        assert!(ms.contains(&vec![1, 3]));
-        assert!(ms.contains(&vec![3, 3]));
-    }
-
-    #[test]
     fn reconfig_count_multiset_semantics() {
         // old {A, A}, new {A, B}: one copy of B added.
         assert_eq!(reconfig_count(&[0, 0], &[0, 1]), 1);
@@ -563,5 +317,14 @@ mod tests {
         assert_eq!(reconfig_count(&[0, 1], &[BLACK, BLACK]), 0);
         // identical multisets: free.
         assert_eq!(reconfig_count(&[0, 1], &[0, 1]), 0);
+    }
+
+    #[test]
+    fn greedy_execution_runs_one_job_per_copy() {
+        let mut pending = vec![(0u32, 3u64, 2u64), (0, 5, 1), (1, 4, 1)];
+        execute_cache(&mut pending, &[0, 0, BLACK]);
+        assert_eq!(pending, vec![(0, 5, 1), (1, 4, 1)]);
+        execute_cache(&mut pending, &[1, BLACK, BLACK]);
+        assert_eq!(pending, vec![(0, 5, 1)]);
     }
 }

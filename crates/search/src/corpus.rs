@@ -23,8 +23,7 @@ pub const CORPUS_SCHEMA_VERSION: u64 = 1;
 
 /// The pinned OPT guard for corpus replay. Never retune without
 /// re-recording every fixture.
-pub const CORPUS_OPT: OptConfig =
-    OptConfig { max_states: 20_000, reconstruct: false, state_budget: Some(200_000) };
+pub const CORPUS_OPT: OptConfig = OptConfig { max_states: 20_000, state_budget: Some(200_000) };
 
 /// One committed adversary.
 #[derive(Clone, Debug, PartialEq, Eq)]

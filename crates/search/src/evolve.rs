@@ -218,11 +218,7 @@ mod tests {
         // mechanics and determinism, not ratio quality, and the certified
         // lower bound is reached fast even in debug builds.
         let eval = EvalConfig {
-            opt: rrs_offline::OptConfig {
-                max_states: 500,
-                reconstruct: false,
-                state_budget: Some(2_000),
-            },
+            opt: rrs_offline::OptConfig { max_states: 500, state_budget: Some(2_000) },
             ..EvalConfig::default()
         };
         SearchConfig { seed, generations: 3, population: 8, elites: 2, eval, ..Default::default() }

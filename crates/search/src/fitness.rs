@@ -164,7 +164,7 @@ impl Default for EvalConfig {
         Self {
             locations: 8,
             referee_resources: 1,
-            opt: OptConfig { max_states: 4_000, reconstruct: false, state_budget: Some(20_000) },
+            opt: OptConfig { max_states: 4_000, state_budget: Some(20_000) },
         }
     }
 }
@@ -328,7 +328,7 @@ mod tests {
         let g = random_genome(3);
         assert!(g.total_jobs() > 0, "seed 3 must produce jobs");
         let cfg = EvalConfig {
-            opt: OptConfig { max_states: 20_000, reconstruct: false, state_budget: Some(1) },
+            opt: OptConfig { max_states: 20_000, state_budget: Some(1) },
             ..EvalConfig::default()
         };
         let e = evaluate(&g, PolicyKind::DeltaLru, &cfg);

@@ -349,11 +349,7 @@ mod tests {
             policy: PolicyKind::Edf,
             // Starved referee: this test checks the journal format only.
             eval: crate::fitness::EvalConfig {
-                opt: rrs_offline::OptConfig {
-                    max_states: 500,
-                    reconstruct: false,
-                    state_budget: Some(2_000),
-                },
+                opt: rrs_offline::OptConfig { max_states: 500, state_budget: Some(2_000) },
                 ..Default::default()
             },
         };

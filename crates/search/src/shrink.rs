@@ -91,11 +91,7 @@ mod tests {
     // ratio quality, and must stay fast in debug builds.
     fn cheap_cfg() -> EvalConfig {
         EvalConfig {
-            opt: rrs_offline::OptConfig {
-                max_states: 500,
-                reconstruct: false,
-                state_budget: Some(2_000),
-            },
+            opt: rrs_offline::OptConfig { max_states: 500, state_budget: Some(2_000) },
             ..EvalConfig::default()
         }
     }

@@ -12,7 +12,7 @@
 //!         [--trace-out T.jsonl]
 //! rrs-cli attribute <policy> <FILE> [--locations N]   per-color cost table
 //! rrs-cli opt <FILE> [--resources M]                  exact offline optimum
-//!         [--memo [--opt-cache CACHE]]                via the memoized solver
+//!         [--opt-cache CACHE]                         warm-started from a solve cache
 //! rrs-cli opt-cache save <FILE>... --out CACHE        solve into a persisted cache
 //! rrs-cli opt-cache load <CACHE> <FILE>               answer from the cache alone
 //! rrs-cli opt-cache stat <CACHE>                      print the solved index
@@ -82,7 +82,7 @@ fn usage() -> ExitCode {
          rrs-cli checkpoint <policy> <FILE> --at-round K [--locations N] [--out SNAP]\n  \
          rrs-cli resume <policy> <FILE> --from SNAP [--locations N] [--stream] [--trace-out T.jsonl]\n  \
          rrs-cli attribute <policy> <FILE> [--locations N]\n  \
-         rrs-cli opt <FILE> [--resources M] [--memo [--opt-cache CACHE]]\n  \
+         rrs-cli opt <FILE> [--resources M] [--opt-cache CACHE]\n  \
          rrs-cli opt-cache save <FILE>... --out CACHE [--resources M]\n  \
          rrs-cli opt-cache load <CACHE> <FILE> [--resources M]\n  \
          rrs-cli opt-cache stat <CACHE>\n  \
@@ -688,33 +688,27 @@ fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+/// `opt`: price an instance with the exact solver. With `--opt-cache
+/// CACHE` the answer comes from that persisted solve cache when it holds
+/// the instance, and is recorded into it otherwise (the file is created
+/// if absent).
 fn cmd_opt(mut args: Vec<String>) -> Result<(), String> {
     let m = parse_u64(take_flag(&mut args, "--resources"), 1, "--resources")? as usize;
-    let memo = take_switch(&mut args, "--memo");
     let cache_path = take_flag(&mut args, "--opt-cache");
-    if cache_path.is_some() && !memo {
-        return Err("--opt-cache requires --memo (the plain DP does not consult the cache)".into());
-    }
     let path = args.first().ok_or("missing <FILE>")?;
     let inst = load(path)?;
     println!("resources:  {m}");
-    if memo {
-        let mut cache = match cache_path.as_deref().filter(|p| std::path::Path::new(p).exists()) {
-            Some(p) => load_opt_cache(p)?,
-            None => OptCache::new(),
-        };
-        let r = solve_opt_memoized(&inst, m, OptConfig::default(), None, Some(&mut cache))
-            .map_err(|e| e.to_string())?;
-        println!("opt cost:   {} ({} reconfigs, {} drops)", r.cost, r.reconfigs, r.drops);
-        println!("states:     {} solved, {} pruned", r.stats.solved_states, r.stats.pruned_states);
+    let mut cache = match cache_path.as_deref().filter(|p| std::path::Path::new(p).exists()) {
+        Some(p) => Some(load_opt_cache(p)?),
+        None => cache_path.as_ref().map(|_| OptCache::new()),
+    };
+    let r = solve_opt_memoized(&inst, m, OptConfig::default(), None, cache.as_mut())
+        .map_err(|e| e.to_string())?;
+    println!("opt cost:   {} ({} reconfigs, {} drops)", r.cost, r.reconfigs, r.drops);
+    println!("states:     {} solved, {} pruned", r.stats.solved_states, r.stats.pruned_states);
+    if let (Some(p), Some(cache)) = (cache_path, cache) {
         println!("cache:      {}/{} hits", r.stats.cache_hits, r.stats.cache_lookups);
-        if let Some(p) = cache_path {
-            store_opt_cache(&p, &cache)?;
-        }
-    } else {
-        let r = solve_opt(&inst, m, OptConfig::default()).map_err(|e| e.to_string())?;
-        println!("opt cost:   {} ({} reconfigs, {} drops)", r.cost, r.reconfigs, r.drops);
-        println!("states:     {}", r.states_explored);
+        store_opt_cache(&p, &cache)?;
     }
     Ok(())
 }

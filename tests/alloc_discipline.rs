@@ -13,7 +13,9 @@
 //! Every probe counter is per thread, so each test's readings cover only
 //! the code it runs and are immune to sibling tests in this binary. The
 //! same counters show that the exact solvers do all their work on the
-//! calling thread at any worker count.
+//! calling thread at any worker count, and that the exact solver's
+//! per-state work allocates nothing: its allocator calls stay within a
+//! few per round, whatever the number of states or the color universe.
 
 use rrs::engine::set_jobs;
 use rrs::prelude::*;
@@ -180,5 +182,53 @@ fn exact_solvers_run_on_the_calling_thread_at_any_worker_count() {
         parallel, serial,
         "(memo cost, brute cost, memo allocs, brute allocs) on the calling thread moved with \
          the worker count: a solver handed work to other threads"
+    );
+}
+
+#[test]
+fn exact_solver_allocates_a_few_times_per_round_not_per_state() {
+    assert!(alloc_probe::probe_active(), "probe must be installed as the global allocator");
+    // An opt_referee instance: about 2 000 states over 65 rounds, several
+    // successors each. Buffers grow to their high-water marks and are
+    // reused; a successor costs no allocation.
+    let inst = rate_limited_instance(&RateLimitedConfig::default(), 1);
+    let start = alloc_probe::alloc_calls();
+    let opt = solve_opt(&inst, 1, OptConfig::default()).expect("solves");
+    let calls = alloc_probe::alloc_calls() - start;
+    let cap = 8 * (inst.horizon() + 1);
+    assert!(opt.states_explored > 1_000, "instance too small to be meaningful");
+    assert!(
+        calls <= cap,
+        "solve_opt made {calls} allocator calls over {} states (cap {cap}); a state or a \
+         successor allocates again",
+        opt.states_explored
+    );
+}
+
+#[test]
+fn canonicalization_work_does_not_scale_with_the_color_universe() {
+    assert!(alloc_probe::probe_active(), "probe must be installed as the global allocator");
+    // A 5 000-color Zipf universe of which only a few dozen colors are
+    // requested, solved under a state budget. Relabeling visits only the
+    // interchangeable classes present in a state, and builds classes from
+    // requested colors alone, so neither the unrequested colors nor the
+    // successors cost allocations.
+    let cfg =
+        ZipfConfig { num_colors: 5_000, rounds: 16, draws_per_round: 8, ..Default::default() };
+    let inst = zipf_popularity(&cfg, 1);
+    let requested: std::collections::BTreeSet<ColorId> =
+        inst.requests.iter().flat_map(|(_, req)| req.pairs().iter().map(|&(c, _)| c)).collect();
+    let budget = OptConfig { state_budget: Some(2_000), ..Default::default() };
+    let start = alloc_probe::alloc_calls();
+    let err = solve_opt(&inst, 1, budget).expect_err("the budget trips");
+    let calls = alloc_probe::alloc_calls() - start;
+    assert!(matches!(err, OptError::BudgetExhausted { .. }), "{err}");
+    let cap = 8 * (inst.horizon() + 1) + 4 * requested.len() as u64;
+    assert!(
+        calls <= cap,
+        "a budgeted solve over {} requested of {} colors made {calls} allocator calls (cap \
+         {cap}); canonicalization works per successor or per unrequested color again",
+        requested.len(),
+        cfg.num_colors
     );
 }

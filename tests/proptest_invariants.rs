@@ -183,7 +183,7 @@ proptest! {
     #[test]
     fn dp_matches_brute_force(inst in tiny_strategy()) {
         for m in 1..=2usize {
-            let dp = solve_opt(&inst, m, OptConfig::default()).unwrap().cost;
+            let dp = solve_plain_dp(&inst, m, OptConfig::default()).unwrap().0.cost;
             let brute = solve_brute(&inst, m);
             prop_assert_eq!(dp, brute, "m={} inst={:?}", m, inst);
         }

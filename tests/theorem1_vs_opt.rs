@@ -119,13 +119,15 @@ fn lower_bounds_never_exceed_opt() {
 
 #[test]
 fn opt_schedule_replay_matches_cost_across_seeds() {
-    let cfg = OptConfig { reconstruct: true, ..Default::default() };
+    // The plain DP oracle reconstructs its schedule; replaying it through
+    // the engine must cost exactly the optimum, which the memo must match.
     for seed in 0..8 {
         let inst = rate_limited_instance(&small_cfg(3), seed);
-        let opt = solve_opt(&inst, 1, cfg).expect("small instance");
-        let sched = opt.schedule.expect("reconstruction requested");
+        let (opt, sched) = solve_plain_dp(&inst, 1, OptConfig::default()).expect("small instance");
         let out = Simulator::new(&inst, 1).run(&mut ReplayPolicy::new(sched));
         assert_eq!(out.total_cost(), opt.cost, "seed {seed}");
+        let memo = solve_opt(&inst, 1, OptConfig::default()).expect("small instance");
+        assert_eq!(memo.cost, opt.cost, "seed {seed}");
     }
 }
 
