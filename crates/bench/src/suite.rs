@@ -41,7 +41,7 @@ use rrs_engine::{
     Stopwatch,
 };
 use rrs_model::{Instance, TextStream};
-use rrs_offline::{solve_opt, solve_opt_memoized, solve_plain_dp, OptCache, OptConfig};
+use rrs_offline::{solve_opt, solve_plain_dp, OptCache, OptConfig};
 use rrs_workloads::bursty::{bursty_instance, BurstyConfig};
 use rrs_workloads::genome::parse_genome;
 use rrs_workloads::pinned::{
@@ -585,12 +585,13 @@ fn opt_memo_cold(
         let mut cost_sum = 0u64;
         let sw = Stopwatch::start();
         for inst in instances {
-            let r = solve_opt_memoized(inst, 1, OPT_BENCH_CONFIG, None, Some(&mut cache))
+            let (r, hit) = cache
+                .solve(inst, 1, OPT_BENCH_CONFIG)
                 .map_err(|e| format!("cold memoized solve failed: {e:?}"))?;
             reg.add(names::OPT_SOLVED_STATES, r.stats.solved_states);
             reg.add(names::OPT_PRUNED_STATES, r.stats.pruned_states);
-            reg.add(names::OPT_CACHE_HITS, r.stats.cache_hits);
-            reg.add(names::OPT_CACHE_LOOKUPS, r.stats.cache_lookups);
+            reg.add(names::OPT_CACHE_HITS, u64::from(hit));
+            reg.add(names::OPT_CACHE_LOOKUPS, 1);
             cost_sum += r.cost;
         }
         samples.push(per_sec(instances.len() as u64, sw.elapsed()));
@@ -629,10 +630,11 @@ fn opt_memo_warm(
         let mut cost_sum = 0u64;
         let sw = Stopwatch::start();
         for inst in instances {
-            let r = solve_opt_memoized(inst, 1, OPT_BENCH_CONFIG, None, Some(&mut cache))
+            let (r, hit) = cache
+                .solve(inst, 1, OPT_BENCH_CONFIG)
                 .map_err(|e| format!("warm memoized solve failed: {e:?}"))?;
-            reg.add(names::OPT_CACHE_HITS, r.stats.cache_hits);
-            reg.add(names::OPT_CACHE_LOOKUPS, r.stats.cache_lookups);
+            reg.add(names::OPT_CACHE_HITS, u64::from(hit));
+            reg.add(names::OPT_CACHE_LOOKUPS, 1);
             cost_sum += r.cost;
         }
         samples.push(per_sec(instances.len() as u64, sw.elapsed()));
@@ -693,7 +695,7 @@ fn opt_scale_10x(cfg: SuiteConfig) -> Result<BenchRecord, String> {
     let mut samples = Vec::new();
     for rep in 0..cfg.repetitions {
         let sw = Stopwatch::start();
-        let r = solve_opt_memoized(&inst, 1, OPT_BENCH_CONFIG, None, None)
+        let r = solve_opt(&inst, 1, OPT_BENCH_CONFIG)
             .map_err(|e| format!("scale-family memoized solve failed: {e:?}"))?;
         samples.push(per_sec(1, sw.elapsed()));
         if r.cost != opt_scale_cost(OPT_SCALE_K) {

@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn portfolio_brackets_opt() {
-        use crate::opt::{solve_opt, OptConfig};
+        use crate::{solve_opt, OptConfig};
         let mut b = InstanceBuilder::new(2);
         let c0 = b.color(2);
         let c1 = b.color(4);

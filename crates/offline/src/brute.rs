@@ -157,7 +157,7 @@ fn expand(inst: &Instance, m: usize, cache: &[u32], p: &Pending) -> Vec<(Vec<u32
 }
 
 /// Exhaustively compute the optimal cost for `m` resources. Exponential;
-/// only for tiny instances (the oracle for [`crate::opt::solve_opt`] and
+/// only for tiny instances (the oracle for [`crate::solve_opt`] and
 /// [`crate::plain_dp::solve_plain_dp`]).
 pub fn solve_brute(inst: &Instance, m: usize) -> u64 {
     assert!(m >= 1);
@@ -169,8 +169,8 @@ pub fn solve_brute(inst: &Instance, m: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::{solve_opt, OptConfig};
     use crate::plain_dp::solve_plain_dp;
+    use crate::{solve_opt, OptConfig};
     use rrs_model::InstanceBuilder;
 
     #[test]

@@ -1,25 +1,24 @@
 //! Persisted OPT solve cache: the `RRSOPTC1` file format (DESIGN.md §16).
 //!
-//! The memoized solver ([`crate::memo`]) prices an instance once; this
-//! module makes that work durable. A cache holds two things:
-//!
-//! * an **index** of finished solves, keyed by `(instance digest, m)` —
-//!   a whole-solve memo. Re-pricing a cached instance is a single
-//!   `BTreeMap` lookup, which is what lets experiment sweeps and the
-//!   adversary-search fitness loop re-run over a corpus without paying
-//!   for the dynamic program again ("pre-solve once, query instantly").
-//! * at most one **partial frontier**: the layer of a solve that was
-//!   interrupted or ran out of budget, checkpointed so the next attempt
-//!   resumes from the exact round it stopped at instead of starting over.
+//! [`OptCache`] is a whole-solve memo around [`solve_opt`]: an **index**
+//! of finished solves keyed by `(instance digest, m)`. [`OptCache::solve`]
+//! answers from the index when it holds the instance and otherwise solves
+//! and records the answer, so re-pricing a cached instance is a single
+//! `BTreeMap` lookup — which is what lets experiment sweeps and the
+//! adversary-search fitness loop re-run over a corpus without paying for
+//! the dynamic program again ("pre-solve once, query instantly").
 //!
 //! Only *exact* results enter the index — `Ok ⇒ exact` survives
 //! persistence. The file reuses the snapshot wire conventions
 //! (little-endian integers, length-prefixed byte strings and named
 //! sections, trailing CRC-32) via [`SnapWriter::with_frame`], under its
 //! own magic so a cache can never be mistaken for a simulator checkpoint.
-//! Decoding validates strict key ascent in both sections, mirroring the
-//! snapshot v2 color-set discipline: any reordering, duplication, or
-//! bit damage is a clean [`CacheError`], never a wrong answer.
+//! Decoding validates strict key ascent, mirroring the snapshot v2
+//! color-set discipline: any reordering, duplication, or bit damage is a
+//! clean [`CacheError`], never a wrong answer. An entry that passes the
+//! CRC is still checked against the instance it is served for
+//! ([`OptCache::lookup`]): one no solve of that instance could have
+//! written is a miss, never an answer.
 //!
 //! Instances are identified by an FNV-1a 64 digest of their canonical
 //! text serialization ([`rrs_model::textio::to_text`]), so the identity
@@ -32,11 +31,14 @@ use std::fmt;
 use rrs_model::snap::{SnapError, SnapReader, SnapWriter};
 use rrs_model::{textio, Instance};
 
+use crate::memo::{solve_opt, MemoStats};
+use crate::opt::{OptConfig, OptError, OptResult};
+
 /// Magic prefix identifying an OPT solve-cache file.
 pub const OPT_CACHE_MAGIC: &[u8; 8] = b"RRSOPTC1";
 
 /// Current cache format version; readers reject anything else.
-pub const OPT_CACHE_VERSION: u32 = 1;
+pub const OPT_CACHE_VERSION: u32 = 2;
 
 /// FNV-1a 64 over `bytes` (the offset-basis/prime pair from the FNV spec).
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -70,23 +72,27 @@ pub struct SolvedEntry {
     pub states_explored: u64,
 }
 
-/// A checkpointed solve frontier: the memo layer of an interrupted or
-/// budget-tripped solve, exactly as the solver would hold it entering
-/// `round`. Keys are the solver's canonical packed state keys (whose
-/// widths are a pure function of the instance, so they re-derive on
-/// resume); values are accumulated `(cost, reconfigs, drops)` triples.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartialSolve {
-    /// Digest of the instance being solved.
-    pub digest: u64,
-    /// Resource count of the interrupted solve.
-    pub m: u32,
-    /// Next round the frontier feeds (rounds `< round` are fully priced).
-    pub round: u64,
-    /// Cumulative states explored when the solve stopped.
-    pub states_explored: u64,
-    /// The frontier itself: packed state key → accumulated triple.
-    pub layer: BTreeMap<Vec<u8>, (u64, u64, u64)>,
+impl From<&OptResult> for SolvedEntry {
+    fn from(r: &OptResult) -> Self {
+        Self {
+            cost: r.cost,
+            reconfigs: r.reconfigs,
+            drops: r.drops,
+            states_explored: r.states_explored as u64,
+        }
+    }
+}
+
+impl SolvedEntry {
+    /// Whether a solve of `inst` could have written this entry:
+    /// `cost = Δ·reconfigs + drops` in checked arithmetic, and `cost` (so
+    /// `drops` too) at most the instance's total jobs — dropping every job
+    /// is always feasible, so OPT never costs more.
+    fn fits(&self, inst: &Instance) -> bool {
+        inst.delta.checked_mul(self.reconfigs).and_then(|r| r.checked_add(self.drops))
+            == Some(self.cost)
+            && self.cost <= inst.total_jobs()
+    }
 }
 
 /// A cache decode/identity failure. Mirrors [`SnapError`] variant for
@@ -111,11 +117,19 @@ pub enum CacheError {
         what: &'static str,
     },
     /// A field decoded to a value the reader rejects (non-ascending keys,
-    /// a bad flag byte, trailing bytes, ...).
+    /// trailing bytes, ...).
     Invalid(String),
     /// The cache does not cover the requested `(instance, m)` — e.g. a
     /// load keyed by the wrong genome.
     UnknownInstance {
+        /// Digest that was looked up.
+        digest: u64,
+        /// Resource count that was looked up.
+        m: u32,
+    },
+    /// The cache's entry for `(instance, m)` is one no solve of that
+    /// instance could have written (see [`OptCache::lookup`]).
+    ImpossibleEntry {
         /// Digest that was looked up.
         digest: u64,
         /// Resource count that was looked up.
@@ -147,6 +161,12 @@ impl fmt::Display for CacheError {
                 "opt cache has no entry for instance digest {digest:#018x} with m={m} \
                  (wrong genome or never solved)"
             ),
+            CacheError::ImpossibleEntry { digest, m } => write!(
+                f,
+                "opt cache entry for instance digest {digest:#018x} with m={m} is impossible \
+                 for that instance (its cost must be Δ·reconfigs + drops and at most the \
+                 instance's total jobs)"
+            ),
         }
     }
 }
@@ -167,13 +187,12 @@ impl From<SnapError> for CacheError {
     }
 }
 
-/// The in-memory solve cache: finished-solve index plus at most one
-/// partial frontier. Both maps are `BTreeMap`s, so iteration — and hence
-/// the encoded byte stream — is a pure function of content.
+/// The in-memory solve cache: the finished-solve index. It is a
+/// `BTreeMap`, so iteration — and hence the encoded byte stream — is a
+/// pure function of content.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OptCache {
     index: BTreeMap<(u64, u32), SolvedEntry>,
-    partial: Option<PartialSolve>,
 }
 
 impl OptCache {
@@ -187,34 +206,61 @@ impl OptCache {
         self.index.len()
     }
 
-    /// True when the index is empty (a partial may still be present).
+    /// True when the index is empty.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
 
-    /// Look up a finished solve.
-    pub fn lookup(&self, digest: u64, m: u32) -> Option<&SolvedEntry> {
-        self.index.get(&(digest, m))
+    /// The finished solve of `inst` at `m` resources. An entry no solve of
+    /// `inst` could have written — `cost ≠ Δ·reconfigs + drops`, or a cost
+    /// above the instance's total jobs — is [`CacheError::ImpossibleEntry`];
+    /// a consistent but wrong entry is served as it stands.
+    pub fn lookup(&self, inst: &Instance, m: usize) -> Result<&SolvedEntry, CacheError> {
+        self.checked(instance_digest(inst), inst, m as u32)
     }
 
-    /// Record a finished solve; clears a matching partial frontier (the
-    /// checkpoint is obsolete once the full answer is known).
-    pub fn record(&mut self, digest: u64, m: u32, entry: SolvedEntry) {
-        self.index.insert((digest, m), entry);
-        if self.partial.as_ref().is_some_and(|p| p.digest == digest && p.m == m) {
-            self.partial = None;
+    /// [`OptCache::lookup`] under a digest already computed for `inst`.
+    fn checked(&self, digest: u64, inst: &Instance, m: u32) -> Result<&SolvedEntry, CacheError> {
+        let entry =
+            self.index.get(&(digest, m)).ok_or(CacheError::UnknownInstance { digest, m })?;
+        if entry.fits(inst) {
+            Ok(entry)
+        } else {
+            Err(CacheError::ImpossibleEntry { digest, m })
         }
     }
 
-    /// The checkpointed partial frontier, if any.
-    pub fn partial(&self) -> Option<&PartialSolve> {
-        self.partial.as_ref()
+    /// Record a finished solve, replacing any entry for `(digest, m)`.
+    pub fn record(&mut self, digest: u64, m: u32, entry: SolvedEntry) {
+        self.index.insert((digest, m), entry);
     }
 
-    /// Store a partial frontier, replacing any previous one (the cache
-    /// deliberately keeps only the most recent interrupted solve).
-    pub fn set_partial(&mut self, partial: PartialSolve) {
-        self.partial = Some(partial);
+    /// Solve `inst` exactly for `m` resources through the index: the
+    /// [looked-up](OptCache::lookup) entry when there is one, and
+    /// otherwise [`solve_opt`], whose answer is recorded (replacing an
+    /// impossible entry). Returns the answer and whether the index served
+    /// it; a hit reports the entry's `states_explored` as solved states
+    /// and prunes nothing. A solve that fails records nothing.
+    pub fn solve(
+        &mut self,
+        inst: &Instance,
+        m: usize,
+        config: OptConfig,
+    ) -> Result<(OptResult, bool), OptError> {
+        let digest = instance_digest(inst);
+        if let Ok(e) = self.checked(digest, inst, m as u32) {
+            let hit = OptResult {
+                cost: e.cost,
+                reconfigs: e.reconfigs,
+                drops: e.drops,
+                states_explored: usize::try_from(e.states_explored).unwrap_or(usize::MAX),
+                stats: MemoStats { solved_states: e.states_explored, pruned_states: 0 },
+            };
+            return Ok((hit, true));
+        }
+        let r = solve_opt(inst, m, config)?;
+        self.record(digest, m as u32, SolvedEntry::from(&r));
+        Ok((r, false))
     }
 
     /// All finished solves in `(digest, m)` order.
@@ -222,15 +268,10 @@ impl OptCache {
         self.index.iter().map(|(&(d, m), e)| (d, m, e))
     }
 
-    /// Deterministic byte accounting of the in-memory table (index entries
-    /// plus partial-frontier keys and triples) — the cache's footprint
-    /// telemetry, recorded as a deterministic bench metric.
+    /// Deterministic byte accounting of the in-memory index — the cache's
+    /// footprint telemetry.
     pub fn approx_bytes(&self) -> u64 {
-        let index = self.index.len() as u64 * (8 + 4 + 4 * 8);
-        let partial = self.partial.as_ref().map_or(0, |p| {
-            8 + 4 + 8 + 8 + p.layer.keys().map(|k| k.len() as u64 + 3 * 8).sum::<u64>()
-        });
-        index + partial
+        self.index.len() as u64 * (8 + 4 + 4 * 8)
     }
 
     /// Serialize to the `RRSOPTC1` byte format. `parse ∘ encode` is the
@@ -249,28 +290,11 @@ impl OptCache {
                 s.put_u64(e.states_explored);
             }
         });
-        w.section("partial", |s| match &self.partial {
-            None => s.put_u8(0),
-            Some(p) => {
-                s.put_u8(1);
-                s.put_u64(p.digest);
-                s.put_u32(p.m);
-                s.put_u64(p.round);
-                s.put_u64(p.states_explored);
-                s.put_u64(p.layer.len() as u64);
-                for (key, &(cost, reconfigs, drops)) in &p.layer {
-                    s.put_bytes(key);
-                    s.put_u64(cost);
-                    s.put_u64(reconfigs);
-                    s.put_u64(drops);
-                }
-            }
-        });
         w.finish()
     }
 
     /// Parse an `RRSOPTC1` byte string, validating frame, CRC, and strict
-    /// key ascent in both sections.
+    /// key ascent.
     pub fn parse(bytes: &[u8]) -> Result<Self, CacheError> {
         let mut r = SnapReader::with_frame(bytes, OPT_CACHE_MAGIC, OPT_CACHE_VERSION)?;
 
@@ -296,46 +320,9 @@ impl OptCache {
             index.insert((digest, m), entry);
         }
         s.expect_end("index section")?;
-
-        let mut s = r.section("partial")?;
-        let partial = match s.get_u8("partial flag")? {
-            0 => None,
-            1 => {
-                let digest = s.get_u64("partial digest")?;
-                let m = s.get_u32("partial m")?;
-                let round = s.get_u64("partial round")?;
-                let states_explored = s.get_u64("partial states")?;
-                let count = s.get_u64("partial layer count")?;
-                let mut layer: BTreeMap<Vec<u8>, (u64, u64, u64)> = BTreeMap::new();
-                let mut prev: Option<Vec<u8>> = None;
-                for _ in 0..count {
-                    let key = s.get_bytes("partial layer key")?.to_vec();
-                    if prev.as_ref().is_some_and(|p| p >= &key) {
-                        return Err(CacheError::Invalid(
-                            "partial layer keys not strictly ascending".into(),
-                        ));
-                    }
-                    let triple = (
-                        s.get_u64("partial layer cost")?,
-                        s.get_u64("partial layer reconfigs")?,
-                        s.get_u64("partial layer drops")?,
-                    );
-                    prev = Some(key.clone());
-                    layer.insert(key, triple);
-                }
-                s.expect_end("partial section")?;
-                Some(PartialSolve { digest, m, round, states_explored, layer })
-            }
-            other => {
-                return Err(CacheError::Invalid(format!("bad partial flag {other}")));
-            }
-        };
-        if partial.is_none() {
-            s.expect_end("partial section")?;
-        }
         r.expect_end("opt cache payload")?;
 
-        Ok(Self { index, partial })
+        Ok(Self { index })
     }
 }
 
@@ -348,11 +335,19 @@ mod tests {
         let mut c = OptCache::new();
         c.record(3, 1, SolvedEntry { cost: 7, reconfigs: 2, drops: 3, states_explored: 41 });
         c.record(1, 2, SolvedEntry { cost: 0, reconfigs: 0, drops: 0, states_explored: 5 });
-        let mut layer = BTreeMap::new();
-        layer.insert(vec![0xFF, 0xFF], (4, 1, 2));
-        layer.insert(vec![0xFF, 0xFF, 0x00, 0x02, 0x01], (2, 1, 0));
-        c.set_partial(PartialSolve { digest: 9, m: 1, round: 6, states_explored: 17, layer });
         c
+    }
+
+    /// Δ = 2, one color of bound 4: 3 jobs at round 0 and 2 at round 4.
+    fn small() -> Instance {
+        let mut b = InstanceBuilder::new(2);
+        let c = b.color(4);
+        b.arrive(0, c, 3).arrive(4, c, 2);
+        b.build()
+    }
+
+    fn triple(r: &OptResult) -> (u64, u64, u64) {
+        (r.cost, r.reconfigs, r.drops)
     }
 
     #[test]
@@ -370,19 +365,6 @@ mod tests {
         let parsed = OptCache::parse(&c.encode()).expect("empty cache parses");
         assert_eq!(parsed, c);
         assert!(parsed.is_empty());
-        assert!(parsed.partial().is_none());
-    }
-
-    #[test]
-    fn record_clears_matching_partial() {
-        let mut c = sample();
-        assert!(c.partial().is_some());
-        // Non-matching (digest, m): partial survives.
-        c.record(9, 2, SolvedEntry { cost: 1, reconfigs: 0, drops: 1, states_explored: 2 });
-        assert!(c.partial().is_some());
-        // Matching: the checkpoint is obsolete.
-        c.record(9, 1, SolvedEntry { cost: 4, reconfigs: 1, drops: 0, states_explored: 30 });
-        assert!(c.partial().is_none());
     }
 
     #[test]
@@ -419,19 +401,9 @@ mod tests {
                 s.put_u64(0);
             }
         });
-        w.section("partial", |s| s.put_u8(0));
         let err = OptCache::parse(&w.finish()).expect_err("descending keys must be rejected");
         assert!(matches!(err, CacheError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("ascending"), "{err}");
-    }
-
-    #[test]
-    fn bad_partial_flag_is_rejected() {
-        let mut w = SnapWriter::with_frame(OPT_CACHE_MAGIC, OPT_CACHE_VERSION);
-        w.section("index", |s| s.put_u64(0));
-        w.section("partial", |s| s.put_u8(7));
-        let err = OptCache::parse(&w.finish()).expect_err("bad flag must be rejected");
-        assert!(err.to_string().contains("partial flag"), "{err}");
     }
 
     #[test]
@@ -450,5 +422,58 @@ mod tests {
         let full = sample();
         assert_eq!(empty.approx_bytes(), 0);
         assert!(full.approx_bytes() > empty.approx_bytes());
+    }
+
+    #[test]
+    fn whole_solve_cache_hits_replay_the_answer() {
+        // A miss is `solve_opt`'s answer, recorded as one entry.
+        let inst = small();
+        let fresh = solve_opt(&inst, 1, OptConfig::default()).expect("fresh solve");
+        let mut cache = OptCache::new();
+        let (cold, hit) = cache.solve(&inst, 1, OptConfig::default()).expect("cold solve");
+        assert!(!hit);
+        assert_eq!(triple(&cold), triple(&fresh));
+        assert_eq!(cold.states_explored, fresh.states_explored);
+        assert_eq!(cold.stats, fresh.stats);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(&inst, 1), Ok(&SolvedEntry::from(&fresh)));
+        // A hit replays it.
+        let (warm, hit) = cache.solve(&inst, 1, OptConfig::default()).expect("warm solve");
+        assert!(hit);
+        assert_eq!(triple(&warm), triple(&fresh));
+        assert_eq!(warm.states_explored, fresh.states_explored);
+        assert_eq!(
+            warm.stats,
+            MemoStats { solved_states: fresh.stats.solved_states, pruned_states: 0 }
+        );
+        // A different m is a different cache line.
+        let (_, hit) = cache.solve(&inst, 2, OptConfig::default()).expect("m=2 solve");
+        assert!(!hit);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_hit_serves_the_recorded_entry_without_solving() {
+        // A consistent entry that no solve wrote (OPT here is 2: configure
+        // once and run every job) comes back as it stands: the index, not
+        // the solver, answered.
+        let inst = small();
+        let mut cache = OptCache::new();
+        let forged = SolvedEntry { cost: 5, reconfigs: 0, drops: 5, states_explored: 9 };
+        cache.record(instance_digest(&inst), 1, forged);
+        let (r, hit) = cache.solve(&inst, 1, OptConfig::default()).expect("hit");
+        assert!(hit);
+        assert_eq!(SolvedEntry::from(&r), forged);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_tripped_solve_records_nothing() {
+        let inst = small();
+        let mut cache = OptCache::new();
+        let tight = OptConfig { state_budget: Some(1), ..Default::default() };
+        let err = cache.solve(&inst, 1, tight);
+        assert!(matches!(err, Err(OptError::BudgetExhausted { .. })), "{err:?}");
+        assert!(cache.is_empty());
     }
 }

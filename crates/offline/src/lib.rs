@@ -7,10 +7,11 @@
 //!
 //! * [`opt`] — the **exact optimal offline solver** [`solve_opt`] (a
 //!   layered dynamic program over `(cache multiset, pending profile)`
-//!   states), run by the memoized, canonicalized, Pareto-pruned solver of
-//!   [`memo`] with its persisted solve [`cache`]. Exponential in the
-//!   number of colors and resources, so it referees the small instances of
-//!   experiments E3 and E10 and the adversary search's genomes.
+//!   states), which is the memoized, canonicalized, Pareto-pruned solver
+//!   of [`memo`]; [`OptCache`] (module [`cache`]) memoizes whole solves
+//!   and persists them. Exponential in the number of colors and
+//!   resources, so it referees the small instances of experiments E3 and
+//!   E10 and the adversary search's genomes.
 //! * [`par_edf`] — the **Par-EDF** relaxation of §3.3: `m` resources viewed
 //!   as one super-resource executing the `m` best-ranked pending jobs per
 //!   round, with no reconfiguration constraint. Its drop count lower-bounds
@@ -54,11 +55,10 @@ pub mod plain_dp;
 pub use bounds::{combined_lower_bound, per_color_lower_bound, portfolio_upper_bound};
 pub use brute::solve_brute;
 pub use cache::{
-    instance_digest, CacheError, OptCache, PartialSolve, SolvedEntry, OPT_CACHE_MAGIC,
-    OPT_CACHE_VERSION,
+    instance_digest, CacheError, OptCache, SolvedEntry, OPT_CACHE_MAGIC, OPT_CACHE_VERSION,
 };
-pub use memo::{solve_opt_memoized, MemoStats};
-pub use opt::{solve_opt, OptConfig, OptError, OptResult};
+pub use memo::{solve_opt, MemoStats};
+pub use opt::{OptConfig, OptError, OptResult};
 pub use par_edf::{par_edf_drop_cost, ParEdfOutcome};
 pub use plain_dp::solve_plain_dp;
 
@@ -67,8 +67,8 @@ pub mod prelude {
     pub use crate::bounds::{combined_lower_bound, per_color_lower_bound, portfolio_upper_bound};
     pub use crate::brute::solve_brute;
     pub use crate::cache::{instance_digest, CacheError, OptCache, SolvedEntry};
-    pub use crate::memo::{solve_opt_memoized, MemoStats};
-    pub use crate::opt::{solve_opt, OptConfig, OptError, OptResult};
+    pub use crate::memo::{solve_opt, MemoStats};
+    pub use crate::opt::{OptConfig, OptError, OptResult};
     pub use crate::par_edf::{par_edf_drop_cost, ParEdfOutcome};
     pub use crate::plain_dp::solve_plain_dp;
 }

@@ -28,14 +28,10 @@
 //!    matched or beaten by the same completion of A (run B's schedule
 //!    from A: reconfigurations are identical, drops never larger). B is
 //!    pruned before it is ever expanded.
-//! 3. **Guarded exactness.** A cooperative interrupt flag and exact
-//!    cumulative `state_budget` accounting: `Ok ⇒ exact` with the
-//!    lexicographically minimal `(cost, reconfigs, drops)` breakdown. On
-//!    interruption or budget trip, the live frontier is checkpointed into
-//!    the [`OptCache`] (when one is supplied), and the next call **resumes
-//!    from that exact round** — the differential battery proves resumed
-//!    solves equal uninterrupted ones. A checkpoint read back from a file
-//!    resumes only if it fits the instance ([`SolveCtx::resumable`]).
+//! 3. **Guarded exactness.** Exact cumulative `state_budget` accounting
+//!    and a per-layer `max_states` cap: `Ok ⇒ exact` with the
+//!    lexicographically minimal `(cost, reconfigs, drops)` breakdown, and
+//!    a solve that trips either guard returns `Err`.
 //! 4. **Layers of inline keys.** A layer is a vector of entries, sorted
 //!    for pruning by cache part, triple and key. Each entry holds the
 //!    first 16 key bytes inline as a big-endian `u128`, zero-padded, and
@@ -62,11 +58,9 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use rrs_model::{ColorId, Instance};
+use rrs_model::Instance;
 
-use crate::cache::{instance_digest, OptCache, PartialSolve, SolvedEntry};
 use crate::opt::{
     apply_arrivals, apply_drops, execute_cache, reconfig_count, OptConfig, OptError, OptResult,
     BLACK,
@@ -87,8 +81,8 @@ const INLINE: usize = 16;
 /// [`SolveCtx::class_of`] for a color in no interchangeable class.
 const NO_CLASS: u32 = u32::MAX;
 
-/// Deterministic counters from one memoized solve. All pure functions of
-/// `(instance, m, config, cache-state)` — they feed the `opt` bench
+/// Deterministic counters from one memoized solve. Both are pure
+/// functions of `(instance, m, config)` — they feed the `opt` bench
 /// suite's hard-gated deterministic block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
@@ -97,16 +91,6 @@ pub struct MemoStats {
     pub solved_states: u64,
     /// States discarded by Pareto dominance pruning before expansion.
     pub pruned_states: u64,
-    /// Whole-solve answers served from the persisted cache index.
-    pub cache_hits: u64,
-    /// Persisted-cache consultations (one per solve given a cache).
-    pub cache_lookups: u64,
-    /// Solves that resumed from a checkpointed partial frontier.
-    pub partial_resumes: u64,
-    /// High-water mark of memo-table bytes held across layers (packed
-    /// key bytes + 24 per state for its triple; the table's footprint
-    /// telemetry).
-    pub peak_memo_bytes: u64,
 }
 
 /// Minimal bytes that hold `v` (at least 1).
@@ -261,7 +245,6 @@ struct SolveCtx {
     m: usize,
     delta: u64,
     horizon: u64,
-    total_jobs: u64,
     /// Last round with arrivals of each color; `None` = never requested.
     last_arrival: Vec<Option<u64>>,
     /// Interchangeable-color classes (same bound, identical nonempty
@@ -336,7 +319,6 @@ impl SolveCtx {
             m,
             delta: inst.delta,
             horizon: inst.horizon(),
-            total_jobs: inst.total_jobs(),
             last_arrival,
             classes,
             class_of,
@@ -419,53 +401,6 @@ impl SolveCtx {
             pos += entry_w;
             pending.push((c, base + rel, n));
         }
-    }
-
-    /// Whether `key` is exactly a key [`SolveCtx::pack_into`] could write
-    /// for `inst`: `m` cache codes, each black or a declared color, then
-    /// whole pending entries, each of a declared color, with a relative
-    /// deadline below that color's bound and a count from 1 to the
-    /// instance's total jobs.
-    fn key_fits(&self, inst: &Instance, bytes: &[u8]) -> bool {
-        let cache_w = self.cache_bytes();
-        let entry_w = self.color_w + self.rel_w + self.cnt_w;
-        let bound = |code: u64| {
-            u32::try_from(code).ok().and_then(|c| inst.colors.try_delay_bound(ColorId(c)))
-        };
-        let key = KeyRef::of_bytes(bytes);
-        let Some(entries) = key.len.checked_sub(cache_w) else { return false };
-        entries % entry_w == 0
-            && (0..cache_w).step_by(self.color_w).all(|pos| {
-                let code = key.get(pos, self.color_w);
-                code == self.black_code() || bound(code).is_some()
-            })
-            && (cache_w..key.len).step_by(entry_w).all(|pos| {
-                let rel = key.get(pos + self.color_w, self.rel_w);
-                let n = key.get(pos + self.color_w + self.rel_w, self.cnt_w);
-                bound(key.get(pos, self.color_w)).is_some_and(|b| rel < b)
-                    && (1..=self.total_jobs).contains(&n)
-            })
-    }
-
-    /// Whether a checkpointed frontier holds only values a solve of `inst`
-    /// could have written (DESIGN.md §16): a round at most `horizon + 1`
-    /// (a budget trip on the last layer checkpoints that round), a
-    /// nonempty layer of keys that [fit](SolveCtx::key_fits), triples with
-    /// `drops ≤ total jobs`, `reconfigs ≤ m·round` and
-    /// `cost = Δ·reconfigs + drops`, and a state count no smaller than the
-    /// layer. A frontier that passes stays trusted, like an index entry.
-    fn resumable(&self, inst: &Instance, partial: &PartialSolve) -> bool {
-        let max_reconfigs = (self.m as u64).checked_mul(partial.round);
-        partial.round <= self.horizon.saturating_add(1)
-            && !partial.layer.is_empty()
-            && partial.states_explored >= partial.layer.len() as u64
-            && partial.layer.iter().all(|(key, &(cost, reconfigs, drops))| {
-                self.key_fits(inst, key)
-                    && drops <= self.total_jobs
-                    && max_reconfigs.is_some_and(|max| reconfigs <= max)
-                    && self.delta.checked_mul(reconfigs).and_then(|r| r.checked_add(drops))
-                        == Some(cost)
-            })
     }
 
     /// Canonicalize a successor state in place; `cache` and `pending` come
@@ -653,32 +588,6 @@ impl Layer {
             let (ka, kb) = (key_of(tails, a), key_of(tails, b));
             ka.cmp_prefix(&kb, prefix).then(a.tri.cmp(&b.tri)).then_with(|| ka.cmp_bytes(&kb))
         });
-    }
-
-    /// Memo-table bytes: key bytes plus 24 per state for its triple.
-    fn bytes(&self) -> u64 {
-        self.entries.iter().map(|e| u64::from(e.len) + 3 * 8).sum()
-    }
-
-    /// The layer as a checkpointed frontier.
-    fn to_map(&self) -> BTreeMap<Vec<u8>, Tri> {
-        self.entries
-            .iter()
-            .map(|e| {
-                let mut key = Vec::with_capacity(e.len as usize);
-                self.key(e).write_to(&mut key);
-                (key, e.tri)
-            })
-            .collect()
-    }
-
-    /// A checkpointed frontier as a layer, in key order.
-    fn from_map(map: &BTreeMap<Vec<u8>, Tri>) -> Option<Self> {
-        let mut layer = Self::default();
-        for (key, &tri) in map {
-            layer.push(KeyRef::of_bytes(key), tri)?;
-        }
-        Some(layer)
     }
 }
 
@@ -975,40 +884,12 @@ fn expand_state(
     Ok(())
 }
 
-/// Checkpoint the live frontier into the cache so the next call resumes
-/// where this one stopped.
-fn checkpoint(
-    cache: &mut Option<&mut OptCache>,
-    digest: u64,
-    m: usize,
-    round: u64,
-    layer: &Layer,
-    states_explored: usize,
-) {
-    if let Some(c) = cache.as_deref_mut() {
-        c.set_partial(PartialSolve {
-            digest,
-            m: m as u32,
-            round,
-            states_explored: states_explored as u64,
-            layer: layer.to_map(),
-        });
-    }
-}
-
 /// Solve the instance exactly for `m` resources with the memoized,
-/// dominance-pruned solver.
+/// dominance-pruned solver: the one production solver.
 ///
-/// `Ok ⇒ exact`, the interrupt flag is polled once per round layer,
-/// `max_states` caps any single layer (after pruning), and `state_budget`
-/// caps cumulative kept states. Besides:
+/// `Ok ⇒ exact`: `max_states` caps any single layer (after pruning), and
+/// `state_budget` caps cumulative kept states. Besides:
 ///
-/// * `cache` — consulted for a whole-solve hit before any work, updated
-///   with the finished answer on success, and used to checkpoint/resume
-///   the frontier across [`OptError::Interrupted`] /
-///   [`OptError::BudgetExhausted`] boundaries. A checkpoint for this
-///   `(instance, m)` that does not fit the instance is ignored, like one
-///   for another instance: the solve starts at round 0.
 /// * The returned breakdown is the **lexicographically minimal**
 ///   `(cost, reconfigs, drops)` triple over all optimal schedules — the
 ///   same rule the plain DP oracle applies, so the two agree exactly.
@@ -1016,64 +897,20 @@ fn checkpoint(
 ///   while it grows, at the same round; the reported `states` is then the
 ///   bound that tripped. A layer whose key bytes outgrow 32-bit offsets
 ///   is refused the same way.
-pub fn solve_opt_memoized(
-    inst: &Instance,
-    m: usize,
-    config: OptConfig,
-    interrupt: Option<&AtomicBool>,
-    mut cache: Option<&mut OptCache>,
-) -> Result<OptResult, OptError> {
+pub fn solve_opt(inst: &Instance, m: usize, config: OptConfig) -> Result<OptResult, OptError> {
     assert!(m >= 1, "OPT needs at least one resource");
     let ctx = SolveCtx::new(inst, m);
     let mut stats = MemoStats::default();
 
-    let digest = if cache.is_some() { instance_digest(inst) } else { 0 };
-    if let Some(c) = cache.as_deref_mut() {
-        stats.cache_lookups += 1;
-        if let Some(e) = c.lookup(digest, m as u32) {
-            stats.cache_hits += 1;
-            stats.solved_states = e.states_explored;
-            return Ok(OptResult {
-                cost: e.cost,
-                reconfigs: e.reconfigs,
-                drops: e.drops,
-                states_explored: e.states_explored as usize,
-                stats,
-            });
-        }
-    }
-
-    // Start fresh, or resume from a checkpointed frontier for this exact
-    // (instance, m).
     let mut s = Buffers::default();
-    let resumed = cache
-        .as_deref()
-        .and_then(OptCache::partial)
-        .filter(|p| p.digest == digest && p.m == m as u32 && ctx.resumable(inst, p))
-        .and_then(|p| {
-            let states = usize::try_from(p.states_explored).unwrap_or(usize::MAX);
-            Some((p.round, Layer::from_map(&p.layer)?, states))
-        });
-    let (start_round, mut layer, mut states_explored) = match resumed {
-        Some(resumed) => {
-            stats.partial_resumes += 1;
-            resumed
-        }
-        None => {
-            let mut layer = Layer::default();
-            ctx.pack_into(&vec![BLACK; m], &[], 0, &mut s.key);
-            layer.push(s.key.as_key(), (0, 0, 0)).expect("the initial key fits");
-            (0, layer, 1)
-        }
-    };
+    let mut layer = Layer::default();
+    ctx.pack_into(&vec![BLACK; m], &[], 0, &mut s.key);
+    layer.push(s.key.as_key(), (0, 0, 0)).expect("the initial key fits");
+    let mut states_explored = 1;
 
     let mut next = Frontier::default();
     let mut arrivals_buf: Vec<(u32, u64, u64)> = Vec::new();
-    for round in start_round..=ctx.horizon {
-        if interrupt.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            checkpoint(&mut cache, digest, m, round, &layer, states_explored);
-            return Err(OptError::Interrupted { round });
-        }
+    for round in 0..=ctx.horizon {
         arrivals_buf.clear();
         for &(c, n) in inst.requests.at(round).pairs() {
             arrivals_buf.push((c.0, round + inst.colors.delay_bound(c), n));
@@ -1099,12 +936,8 @@ pub fn solve_opt_memoized(
         if len > config.max_states {
             return Err(OptError::StateSpaceExceeded { round, states: len });
         }
-        // Saturating: a resumed count near the top trips the budget below
-        // instead of wrapping past it.
-        states_explored = states_explored.saturating_add(len);
-        stats.peak_memo_bytes = stats.peak_memo_bytes.max(next.layer.bytes());
+        states_explored += len;
         if config.state_budget.is_some_and(|budget| states_explored > budget) {
-            checkpoint(&mut cache, digest, m, round + 1, &next.layer, states_explored);
             return Err(OptError::BudgetExhausted { round, states: states_explored });
         }
         std::mem::swap(&mut layer, &mut next.layer);
@@ -1114,15 +947,6 @@ pub fn solve_opt_memoized(
         layer.entries.iter().map(|e| e.tri).min().expect("at least one terminal state");
     debug_assert_eq!(cost, ctx.delta * reconfigs + drops);
     stats.solved_states = states_explored as u64;
-
-    if let Some(c) = cache {
-        c.record(
-            digest,
-            m as u32,
-            SolvedEntry { cost, reconfigs, drops, states_explored: states_explored as u64 },
-        );
-    }
-
     Ok(OptResult { cost, reconfigs, drops, states_explored, stats })
 }
 
@@ -1131,10 +955,10 @@ mod tests {
     use super::*;
     use crate::plain_dp::solve_plain_dp;
     use proptest::prelude::*;
-    use rrs_model::InstanceBuilder;
+    use rrs_model::{ColorId, InstanceBuilder};
 
     fn memo(inst: &Instance, m: usize) -> OptResult {
-        solve_opt_memoized(inst, m, OptConfig::default(), None, None).expect("solves")
+        solve_opt(inst, m, OptConfig::default()).expect("solves")
     }
 
     fn plain(inst: &Instance, m: usize) -> OptResult {
@@ -1203,92 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn whole_solve_cache_hits_replay_the_answer() {
-        let mut b = InstanceBuilder::new(2);
-        let c = b.color(4);
-        b.arrive(0, c, 3).arrive(4, c, 2);
-        let inst = b.build();
-        let mut cache = OptCache::new();
-        let cold = solve_opt_memoized(&inst, 1, OptConfig::default(), None, Some(&mut cache))
-            .expect("cold solve");
-        assert_eq!(cold.stats.cache_hits, 0);
-        assert_eq!(cache.len(), 1);
-        let warm = solve_opt_memoized(&inst, 1, OptConfig::default(), None, Some(&mut cache))
-            .expect("warm solve");
-        assert_eq!(warm.stats.cache_hits, 1);
-        assert_eq!(warm.stats.cache_lookups, 1);
-        assert_eq!(
-            (warm.cost, warm.reconfigs, warm.drops),
-            (cold.cost, cold.reconfigs, cold.drops)
-        );
-        assert_eq!(warm.states_explored, cold.states_explored);
-        // A different m is a different cache line.
-        let other = solve_opt_memoized(&inst, 2, OptConfig::default(), None, Some(&mut cache))
-            .expect("m=2 solve");
-        assert_eq!(other.stats.cache_hits, 0);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn interrupt_checkpoints_and_resume_matches_fresh_solve() {
-        let mut b = InstanceBuilder::new(2);
-        let c0 = b.color(4);
-        let c1 = b.color(4);
-        b.arrive(0, c0, 4).arrive(0, c1, 3).arrive(4, c0, 2).arrive(4, c1, 4);
-        let inst = b.build();
-        let fresh = memo(&inst, 1);
-
-        let mut cache = OptCache::new();
-        let flag = AtomicBool::new(true);
-        let err = solve_opt_memoized(&inst, 1, OptConfig::default(), Some(&flag), Some(&mut cache));
-        assert!(matches!(err, Err(OptError::Interrupted { .. })), "{err:?}");
-        assert!(cache.partial().is_some(), "interrupt must checkpoint the frontier");
-
-        flag.store(false, Ordering::Relaxed);
-        let resumed =
-            solve_opt_memoized(&inst, 1, OptConfig::default(), Some(&flag), Some(&mut cache))
-                .expect("resumed solve");
-        assert_eq!(resumed.stats.partial_resumes, 1);
-        assert_eq!(
-            (resumed.cost, resumed.reconfigs, resumed.drops),
-            (fresh.cost, fresh.reconfigs, fresh.drops)
-        );
-        assert_eq!(resumed.states_explored, fresh.states_explored);
-        assert!(cache.partial().is_none(), "finishing clears the checkpoint");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn budget_trip_checkpoints_and_a_bigger_budget_resumes() {
-        let mut b = InstanceBuilder::new(1);
-        let colors: Vec<_> = (0..4).map(|_| b.color(4)).collect();
-        for blk in 0..8 {
-            for &c in &colors {
-                b.arrive(blk * 4, c, 2);
-            }
-        }
-        let inst = b.build();
-        let fresh = memo(&inst, 2);
-
-        let mut cache = OptCache::new();
-        let tight =
-            OptConfig { state_budget: Some(fresh.states_explored / 2), ..Default::default() };
-        let err = solve_opt_memoized(&inst, 2, tight, None, Some(&mut cache));
-        assert!(matches!(err, Err(OptError::BudgetExhausted { .. })), "{err:?}");
-        let tripped_round = cache.partial().map(|p| p.round).expect("budget trip must checkpoint");
-        assert!(tripped_round > 0);
-
-        let resumed = solve_opt_memoized(&inst, 2, OptConfig::default(), None, Some(&mut cache))
-            .expect("resume with open budget");
-        assert_eq!(resumed.stats.partial_resumes, 1);
-        assert_eq!(
-            (resumed.cost, resumed.reconfigs, resumed.drops),
-            (fresh.cost, fresh.reconfigs, fresh.drops)
-        );
-        assert_eq!(resumed.states_explored, fresh.states_explored, "budget accounting is exact");
-    }
-
-    #[test]
     fn guard_rails_still_trip() {
         let mut b = InstanceBuilder::new(1);
         let colors: Vec<_> = (0..6).map(|_| b.color(4)).collect();
@@ -1298,17 +1036,8 @@ mod tests {
             }
         }
         let inst = b.build();
-        let err = solve_opt_memoized(
-            &inst,
-            3,
-            OptConfig { max_states: 10, ..Default::default() },
-            None,
-            None,
-        );
+        let err = solve_opt(&inst, 3, OptConfig { max_states: 10, ..Default::default() });
         assert!(matches!(err, Err(OptError::StateSpaceExceeded { .. })));
-        let flag = AtomicBool::new(true);
-        let err = solve_opt_memoized(&inst, 1, OptConfig::default(), Some(&flag), None);
-        assert!(matches!(err, Err(OptError::Interrupted { round: 0 })));
     }
 
     #[test]
@@ -1332,7 +1061,7 @@ mod tests {
         let mut seen = 1;
         while seen < total {
             let cfg = OptConfig { state_budget: Some(seen), ..Default::default() };
-            match solve_opt_memoized(&inst, 2, cfg, None, None) {
+            match solve_opt(&inst, 2, cfg) {
                 Err(OptError::BudgetExhausted { states, .. }) => {
                     sizes.push(states - seen);
                     seen = states;
@@ -1344,7 +1073,7 @@ mod tests {
         for cap in [1, widest / 4, widest / 2, widest - 1] {
             let expect = sizes.iter().position(|&n| n > cap).expect("some layer exceeds the cap");
             let cfg = OptConfig { max_states: cap, ..Default::default() };
-            match solve_opt_memoized(&inst, 2, cfg, None, None) {
+            match solve_opt(&inst, 2, cfg) {
                 Err(OptError::StateSpaceExceeded { round, states }) => {
                     assert_eq!(round, expect as u64, "cap {cap}");
                     assert!(states > cap, "cap {cap}: reported {states}");
@@ -1352,14 +1081,7 @@ mod tests {
                 other => panic!("cap {cap}: {other:?}"),
             }
         }
-        assert!(solve_opt_memoized(
-            &inst,
-            2,
-            OptConfig { max_states: widest, ..Default::default() },
-            None,
-            None
-        )
-        .is_ok());
+        assert!(solve_opt(&inst, 2, OptConfig { max_states: widest, ..Default::default() }).is_ok());
     }
 
     #[test]

@@ -11,17 +11,15 @@
 //! suboptimal for unit jobs with unit drop cost, by a standard exchange
 //! argument). The DP is therefore **exact**, not heuristic.
 //!
-//! [`solve_opt`] runs it through the memoized solver of [`crate::memo`],
-//! the one production solver. The plain DP in [`crate::plain_dp`] walks
+//! [`crate::solve_opt`], the memoized solver of [`crate::memo`], is the
+//! one production solver. The plain DP in [`crate::plain_dp`] walks
 //! the same model without canonical keys or pruning; it is the
 //! differential oracle that also reconstructs replayable schedules.
 //!
 //! Complexity is exponential in colors × resources; the per-layer state cap
 //! turns blow-ups into a clean [`OptError`] instead of an OOM.
 
-use rrs_model::Instance;
-
-use crate::memo::{solve_opt_memoized, MemoStats};
+use crate::memo::MemoStats;
 
 /// Sentinel for an unconfigured (black) cache slot.
 pub(crate) const BLACK: u32 = u32::MAX;
@@ -61,11 +59,6 @@ pub enum OptError {
         /// Cumulative states explored when the budget tripped.
         states: usize,
     },
-    /// The caller's interrupt flag was raised mid-solve.
-    Interrupted {
-        /// Round being expanded when the interrupt was observed.
-        round: u64,
-    },
 }
 
 impl std::fmt::Display for OptError {
@@ -76,9 +69,6 @@ impl std::fmt::Display for OptError {
             }
             Self::BudgetExhausted { round, states } => {
                 write!(f, "OPT state budget exhausted at round {round} ({states} states total)")
-            }
-            Self::Interrupted { round } => {
-                write!(f, "OPT solve interrupted at round {round}")
             }
         }
     }
@@ -177,16 +167,11 @@ pub(crate) fn reconfig_count(old: &[u32], new: &[u32]) -> u64 {
     added
 }
 
-/// Solve the instance exactly for `m` resources: the memoized solver
-/// ([`solve_opt_memoized`]) with no cache and no interrupt.
-pub fn solve_opt(inst: &Instance, m: usize, config: OptConfig) -> Result<OptResult, OptError> {
-    solve_opt_memoized(inst, m, config, None, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrs_model::InstanceBuilder;
+    use crate::memo::solve_opt;
+    use rrs_model::{Instance, InstanceBuilder};
 
     fn solve(inst: &Instance, m: usize) -> OptResult {
         solve_opt(inst, m, OptConfig::default()).unwrap()

@@ -7,15 +7,16 @@
 //! floating-point rounding. The `f64` ratio is derived only for display
 //! and journal lines.
 //!
-//! The referee is [`solve_opt_memoized`] under a state budget; when the
-//! budget trips on an oversized genome the evaluation *degrades* to the
+//! The referee is [`solve_opt`] under a state budget; when the budget
+//! trips on an oversized genome the evaluation *degrades* to the
 //! certified [`combined_lower_bound`] instead of hanging (ROADMAP item 2).
 //! Both outcomes are pure functions of the instance, so fitness stays
 //! deterministic either way. A persisted [`OptCache`] can be consulted
-//! *read-only* during the parallel sweep — hits re-price instantly, and
-//! fresh exact solves are handed back to the caller as
-//! [`SolvedLine`] records so the sweep driver can merge them into the
-//! cache in deterministic child order after the barrier.
+//! *read-only* during the parallel sweep through [`OptCache::lookup`] —
+//! hits re-price instantly, an entry that fails its check against the
+//! instance is a miss, and fresh exact solves are handed back to the
+//! caller as [`SolvedLine`] records, which the search loop merges into
+//! the cache in deterministic child order after the barrier.
 
 use std::cmp::Ordering;
 
@@ -24,7 +25,7 @@ use rrs_engine::sim::Simulator;
 use rrs_engine::Snapshot;
 use rrs_model::Instance;
 use rrs_offline::{
-    combined_lower_bound, instance_digest, solve_opt_memoized, OptCache, OptConfig, SolvedEntry,
+    combined_lower_bound, instance_digest, solve_opt, OptCache, OptConfig, SolvedEntry,
 };
 use rrs_workloads::genome::Genome;
 
@@ -97,8 +98,9 @@ pub enum Referee {
     /// The exact memoized OPT solver finished within budget (or its
     /// answer was served from the persisted cache).
     Exact,
-    /// OPT was interrupted or over budget; the certified lower bound stood
-    /// in. Ratios against it over-estimate, never under-estimate.
+    /// OPT ran past its state budget or its per-layer cap; the certified
+    /// lower bound stood in. Ratios against it over-estimate, never
+    /// under-estimate.
     LowerBound,
 }
 
@@ -206,26 +208,16 @@ pub fn evaluate_instance_cached(
     let mut p = policy.make();
     let outcome = Simulator::new(inst, cfg.locations).run(&mut p);
     let cost = outcome.total_cost();
-    let m = cfg.referee_resources as u32;
-    if let Some(c) = cache {
-        let digest = instance_digest(inst);
-        if let Some(e) = c.lookup(digest, m) {
-            let eval =
-                Evaluation { fitness: Fitness { cost, base: e.cost }, referee: Referee::Exact };
-            return (eval, None);
-        }
+    if let Some(Ok(e)) = cache.map(|c| c.lookup(inst, cfg.referee_resources)) {
+        let eval = Evaluation { fitness: Fitness { cost, base: e.cost }, referee: Referee::Exact };
+        return (eval, None);
     }
-    match solve_opt_memoized(inst, cfg.referee_resources, cfg.opt, None, None) {
+    match solve_opt(inst, cfg.referee_resources, cfg.opt) {
         Ok(r) => {
             let line = cache.is_some().then(|| SolvedLine {
                 digest: instance_digest(inst),
-                m,
-                entry: SolvedEntry {
-                    cost: r.cost,
-                    reconfigs: r.reconfigs,
-                    drops: r.drops,
-                    states_explored: r.states_explored as u64,
-                },
+                m: cfg.referee_resources as u32,
+                entry: SolvedEntry::from(&r),
             });
             (Evaluation { fitness: Fitness { cost, base: r.cost }, referee: Referee::Exact }, line)
         }

@@ -3,7 +3,9 @@
 #
 # For every Rust file under crates/*/src (the benchmark package in
 # crates/bench/src/bin/ excluded) and src/, count the lines before the
-# first line that contains `#[cfg(test)]` (the whole file if none does).
+# first line that begins with `#[cfg(test)]`, leading whitespace allowed
+# (the whole file if none does), so a comment that names the attribute
+# does not end the count.
 # Prints one "count path" line per file, then the total.
 #
 # Usage: scripts/loc.sh [REPO_ROOT]   (default: this script's repository)
@@ -15,7 +17,7 @@ total=0
 files=0
 for f in crates/*/src/**/*.rs src/**/*.rs; do
     [[ $f == crates/bench/src/bin/* ]] && continue
-    n=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
     printf '%6d %s\n' "$n" "$f"
     total=$((total + n))
     files=$((files + 1))

@@ -12,8 +12,8 @@
 //!         [--trace-out T.jsonl]
 //! rrs-cli attribute <policy> <FILE> [--locations N]   per-color cost table
 //! rrs-cli opt <FILE> [--resources M]                  exact offline optimum
-//!         [--opt-cache CACHE]                         warm-started from a solve cache
-//! rrs-cli opt-cache save <FILE>... --out CACHE        solve into a persisted cache
+//!         [--opt-cache CACHE]                         answered from or recorded in a cache
+//! rrs-cli opt-cache save <FILE>... --out CACHE        solve through a persisted cache
 //! rrs-cli opt-cache load <CACHE> <FILE>               answer from the cache alone
 //! rrs-cli opt-cache stat <CACHE>                      print the solved index
 //! rrs-cli lemmas <FILE> [--locations N]               check Lemmas 3.2/3.3/3.4
@@ -691,7 +691,8 @@ fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
 /// `opt`: price an instance with the exact solver. With `--opt-cache
 /// CACHE` the answer comes from that persisted solve cache when it holds
 /// the instance, and is recorded into it otherwise (the file is created
-/// if absent).
+/// if absent); an entry impossible for the instance counts as a miss and
+/// is overwritten.
 fn cmd_opt(mut args: Vec<String>) -> Result<(), String> {
     let m = parse_u64(take_flag(&mut args, "--resources"), 1, "--resources")? as usize;
     let cache_path = take_flag(&mut args, "--opt-cache");
@@ -702,12 +703,15 @@ fn cmd_opt(mut args: Vec<String>) -> Result<(), String> {
         Some(p) => Some(load_opt_cache(p)?),
         None => cache_path.as_ref().map(|_| OptCache::new()),
     };
-    let r = solve_opt_memoized(&inst, m, OptConfig::default(), None, cache.as_mut())
-        .map_err(|e| e.to_string())?;
+    let (r, hit) = match cache.as_mut() {
+        Some(c) => c.solve(&inst, m, OptConfig::default()),
+        None => solve_opt(&inst, m, OptConfig::default()).map(|r| (r, false)),
+    }
+    .map_err(|e| e.to_string())?;
     println!("opt cost:   {} ({} reconfigs, {} drops)", r.cost, r.reconfigs, r.drops);
     println!("states:     {} solved, {} pruned", r.stats.solved_states, r.stats.pruned_states);
     if let (Some(p), Some(cache)) = (cache_path, cache) {
-        println!("cache:      {}/{} hits", r.stats.cache_hits, r.stats.cache_lookups);
+        println!("cache:      {}/1 hits", u8::from(hit));
         store_opt_cache(&p, &cache)?;
     }
     Ok(())
@@ -729,11 +733,11 @@ fn store_opt_cache(path: &str, cache: &OptCache) -> Result<(), String> {
 }
 
 /// `opt-cache {save,load,stat}`: manage the persisted exact-OPT solve
-/// cache (`RRSOPTC1`, DESIGN.md §16). `save` solves each instance with
-/// the memoized solver — warm-starting from `--out` if it already
-/// exists — and writes the updated cache; `load` answers one instance
-/// from a cache *without* solving (a miss is an error, e.g. the wrong
-/// genome); `stat` prints the index.
+/// cache (`RRSOPTC1`, DESIGN.md §16). `save` solves each instance through
+/// the cache — warm-starting from `--out` if it already exists — and
+/// writes the updated cache; `load` answers one instance from a cache
+/// *without* solving (a miss or an entry impossible for the instance is
+/// an error, e.g. the wrong genome); `stat` prints the index.
 fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
     if args.is_empty() {
         return Err("missing opt-cache action (save|load|stat)".into());
@@ -753,7 +757,8 @@ fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
             };
             for path in &args {
                 let inst = load(path)?;
-                let r = solve_opt_memoized(&inst, m, OptConfig::default(), None, Some(&mut cache))
+                let (r, hit) = cache
+                    .solve(&inst, m, OptConfig::default())
                     .map_err(|e| format!("{path}: {e}"))?;
                 println!(
                     "{path}: digest {:#018x}  cost {} ({} reconfigs, {} drops)  {}",
@@ -761,7 +766,7 @@ fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
                     r.cost,
                     r.reconfigs,
                     r.drops,
-                    if r.stats.cache_hits > 0 { "cache hit" } else { "solved" }
+                    if hit { "cache hit" } else { "solved" }
                 );
             }
             store_opt_cache(&out, &cache)
@@ -772,11 +777,8 @@ fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
             let inst_path = args.get(1).ok_or("missing <FILE>")?;
             let cache = load_opt_cache(cache_path)?;
             let inst = load(inst_path)?;
-            let digest = instance_digest(&inst);
-            let entry = cache
-                .lookup(digest, m as u32)
-                .ok_or_else(|| CacheError::UnknownInstance { digest, m: m as u32 }.to_string())?;
-            println!("digest:     {digest:#018x}");
+            let entry = cache.lookup(&inst, m).map_err(|e| e.to_string())?;
+            println!("digest:     {:#018x}", instance_digest(&inst));
             println!("resources:  {m}");
             println!(
                 "opt cost:   {} ({} reconfigs, {} drops)",
@@ -789,19 +791,6 @@ fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
             let cache_path = args.first().ok_or("missing <CACHE>")?;
             let cache = load_opt_cache(cache_path)?;
             println!("entries:    {}", cache.len());
-            println!(
-                "partial:    {}",
-                match cache.partial() {
-                    Some(p) => format!(
-                        "round {} (m={}, {} frontier states, digest {:#018x})",
-                        p.round,
-                        p.m,
-                        p.layer.len(),
-                        p.digest
-                    ),
-                    None => "none".into(),
-                }
-            );
             println!("approx mem: {} bytes", cache.approx_bytes());
             for (digest, m, entry) in cache.entries() {
                 println!(

@@ -169,8 +169,7 @@ fn exact_solvers_run_on_the_calling_thread_at_any_worker_count() {
     let solve_at = |jobs: usize| {
         set_jobs(jobs);
         let start = alloc_probe::alloc_calls();
-        let memo = solve_opt_memoized(&memo_inst, 2, OptConfig::default(), None, None)
-            .expect("memo solves");
+        let memo = solve_opt(&memo_inst, 2, OptConfig::default()).expect("memo solves");
         let mid = alloc_probe::alloc_calls();
         let brute = solve_brute(&brute_inst, 2);
         let end = alloc_probe::alloc_calls();

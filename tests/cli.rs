@@ -53,6 +53,46 @@ fn opt_on_tiny_instance() {
 }
 
 #[test]
+fn opt_cache_serves_a_consistent_entry_and_resolves_an_impossible_one() {
+    // `generate rate-limited --seed 3` has 92 jobs and OPT 55 at m = 1.
+    let inst = tmpfile("forged-entry.rrs");
+    let cache = tmpfile("forged-entry.optc");
+    std::fs::remove_file(&cache).ok();
+    let out = cli().args(["generate", "rate-limited", "--seed", "3", "--out"]).arg(&inst).output();
+    assert!(out.unwrap().status.success());
+    let save = || cli().args(["opt-cache", "save"]).arg(&inst).arg("--out").arg(&cache).output();
+    let text = String::from_utf8_lossy(&save().unwrap().stdout).into_owned();
+    assert!(text.contains("cost 55 (1 reconfigs, 51 drops)  solved"), "{text}");
+    let text = String::from_utf8_lossy(&save().unwrap().stdout).into_owned();
+    assert!(text.trim_end().ends_with("cache hit"), "{text}");
+
+    // Re-seal the entry as (cost 1, 0 reconfigs, 0 drops) with a valid CRC.
+    let parsed = rrs::offline::OptCache::parse(&std::fs::read(&cache).unwrap()).unwrap();
+    let (digest, m, _) = parsed.entries().next().unwrap();
+    let mut forged = rrs::offline::OptCache::new();
+    let entry = rrs::offline::SolvedEntry { cost: 1, reconfigs: 0, drops: 0, states_explored: 1 };
+    forged.record(digest, m, entry);
+    std::fs::write(&cache, forged.encode()).unwrap();
+
+    let out = cli().args(["opt-cache", "load"]).arg(&cache).arg(&inst).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "an impossible entry must not load");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(&format!("{digest:#018x}")), "{err}");
+
+    let opt = || cli().arg("opt").arg(&inst).arg("--opt-cache").arg(&cache).output().unwrap();
+    let out = opt();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("opt cost:   55 (1 reconfigs, 51 drops)"), "{text}");
+    assert!(text.contains("cache:      0/1 hits"), "{text}");
+    // The fresh answer overwrote the forged entry.
+    let text = String::from_utf8_lossy(&opt().stdout).into_owned();
+    assert!(text.contains("opt cost:   55") && text.contains("cache:      1/1 hits"), "{text}");
+    std::fs::remove_file(&inst).ok();
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
 fn generate_to_stdout_parses_back() {
     let out = cli().args(["generate", "general", "--seed", "9"]).output().unwrap();
     assert!(out.status.success());
