@@ -5,8 +5,11 @@
 //! attributed to the color the location was recolored *to* (the same
 //! convention the lower bound of [`rrs_offline::bounds`] uses: configuring
 //! a processor to serve category ℓ is spending on ℓ).
+//!
+//! [`CostFold`] is that rule, applied to a live run as its recorder and to
+//! a saved trace by [`per_color_from_events`].
 
-use rrs_engine::{Policy, Simulator, TraceEvent, TraceRecorder};
+use rrs_engine::{Policy, Recorder, Simulator, Slot, TraceEvent};
 use rrs_model::{ColorId, Instance};
 
 use crate::table::Table;
@@ -33,35 +36,92 @@ impl ColorCosts {
     }
 }
 
-/// Run a policy and attribute every cost to a color.
-pub fn attribute_costs<P: Policy>(inst: &Instance, n: usize, policy: &mut P) -> Vec<ColorCosts> {
-    let mut trace = TraceRecorder::new();
-    crate::run::simulate(&Simulator::new(inst, n), policy, &mut trace);
-    per_color_from_events(inst, trace.events.iter())
+/// The single attribution rule, as a [`Recorder`]: it folds each event
+/// into its color's [`ColorCosts`] as the run emits it, so attributing a
+/// run holds one row per color and never the event stream. Used by
+/// [`attribute_costs`], the run reports, `rrs-cli run --metrics-out` and
+/// `report --run`, and (through [`per_color_from_events`]) saved traces.
+#[derive(Clone, Debug, Default)]
+pub struct CostFold {
+    per: Vec<ColorCosts>,
 }
 
-/// Fold a stream of trace events into per-color cost breakdowns. This is
-/// the single attribution rule shared by [`attribute_costs`], the run
-/// reports, and the CLI's saved-trace `report` mode.
+impl CostFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The attribution in id order: one row per color of `inst`, and one
+    /// per higher id an event named (a trace from another instance).
+    pub fn finish(mut self, inst: &Instance) -> Vec<ColorCosts> {
+        self.grow(inst.colors.len());
+        self.per
+    }
+
+    fn grow(&mut self, len: usize) {
+        for i in self.per.len()..len {
+            let color = ColorId(i as u32);
+            self.per.push(ColorCosts {
+                color,
+                arrived: 0,
+                executed: 0,
+                dropped: 0,
+                reconfigs_to: 0,
+            });
+        }
+    }
+
+    fn row(&mut self, color: ColorId) -> &mut ColorCosts {
+        self.grow(color.index() + 1);
+        &mut self.per[color.index()]
+    }
+}
+
+impl Recorder for CostFold {
+    fn on_drop(&mut self, _round: u64, color: ColorId, count: u64) {
+        self.row(color).dropped += count;
+    }
+    fn on_arrive(&mut self, _round: u64, color: ColorId, count: u64) {
+        self.row(color).arrived += count;
+    }
+    fn on_reconfig(&mut self, _round: u64, _mini: u32, _location: usize, _from: Slot, to: Slot) {
+        if let Some(color) = to {
+            self.row(color).reconfigs_to += 1;
+        }
+    }
+    fn on_execute(&mut self, _round: u64, _mini: u32, color: ColorId, count: u64) {
+        self.row(color).executed += count;
+    }
+}
+
+/// Run a policy and attribute every cost to a color.
+pub fn attribute_costs<P: Policy>(inst: &Instance, n: usize, policy: &mut P) -> Vec<ColorCosts> {
+    let mut fold = CostFold::new();
+    crate::run::simulate(&Simulator::new(inst, n), policy, &mut fold);
+    fold.finish(inst)
+}
+
+/// Attribute a saved trace's events to the colors of `inst` by the
+/// [`CostFold`] rule, for the CLI's saved-trace `report` mode.
 pub fn per_color_from_events<'a>(
     inst: &Instance,
     events: impl IntoIterator<Item = &'a TraceEvent>,
 ) -> Vec<ColorCosts> {
-    let mut per: Vec<ColorCosts> = inst
-        .colors
-        .ids()
-        .map(|color| ColorCosts { color, arrived: 0, executed: 0, dropped: 0, reconfigs_to: 0 })
-        .collect();
+    let mut fold = CostFold::new();
     for e in events {
         match *e {
-            TraceEvent::Arrive { color, count, .. } => per[color.index()].arrived += count,
-            TraceEvent::Execute { color, count, .. } => per[color.index()].executed += count,
-            TraceEvent::Drop { color, count, .. } => per[color.index()].dropped += count,
-            TraceEvent::Reconfig { to: Some(color), .. } => per[color.index()].reconfigs_to += 1,
-            TraceEvent::Reconfig { to: None, .. } => {}
+            TraceEvent::Drop { round, color, count } => fold.on_drop(round, color, count),
+            TraceEvent::Arrive { round, color, count } => fold.on_arrive(round, color, count),
+            TraceEvent::Reconfig { round, mini, location, from, to } => {
+                fold.on_reconfig(round, mini, location, from, to);
+            }
+            TraceEvent::Execute { round, mini, color, count } => {
+                fold.on_execute(round, mini, color, count);
+            }
         }
     }
-    per
+    fold.finish(inst)
 }
 
 /// Render an attribution as a table sorted by descending cost.

@@ -656,7 +656,7 @@ pub fn e16_zipf_scaling(color_counts: &[usize]) -> Table {
         let out = observed_run(&format!("e16 colors={num_colors}"), &inst, n, &mut p);
         assert!(out.conserved());
         let lb = combined_lower_bound(&inst, m);
-        let fp = rrs_core::Footprint::footprint(&p);
+        let fp = p.stats().footprint;
         vec![
             num_colors.to_string(),
             inst.total_jobs().to_string(),

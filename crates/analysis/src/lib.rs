@@ -34,7 +34,9 @@ pub mod run;
 pub mod table;
 pub mod timeline;
 
-pub use attribution::{attribute_costs, attribution_table, per_color_from_events, ColorCosts};
+pub use attribution::{
+    attribute_costs, attribution_table, per_color_from_events, ColorCosts, CostFold,
+};
 pub use lemmas::{check_lemmas, LemmaReport};
 pub use punctuality::{
     bonus_saves, execution_records, fifo_outcomes, punctuality_stats, unattributed_lates,
@@ -52,7 +54,7 @@ pub use timeline::{timeline, timeline_table, Window};
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::attribution::{
-        attribute_costs, attribution_table, per_color_from_events, ColorCosts,
+        attribute_costs, attribution_table, per_color_from_events, ColorCosts, CostFold,
     };
     pub use crate::experiments;
     pub use crate::lemmas::{check_lemmas, LemmaReport};

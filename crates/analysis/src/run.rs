@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use rrs_core::{AlgoMetrics, DeltaLruEdf};
-use rrs_engine::{NullRecorder, Outcome, Policy, Recorder, Simulator, Slot};
+use rrs_engine::{NullRecorder, Outcome, Policy, Recorder, Simulator};
 use rrs_model::json::Quoted;
-use rrs_model::{ColorId, Instance};
+use rrs_model::Instance;
 
-use crate::attribution::ColorCosts;
+use crate::attribution::{ColorCosts, CostFold};
 
 /// The result of running a policy: engine costs, lemma counters (zeroed
 /// for uninstrumented policies), and the per-color attribution.
@@ -93,41 +93,6 @@ impl RunReport {
         }
         out.push_str("]}");
         out
-    }
-}
-
-/// Streaming per-color attribution: folds trace callbacks directly into
-/// [`ColorCosts`] without retaining the event stream, so observed runs stay
-/// O(colors) in memory regardless of horizon.
-struct ColorFold {
-    per: Vec<ColorCosts>,
-}
-
-impl ColorFold {
-    fn new(inst: &Instance) -> Self {
-        let per = inst
-            .colors
-            .ids()
-            .map(|color| ColorCosts { color, arrived: 0, executed: 0, dropped: 0, reconfigs_to: 0 })
-            .collect();
-        Self { per }
-    }
-}
-
-impl Recorder for ColorFold {
-    fn on_drop(&mut self, _round: u64, color: ColorId, count: u64) {
-        self.per[color.index()].dropped += count;
-    }
-    fn on_arrive(&mut self, _round: u64, color: ColorId, count: u64) {
-        self.per[color.index()].arrived += count;
-    }
-    fn on_reconfig(&mut self, _round: u64, _mini: u32, _location: usize, _from: Slot, to: Slot) {
-        if let Some(color) = to {
-            self.per[color.index()].reconfigs_to += 1;
-        }
-    }
-    fn on_execute(&mut self, _round: u64, _mini: u32, color: ColorId, count: u64) {
-        self.per[color.index()].executed += count;
     }
 }
 
@@ -222,7 +187,7 @@ pub fn observed_run<P: Policy>(label: &str, inst: &Instance, n: usize, policy: &
     if !collecting() {
         return simulate_plain(&Simulator::new(inst, n), policy);
     }
-    let mut fold = ColorFold::new(inst);
+    let mut fold = CostFold::new();
     let outcome = simulate(&Simulator::new(inst, n), policy, &mut fold);
     record_report(RunReport {
         label: label.to_string(),
@@ -230,7 +195,7 @@ pub fn observed_run<P: Policy>(label: &str, inst: &Instance, n: usize, policy: &
         locations: n,
         outcome: outcome.clone(),
         metrics: AlgoMetrics::default(),
-        per_color: fold.per,
+        per_color: fold.finish(inst),
     });
     outcome
 }
@@ -244,7 +209,7 @@ pub fn run_dlru_edf(inst: &Instance, n: usize) -> RunReport {
 /// [`run_dlru_edf`] with a caller-chosen label; when report collection is
 /// enabled the report is also pushed into the collector.
 pub fn run_dlru_edf_labeled(label: &str, inst: &Instance, n: usize) -> RunReport {
-    let mut fold = ColorFold::new(inst);
+    let mut fold = CostFold::new();
     // Under `validate`, the headline algorithm additionally runs inside
     // `CheckedPolicy`, which verifies the ΔLRU timestamp laws after every
     // decision (the supervisor teed in by `simulate` checks the engine
@@ -267,7 +232,7 @@ pub fn run_dlru_edf_labeled(label: &str, inst: &Instance, n: usize) -> RunReport
         locations: n,
         outcome,
         metrics: p.metrics(),
-        per_color: fold.per,
+        per_color: fold.finish(inst),
     };
     if collecting() {
         record_report(report.clone());

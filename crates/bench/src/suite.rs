@@ -458,7 +458,7 @@ fn varbatch_dlru_edf() -> rrs_core::VarBatch<rrs_core::DeltaLruEdf> {
 /// pages — so `bench compare` treats any footprint growth on the same
 /// workload as a regression (larger-is-worse is the comparator's default
 /// for deterministic metrics).
-fn zipf_policy_run<P: Policy + rrs_core::Footprint>(
+fn zipf_policy_run<P: Policy>(
     name: &str,
     inst: &Instance,
     cfg: SuiteConfig,
@@ -470,7 +470,7 @@ fn zipf_policy_run<P: Policy + rrs_core::Footprint>(
     if out.arrived != out.executed + out.dropped {
         return Err(format!("{name} conservation violated"));
     }
-    let fp = rrs_core::Footprint::footprint(&policy);
+    let fp = policy.stats().footprint;
 
     let mut record = BenchRecord::new(name);
     record

@@ -1,7 +1,8 @@
 //! The lemma-monitoring policy wrapper.
 //!
 //! [`CheckedPolicy`] wraps any [`Policy`] that exposes its Section 3
-//! bookkeeping via [`Instrumented`] and verifies, after every decision,
+//! bookkeeping via [`Instrumented`] (the book) and [`Policy::stats`] (the
+//! lemma counters) and verifies, after every decision,
 //! the timestamp laws the ΔLRU recency scheme depends on (§3.1.1):
 //!
 //! * a committed timestamp is a **counter-wrap round** — a block boundary
@@ -20,7 +21,7 @@
 //! lemmas are stated for, so it is opt-in.
 
 use rrs_core::Instrumented;
-use rrs_engine::{recolor_reconfigs, Observation, Policy, Slot};
+use rrs_engine::{recolor_reconfigs, Observation, Policy, PolicyStats, Slot};
 
 /// A wrapper policy that delegates every decision to `P` and checks the
 /// ColorBook timestamp laws (and optionally the Lemma 3.3/3.4 bounds)
@@ -127,7 +128,7 @@ impl<P: Policy + Instrumented> CheckedPolicy<P> {
     }
 
     fn check_lemmas(&self, round: u64) {
-        let m = self.inner.metrics();
+        let m = self.inner.stats().metrics;
         let epochs = m.num_epochs();
         assert!(
             self.reconfig_cost <= 4 * epochs * self.delta,
@@ -141,26 +142,6 @@ impl<P: Policy + Instrumented> CheckedPolicy<P> {
             m.ineligible_drops,
             self.delta
         );
-    }
-}
-
-impl<P: Instrumented> Instrumented for CheckedPolicy<P> {
-    fn book(&self) -> Option<&rrs_core::ColorBook> {
-        // The supervisor keeps no bookkeeping of its own; the wrapped
-        // policy's book is the §3 state under scrutiny.
-        self.inner.book()
-    }
-
-    fn metrics(&self) -> rrs_core::AlgoMetrics {
-        self.inner.metrics()
-    }
-}
-
-impl<P: rrs_core::Footprint> rrs_core::Footprint for CheckedPolicy<P> {
-    fn footprint(&self) -> rrs_core::StateFootprint {
-        // `last_ts` is a dense Vec, not a sparse container, so the wrapper
-        // contributes nothing beyond the wrapped policy's report.
-        self.inner.footprint()
     }
 }
 
@@ -189,6 +170,12 @@ impl<P: Policy + Instrumented> Policy for CheckedPolicy<P> {
         if self.lemma_monitors {
             self.check_lemmas(obs.round);
         }
+    }
+
+    fn stats(&self) -> PolicyStats {
+        // `last_ts` is a dense Vec, not a sparse container, so the wrapper
+        // adds nothing to the wrapped policy's report.
+        self.inner.stats()
     }
 }
 

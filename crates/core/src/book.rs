@@ -29,10 +29,8 @@
 use rrs_engine::checkpoint::{
     get_bool, get_color_set, get_opt_u64, get_sparse, put_bool, put_color_set, put_opt_u64,
 };
-use rrs_engine::Observation;
+use rrs_engine::{AlgoMetrics, Observation, PolicyStats, StateFootprint};
 use rrs_model::{ColorId, ColorMap, ColorSet, ColorTable, SnapError, SnapReader, SnapWriter};
-
-use crate::metrics::AlgoMetrics;
 
 /// Per-color algorithm state. The deadline is not a field: read it with
 /// [`ColorBook::deadline`].
@@ -236,11 +234,11 @@ impl ColorBook {
     /// touched set, the per-bound member sets, and the super-epoch set,
     /// plus the state map's live pages. The buckets' work lists and
     /// eligible sets are derived and not counted.
-    pub fn footprint(&self) -> crate::StateFootprint {
+    pub fn footprint(&self) -> StateFootprint {
         let words = self.touched.leaf_words()
             + self.super_epoch_colors.leaf_words()
             + self.buckets.iter().map(|b| b.members.leaf_words()).sum::<usize>();
-        crate::StateFootprint {
+        StateFootprint {
             colorset_leaf_words: words as u64,
             colormap_live_pages: self.states.live_pages() as u64,
         }
@@ -612,6 +610,17 @@ impl ColorBook {
         }
         self.ts_updates.clear();
         Ok(())
+    }
+}
+
+/// The [`PolicyStats`] of a cache policy that keeps `book` (`None` before
+/// `init`) and `leaf_words` `ColorSet` leaf words of its own: the book's
+/// footprint plus those words, and the book's lemma counters.
+pub(crate) fn policy_stats(book: Option<&ColorBook>, leaf_words: usize) -> PolicyStats {
+    let own = StateFootprint { colorset_leaf_words: leaf_words as u64, colormap_live_pages: 0 };
+    match book {
+        Some(book) => PolicyStats { footprint: book.footprint().plus(own), metrics: book.metrics },
+        None => PolicyStats { footprint: own, metrics: AlgoMetrics::default() },
     }
 }
 

@@ -18,7 +18,10 @@
 //! gap.
 
 use rrs_engine::checkpoint::{get_color_set, get_sparse, put_color_set};
-use rrs_engine::{stable_assign_into, AssignScratch, Observation, Policy, Slot, Snapshot};
+use rrs_engine::{
+    stable_assign_into, AssignScratch, Observation, Policy, PolicyStats, Slot, Snapshot,
+    StateFootprint,
+};
 use rrs_model::{ColorId, ColorMap, ColorSet, SnapError, SnapReader, SnapWriter};
 
 /// Textbook LRU over colors: cache the `n/2` colors with the most recent
@@ -46,24 +49,8 @@ impl ClassicLru {
     }
 }
 
-impl crate::Footprint for ClassicLru {
-    fn footprint(&self) -> crate::StateFootprint {
-        crate::StateFootprint {
-            colorset_leaf_words: self.cached.leaf_words() as u64,
-            colormap_live_pages: self.last_arrival.live_pages() as u64,
-        }
-    }
-}
-
-impl crate::Instrumented for ClassicLru {
-    /// Classic LRU is the timestamp-free baseline: no book, no counters.
-    fn book(&self) -> Option<&crate::ColorBook> {
-        None
-    }
-    fn metrics(&self) -> crate::AlgoMetrics {
-        crate::AlgoMetrics::default()
-    }
-}
+/// Classic LRU is the timestamp-free baseline: no book, no lemma counters.
+impl crate::Instrumented for ClassicLru {}
 
 impl Policy for ClassicLru {
     fn name(&self) -> &str {
@@ -100,6 +87,14 @@ impl Policy for ClassicLru {
         self.desired.clear();
         self.desired.extend(self.scratch.iter().map(|&c| (c, 2)));
         stable_assign_into(obs.slots, &self.desired, out, &mut self.assign);
+    }
+
+    fn stats(&self) -> PolicyStats {
+        let footprint = StateFootprint {
+            colorset_leaf_words: self.cached.leaf_words() as u64,
+            colormap_live_pages: self.last_arrival.live_pages() as u64,
+        };
+        PolicyStats { footprint, ..PolicyStats::default() }
     }
 }
 

@@ -19,7 +19,7 @@
 //! sub-colors).
 
 use rrs_engine::checkpoint::{get_color_table, get_sparse, put_color_table};
-use rrs_engine::{Observation, Policy, RoundKernel, Slot, Snapshot};
+use rrs_engine::{Observation, Policy, PolicyStats, RoundKernel, Slot, Snapshot, StateFootprint};
 use rrs_model::{ColorId, ColorMap, ColorTable, SnapError, SnapReader, SnapWriter};
 
 /// The minted sub-color universe of §4.1: the virtual color table, each
@@ -196,27 +196,6 @@ impl<P: Policy> Distribute<P> {
     }
 }
 
-impl<P: crate::Footprint> crate::Footprint for Distribute<P> {
-    fn footprint(&self) -> crate::StateFootprint {
-        self.inner.footprint().plus(crate::StateFootprint {
-            colorset_leaf_words: 0,
-            colormap_live_pages: (self.map.subs.live_pages() + self.kernel.live_pages()) as u64,
-        })
-    }
-}
-
-impl<P: crate::Instrumented> crate::Instrumented for Distribute<P> {
-    fn book(&self) -> Option<&crate::ColorBook> {
-        // The wrapper keeps no timestamps of its own; the inner policy's
-        // book is the §3 bookkeeping (over virtual sub-colors).
-        self.inner.book()
-    }
-
-    fn metrics(&self) -> crate::AlgoMetrics {
-        self.inner.metrics()
-    }
-}
-
 impl<P: Policy> Policy for Distribute<P> {
     fn name(&self) -> &str {
         "distribute"
@@ -258,6 +237,16 @@ impl<P: Policy> Policy for Distribute<P> {
         for (o, &v) in out.iter_mut().zip(self.kernel.slots()) {
             *o = v.map(|vc| self.map.physical(vc));
         }
+    }
+
+    /// The inner footprint plus the sub-color lists and the virtual round
+    /// loop; no lemma counters (the inner ones count sub-colors).
+    fn stats(&self) -> PolicyStats {
+        let own = StateFootprint {
+            colorset_leaf_words: 0,
+            colormap_live_pages: (self.map.subs.live_pages() + self.kernel.live_pages()) as u64,
+        };
+        PolicyStats { footprint: self.inner.stats().footprint.plus(own), ..PolicyStats::default() }
     }
 }
 

@@ -9,11 +9,13 @@
 //! regenerates this failure (experiment E1).
 
 use rrs_engine::checkpoint::{get_color_set, put_color_set};
-use rrs_engine::{stable_assign_into, AssignScratch, Observation, Policy, Slot, Snapshot};
+use rrs_engine::{
+    stable_assign_into, AlgoMetrics, AssignScratch, Observation, Policy, PolicyStats, Slot,
+    Snapshot,
+};
 use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
 use crate::book::ColorBook;
-use crate::metrics::AlgoMetrics;
 use crate::ranking::top_k_by_lru;
 
 /// The ΔLRU policy. Uses the paper's cache discipline: the first half of
@@ -51,22 +53,9 @@ impl DeltaLru {
     }
 }
 
-impl crate::Footprint for DeltaLru {
-    fn footprint(&self) -> crate::StateFootprint {
-        let book = self.book.as_ref().map(ColorBook::footprint).unwrap_or_default();
-        book.plus(crate::StateFootprint {
-            colorset_leaf_words: self.cached.leaf_words() as u64,
-            colormap_live_pages: 0,
-        })
-    }
-}
-
 impl crate::Instrumented for DeltaLru {
     fn book(&self) -> Option<&ColorBook> {
         DeltaLru::book(self)
-    }
-    fn metrics(&self) -> AlgoMetrics {
-        DeltaLru::metrics(self)
     }
 }
 
@@ -105,6 +94,10 @@ impl Policy for DeltaLru {
         self.desired.clear();
         self.desired.extend(self.scratch.iter().map(|&c| (c, 2)));
         stable_assign_into(obs.slots, &self.desired, out, &mut self.assign);
+    }
+
+    fn stats(&self) -> PolicyStats {
+        crate::book::policy_stats(self.book.as_ref(), self.cached.leaf_words())
     }
 }
 

@@ -19,11 +19,13 @@
 //! `[Δ|1|D_ℓ|D_ℓ]` instances with power-of-two bounds.
 
 use rrs_engine::checkpoint::{get_color_set, put_color_set};
-use rrs_engine::{stable_assign_into, AssignScratch, Observation, Policy, Slot, Snapshot};
+use rrs_engine::{
+    stable_assign_into, AlgoMetrics, AssignScratch, Observation, Policy, PolicyStats, Slot,
+    Snapshot,
+};
 use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
 use crate::book::ColorBook;
-use crate::metrics::AlgoMetrics;
 use crate::ranking::{edf_key, top_k_by_edf, top_k_by_lru};
 
 /// The ΔLRU-EDF policy.
@@ -124,22 +126,9 @@ impl DeltaLruEdf {
     }
 }
 
-impl crate::Footprint for DeltaLruEdf {
-    fn footprint(&self) -> crate::StateFootprint {
-        let book = self.book.as_ref().map(ColorBook::footprint).unwrap_or_default();
-        book.plus(crate::StateFootprint {
-            colorset_leaf_words: (self.cached.leaf_words() + self.lru_set.leaf_words()) as u64,
-            colormap_live_pages: 0,
-        })
-    }
-}
-
 impl crate::Instrumented for DeltaLruEdf {
     fn book(&self) -> Option<&ColorBook> {
         DeltaLruEdf::book(self)
-    }
-    fn metrics(&self) -> AlgoMetrics {
-        DeltaLruEdf::metrics(self)
     }
 }
 
@@ -223,6 +212,11 @@ impl Policy for DeltaLruEdf {
         self.desired.clear();
         self.desired.extend(self.cached.iter().map(|c| (c, self.replication)));
         stable_assign_into(obs.slots, &self.desired, out, &mut self.assign);
+    }
+
+    fn stats(&self) -> PolicyStats {
+        let leaf_words = self.cached.leaf_words() + self.lru_set.leaf_words();
+        crate::book::policy_stats(self.book.as_ref(), leaf_words)
     }
 }
 

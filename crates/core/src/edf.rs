@@ -13,11 +13,13 @@
 //! **DS-Seq-EDF**.
 
 use rrs_engine::checkpoint::{get_color_set, put_color_set};
-use rrs_engine::{stable_assign_into, AssignScratch, Observation, Policy, Slot, Snapshot};
+use rrs_engine::{
+    stable_assign_into, AlgoMetrics, AssignScratch, Observation, Policy, PolicyStats, Slot,
+    Snapshot,
+};
 use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
 use crate::book::ColorBook;
-use crate::metrics::AlgoMetrics;
 use crate::ranking::{edf_key, top_k_by_edf};
 
 /// The EDF policy, parameterized by replication so it covers both the
@@ -77,22 +79,9 @@ impl Edf {
     }
 }
 
-impl crate::Footprint for Edf {
-    fn footprint(&self) -> crate::StateFootprint {
-        let book = self.book.as_ref().map(ColorBook::footprint).unwrap_or_default();
-        book.plus(crate::StateFootprint {
-            colorset_leaf_words: self.cached.leaf_words() as u64,
-            colormap_live_pages: 0,
-        })
-    }
-}
-
 impl crate::Instrumented for Edf {
     fn book(&self) -> Option<&ColorBook> {
         Edf::book(self)
-    }
-    fn metrics(&self) -> AlgoMetrics {
-        Edf::metrics(self)
     }
 }
 
@@ -149,6 +138,10 @@ impl Policy for Edf {
         self.desired.clear();
         self.desired.extend(self.union.iter().map(|&c| (c, self.replication)));
         stable_assign_into(obs.slots, &self.desired, out, &mut self.assign);
+    }
+
+    fn stats(&self) -> PolicyStats {
+        crate::book::policy_stats(self.book.as_ref(), self.cached.leaf_words())
     }
 }
 

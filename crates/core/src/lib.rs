@@ -55,7 +55,6 @@ pub mod distribute;
 pub mod dlru;
 pub mod dlru_edf;
 pub mod edf;
-pub mod metrics;
 pub mod ranking;
 pub mod transform;
 pub mod var_batch;
@@ -66,53 +65,38 @@ pub use distribute::Distribute;
 pub use dlru::DeltaLru;
 pub use dlru_edf::DeltaLruEdf;
 pub use edf::Edf;
-pub use metrics::AlgoMetrics;
+pub use rrs_engine::{AlgoMetrics, StateFootprint};
 pub use transform::{distribute_instance, varbatch_instance, SubColorMap};
 pub use var_batch::VarBatch;
 
-/// Uniform access to the §3 bookkeeping a policy maintains, so external
-/// checkers (the `rrs-check` crate's `CheckedPolicy`) can verify the
-/// timestamp laws and lemma bounds without knowing the concrete policy.
+use rrs_engine::Policy;
+
+/// Access to the [`ColorBook`] a policy keeps, so external checkers (the
+/// `rrs-check` crate's `CheckedPolicy`) can verify the timestamp laws
+/// without knowing the concrete policy. Its counters travel through
+/// [`Policy::stats`], like every policy's.
 ///
-/// Implemented by the four cache policies; [`ClassicLru`] keeps no
-/// [`ColorBook`] (it is the timestamp-free baseline) and reports `None`
-/// with empty metrics.
+/// Implemented by the three book-keeping policies; [`ClassicLru`] is the
+/// timestamp-free baseline and keeps the default `None`.
 pub trait Instrumented {
     /// The shared per-color bookkeeping, if the policy keeps one.
-    fn book(&self) -> Option<&ColorBook>;
-    /// Snapshot of the lemma counters accumulated so far.
-    fn metrics(&self) -> AlgoMetrics;
-}
-
-/// Sparse-container telemetry for a policy's per-color state: how many
-/// hierarchical-bitset leaf words and paged-map pages it currently holds
-/// (DESIGN.md §14). Both scale with *live* colors, not the color universe;
-/// the `zipf` bench suite records them as deterministic metrics, so
-/// `bench compare` flags any growth as a regression.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StateFootprint {
-    /// Total `ColorSet` leaf words (64 color ids per word).
-    pub colorset_leaf_words: u64,
-    /// Total live `ColorMap` pages (`COLOR_PAGE` slots per page).
-    pub colormap_live_pages: u64,
-}
-
-impl StateFootprint {
-    /// Component-wise sum, for composing wrappers over inner policies.
-    #[must_use]
-    pub fn plus(self, other: Self) -> Self {
-        Self {
-            colorset_leaf_words: self.colorset_leaf_words + other.colorset_leaf_words,
-            colormap_live_pages: self.colormap_live_pages + other.colormap_live_pages,
-        }
+    fn book(&self) -> Option<&ColorBook> {
+        None
     }
 }
 
-/// Report the sparse-container footprint of a policy's per-color state.
-/// Wrappers add their own containers to the wrapped policy's report.
+/// [`Policy::stats`]'s footprint under its earlier name, kept for the
+/// benchmark package (`crates/bench/src/bin/rrs-benchmark`), which imports
+/// it; every policy has it through the blanket impl.
 pub trait Footprint {
     /// Leaf words and live pages held right now.
     fn footprint(&self) -> StateFootprint;
+}
+
+impl<P: Policy + ?Sized> Footprint for P {
+    fn footprint(&self) -> StateFootprint {
+        self.stats().footprint
+    }
 }
 
 /// The end-to-end algorithm for the paper's main problem `[Δ|1|D_ℓ|1]`:
@@ -128,7 +112,7 @@ pub fn full_algorithm() -> FullAlgorithm {
 pub mod prelude {
     pub use crate::transform::{distribute_instance, varbatch_instance, SubColorMap};
     pub use crate::{
-        full_algorithm, AlgoMetrics, ClassicLru, DeltaLru, DeltaLruEdf, Distribute, Edf, Footprint,
+        full_algorithm, AlgoMetrics, ClassicLru, DeltaLru, DeltaLruEdf, Distribute, Edf,
         FullAlgorithm, Instrumented, StateFootprint, VarBatch,
     };
 }

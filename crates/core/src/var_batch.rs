@@ -20,7 +20,7 @@
 //! factor. Bounds of 1 need no batching and pass through unchanged.
 
 use rrs_engine::checkpoint::{get_color_table, get_sparse, put_color_table};
-use rrs_engine::{Observation, Policy, RoundKernel, Slot, Snapshot};
+use rrs_engine::{Observation, Policy, PolicyStats, RoundKernel, Slot, Snapshot, StateFootprint};
 use rrs_model::{ColorId, ColorMap, ColorSet, ColorTable, SnapError, SnapReader, SnapWriter};
 
 /// The VarBatch wrapper around an inner policy for the batched problem.
@@ -93,27 +93,6 @@ impl<P: Policy> VarBatch<P> {
     }
 }
 
-impl<P: crate::Footprint> crate::Footprint for VarBatch<P> {
-    fn footprint(&self) -> crate::StateFootprint {
-        self.inner.footprint().plus(crate::StateFootprint {
-            colorset_leaf_words: self.buffered_nonzero.leaf_words() as u64,
-            colormap_live_pages: (self.buffered.live_pages() + self.kernel.live_pages()) as u64,
-        })
-    }
-}
-
-impl<P: crate::Instrumented> crate::Instrumented for VarBatch<P> {
-    fn book(&self) -> Option<&crate::ColorBook> {
-        // The wrapper keeps no timestamps of its own; the inner policy's
-        // book is the §3 bookkeeping (over virtual unit-speed colors).
-        self.inner.book()
-    }
-
-    fn metrics(&self) -> crate::AlgoMetrics {
-        self.inner.metrics()
-    }
-}
-
 impl<P: Policy> Policy for VarBatch<P> {
     fn name(&self) -> &str {
         "var-batch"
@@ -179,6 +158,16 @@ impl<P: Policy> Policy for VarBatch<P> {
 
         // Physical projection is the identity on colors.
         out.copy_from_slice(self.kernel.slots());
+    }
+
+    /// The inner footprint plus the half-block buffers and the virtual
+    /// round loop; no lemma counters (the inner ones count virtual colors).
+    fn stats(&self) -> PolicyStats {
+        let own = StateFootprint {
+            colorset_leaf_words: self.buffered_nonzero.leaf_words() as u64,
+            colormap_live_pages: (self.buffered.live_pages() + self.kernel.live_pages()) as u64,
+        };
+        PolicyStats { footprint: self.inner.stats().footprint.plus(own), ..PolicyStats::default() }
     }
 }
 

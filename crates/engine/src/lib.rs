@@ -55,6 +55,7 @@ pub mod policy;
 pub mod replay;
 pub mod sim;
 pub mod sink;
+pub mod stats;
 pub mod trace;
 
 pub use assign::{recolor_reconfigs, stable_assign, stable_assign_into, AssignScratch};
@@ -73,6 +74,7 @@ pub use sink::{
     parse_trace, parse_trace_line, JsonlSink, ParsedTrace, PhaseTimer, TraceLine, TraceMeta,
     TraceParseError, TRACE_SCHEMA_VERSION,
 };
+pub use stats::{AlgoMetrics, PolicyStats, StateFootprint};
 /// The no-op recorder under the name the benchmark package
 /// (`crates/bench/src/bin/rrs-benchmark`) passes as [`run_stream_session`]'s
 /// `watcher`; it goes with that forwarder.
@@ -97,6 +99,7 @@ pub mod prelude {
     pub use crate::replay::{FixedSchedule, ReplayPolicy};
     pub use crate::sim::{run_stream_session, Outcome, Session, Simulator, StreamOptions};
     pub use crate::sink::{parse_trace, JsonlSink, ParsedTrace, PhaseTimer, TraceMeta};
+    pub use crate::stats::{AlgoMetrics, PolicyStats, StateFootprint};
     pub use crate::trace::{
         NullRecorder, Phase, PhaseState, Recorder, SummaryRecorder, TraceEvent, TraceRecorder,
     };

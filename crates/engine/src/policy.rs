@@ -4,6 +4,7 @@
 use rrs_model::{ColorId, ColorTable};
 
 use crate::pending::PendingStore;
+use crate::stats::PolicyStats;
 
 /// The color configured at one location; `None` is the paper's *black*
 /// (unconfigured) pseudo-color.
@@ -49,7 +50,9 @@ pub struct Observation<'a> {
 /// [`Observation`]; the policy rewrites `out` (pre-filled with the current
 /// assignment) to its desired assignment. The engine charges Δ for every
 /// location whose color changed to a non-black color and then runs the
-/// execution phase.
+/// execution phase. After (or during) a run, [`Policy::stats`] reports
+/// what the policy holds and what its bookkeeping counted; the engine
+/// itself never calls it.
 pub trait Policy {
     /// Human-readable name used in reports.
     fn name(&self) -> &str;
@@ -63,6 +66,14 @@ pub trait Policy {
     /// (pre-filled with the current assignment; leaving it untouched keeps
     /// the configuration).
     fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>);
+
+    /// The policy's sparse-state footprint and lemma counters right now
+    /// (DESIGN.md §14). The default reports zeros, which is right for a
+    /// policy that keeps no per-color containers and no ColorBook; a
+    /// wrapper must forward to, or add to, its inner policy's stats.
+    fn stats(&self) -> PolicyStats {
+        PolicyStats::default()
+    }
 }
 
 impl<P: Policy + ?Sized> Policy for &mut P {
@@ -75,6 +86,9 @@ impl<P: Policy + ?Sized> Policy for &mut P {
     fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
         (**self).reconfigure(obs, out);
     }
+    fn stats(&self) -> PolicyStats {
+        (**self).stats()
+    }
 }
 
 impl<P: Policy + ?Sized> Policy for Box<P> {
@@ -86,6 +100,9 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     }
     fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
         (**self).reconfigure(obs, out);
+    }
+    fn stats(&self) -> PolicyStats {
+        (**self).stats()
     }
 }
 

@@ -1,8 +1,49 @@
-//! Instrumentation counters for the Section 3 analysis machinery.
+//! What a policy reports about itself through [`Policy::stats`]: the
+//! sparse-container footprint of its per-color state and the Section 3
+//! lemma counters of its bookkeeping.
+//!
+//! [`Policy::stats`]: crate::Policy::stats
 
-/// Counters a [`crate::ColorBook`] accumulates while an algorithm runs.
-/// These are the quantities the paper's lemmas bound, so the analysis crate
-/// can check every inequality on real executions:
+/// What [`crate::Policy::stats`] returns. Both parts are deterministic:
+/// the same run reports the same stats in any build.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PolicyStats {
+    /// The policy's sparse-container footprint; a wrapper adds its own
+    /// containers to its inner policy's.
+    pub footprint: StateFootprint,
+    /// The lemma counters of the policy's own ColorBook; zero for a policy
+    /// that keeps none, and for the reduction wrappers, whose inner
+    /// counters describe the virtual instance.
+    pub metrics: AlgoMetrics,
+}
+
+/// Sparse-container telemetry for a policy's per-color state: how many
+/// hierarchical-bitset leaf words and paged-map pages it currently holds
+/// (DESIGN.md §14). Both scale with *live* colors, not the color universe;
+/// the `zipf` bench suite records them as deterministic metrics, so
+/// `bench compare` flags any growth as a regression.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StateFootprint {
+    /// Total `ColorSet` leaf words (64 color ids per word).
+    pub colorset_leaf_words: u64,
+    /// Total live `ColorMap` pages (`COLOR_PAGE` slots per page).
+    pub colormap_live_pages: u64,
+}
+
+impl StateFootprint {
+    /// Component-wise sum, for composing wrappers over inner policies.
+    #[must_use]
+    pub fn plus(self, other: Self) -> Self {
+        Self {
+            colorset_leaf_words: self.colorset_leaf_words + other.colorset_leaf_words,
+            colormap_live_pages: self.colormap_live_pages + other.colormap_live_pages,
+        }
+    }
+}
+
+/// Counters a ColorBook (`rrs_core::ColorBook`) accumulates while an
+/// algorithm runs. These are the quantities the paper's lemmas bound, so
+/// the analysis crate can check every inequality on real executions:
 ///
 /// * Lemma 3.3: `reconfig cost ≤ 4 · numEpochs · Δ`
 /// * Lemma 3.4: `ineligible drop cost ≤ numEpochs · Δ`

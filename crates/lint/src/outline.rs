@@ -488,7 +488,7 @@ mod tests {
         let m = model(
             "impl Policy for DeltaLruEdf {}\n\
              impl<P: Policy> Policy for Distribute<P> {}\n\
-             impl crate::Footprint for Edf {}\n\
+             impl crate::Snapshot for Edf {}\n\
              impl<P: Policy + ?Sized> Policy for &mut P {}\n\
              impl<P: Policy + ?Sized> Policy for Box<P> {}\n\
              impl Dense { fn inherent(&self) {} }\n",
@@ -500,7 +500,7 @@ mod tests {
             vec![
                 ("Policy".to_string(), Some("DeltaLruEdf".to_string())),
                 ("Policy".to_string(), Some("Distribute".to_string())),
-                ("Footprint".to_string(), Some("Edf".to_string())),
+                ("Snapshot".to_string(), Some("Edf".to_string())),
                 ("Policy".to_string(), None),
                 ("Policy".to_string(), None),
             ]

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | `waiver-ledger` | every `#[allow]` of a walled lint is ledgered; no stale entries |
 //! | `float-ban` | no `f32`/`f64` in the deterministic crates |
-//! | `trait-matrix` | every `Policy` type also implements `Snapshot`, `Footprint`, `Instrumented` |
+//! | `trait-matrix` | every `Policy` type also implements `Snapshot` |
 //! | `schema-sync` | sink-emitted `"ev"` names == `parse_trace` arms; obs counters documented |
 //! | `unwrap-discipline` | no bare `.unwrap()` in non-test library code |
 //! | `crate-root-hygiene` | every crate root carries `#![forbid(unsafe_code)]` |
@@ -180,12 +180,11 @@ fn float_ban(ws: &Workspace, ledger: &Ledger, out: &mut Vec<Finding>) {
 }
 
 /// Rule 3: every concrete type with a library `impl Policy` must also
-/// implement `Snapshot` (checkpointing), `Footprint` (sparse-state
-/// telemetry) and `Instrumented` (lemma/bench bookkeeping) somewhere in
-/// library code — across files and crates.
+/// implement `Snapshot` (checkpointing) somewhere in library code — across
+/// files and crates. Telemetry needs no rule: `Policy::stats` is a method
+/// every policy has.
 fn trait_matrix(ws: &Workspace, ledger: &Ledger, out: &mut Vec<Finding>) {
-    const MATRIX: [&str; 3] = ["Snapshot", "Footprint", "Instrumented"];
-    let mut have: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut snapshot: BTreeSet<&str> = BTreeSet::new();
     let mut policy_sites: Vec<(&SourceFile, u32, &str)> = Vec::new();
     for file in &ws.files {
         if file.kind != FileKind::Lib || file.is_compat() {
@@ -196,21 +195,17 @@ fn trait_matrix(ws: &Workspace, ledger: &Ledger, out: &mut Vec<Finding>) {
                 continue;
             }
             let Some(target) = imp.target.as_deref() else { continue };
-            if imp.trait_name == "Policy" {
-                policy_sites.push((file, imp.line, target));
-            }
-            if MATRIX.contains(&imp.trait_name.as_str()) {
-                have.entry(imp.trait_name.as_str()).or_default().insert(target);
+            match imp.trait_name.as_str() {
+                "Policy" => policy_sites.push((file, imp.line, target)),
+                "Snapshot" => {
+                    snapshot.insert(target);
+                }
+                _ => {}
             }
         }
     }
     for (file, line, target) in policy_sites {
-        let missing: Vec<&str> = MATRIX
-            .iter()
-            .filter(|t| !have.get(**t).is_some_and(|set| set.contains(target)))
-            .copied()
-            .collect();
-        if missing.is_empty() || ledger.claim(&file.rel, "trait-matrix", Some(target)) {
+        if snapshot.contains(target) || ledger.claim(&file.rel, "trait-matrix", Some(target)) {
             continue;
         }
         out.push(Finding::new(
@@ -219,9 +214,8 @@ fn trait_matrix(ws: &Workspace, ledger: &Ledger, out: &mut Vec<Finding>) {
             line,
             Some(target),
             format!(
-                "`{target}` implements `Policy` but not {} \
-                 (a policy must keep checkpointing and telemetry; DESIGN.md §15)",
-                missing.iter().map(|t| format!("`{t}`")).collect::<Vec<_>>().join(", ")
+                "`{target}` implements `Policy` but not `Snapshot` \
+                 (a policy must keep checkpointing; DESIGN.md §15)"
             ),
         ));
     }

@@ -5,8 +5,5 @@ pub struct Bad;
 
 impl Policy for Good {}
 impl Snapshot for Good {}
-impl Footprint for Good {}
-impl Instrumented for Good {}
 
 impl Policy for Bad {}
-impl Snapshot for Bad {}

@@ -68,12 +68,11 @@ fn trait_matrix_fires_once_naming_every_missing_trait() {
     let findings = run("trait_bad", Some(&["trait-matrix"]));
     assert_eq!(
         anchors(&findings),
-        vec![anchor("crates/core/src/lib.rs", 11, "trait-matrix", Some("Bad"))],
+        vec![anchor("crates/core/src/lib.rs", 9, "trait-matrix", Some("Bad"))],
         "{findings:#?}"
     );
     let msg = &findings[0].message;
-    assert!(msg.contains("`Footprint`") && msg.contains("`Instrumented`"), "{msg}");
-    assert!(!msg.contains("`Snapshot`"), "Snapshot is implemented: {msg}");
+    assert!(msg.contains("`Policy` but not `Snapshot`"), "{msg}");
 }
 
 #[test]

@@ -30,21 +30,34 @@ pub struct ParEdfOutcome {
 /// Run Par-EDF with `m` super-resource slots per round and return its drop
 /// count.
 ///
-/// Uses a lazy binary heap over `(deadline, delay bound, color)` ranks:
-/// stale entries (whose color's earliest deadline moved) are re-validated
-/// on pop, giving `O((jobs + rounds·m) log colors)` overall. The naive
-/// per-round scan is kept as [`par_edf_drop_cost_naive`] and the tests
-/// check the two agree exactly.
+/// Uses a lazy binary heap over `(deadline, delay bound, color)` ranks that
+/// holds one live entry per nonidle color, pushed whenever the color's
+/// earliest deadline changes (a fresh arrival, a drop or an execution). A
+/// drop leaves the old entry stale; it is discarded when it reaches the
+/// top. Every pop therefore executes a job or discards an entry a drop
+/// made stale, giving `O((jobs + rounds·m) log colors)` overall
+/// ([`par_edf_heap_pops`] counts the pops). The naive per-round scan is
+/// kept as [`par_edf_drop_cost_naive`] and the tests check the two agree
+/// exactly.
 pub fn par_edf_drop_cost(inst: &Instance, m: usize) -> ParEdfOutcome {
+    par_edf_counted(inst, m).0
+}
+
+/// The heap entries [`par_edf_drop_cost`] pops on `inst`: a deterministic
+/// work counter, at most the jobs plus the drop events.
+pub fn par_edf_heap_pops(inst: &Instance, m: usize) -> u64 {
+    par_edf_counted(inst, m).1
+}
+
+/// [`par_edf_drop_cost`], also returning its heap pops.
+fn par_edf_counted(inst: &Instance, m: usize) -> (ParEdfOutcome, u64) {
     let mut pending = PendingStore::new();
     pending.ensure_colors(inst.colors.len());
     let mut arrived = 0;
     let mut executed = 0;
     let mut dropped = 0;
+    let mut pops = 0;
     let mut drop_buf: Vec<(ColorId, u64)> = Vec::new();
-    // Min-heap of (deadline, bound, color) candidates; entries go stale
-    // when their color's earliest pending deadline changes (drops or
-    // executions), so each pop is validated against the store.
     let mut heap: BinaryHeap<Reverse<(u64, u64, ColorId)>> = BinaryHeap::new();
     let horizon = inst.horizon();
 
@@ -69,32 +82,25 @@ pub fn par_edf_drop_cost(inst: &Instance, m: usize) -> ParEdfOutcome {
         }
         let mut slots = m as u64;
         while slots > 0 {
-            let Some(&Reverse((d, b, c))) = heap.peek() else { break };
-            match pending.earliest_deadline(c) {
-                Some(actual) if actual == d => {
-                    let e = pending.execute(c, 1);
-                    debug_assert_eq!(e, 1);
-                    executed += 1;
-                    slots -= 1;
-                    heap.pop();
-                    if let Some(next) = pending.earliest_deadline(c) {
-                        heap.push(Reverse((next, b, c)));
-                    }
-                }
-                Some(actual) => {
-                    // Stale: re-key and retry.
-                    heap.pop();
-                    heap.push(Reverse((actual, b, c)));
-                }
-                None => {
-                    heap.pop();
-                }
+            let Some(Reverse((d, b, c))) = heap.pop() else { break };
+            pops += 1;
+            if pending.earliest_deadline(c) != Some(d) {
+                // Stale: the color's live entry, if it has one, is still
+                // in the heap.
+                continue;
+            }
+            let e = pending.execute(c, 1);
+            debug_assert_eq!(e, 1);
+            executed += 1;
+            slots -= 1;
+            if let Some(next) = pending.earliest_deadline(c) {
+                heap.push(Reverse((next, b, c)));
             }
         }
     }
     debug_assert_eq!(pending.total(), 0);
     debug_assert_eq!(arrived, executed + dropped);
-    ParEdfOutcome { arrived, executed, dropped }
+    (ParEdfOutcome { arrived, executed, dropped }, pops)
 }
 
 /// The reference implementation: a linear scan over nonidle colors per

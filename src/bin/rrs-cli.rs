@@ -133,6 +133,16 @@ fn parse_u64(s: Option<String>, default: u64, what: &str) -> Result<u64, String>
     }
 }
 
+/// Parse the exact solver's resource count `M`, default 1: the solver needs
+/// at least one resource, and the solve cache keys `M` as a u32.
+fn parse_resources(s: Option<String>, what: &str) -> Result<usize, String> {
+    let m = parse_u64(s, 1, what)?;
+    if !(1..=u64::from(u32::MAX)).contains(&m) {
+        return Err(format!("{what} must be between 1 and {}, got {m}", u32::MAX));
+    }
+    Ok(m as usize)
+}
+
 fn load(path: &str) -> Result<Instance, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     rrs::model::from_text(&text).map_err(|e| format!("parse {path}: {e}"))
@@ -171,67 +181,10 @@ fn cmd_generate(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// A fresh policy by CLI name, checkpointable for the
-/// `checkpoint`/`resume`/`--checkpoint-every`/`--stream` paths.
+/// A fresh policy by CLI name: every command runs its policy through this
+/// box, whose `stats()` reaches the concrete policy's.
 fn make_policy(name: &str) -> Result<Box<dyn Snapshot>, String> {
     Ok(rrs::search::PolicyKind::parse(name)?.make())
-}
-
-/// Run a policy by name with a recorder attached, returning the policy's
-/// reported name, the outcome, its lemma counters (zeroed for the
-/// policies that don't expose [`AlgoMetrics`]), and its post-run
-/// per-color-state footprint. Every policy is matched concretely:
-/// [`rrs::core::Footprint`] is not object-safe through `Box<dyn Policy>`.
-fn run_by_name(
-    policy_name: &str,
-    inst: &Instance,
-    n: usize,
-    rec: &mut dyn Recorder,
-) -> Result<(String, Outcome, AlgoMetrics, rrs::core::StateFootprint), String> {
-    use rrs::core::Footprint;
-    let sim = Simulator::new(inst, n);
-    Ok(match policy_name {
-        "dlru" => {
-            let mut p = DeltaLru::new();
-            let out = simulate(&sim, &mut p, rec);
-            (p.name().to_string(), out, p.metrics(), p.footprint())
-        }
-        "edf" => {
-            let mut p = Edf::new();
-            let out = simulate(&sim, &mut p, rec);
-            (p.name().to_string(), out, p.metrics(), p.footprint())
-        }
-        "dlru-edf" => {
-            let mut p = DeltaLruEdf::new();
-            let out = simulate(&sim, &mut p, rec);
-            (p.name().to_string(), out, p.metrics(), p.footprint())
-        }
-        "classic-lru" => {
-            let mut p = ClassicLru::new();
-            let out = simulate(&sim, &mut p, rec);
-            (p.name().to_string(), out, AlgoMetrics::default(), p.footprint())
-        }
-        "distribute" => {
-            let mut p = Distribute::new(DeltaLruEdf::new());
-            let out = simulate(&sim, &mut p, rec);
-            (p.name().to_string(), out, AlgoMetrics::default(), p.footprint())
-        }
-        "full" => {
-            let mut p = full_algorithm();
-            let out = simulate(&sim, &mut p, rec);
-            (p.name().to_string(), out, AlgoMetrics::default(), p.footprint())
-        }
-        other => return Err(format!("unknown policy '{other}'")),
-    })
-}
-
-/// Fold a run's post-run state footprint into the counter registry, so
-/// `--counters` output (and the trace's embedded counter record) carries
-/// the sparse-state telemetry alongside the event counters.
-fn record_footprint(reg: &mut CounterRegistry, fp: &rrs::core::StateFootprint) {
-    use rrs::engine::obs::names;
-    reg.add(names::COLORSET_LEAF_WORDS, fp.colorset_leaf_words);
-    reg.add(names::COLORMAP_LIVE_PAGES, fp.colormap_live_pages);
 }
 
 /// Print a run's summary. A streamed run never materialized the instance,
@@ -274,106 +227,62 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
         if counters {
             return Err("--counters is not supported with --stream/--checkpoint-every".into());
         }
-        let plan = match ckpt_every {
-            Some(0) => return Err("--checkpoint-every must be at least 1".into()),
-            Some(k) => CheckpointPolicy::EveryN(k),
-            None => CheckpointPolicy::Never,
-        };
-        let prefix = ckpt_out.unwrap_or_else(|| format!("{path}.ckpt"));
-        let mut sink_err: Option<String> = None;
-        let mut emit = |round: u64, bytes: &[u8]| {
-            let p = format!("{prefix}-r{round}.snap");
-            match std::fs::write(&p, bytes) {
-                Ok(()) => eprintln!("wrote checkpoint {p} ({} bytes)", bytes.len()),
-                Err(e) => {
-                    if sink_err.is_none() {
-                        sink_err = Some(format!("write {p}: {e}"));
-                    }
-                }
-            }
-        };
-        let trace_out = trace_out.as_deref();
-        let ran = session_command(&policy_name, &path, n, stream, trace_out, |s| {
-            s.checkpoints(plan, &mut emit)
-        })?;
-        if let Some(e) = sink_err {
-            return Err(e);
-        }
-        ran.print_summary(n);
-        return Ok(());
-    }
-    if ckpt_out.is_some() {
+    } else if ckpt_out.is_some() {
         return Err("--checkpoint-out requires --checkpoint-every".into());
     }
-    let inst = load(&path)?;
-
-    if trace_out.is_none() && metrics_out.is_none() {
-        let mut policy = make_policy(&policy_name)?;
-        let sim = Simulator::new(&inst, n);
-        if counters {
-            let mut reg = CounterRegistry::new();
-            let (name, out, _, fp) =
-                run_by_name(&policy_name, &inst, n, &mut CounterRecorder::new(&mut reg))?;
-            record_footprint(&mut reg, &fp);
-            print_run(&name, n, Some(&inst), &out);
-            print!("{}", reg.render());
-            return Ok(());
-        }
-        let out = simulate(&sim, &mut policy, &mut NullRecorder);
-        print_run(policy.name(), n, Some(&inst), &out);
-        return Ok(());
-    }
-
-    // Validate the policy name up front so the meta header is correct.
-    let display_name = make_policy(&policy_name)?.name().to_string();
-    let mut trace = TraceRecorder::new();
-    let mut reg = CounterRegistry::new();
-    let (name, out, metrics, fp) = match &trace_out {
-        Some(tpath) => {
-            let file = std::fs::File::create(tpath).map_err(|e| format!("create {tpath}: {e}"))?;
-            let meta =
-                TraceMeta { policy: display_name, delta: inst.delta, locations: n, speed: 1 };
-            let mut sink = JsonlSink::with_meta(BufWriter::new(file), &meta);
-            let result = if counters {
-                // Counters records are opt-in: appending them to every
-                // trace would break byte-pinned golden fixtures.
-                let mut tee = (CounterRecorder::new(&mut reg), (&mut trace, &mut sink));
-                run_by_name(&policy_name, &inst, n, &mut tee)?
-            } else {
-                let mut tee = (&mut trace, &mut sink);
-                run_by_name(&policy_name, &inst, n, &mut tee)?
-            };
-            if counters {
-                record_footprint(&mut reg, &result.3);
-                sink.write_counters(&reg);
-            }
-            sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
-            eprintln!("wrote trace to {tpath}");
-            result
-        }
-        None if counters => {
-            let mut tee = (CounterRecorder::new(&mut reg), &mut trace);
-            run_by_name(&policy_name, &inst, n, &mut tee)?
-        }
-        None => run_by_name(&policy_name, &inst, n, &mut trace)?,
+    let plan = match ckpt_every {
+        Some(0) => return Err("--checkpoint-every must be at least 1".into()),
+        Some(k) => CheckpointPolicy::EveryN(k),
+        None => CheckpointPolicy::Never,
     };
-    if counters && trace_out.is_none() {
-        record_footprint(&mut reg, &fp);
+    let prefix = ckpt_out.unwrap_or_else(|| format!("{path}.ckpt"));
+    let mut sink_err: Option<String> = None;
+    let mut emit = |round: u64, bytes: &[u8]| {
+        let p = format!("{prefix}-r{round}.snap");
+        match std::fs::write(&p, bytes) {
+            Ok(()) => eprintln!("wrote checkpoint {p} ({} bytes)", bytes.len()),
+            Err(e) => {
+                if sink_err.is_none() {
+                    sink_err = Some(format!("write {p}: {e}"));
+                }
+            }
+        }
+    };
+    let mut reg = CounterRegistry::new();
+    let mut fold = metrics_out.as_ref().map(|_| CostFold::new());
+    let attribute: &mut dyn Recorder = match &mut fold {
+        Some(fold) => fold,
+        None => &mut NullRecorder,
+    };
+    let ran = session_command(
+        &policy_name,
+        &path,
+        n,
+        stream,
+        trace_out.as_deref(),
+        counters.then_some(&mut reg),
+        attribute,
+        |s| s.checkpoints(plan, &mut emit),
+    )?;
+    if let Some(e) = sink_err {
+        return Err(e);
     }
-    if let Some(mpath) = metrics_out {
+    let Ran { policy, inst, stats, result } = ran;
+    let out = result.into_outcome();
+    if let (Some(mpath), Some(fold), Some(inst)) = (metrics_out, fold, &inst) {
         let report = rrs::analysis::RunReport {
             label: format!("run {path}"),
-            policy: name.clone(),
+            policy: policy.clone(),
             locations: n,
             outcome: out.clone(),
-            metrics,
-            per_color: per_color_from_events(&inst, trace.events.iter()),
+            metrics: stats.metrics,
+            per_color: fold.finish(inst),
         };
         std::fs::write(&mpath, report.to_json() + "\n")
             .map_err(|e| format!("write {mpath}: {e}"))?;
         eprintln!("wrote metrics to {mpath}");
     }
-    print_run(&name, n, Some(&inst), &out);
+    print_run(&policy, n, inst.as_ref(), &out);
     if counters {
         print!("{}", reg.render());
     }
@@ -389,6 +298,8 @@ struct Ran {
     policy: String,
     /// The instance, unless the input was streamed.
     inst: Option<Instance>,
+    /// The policy's stats at the end of the run.
+    stats: PolicyStats,
     result: SessionResult,
 }
 
@@ -399,19 +310,24 @@ impl Ran {
     }
 }
 
-/// The one runner behind `run --stream`/`--checkpoint-every`, `checkpoint`
-/// and `resume [--stream]`: open the input at `path` (a [`TextStream`]
-/// under `--stream`, so memory stays bounded by the live state, else the
-/// materialized instance), the optional JSONL trace and the run's
-/// supervisor, then run the session `configure` sets up. A supervised build
+/// The one runner behind `run`, `checkpoint`, `resume` and `report --run`:
+/// open the input at `path` (a [`TextStream`] under `--stream`, so memory
+/// stays bounded by the live state, else the materialized instance), the
+/// optional JSONL trace and the run's supervisor, then run the session
+/// `configure` sets up with `observer` teed in. With `counters`, the run's
+/// event counters and the policy's final footprint go into that registry,
+/// and into the trace as its counter records. A supervised build
 /// (`--features validate`) loads the instance under `--stream` too, for the
 /// supervisor only: it checks every round's arrivals against it.
+#[allow(clippy::too_many_arguments)] // every command's run options, in one runner
 fn session_command<'s>(
     policy_name: &str,
     path: &str,
     n: usize,
     stream: bool,
     trace_out: Option<&str>,
+    mut counters: Option<&mut CounterRegistry>,
+    observer: &mut dyn Recorder,
     configure: impl for<'x> FnOnce(CliSession<'s, 'x>) -> CliSession<'s, 'x>,
 ) -> Result<Ran, String> {
     let mut policy = make_policy(policy_name)?;
@@ -442,18 +358,34 @@ fn session_command<'s>(
         Some(sink) => sink,
         None => &mut NullRecorder,
     };
+    let mut counting = counters.as_deref_mut().map(CounterRecorder::new);
+    let counting: &mut dyn Recorder = match &mut counting {
+        Some(counting) => counting,
+        None => &mut NullRecorder,
+    };
     let result = configure(Session::new(&mut *source, n))
-        .run(policy.as_mut(), &mut (sink, &mut *supervisor))
+        .run(policy.as_mut(), &mut ((counting, observer), (sink, &mut *supervisor)))
         .map_err(|e| match e {
             SessionError::Snapshot(e) if !stream => format!("snapshot: {e}"),
             e => e.to_string(),
         })?;
+    let stats = policy.stats();
+    if let Some(reg) = counters {
+        use rrs::engine::obs::names;
+        reg.add(names::COLORSET_LEAF_WORDS, stats.footprint.colorset_leaf_words);
+        reg.add(names::COLORMAP_LIVE_PAGES, stats.footprint.colormap_live_pages);
+        if let Some(sink) = &mut trace {
+            // Counters records are opt-in: appending them to every trace
+            // would break byte-pinned golden fixtures.
+            sink.write_counters(reg);
+        }
+    }
     if let (Some(sink), Some(tpath)) = (trace, trace_out) {
         sink.finish().map_err(|e| format!("write {tpath}: {e}"))?;
         eprintln!("wrote trace to {tpath}");
     }
     drop((source, supervisor));
-    Ok(Ran { policy: name, inst: inst.filter(|_| !stream), result })
+    Ok(Ran { policy: name, inst: inst.filter(|_| !stream), stats, result })
 }
 
 /// `checkpoint <policy> <FILE> --at-round K`: run rounds `0..K` and write
@@ -467,7 +399,9 @@ fn cmd_checkpoint(mut args: Vec<String>) -> Result<(), String> {
     let out_path = take_flag(&mut args, "--out");
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
-    let ran = session_command(&policy_name, &path, n, false, None, |s| s.stop_before(at))?;
+    let ran = session_command(&policy_name, &path, n, false, None, None, &mut NullRecorder, |s| {
+        s.stop_before(at)
+    })?;
     match ran.result {
         SessionResult::Suspended { round, snapshot } => {
             let out_path = out_path.unwrap_or_else(|| format!("{path}.r{round}.snap"));
@@ -500,8 +434,10 @@ fn cmd_resume(mut args: Vec<String>) -> Result<(), String> {
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
     let snapshot = std::fs::read(&from).map_err(|e| format!("read {from}: {e}"))?;
     let trace_out = trace_out.as_deref();
-    session_command(&policy_name, &path, n, stream, trace_out, |s| s.resume(&snapshot))?
-        .print_summary(n);
+    session_command(&policy_name, &path, n, stream, trace_out, None, &mut NullRecorder, |s| {
+        s.resume(&snapshot)
+    })?
+    .print_summary(n);
     Ok(())
 }
 
@@ -642,13 +578,20 @@ fn report_saved(mut args: Vec<String>) -> Result<(), String> {
 fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
     let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
     let path = args.first().ok_or("missing <FILE>")?;
-    let inst = load(path)?;
-    let mut trace = TraceRecorder::new();
     let mut timer = PhaseTimer::new();
-    let (name, out, metrics, _fp) = {
-        let mut tee = (&mut timer, &mut trace);
-        run_by_name(policy_name, &inst, n, &mut tee)?
-    };
+    let mut fold = CostFold::new();
+    let ran = session_command(
+        policy_name,
+        path,
+        n,
+        false,
+        None,
+        None,
+        &mut (&mut timer, &mut fold),
+        |s| s,
+    )?;
+    let (name, metrics, out) = (ran.policy, ran.stats.metrics, ran.result.into_outcome());
+    let inst = ran.inst.expect("a materialized session keeps its instance");
     println!("policy:      {name}");
     println!("locations:   {n}");
     println!("rounds:      {}", out.rounds);
@@ -658,7 +601,7 @@ fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
     println!("conservation: {}", if out.conserved() { "ok" } else { "VIOLATED" });
     print_cost_attribution(inst.delta, out.cost.reconfigs, out.dropped)?;
     println!();
-    let per = per_color_from_events(&inst, trace.events.iter());
+    let per = fold.finish(&inst);
     println!(
         "{}",
         attribution_table(&format!("per-color costs ({name} @ {n} locations)"), inst.delta, per)
@@ -694,7 +637,7 @@ fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
 /// if absent); an entry impossible for the instance counts as a miss and
 /// is overwritten.
 fn cmd_opt(mut args: Vec<String>) -> Result<(), String> {
-    let m = parse_u64(take_flag(&mut args, "--resources"), 1, "--resources")? as usize;
+    let m = parse_resources(take_flag(&mut args, "--resources"), "--resources")?;
     let cache_path = take_flag(&mut args, "--opt-cache");
     let path = args.first().ok_or("missing <FILE>")?;
     let inst = load(path)?;
@@ -745,7 +688,7 @@ fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
     let action = args.remove(0);
     match action.as_str() {
         "save" => {
-            let m = parse_u64(take_flag(&mut args, "--resources"), 1, "--resources")? as usize;
+            let m = parse_resources(take_flag(&mut args, "--resources"), "--resources")?;
             let out = take_flag(&mut args, "--out").ok_or("missing --out CACHE")?;
             if args.is_empty() {
                 return Err("missing <FILE> (at least one instance to solve)".into());
@@ -772,7 +715,7 @@ fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
             store_opt_cache(&out, &cache)
         }
         "load" => {
-            let m = parse_u64(take_flag(&mut args, "--resources"), 1, "--resources")? as usize;
+            let m = parse_resources(take_flag(&mut args, "--resources"), "--resources")?;
             let cache_path = args.first().ok_or("missing <CACHE>")?;
             let inst_path = args.get(1).ok_or("missing <FILE>")?;
             let cache = load_opt_cache(cache_path)?;
@@ -923,7 +866,7 @@ fn cmd_adversary_search(mut args: Vec<String>) -> Result<(), String> {
     let population = parse_u64(take_flag(&mut args, "--population"), 24, "--population")? as usize;
     let elites = parse_u64(take_flag(&mut args, "--elites"), 4, "--elites")? as usize;
     let locations = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
-    let referee_m = parse_u64(take_flag(&mut args, "--referee-m"), 1, "--referee-m")? as usize;
+    let referee_m = parse_resources(take_flag(&mut args, "--referee-m"), "--referee-m")?;
     let policy_name = take_flag(&mut args, "--policy").unwrap_or_else(|| "dlru".into());
     let policy = search::PolicyKind::parse(&policy_name)?;
     let min_ratio =

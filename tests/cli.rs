@@ -93,6 +93,33 @@ fn opt_cache_serves_a_consistent_entry_and_resolves_an_impossible_one() {
 }
 
 #[test]
+fn solver_resource_counts_outside_1_to_u32_max_are_rejected() {
+    let inst = tmpfile("resources.rrs");
+    let cache = tmpfile("resources.optc");
+    std::fs::remove_file(&cache).ok();
+    let out = cli().args(["generate", "rate-limited", "--seed", "1", "--out"]).arg(&inst).output();
+    assert!(out.unwrap().status.success());
+    // A cache holding the m = 1 entry, which m = 2^32 + 1 used to alias.
+    let out = cli().args(["opt-cache", "save"]).arg(&inst).arg("--out").arg(&cache).output();
+    assert!(out.unwrap().status.success());
+    let (inst_s, cache_s) = (inst.to_str().unwrap(), cache.to_str().unwrap());
+    for args in [
+        vec!["opt", inst_s, "--resources", "0"],
+        vec!["opt-cache", "save", inst_s, "--out", cache_s, "--resources", "0"],
+        vec!["opt-cache", "load", cache_s, inst_s, "--resources", "4294967297"],
+        vec!["adversary-search", "--referee-m", "0", "--budget", "0"],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error: ") && err.contains("between 1 and 4294967295"), "{err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed an answer");
+    }
+    std::fs::remove_file(&inst).ok();
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
 fn generate_to_stdout_parses_back() {
     let out = cli().args(["generate", "general", "--seed", "9"]).output().unwrap();
     assert!(out.status.success());

@@ -118,6 +118,39 @@ fn boundary_work_follows_changed_colors_not_touched_colors() {
     );
 }
 
+/// Par-EDF's work guard: a 20 000-round backlog in which one color or
+/// another is dropped every few rounds. Each heap pop executes a job or
+/// discards an entry a drop made stale, so the pops stay within the jobs
+/// plus the dropped jobs; re-keying stale entries instead keeps a duplicate
+/// per drop alive for the rest of the backlog and grows with rounds².
+#[test]
+fn par_edf_work_follows_jobs_and_drops_not_rounds_squared() {
+    const ROUNDS: u64 = 20_000;
+    let mut b = InstanceBuilder::new(2);
+    let (short, long, odd) = (b.color(2), b.color(8), b.color(4));
+    for round in 0..ROUNDS {
+        if round % 2 == 0 {
+            b.arrive(round, short, 1);
+        }
+        if round % 8 == 0 {
+            b.arrive(round, long, 6);
+        }
+        if round % 4 == 1 {
+            b.arrive(round, odd, 2);
+        }
+    }
+    let inst = b.build();
+    let out = rrs::offline::par_edf_drop_cost(&inst, 1);
+    assert_eq!((out.arrived, out.dropped), (35_000, 14_999));
+    let pops = rrs::offline::par_edf::par_edf_heap_pops(&inst, 1);
+    assert!(
+        pops <= out.arrived + out.dropped,
+        "Par-EDF popped {pops} heap entries for {} jobs and {} drops",
+        out.arrived,
+        out.dropped
+    );
+}
+
 #[test]
 fn medium_scale_adversaries() {
     // Larger appendix instances than the experiment defaults.
