@@ -57,11 +57,12 @@ impl Policy for ClassicLru {
         "classic-lru"
     }
 
+    fn check_locations(&self, n_locations: usize) -> Result<(), String> {
+        crate::multiple_of(n_locations, 2, "classic LRU (2 locations per cached color)")
+    }
+
     fn init(&mut self, _delta: u64, n_locations: usize) {
-        assert!(
-            n_locations >= 2 && n_locations.is_multiple_of(2),
-            "classic LRU replicates each cached color at two locations; got {n_locations}"
-        );
+        self.check_locations(n_locations).unwrap_or_else(|e| panic!("{e}"));
         self.capacity = n_locations / 2;
         self.last_arrival = ColorMap::new();
         self.cached.clear();

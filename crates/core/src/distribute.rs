@@ -8,29 +8,26 @@
 //! algorithm (ΔLRU-EDF in the paper) applies; whenever the inner algorithm
 //! configures `(ℓ, j)` the physical schedule configures `ℓ`, and whenever it
 //! executes an `(ℓ, j)` job the physical schedule executes an `ℓ` job
-//! (Lemma 4.2 shows the projection never costs more).
-//!
-//! The wrapper maintains the virtual instance *online*: a virtual pending
-//! store and virtual location assignment drive the inner policy; the
-//! physical assignment is the color-projection of the virtual one. Since
-//! distinct sub-colors of one physical color project to the same color, the
-//! projection can only save reconfigurations, and any virtual execution is
-//! physically feasible (physical pending of `ℓ` is the sum over its
-//! sub-colors).
+//! (Lemma 4.2: the projection never costs more, and physical pending of
+//! `ℓ` is the sum over its sub-colors). [`SubColors`] is the rule, as an
+//! arrival transducer; [`Distribute`] runs an inner policy behind it.
 
 use rrs_engine::checkpoint::{get_color_table, get_sparse, put_color_table};
-use rrs_engine::{Observation, Policy, PolicyStats, RoundKernel, Slot, Snapshot, StateFootprint};
+use rrs_engine::policy::ColorCounts;
+use rrs_engine::StateFootprint;
 use rrs_model::{ColorId, ColorMap, ColorTable, SnapError, SnapReader, SnapWriter};
 
-/// The minted sub-color universe of §4.1: the virtual color table, each
-/// physical color's sub-colors in `j` order, and the projection back.
-///
-/// [`SubColorMap::split`] is the one place the chunk rule and the
-/// first-use minting order live; the online [`Distribute`] wrapper and the
-/// offline [`crate::distribute_instance`] both mint through it, so they
-/// build the same virtual instance.
+use crate::transform::{Reduced, Reduction};
+
+/// The Distribute wrapper around an inner policy (ΔLRU-EDF for the
+/// Theorem 2 guarantee).
+pub type Distribute<P> = Reduced<SubColors, P>;
+
+/// The minted sub-color universe of §4.1 and its chunk rule: the virtual
+/// color table, each physical color's sub-colors in `j` order, and the
+/// projection back.
 #[derive(Clone, Debug, Default)]
-pub struct SubColorMap {
+pub struct SubColors {
     vcolors: ColorTable,
     /// physical color → ids of its minted sub-colors (index `j` is
     /// sub-color `(ℓ, j)`).
@@ -39,92 +36,85 @@ pub struct SubColorMap {
     to_phys: Vec<ColorId>,
 }
 
-impl SubColorMap {
-    /// An empty universe.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Split a batch of `count` jobs of physical color `phys` (delay bound
-    /// `bound`) into chunks of at most `bound` jobs: the job of rank `r`
-    /// goes to sub-color `(phys, ⌊r / bound⌋)`, minted on first use.
-    /// `emit(sub_color, chunk)` is called per chunk, in `j` order.
-    pub fn split(
-        &mut self,
-        phys: ColorId,
-        count: u64,
-        bound: u64,
-        mut emit: impl FnMut(ColorId, u64),
-    ) {
-        if count == 0 {
-            return;
-        }
-        let subs = self.subs.entry(phys);
-        let mut remaining = count;
-        let mut j = 0usize;
-        while remaining > 0 {
-            let chunk = remaining.min(bound);
-            if subs.len() == j {
-                subs.push(self.vcolors.push(bound));
-                self.to_phys.push(phys);
-            }
-            emit(subs[j], chunk);
-            remaining -= chunk;
-            j += 1;
-        }
-    }
-
-    /// The virtual color table (every sub-color keeps its physical bound).
-    pub fn colors(&self) -> &ColorTable {
-        &self.vcolors
-    }
-
+impl SubColors {
     /// The sub-colors minted for a physical color, in `j` order.
     pub fn sub_colors(&self, phys: ColorId) -> &[ColorId] {
         self.subs.get(phys).map(Vec::as_slice).unwrap_or(&[])
     }
+}
 
-    /// The physical color of a sub-color.
-    pub fn physical(&self, vc: ColorId) -> ColorId {
+impl Reduction for SubColors {
+    const NAME: &'static str = "distribute";
+
+    /// Every sub-color keeps its physical color's bound.
+    fn colors(&self) -> &ColorTable {
+        &self.vcolors
+    }
+
+    /// Split each batch of color `ℓ` (bound `D`, on a batch boundary) into
+    /// chunks of at most `D`: the job of rank `r` goes to sub-color
+    /// `(ℓ, ⌊r / D⌋)`, minted on first use, so arrival order fixes the ids.
+    fn transduce(
+        &mut self,
+        round: u64,
+        colors: &ColorTable,
+        arrivals: &ColorCounts,
+        out: &mut Vec<(ColorId, u64)>,
+    ) {
+        for &(c, count) in arrivals {
+            let bound = colors.delay_bound(c);
+            debug_assert!(
+                round.is_multiple_of(bound),
+                "Distribute requires batched arrivals (color {c}, round {round})"
+            );
+            let subs = self.subs.entry(c);
+            for (j, rank) in (0..count).step_by(bound as usize).enumerate() {
+                if subs.len() == j {
+                    subs.push(self.vcolors.push(bound));
+                    self.to_phys.push(c);
+                }
+                out.push((subs[j], bound.min(count - rank)));
+            }
+        }
+    }
+
+    fn project(&self, vc: ColorId) -> ColorId {
         self.to_phys[vc.index()]
     }
 
-    /// Append the sub-color lists and the projection table. v2 writes only
-    /// physical colors with minted sub-colors, as `(id, list)` entries in
-    /// ascending id order; v1 wrote one (possibly empty) list per covered
-    /// color.
-    fn save_lists(&self, w: &mut SnapWriter) {
+    fn footprint(&self) -> StateFootprint {
+        StateFootprint {
+            colorset_leaf_words: 0,
+            colormap_live_pages: self.subs.live_pages() as u64,
+        }
+    }
+
+    /// The virtual color table, then the sub-color lists of the physical
+    /// colors that minted any, as `(id, list)` entries in ascending id
+    /// order; the projection is derived from the lists on load.
+    fn save_state(&self, w: &mut SnapWriter) {
+        put_color_table(w, &self.vcolors);
         w.put_u64(self.subs.len() as u64);
         let nonempty = self.subs.iter().filter(|(_, s)| !s.is_empty()).count();
         w.put_u64(nonempty as u64);
-        for (c, subs) in self.subs.iter() {
-            if subs.is_empty() {
-                continue;
-            }
+        for (c, subs) in self.subs.iter().filter(|(_, s)| !s.is_empty()) {
             w.put_u32(c.0);
             w.put_u64(subs.len() as u64);
             for &vc in subs {
                 w.put_u32(vc.0);
             }
         }
-        w.put_u64(self.to_phys.len() as u64);
-        for &phys in &self.to_phys {
-            w.put_u32(phys.0);
-        }
     }
 
-    /// Read what [`SubColorMap::save_lists`] wrote: the sub-color lists
-    /// and the projection over the already-read virtual table `vcolors`.
-    fn load_lists(
-        r: &mut SnapReader<'_>,
-        vcolors: &ColorTable,
-    ) -> Result<(ColorMap<Vec<ColorId>>, Vec<ColorId>), SnapError> {
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let vcolors = get_color_table(r, "virtual color table")?;
         let coverage = r.get_u64("sub-color map size")?;
-        let n_phys = usize::try_from(coverage)
-            .map_err(|_| SnapError::Invalid("sub-color map size overflows usize".into()))?;
         let mut subs: ColorMap<Vec<ColorId>> = ColorMap::new();
-        subs.grow_to(n_phys);
-        let mut minted = 0u64;
+        subs.grow_to(
+            usize::try_from(coverage)
+                .map_err(|_| SnapError::Invalid("sub-color map size overflows usize".into()))?,
+        );
+        let mut to_phys = vec![None; vcolors.len()];
         get_sparse(r, coverage, "sub-color lists", |r, c| {
             let len = r.get_u64("sub-color list length")?;
             if len == 0 {
@@ -133,139 +123,24 @@ impl SubColorMap {
                     c.0
                 )));
             }
-            let list = subs.entry(c);
             for _ in 0..len {
                 let vc = ColorId(r.get_u32("sub-color id")?);
-                if !vcolors.contains(vc) {
-                    return Err(SnapError::Invalid(format!("sub-color {vc} out of range")));
+                match to_phys.get_mut(vc.index()) {
+                    Some(phys @ None) => *phys = Some(c),
+                    _ => {
+                        return Err(SnapError::Invalid(format!(
+                            "sub-color {vc} unknown or listed twice"
+                        )))
+                    }
                 }
-                list.push(vc);
-                minted += 1;
+                subs.entry(c).push(vc);
             }
             Ok(())
         })?;
-        if minted != vcolors.len() as u64 {
-            return Err(SnapError::Invalid(format!(
-                "{minted} sub-colors listed but {} virtual colors minted",
-                vcolors.len()
-            )));
-        }
-        let n_virt = r.get_u64("projection table size")?;
-        if n_virt != vcolors.len() as u64 {
-            return Err(SnapError::Invalid(format!(
-                "projection table covers {n_virt} colors but {} were minted",
-                vcolors.len()
-            )));
-        }
-        let mut to_phys = Vec::with_capacity(vcolors.len());
-        for _ in 0..n_virt {
-            to_phys.push(ColorId(r.get_u32("projected physical color")?));
-        }
-        Ok((subs, to_phys))
-    }
-}
-
-/// The Distribute wrapper around an inner policy.
-#[derive(Debug)]
-pub struct Distribute<P> {
-    inner: P,
-    map: SubColorMap,
-    /// The virtual instance's round loop.
-    kernel: RoundKernel,
-}
-
-impl<P: Policy> Distribute<P> {
-    /// Wrap an inner policy (ΔLRU-EDF for the Theorem 2 guarantee).
-    pub fn new(inner: P) -> Self {
-        Self { inner, map: SubColorMap::new(), kernel: RoundKernel::new() }
-    }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Number of sub-colors minted so far.
-    pub fn virtual_colors(&self) -> usize {
-        self.map.vcolors.len()
-    }
-
-    /// The sub-colors minted for a physical color, in `j` order.
-    pub fn sub_colors(&self, phys: ColorId) -> &[ColorId] {
-        self.map.sub_colors(phys)
-    }
-}
-
-impl<P: Policy> Policy for Distribute<P> {
-    fn name(&self) -> &str {
-        "distribute"
-    }
-
-    fn init(&mut self, delta: u64, n_locations: usize) {
-        self.map = SubColorMap::new();
-        self.kernel.reset(n_locations);
-        self.inner.init(delta, n_locations);
-    }
-
-    fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
-        let round = obs.round;
-        if obs.mini_round == 0 {
-            self.kernel.drop_due(round);
-            // Arrivals: each physical batch splits into sub-color chunks.
-            for &(c, count) in obs.arrivals {
-                let bound = obs.colors.delay_bound(c);
-                debug_assert!(
-                    round.is_multiple_of(bound),
-                    "Distribute requires batched arrivals (color {c}, round {round})"
-                );
-                let kernel = &mut self.kernel;
-                self.map
-                    .split(c, count, bound, |vc, chunk| kernel.arrive(vc, round + bound, chunk));
-            }
-        }
-        self.kernel.reconfigure(
-            &mut self.inner,
-            &self.map.vcolors,
-            round,
-            obs.mini_round,
-            obs.speed,
-            obs.delta,
-        );
-        self.kernel.execute(|_, _| {});
-
-        // Physical projection: sub-color (ℓ, j) → ℓ.
-        for (o, &v) in out.iter_mut().zip(self.kernel.slots()) {
-            *o = v.map(|vc| self.map.physical(vc));
-        }
-    }
-
-    /// The inner footprint plus the sub-color lists and the virtual round
-    /// loop; no lemma counters (the inner ones count sub-colors).
-    fn stats(&self) -> PolicyStats {
-        let own = StateFootprint {
-            colorset_leaf_words: 0,
-            colormap_live_pages: (self.map.subs.live_pages() + self.kernel.live_pages()) as u64,
-        };
-        PolicyStats { footprint: self.inner.stats().footprint.plus(own), ..PolicyStats::default() }
-    }
-}
-
-impl<P: Snapshot> Snapshot for Distribute<P> {
-    // Mutable state: the virtual color table, the virtual pending store and
-    // assignment, the sub-color lists and projection, then the inner
-    // policy. The round's buffers are scratch.
-    fn save_state(&self, w: &mut SnapWriter) {
-        put_color_table(w, &self.map.vcolors);
-        self.kernel.save_state(w, &self.inner, |w| self.map.save_lists(w));
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let vcolors = get_color_table(r, "virtual color table")?;
-        let (subs, to_phys) = self
-            .kernel
-            .load_state(r, &vcolors, &mut self.inner, |r| SubColorMap::load_lists(r, &vcolors))?;
-        self.map = SubColorMap { vcolors, subs, to_phys };
-        Ok(())
+        let to_phys = to_phys.into_iter().collect::<Option<Vec<_>>>().ok_or_else(|| {
+            SnapError::Invalid("a minted sub-color is in no sub-color list".into())
+        })?;
+        Ok(Self { vcolors, subs, to_phys })
     }
 }
 
@@ -288,7 +163,7 @@ mod tests {
         let mut p = Distribute::new(Edf::new());
         Simulator::new(&inst, 4).run(&mut p);
         assert_eq!(p.virtual_colors(), 3);
-        assert_eq!(p.sub_colors(c).len(), 3);
+        assert_eq!(p.reduction().sub_colors(c).len(), 3);
     }
 
     #[test]

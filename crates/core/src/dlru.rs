@@ -64,12 +64,12 @@ impl Policy for DeltaLru {
         "dlru"
     }
 
+    fn check_locations(&self, n_locations: usize) -> Result<(), String> {
+        crate::multiple_of(n_locations, 2, "\u{394}LRU (2 locations per cached color)")
+    }
+
     fn init(&mut self, delta: u64, n_locations: usize) {
-        assert!(
-            n_locations >= 2 && n_locations.is_multiple_of(2),
-            "\u{394}LRU needs an even number of locations (each cached color \
-             occupies two); got {n_locations}"
-        );
+        self.check_locations(n_locations).unwrap_or_else(|e| panic!("{e}"));
         self.book = Some(ColorBook::new(delta.max(1)));
         self.cached.clear();
         self.capacity = n_locations / 2;
@@ -179,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "even number")]
+    #[should_panic(expected = "positive multiple of 2 locations, got 3")]
     fn odd_location_count_rejected() {
         let mut b = InstanceBuilder::new(1);
         let c = b.color(2);

@@ -137,17 +137,18 @@ impl Policy for DeltaLruEdf {
         "dlru-edf"
     }
 
+    fn check_locations(&self, n_locations: usize) -> Result<(), String> {
+        let r = self.replication;
+        crate::multiple_of(n_locations, 4, "\u{394}LRU-EDF (an LRU and an EDF quarter)")?;
+        crate::multiple_of(
+            n_locations,
+            r,
+            &format!("\u{394}LRU-EDF ({r} locations per cached color)"),
+        )
+    }
+
     fn init(&mut self, delta: u64, n_locations: usize) {
-        assert!(
-            n_locations >= 4 && n_locations.is_multiple_of(4),
-            "\u{394}LRU-EDF splits the cache into an LRU quarter and an EDF \
-             quarter of replicated colors; it needs a positive multiple of 4 \
-             locations, got {n_locations}"
-        );
-        assert!(
-            (n_locations as u64).is_multiple_of(self.replication),
-            "n must be a multiple of the replication factor"
-        );
+        self.check_locations(n_locations).unwrap_or_else(|e| panic!("{e}"));
         // Distinct capacity: every cached color occupies `replication`
         // locations, so `n / replication` distinct colors fit. The paper's
         // configuration (replication 2) gives n/2, split half/half between

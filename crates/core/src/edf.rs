@@ -94,13 +94,13 @@ impl Policy for Edf {
         }
     }
 
+    fn check_locations(&self, n_locations: usize) -> Result<(), String> {
+        let r = self.replication;
+        crate::multiple_of(n_locations, r, &format!("EDF ({r} locations per cached color)"))
+    }
+
     fn init(&mut self, delta: u64, n_locations: usize) {
-        assert!(
-            (n_locations as u64).is_multiple_of(self.replication) && n_locations > 0,
-            "EDF with replication {} needs a positive multiple of {} locations; got {n_locations}",
-            self.replication,
-            self.replication
-        );
+        self.check_locations(n_locations).unwrap_or_else(|e| panic!("{e}"));
         self.book = Some(ColorBook::new(delta.max(1)));
         self.cached.clear();
         self.capacity = n_locations / self.replication as usize;

@@ -28,6 +28,10 @@
 //!   always schedulable under the true bound, and the rounding loses at most
 //!   a constant factor (see DESIGN.md).
 //!
+//! Each is an arrival transducer ([`Reduction`]) that one wrapper,
+//! [`Reduced`], runs an inner policy behind; [`FullAlgorithm`] composes
+//! both and simulates only the innermost virtual instance (`transform`).
+//!
 //! All policies are deterministic; every tie is broken by the *consistent
 //! order of colors* (ascending [`rrs_model::ColorId`]).
 //!
@@ -61,13 +65,15 @@ pub mod var_batch;
 
 pub use book::ColorBook;
 pub use classic_lru::ClassicLru;
-pub use distribute::Distribute;
+pub use distribute::{Distribute, SubColors};
 pub use dlru::DeltaLru;
 pub use dlru_edf::DeltaLruEdf;
 pub use edf::Edf;
 pub use rrs_engine::{AlgoMetrics, StateFootprint};
-pub use transform::{distribute_instance, varbatch_instance, SubColorMap};
-pub use var_batch::VarBatch;
+pub use transform::{
+    distribute_instance, materialize, varbatch_instance, Reduced, Reduction, Then,
+};
+pub use var_batch::{HalfBlocks, VarBatch};
 
 use rrs_engine::Policy;
 
@@ -99,20 +105,31 @@ impl<P: Policy + ?Sized> Footprint for P {
     }
 }
 
+/// The location rule of a policy whose cache is `k` ways: `n` must be a
+/// positive multiple of `k` (`what` names the policy and its `k`).
+pub(crate) fn multiple_of(n: usize, k: u64, what: &str) -> Result<(), String> {
+    if n > 0 && (n as u64).is_multiple_of(k) {
+        Ok(())
+    } else {
+        Err(format!("{what} needs a positive multiple of {k} locations, got {n}"))
+    }
+}
+
 /// The end-to-end algorithm for the paper's main problem `[Δ|1|D_ℓ|1]`:
-/// `VarBatch ∘ Distribute ∘ ΔLRU-EDF` (Theorem 3).
-pub type FullAlgorithm = VarBatch<Distribute<DeltaLruEdf>>;
+/// `VarBatch ∘ Distribute ∘ ΔLRU-EDF` (Theorem 3) as one wrapper, which
+/// decides as the nested `VarBatch<Distribute<DeltaLruEdf>>` without σ′.
+pub type FullAlgorithm = Reduced<Then<HalfBlocks, SubColors>, DeltaLruEdf>;
 
 /// Construct the end-to-end Theorem 3 algorithm.
 pub fn full_algorithm() -> FullAlgorithm {
-    VarBatch::new(Distribute::new(DeltaLruEdf::new()))
+    Reduced::new(DeltaLruEdf::new())
 }
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::transform::{distribute_instance, varbatch_instance, SubColorMap};
     pub use crate::{
-        full_algorithm, AlgoMetrics, ClassicLru, DeltaLru, DeltaLruEdf, Distribute, Edf,
-        FullAlgorithm, Instrumented, StateFootprint, VarBatch,
+        distribute_instance, full_algorithm, materialize, varbatch_instance, AlgoMetrics,
+        ClassicLru, DeltaLru, DeltaLruEdf, Distribute, Edf, FullAlgorithm, HalfBlocks,
+        Instrumented, Reduced, Reduction, StateFootprint, SubColors, Then, VarBatch,
     };
 }

@@ -18,18 +18,27 @@
 //! `≤ arrival + p' ≤ arrival + p`, so the projected schedule is feasible
 //! for the true instance, and the tightening costs at most a constant
 //! factor. Bounds of 1 need no batching and pass through unchanged.
+//! [`HalfBlocks`] is the rule; [`VarBatch`] runs an inner policy behind it.
 
 use rrs_engine::checkpoint::{get_color_table, get_sparse, put_color_table};
-use rrs_engine::{Observation, Policy, PolicyStats, RoundKernel, Slot, Snapshot, StateFootprint};
+use rrs_engine::policy::ColorCounts;
+use rrs_engine::StateFootprint;
 use rrs_model::{ColorId, ColorMap, ColorSet, ColorTable, SnapError, SnapReader, SnapWriter};
 
-/// The VarBatch wrapper around an inner policy for the batched problem.
-#[derive(Debug)]
-pub struct VarBatch<P> {
-    inner: P,
+use crate::transform::{Reduced, Reduction};
+
+/// The VarBatch wrapper around an inner policy for the batched problem
+/// (Distribute∘ΔLRU-EDF for the Theorem 3 guarantee).
+pub type VarBatch<P> = Reduced<HalfBlocks, P>;
+
+/// VarBatch's buffer-and-release rule: each job waits for the next
+/// half-block boundary of its rounded bound, then arrives virtually with
+/// the half-block's length as its bound. Virtual colors are the physical
+/// ones, so the projection is the identity.
+#[derive(Debug, Default)]
+pub struct HalfBlocks {
     /// Virtual color table: same ids as the physical table, with bound
-    /// `q_ℓ` (half of the rounded-down physical bound). Doubles as the
-    /// per-color virtual-bound lookup.
+    /// `q_ℓ` (half of the rounded-down physical bound).
     vcolors: ColorTable,
     /// Per color: jobs buffered in the current half-block (paged; only
     /// colors that ever buffered occupy memory).
@@ -37,145 +46,76 @@ pub struct VarBatch<P> {
     /// Colors with a nonzero buffer — the release phase walks this set
     /// (ascending, the consistent order) instead of the whole universe.
     buffered_nonzero: ColorSet,
-    /// Scratch for the release walk: `(color, virtual bound)` pairs due
-    /// this round.
-    release_buf: Vec<(ColorId, u64)>,
-    /// The virtual instance's round loop.
-    kernel: RoundKernel,
+    /// Scratch: the `(color, jobs)` released this round, ascending.
+    released: Vec<(ColorId, u64)>,
 }
 
-/// Largest power of two `≤ p` (`p ≥ 1`).
-fn prev_power_of_two(p: u64) -> u64 {
-    debug_assert!(p >= 1);
-    if p.is_power_of_two() {
-        p
-    } else {
-        p.next_power_of_two() >> 1
-    }
-}
-
-/// The virtual half-block bound for a physical bound `p`: `p'/2` for
+/// The virtual half-block bound for a physical bound `p ≥ 1`: `p'/2` for
 /// `p' = 2^{⌊log₂ p⌋} ≥ 2`, and 1 for `p = 1` (already batched every round).
-pub fn virtual_bound(p: u64) -> u64 {
-    let eff = prev_power_of_two(p);
-    if eff >= 2 {
-        eff / 2
-    } else {
-        1
-    }
+fn virtual_bound(p: u64) -> u64 {
+    ((1u64 << p.ilog2()) / 2).max(1)
 }
 
-impl<P: Policy> VarBatch<P> {
-    /// Wrap an inner policy for the batched problem (Distribute∘ΔLRU-EDF
-    /// for the Theorem 3 guarantee).
-    pub fn new(inner: P) -> Self {
-        Self {
-            inner,
-            vcolors: ColorTable::new(),
-            buffered: ColorMap::new(),
-            buffered_nonzero: ColorSet::new(),
-            release_buf: Vec::new(),
-            kernel: RoundKernel::new(),
-        }
+impl Reduction for HalfBlocks {
+    const NAME: &'static str = "var-batch";
+
+    fn colors(&self) -> &ColorTable {
+        &self.vcolors
     }
 
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    fn sync(&mut self, colors: &ColorTable) {
+    fn transduce(
+        &mut self,
+        round: u64,
+        colors: &ColorTable,
+        arrivals: &ColorCounts,
+        out: &mut Vec<(ColorId, u64)>,
+    ) {
         while self.vcolors.len() < colors.len() {
-            let id = ColorId(self.vcolors.len() as u32);
-            let p = colors.delay_bound(id);
+            let p = colors.delay_bound(ColorId(self.vcolors.len() as u32));
             self.vcolors.push(virtual_bound(p));
         }
-    }
-}
-
-impl<P: Policy> Policy for VarBatch<P> {
-    fn name(&self) -> &str {
-        "var-batch"
-    }
-
-    fn init(&mut self, delta: u64, n_locations: usize) {
-        self.vcolors = ColorTable::new();
-        self.buffered = ColorMap::new();
-        self.buffered_nonzero.clear();
-        self.kernel.reset(n_locations);
-        self.inner.init(delta, n_locations);
-    }
-
-    fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
-        if obs.mini_round == 0 {
-            self.sync(obs.colors);
-            let k = obs.round;
-
-            self.kernel.drop_due(k);
-
-            // Release phase: at each half-block boundary, the jobs buffered
-            // during the previous half-block arrive virtually with bound q.
-            // Only colors with a nonzero buffer can release, so the walk is
-            // over `buffered_nonzero` (ascending, like every color walk).
-            self.release_buf.clear();
-            for c in self.buffered_nonzero.iter() {
-                let q = self.vcolors.delay_bound(c);
-                if k.is_multiple_of(q) {
-                    self.release_buf.push((c, q));
-                }
-            }
-            for i in 0..self.release_buf.len() {
-                let (c, q) = self.release_buf[i];
-                self.buffered_nonzero.remove(c);
-                let n = std::mem::take(&mut self.buffered[c]);
-                self.kernel.arrive(c, k + q, n);
-            }
-
-            // Buffer this round's physical arrivals for the *next*
-            // half-block boundary (bound-1 colors are already batched every
-            // round and release immediately).
-            for &(c, n) in obs.arrivals {
-                if obs.colors.delay_bound(c) == 1 {
-                    // True bound 1: no delay is needed or allowed.
-                    self.kernel.arrive(c, k + 1, n);
-                } else if n > 0 {
-                    *self.buffered.entry(c) += n;
-                    self.buffered_nonzero.insert(c);
-                }
+        // At a color's half-block boundary, its buffered jobs arrive.
+        self.released.clear();
+        for c in self.buffered_nonzero.iter() {
+            if round.is_multiple_of(self.vcolors.delay_bound(c)) {
+                self.released.push((c, 0));
             }
         }
-
-        // The inner policy runs on the virtual (batched) instance.
-        self.kernel.reconfigure(
-            &mut self.inner,
-            &self.vcolors,
-            obs.round,
-            obs.mini_round,
-            obs.speed,
-            obs.delta,
-        );
-        self.kernel.execute(|_, _| {});
-
-        // Physical projection is the identity on colors.
-        out.copy_from_slice(self.kernel.slots());
+        for (c, n) in &mut self.released {
+            self.buffered_nonzero.remove(*c);
+            *n = std::mem::take(&mut self.buffered[*c]);
+        }
+        // Buffer this round's arrivals for the next boundary, but a bound-1
+        // color allows no delay: it passes through, merged with the
+        // releases in color order (it never buffers, so none is in both).
+        let mut released = self.released.iter().copied().peekable();
+        for &(c, n) in arrivals {
+            if colors.delay_bound(c) == 1 {
+                while let Some(r) = released.next_if(|&(r, _)| r < c) {
+                    out.push(r);
+                }
+                out.push((c, n));
+            } else if n > 0 {
+                *self.buffered.entry(c) += n;
+                self.buffered_nonzero.insert(c);
+            }
+        }
+        out.extend(released);
     }
 
-    /// The inner footprint plus the half-block buffers and the virtual
-    /// round loop; no lemma counters (the inner ones count virtual colors).
-    fn stats(&self) -> PolicyStats {
-        let own = StateFootprint {
+    fn project(&self, vc: ColorId) -> ColorId {
+        vc
+    }
+
+    fn footprint(&self) -> StateFootprint {
+        StateFootprint {
             colorset_leaf_words: self.buffered_nonzero.leaf_words() as u64,
-            colormap_live_pages: (self.buffered.live_pages() + self.kernel.live_pages()) as u64,
-        };
-        PolicyStats { footprint: self.inner.stats().footprint.plus(own), ..PolicyStats::default() }
+            colormap_live_pages: self.buffered.live_pages() as u64,
+        }
     }
-}
 
-impl<P: Snapshot> Snapshot for VarBatch<P> {
-    // Mutable state: the virtual color table (also the per-color virtual
-    // bound), the nonzero half-block buffers as a sparse section
-    // (`get_sparse`) over the virtual table, the virtual pending store and
-    // assignment, then the inner policy.
+    // The virtual color table (also the per-color virtual bound), then the
+    // nonzero half-block buffers as a sparse section over it.
     fn save_state(&self, w: &mut SnapWriter) {
         put_color_table(w, &self.vcolors);
         w.put_u64(self.buffered_nonzero.len() as u64);
@@ -183,14 +123,12 @@ impl<P: Snapshot> Snapshot for VarBatch<P> {
             w.put_u32(c.0);
             w.put_u64(self.buffered.value(c));
         }
-        self.kernel.save_state(w, &self.inner, |_| {});
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let vcolors = get_color_table(r, "virtual color table")?;
         let mut buffered: ColorMap<u64> = ColorMap::new();
         let mut buffered_nonzero = ColorSet::new();
-        buffered.grow_to(vcolors.len());
         get_sparse(r, vcolors.len() as u64, "buffered counts", |r, c| {
             let n = r.get_u64("buffered job count")?;
             if n == 0 {
@@ -203,11 +141,7 @@ impl<P: Snapshot> Snapshot for VarBatch<P> {
             buffered_nonzero.insert(c);
             Ok(())
         })?;
-        self.kernel.load_state(r, &vcolors, &mut self.inner, |_| Ok(()))?;
-        self.vcolors = vcolors;
-        self.buffered = buffered;
-        self.buffered_nonzero = buffered_nonzero;
-        Ok(())
+        Ok(Self { vcolors, buffered, buffered_nonzero, released: Vec::new() })
     }
 }
 

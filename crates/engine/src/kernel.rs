@@ -1,10 +1,10 @@
 //! The round kernel: the four phases of a round (Section 2) over a
 //! [`PendingStore`] and a location assignment, written once. The simulator
-//! drives the physical instance through it, and the reduction wrappers
-//! (`Distribute`, `VarBatch`) drive their inner policy over a *virtual*
-//! instance through the same calls: [`RoundKernel::drop_due`], one
-//! [`RoundKernel::arrive`] per batch, then [`RoundKernel::reconfigure`] and
-//! [`RoundKernel::execute`] once per mini-round.
+//! drives the physical instance through it, and a reduction stack
+//! (`rrs_core::Reduced`) drives its inner policy over the stack's one
+//! *virtual* instance through the same calls: [`RoundKernel::drop_due`],
+//! one [`RoundKernel::arrive`] per batch, then [`RoundKernel::reconfigure`]
+//! and [`RoundKernel::execute`] once per mini-round.
 //!
 //! The kernel charges no cost and emits no events; its caller does that
 //! between the calls. It owns every buffer of the round, so a steady-state
@@ -200,33 +200,25 @@ impl RoundKernel {
         self.pending.live_pages() + self.exec_count.live_pages()
     }
 
-    /// Append the pending store and the assignment (a wrapper's virtual
-    /// state), then the wrapped policy's name and state, to a snapshot.
-    /// `between` writes whatever the wrapper keeps in between.
-    pub fn save_state<P: Snapshot + ?Sized>(
-        &self,
-        w: &mut SnapWriter,
-        inner: &P,
-        between: impl FnOnce(&mut SnapWriter),
-    ) {
+    /// Append the pending store and the assignment (a reduction stack's
+    /// virtual state), then the wrapped policy's name and state, to a
+    /// snapshot.
+    pub fn save_state<P: Snapshot + ?Sized>(&self, w: &mut SnapWriter, inner: &P) {
         self.pending.save_state(w);
         put_slots(w, &self.slots);
-        between(w);
         w.put_str(inner.name());
         inner.save_state(w);
     }
 
-    /// Restore what [`RoundKernel::save_state`] wrote, returning what
-    /// `between` read. The assignment must have this kernel's location
-    /// count and name only colors of `colors`, and the snapshot must wrap
-    /// a policy named like `inner`.
-    pub fn load_state<P: Snapshot + ?Sized, T>(
+    /// Restore what [`RoundKernel::save_state`] wrote. The assignment must
+    /// have this kernel's location count and name only colors of
+    /// `colors`, and the snapshot must wrap a policy named like `inner`.
+    pub fn load_state<P: Snapshot + ?Sized>(
         &mut self,
         r: &mut SnapReader<'_>,
         colors: &ColorTable,
         inner: &mut P,
-        between: impl FnOnce(&mut SnapReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<T, SnapError> {
+    ) -> Result<(), SnapError> {
         let pending = PendingStore::load_state(r)?;
         let slots = get_slots(r, "virtual slots")?;
         if slots.len() != self.slots.len() {
@@ -239,7 +231,6 @@ impl RoundKernel {
         if let Some(vc) = slots.iter().flatten().find(|&&vc| !colors.contains(vc)) {
             return Err(SnapError::Invalid(format!("virtual slot holds unknown color {vc}")));
         }
-        let between = between(r)?;
         let name = r.get_str("inner policy name")?;
         if name != inner.name() {
             return Err(SnapError::Invalid(format!(
@@ -250,7 +241,7 @@ impl RoundKernel {
         inner.load_state(r)?;
         self.pending = pending;
         self.slots = slots;
-        Ok(between)
+        Ok(())
     }
 }
 
@@ -296,13 +287,10 @@ mod tests {
         k.arrive(ColorId(0), 2, 1);
         k.reconfigure(&mut pin, &colors, 0, 0, 1, 1);
         let mut w = SnapWriter::new();
-        k.save_state(&mut w, &pin, |w| w.put_u64(7));
+        k.save_state(&mut w, &pin);
         let bytes = w.finish();
         let load = |k: &mut RoundKernel, colors: &ColorTable, inner: &mut dyn Snapshot| {
-            k.load_state(&mut SnapReader::new(&bytes).unwrap(), colors, inner, |r| {
-                assert_eq!(r.get_u64("marker")?, 7);
-                Ok(())
-            })
+            k.load_state(&mut SnapReader::new(&bytes).unwrap(), colors, inner)
         };
 
         let mut back = RoundKernel::new();

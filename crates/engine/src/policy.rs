@@ -62,6 +62,15 @@ pub trait Policy {
         let _ = (delta, n_locations);
     }
 
+    /// The policy's location rule: `Err` says why it cannot run on
+    /// `n_locations` locations. [`Policy::init`] asserts it, so a caller
+    /// that takes the count from outside checks it first. The default
+    /// accepts any count; a wrapper forwards to its inner policy.
+    fn check_locations(&self, n_locations: usize) -> Result<(), String> {
+        let _ = n_locations;
+        Ok(())
+    }
+
     /// Decide the assignment for this mini-round by mutating `out`
     /// (pre-filled with the current assignment; leaving it untouched keeps
     /// the configuration).
@@ -83,6 +92,9 @@ impl<P: Policy + ?Sized> Policy for &mut P {
     fn init(&mut self, delta: u64, n_locations: usize) {
         (**self).init(delta, n_locations);
     }
+    fn check_locations(&self, n_locations: usize) -> Result<(), String> {
+        (**self).check_locations(n_locations)
+    }
     fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
         (**self).reconfigure(obs, out);
     }
@@ -97,6 +109,9 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     }
     fn init(&mut self, delta: u64, n_locations: usize) {
         (**self).init(delta, n_locations);
+    }
+    fn check_locations(&self, n_locations: usize) -> Result<(), String> {
+        (**self).check_locations(n_locations)
     }
     fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
         (**self).reconfigure(obs, out);

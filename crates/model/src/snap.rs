@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic    8 bytes   b"RRSSNAP1"
-//! version  u32 LE    SNAP_VERSION (currently 2; readers accept only it)
+//! version  u32 LE    SNAP_VERSION (currently 3; readers accept only it)
 //! payload  ...       writer-defined: integers, length-prefixed byte
 //!                    strings, and named length-prefixed sections
 //! crc      u32 LE    CRC-32/IEEE of every byte above
@@ -32,7 +32,7 @@ pub const SNAP_MAGIC: &[u8; 8] = b"RRSSNAP1";
 
 /// Current snapshot format version, the only one readers accept. Bump on
 /// any layout change.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) lookup table, built at
 /// compile time so the implementation carries no runtime initialization.
@@ -416,10 +416,10 @@ mod tests {
         let mut bytes = w.finish();
         assert!(SnapReader::new(&bytes).is_ok());
         // Patch the version field and re-seal with a fresh CRC so only the
-        // version check can fire: the retired v1, anything older, the next
-        // version and an unknown future are all rejected alike.
+        // version check can fire: the retired v1 and v2, anything older,
+        // the next version and an unknown future are all rejected alike.
         let len = bytes.len();
-        for v in [0, 1, SNAP_VERSION + 1, 99] {
+        for v in [0, 1, 2, SNAP_VERSION + 1, 99] {
             bytes[8..12].copy_from_slice(&v.to_le_bytes());
             let crc = crc32(&bytes[..len - 4]);
             bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());

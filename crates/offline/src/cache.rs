@@ -13,7 +13,7 @@
 //! (little-endian integers, length-prefixed byte strings and named
 //! sections, trailing CRC-32) via [`SnapWriter::with_frame`], under its
 //! own magic so a cache can never be mistaken for a simulator checkpoint.
-//! Decoding validates strict key ascent, mirroring the snapshot v2
+//! Decoding validates strict key ascent, mirroring the snapshot format's
 //! color-set discipline: any reordering, duplication, or bit damage is a
 //! clean [`CacheError`], never a wrong answer. An entry that passes the
 //! CRC is still checked against the instance it is served for
@@ -135,6 +135,9 @@ pub enum CacheError {
         /// Resource count that was looked up.
         m: u32,
     },
+    /// The resource count is above `u32::MAX`, which the index keys by, so
+    /// no entry can hold it.
+    ResourcesOutOfRange(usize),
 }
 
 impl fmt::Display for CacheError {
@@ -167,6 +170,9 @@ impl fmt::Display for CacheError {
                  for that instance (its cost must be Δ·reconfigs + drops and at most the \
                  instance's total jobs)"
             ),
+            CacheError::ResourcesOutOfRange(m) => {
+                write!(f, "opt cache keys resource counts as u32, and m={m} is beyond it")
+            }
         }
     }
 }
@@ -216,7 +222,8 @@ impl OptCache {
     /// above the instance's total jobs — is [`CacheError::ImpossibleEntry`];
     /// a consistent but wrong entry is served as it stands.
     pub fn lookup(&self, inst: &Instance, m: usize) -> Result<&SolvedEntry, CacheError> {
-        self.checked(instance_digest(inst), inst, m as u32)
+        let m = u32::try_from(m).map_err(|_| CacheError::ResourcesOutOfRange(m))?;
+        self.checked(instance_digest(inst), inst, m)
     }
 
     /// [`OptCache::lookup`] under a digest already computed for `inst`.
@@ -240,7 +247,8 @@ impl OptCache {
     /// otherwise [`solve_opt`], whose answer is recorded (replacing an
     /// impossible entry). Returns the answer and whether the index served
     /// it; a hit reports the entry's `states_explored` as solved states
-    /// and prunes nothing. A solve that fails records nothing.
+    /// and prunes nothing. A solve that fails records nothing, and neither
+    /// does one at an `m` the index cannot key (above `u32::MAX`).
     pub fn solve(
         &mut self,
         inst: &Instance,
@@ -248,7 +256,10 @@ impl OptCache {
         config: OptConfig,
     ) -> Result<(OptResult, bool), OptError> {
         let digest = instance_digest(inst);
-        if let Ok(e) = self.checked(digest, inst, m as u32) {
+        let Ok(key) = u32::try_from(m) else {
+            return solve_opt(inst, m, config).map(|r| (r, false));
+        };
+        if let Ok(e) = self.checked(digest, inst, key) {
             let hit = OptResult {
                 cost: e.cost,
                 reconfigs: e.reconfigs,
@@ -259,7 +270,7 @@ impl OptCache {
             return Ok((hit, true));
         }
         let r = solve_opt(inst, m, config)?;
-        self.record(digest, m as u32, SolvedEntry::from(&r));
+        self.record(digest, key, SolvedEntry::from(&r));
         Ok((r, false))
     }
 
@@ -348,6 +359,17 @@ mod tests {
 
     fn triple(r: &OptResult) -> (u64, u64, u64) {
         (r.cost, r.reconfigs, r.drops)
+    }
+
+    #[test]
+    fn a_resource_count_beyond_u32_misses_instead_of_wrapping() {
+        let inst = small();
+        let mut c = OptCache::new();
+        let entry = SolvedEntry { cost: 5, reconfigs: 0, drops: 5, states_explored: 1 };
+        c.record(instance_digest(&inst), 1, entry);
+        assert_eq!(c.lookup(&inst, 1), Ok(&entry));
+        let wide = (1usize << 32) + 1;
+        assert_eq!(c.lookup(&inst, wide), Err(CacheError::ResourcesOutOfRange(wide)));
     }
 
     #[test]

@@ -90,6 +90,12 @@ impl PolicyKind {
             PolicyKind::Full => Box::new(full_algorithm()),
         }
     }
+
+    /// The policy's location rule, which its `init` asserts: `Err` says
+    /// why it cannot run on `n` locations.
+    pub fn check_locations(self, n: usize) -> Result<(), String> {
+        self.make().check_locations(n)
+    }
 }
 
 /// Which referee produced the baseline cost.
@@ -214,9 +220,11 @@ pub fn evaluate_instance_cached(
     }
     match solve_opt(inst, cfg.referee_resources, cfg.opt) {
         Ok(r) => {
-            let line = cache.is_some().then(|| SolvedLine {
+            // The cache keys `m` as a u32; an `m` beyond it is not cached.
+            let m = u32::try_from(cfg.referee_resources).ok().filter(|_| cache.is_some());
+            let line = m.map(|m| SolvedLine {
                 digest: instance_digest(inst),
-                m: cfg.referee_resources as u32,
+                m,
                 entry: SolvedEntry::from(&r),
             });
             (Evaluation { fitness: Fitness { cost, base: r.cost }, referee: Referee::Exact }, line)

@@ -187,6 +187,16 @@ fn make_policy(name: &str) -> Result<Box<dyn Snapshot>, String> {
     Ok(rrs::search::PolicyKind::parse(name)?.make())
 }
 
+/// Parse `--locations` (default 8) and hold it to the location rule of the
+/// policy named `policy`, which the policy's `init` would otherwise assert.
+fn parse_locations(s: Option<String>, policy: &str) -> Result<usize, String> {
+    let n = parse_u64(s, 8, "--locations")?;
+    let n = usize::try_from(n).map_err(|_| format!("bad --locations: {n} is too large"))?;
+    let kind = rrs::search::PolicyKind::parse(policy)?;
+    kind.check_locations(n).map_err(|e| format!("bad --locations: {e}"))?;
+    Ok(n)
+}
+
 /// Print a run's summary. A streamed run never materialized the instance,
 /// so it reports its rounds in place of the lower bound, which needs the
 /// whole request sequence.
@@ -208,7 +218,7 @@ fn print_run(name: &str, n: usize, inst: Option<&Instance>, out: &Outcome) {
 }
 
 fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
-    let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
+    let locations = take_flag(&mut args, "--locations");
     let trace_out = take_flag(&mut args, "--trace-out");
     let metrics_out = take_flag(&mut args, "--metrics-out");
     let stream = take_switch(&mut args, "--stream");
@@ -219,6 +229,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
     let ckpt_out = take_flag(&mut args, "--checkpoint-out");
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
+    let n = parse_locations(locations, &policy_name)?;
 
     if stream || ckpt_every.is_some() {
         if metrics_out.is_some() {
@@ -391,7 +402,7 @@ fn session_command<'s>(
 /// `checkpoint <policy> <FILE> --at-round K`: run rounds `0..K` and write
 /// the suspension snapshot (format in DESIGN.md §11).
 fn cmd_checkpoint(mut args: Vec<String>) -> Result<(), String> {
-    let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
+    let locations = take_flag(&mut args, "--locations");
     let at = take_flag(&mut args, "--at-round")
         .ok_or("missing --at-round K")?
         .parse::<u64>()
@@ -399,6 +410,7 @@ fn cmd_checkpoint(mut args: Vec<String>) -> Result<(), String> {
     let out_path = take_flag(&mut args, "--out");
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
+    let n = parse_locations(locations, &policy_name)?;
     let ran = session_command(&policy_name, &path, n, false, None, None, &mut NullRecorder, |s| {
         s.stop_before(at)
     })?;
@@ -426,12 +438,13 @@ fn cmd_checkpoint(mut args: Vec<String>) -> Result<(), String> {
 /// the horizon is re-discovered from the text, floored by the snapshot's,
 /// so snapshots written by `run --stream --checkpoint-every` resume there.
 fn cmd_resume(mut args: Vec<String>) -> Result<(), String> {
-    let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
+    let locations = take_flag(&mut args, "--locations");
     let from = take_flag(&mut args, "--from").ok_or("missing --from SNAP")?;
     let trace_out = take_flag(&mut args, "--trace-out");
     let stream = take_switch(&mut args, "--stream");
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?.clone();
+    let n = parse_locations(locations, &policy_name)?;
     let snapshot = std::fs::read(&from).map_err(|e| format!("read {from}: {e}"))?;
     let trace_out = trace_out.as_deref();
     session_command(&policy_name, &path, n, stream, trace_out, None, &mut NullRecorder, |s| {
@@ -576,7 +589,7 @@ fn report_saved(mut args: Vec<String>) -> Result<(), String> {
 /// `report --run <policy> <FILE>`: run live with a phase timer attached and
 /// print the same report plus lemma bounds and advisory wall-clock timings.
 fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
-    let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
+    let n = parse_locations(take_flag(&mut args, "--locations"), policy_name)?;
     let path = args.first().ok_or("missing <FILE>")?;
     let mut timer = PhaseTimer::new();
     let mut fold = CostFold::new();
@@ -747,10 +760,21 @@ fn cmd_opt_cache(mut args: Vec<String>) -> Result<(), String> {
     }
 }
 
+/// `lemmas <FILE>`: check Lemmas 3.2–3.4 on a ΔLRU-EDF run. They cover
+/// rate-limited input only, so other input is checked on σ″, the
+/// rate-limited instance the full stack's ΔLRU-EDF runs on.
 fn cmd_lemmas(mut args: Vec<String>) -> Result<(), String> {
-    let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
+    let n = parse_locations(take_flag(&mut args, "--locations"), "dlru-edf")?;
     let path = args.first().ok_or("missing <FILE>")?;
-    let inst = load(path)?;
+    let mut inst = load(path)?;
+    if classify::check_rate_limited(&inst).is_err() {
+        inst = materialize(&inst, Then::<HalfBlocks, SubColors>::default()).0;
+        println!(
+            "input is not rate-limited: checking \u{3c3}\u{2033} = Distribute(VarBatch(\u{3c3})), \
+             {} virtual colors",
+            inst.colors.len()
+        );
+    }
     let r = check_lemmas(&inst, n);
     println!("epochs:            {}", r.num_epochs);
     println!(
@@ -778,9 +802,10 @@ fn cmd_lemmas(mut args: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_attribute(mut args: Vec<String>) -> Result<(), String> {
-    let n = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
+    let locations = take_flag(&mut args, "--locations");
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?;
+    let n = parse_locations(locations, &policy_name)?;
     let inst = load(path)?;
     let mut policy = make_policy(&policy_name)?;
     let per = rrs::analysis::attribute_costs(&inst, n, &mut policy);
@@ -865,10 +890,11 @@ fn cmd_adversary_search(mut args: Vec<String>) -> Result<(), String> {
     let budget = parse_u64(take_flag(&mut args, "--budget"), 20, "--budget")? as u32;
     let population = parse_u64(take_flag(&mut args, "--population"), 24, "--population")? as usize;
     let elites = parse_u64(take_flag(&mut args, "--elites"), 4, "--elites")? as usize;
-    let locations = parse_u64(take_flag(&mut args, "--locations"), 8, "--locations")? as usize;
+    let locations = take_flag(&mut args, "--locations");
     let referee_m = parse_resources(take_flag(&mut args, "--referee-m"), "--referee-m")?;
     let policy_name = take_flag(&mut args, "--policy").unwrap_or_else(|| "dlru".into());
     let policy = search::PolicyKind::parse(&policy_name)?;
+    let locations = parse_locations(locations, &policy_name)?;
     let min_ratio =
         take_flag(&mut args, "--min-ratio").map(|s| parse_ratio_threshold(&s)).transpose()?;
     let shrink_evals = parse_u64(take_flag(&mut args, "--shrink-evals"), 2_000, "--shrink-evals")?;

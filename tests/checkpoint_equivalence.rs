@@ -12,7 +12,8 @@ use rrs::prelude::*;
 type PolicyMaker = (&'static str, fn() -> Box<dyn Snapshot>);
 
 /// Every checkpointable policy in the suite: the four base algorithms,
-/// each reduction alone, and the Theorem 3 full stack.
+/// Distribute alone, both reductions fused over EDF, and the Theorem 3
+/// full stack.
 fn policy_makers() -> Vec<PolicyMaker> {
     vec![
         ("dlru", || Box::new(DeltaLru::new())),
@@ -21,7 +22,7 @@ fn policy_makers() -> Vec<PolicyMaker> {
         ("classic-lru", || Box::new(ClassicLru::new())),
         ("dlru-edf", || Box::new(DeltaLruEdf::new())),
         ("distribute", || Box::new(Distribute::new(DeltaLruEdf::new()))),
-        ("var-batch", || Box::new(VarBatch::new(Distribute::new(DeltaLruEdf::new())))),
+        ("var-batch", || Box::new(Reduced::<Then<HalfBlocks, SubColors>, _>::new(Edf::new()))),
         ("full", || Box::new(full_algorithm())),
     ]
 }

@@ -120,6 +120,48 @@ fn solver_resource_counts_outside_1_to_u32_max_are_rejected() {
 }
 
 #[test]
+fn location_counts_a_policy_cannot_use_are_rejected_where_parsed() {
+    let inst = tmpfile("locations.rrs");
+    let out = cli().args(["generate", "rate-limited", "--seed", "7", "--out"]).arg(&inst).output();
+    assert!(out.unwrap().status.success());
+    let file = inst.to_str().unwrap();
+    for (policy, n, rule) in [
+        ("dlru", "3", "\u{394}LRU (2 locations per cached color)"),
+        ("edf", "3", "EDF (2 locations per cached color)"),
+        ("dlru-edf", "6", "\u{394}LRU-EDF (an LRU and an EDF quarter)"),
+        ("full", "0", "\u{394}LRU-EDF (an LRU and an EDF quarter)"),
+        ("full", "3", "\u{394}LRU-EDF (an LRU and an EDF quarter)"),
+        ("classic-lru", "0", "classic LRU (2 locations per cached color)"),
+    ] {
+        let out = cli().args(["run", policy, file, "--locations", n]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "run {policy} --locations {n}: {err}");
+        let want = format!("error: bad --locations: {rule} needs a positive multiple");
+        assert!(err.starts_with(&want) && err.ends_with(&format!("got {n}\n")), "{err}");
+    }
+    std::fs::remove_file(&inst).ok();
+}
+
+#[test]
+fn lemmas_on_input_that_is_not_rate_limited_check_sigma_double_prime() {
+    for kind in ["general", "zipf"] {
+        let inst = tmpfile(&format!("lemmas-{kind}.rrs"));
+        let out = cli().args(["generate", kind, "--seed", "3", "--out"]).arg(&inst).output();
+        assert!(out.unwrap().status.success());
+        let out = cli().arg("lemmas").arg(&inst).output().unwrap();
+        assert!(out.status.success(), "{kind}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout);
+        let first = text.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("input is not rate-limited: checking \u{3c3}\u{2033} = "),
+            "{kind}: {text}"
+        );
+        assert_eq!(text.matches("[ok]").count(), 3, "{kind}: {text}");
+        std::fs::remove_file(&inst).ok();
+    }
+}
+
+#[test]
 fn generate_to_stdout_parses_back() {
     let out = cli().args(["generate", "general", "--seed", "9"]).output().unwrap();
     assert!(out.status.success());

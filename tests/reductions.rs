@@ -120,7 +120,7 @@ fn distribute_sub_color_chunks_match_spec() {
     let inst = b.build();
     let mut p = Distribute::new(Edf::new());
     Simulator::new(&inst, 8).run(&mut p);
-    assert_eq!(p.sub_colors(c).len(), 3);
+    assert_eq!(p.reduction().sub_colors(c).len(), 3);
 
     // A later smaller batch reuses sub-color 0 without minting more.
     let mut b = InstanceBuilder::new(1);
@@ -129,5 +129,5 @@ fn distribute_sub_color_chunks_match_spec() {
     let inst = b.build();
     let mut p = Distribute::new(Edf::new());
     Simulator::new(&inst, 8).run(&mut p);
-    assert_eq!(p.sub_colors(c).len(), 3, "no new sub-colors for the small batch");
+    assert_eq!(p.reduction().sub_colors(c).len(), 3, "no new sub-colors for the small batch");
 }

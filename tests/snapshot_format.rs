@@ -1,7 +1,7 @@
 //! Integration: the snapshot wire format. Encode→decode identity on real
 //! checkpoints, hard rejection of truncated and bit-flipped files and of
 //! any version but the current one, and the committed golden fixture
-//! `checkpoint_v2.snap`, which pins the current (v2, sparse) encoding
+//! `checkpoint_v3.snap`, which pins the current (v3) encoding
 //! byte-for-byte — if encoding changes, the golden test fails and
 //! `SNAP_VERSION` must be bumped with it.
 
@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rrs::prelude::*;
 
 /// A deterministic instance used for the golden snapshot fixtures. Changing
-/// it invalidates `tests/fixtures/checkpoint_v2.snap` — regenerate via the
+/// it invalidates `tests/fixtures/checkpoint_v3.snap` — regenerate via the
 /// instructions in the `golden_snapshot_fixture_is_stable` test.
 fn golden_instance() -> Instance {
     let mut b = InstanceBuilder::new(2);
@@ -39,22 +39,22 @@ fn header_magic_and_version_are_pinned() {
     let snap = golden_snapshot();
     assert_eq!(&snap[..8], rrs::model::SNAP_MAGIC);
     assert_eq!(u32::from_le_bytes(snap[8..12].try_into().unwrap()), rrs::model::SNAP_VERSION);
-    assert_eq!(rrs::model::SNAP_VERSION, 2, "format bumps must update the golden fixture");
+    assert_eq!(rrs::model::SNAP_VERSION, 3, "format bumps must update the golden fixture");
 }
 
 #[test]
 fn golden_snapshot_fixture_is_stable() {
-    // Byte-for-byte pin of format v2. To regenerate after a *deliberate*
+    // Byte-for-byte pin of format v3. To regenerate after a *deliberate*
     // format bump (which must also bump SNAP_VERSION):
     //   cargo test --test snapshot_format -- --ignored regenerate
     let snap = golden_snapshot();
     let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2.snap");
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v3.snap");
     let want = std::fs::read(&fixture)
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", fixture.display()));
     assert_eq!(
         snap, want,
-        "snapshot encoding drifted from the committed v2 fixture; if intentional, bump \
+        "snapshot encoding drifted from the committed v3 fixture; if intentional, bump \
          SNAP_VERSION and regenerate the fixture"
     );
 }
@@ -63,7 +63,7 @@ fn golden_snapshot_fixture_is_stable() {
 #[ignore = "writes the golden fixture; run once after a deliberate format bump"]
 fn regenerate() {
     let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2.snap");
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v3.snap");
     std::fs::write(&fixture, golden_snapshot()).unwrap();
 }
 
@@ -72,7 +72,7 @@ fn golden_fixture_resumes_the_golden_run() {
     let inst = golden_instance();
     let want = Simulator::new(&inst, 8).run(&mut full_algorithm());
     let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2.snap");
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v3.snap");
     let snap = std::fs::read(fixture).unwrap();
     let out = Simulator::new(&inst, 8)
         .session()
@@ -84,17 +84,20 @@ fn golden_fixture_resumes_the_golden_run() {
 
 #[test]
 fn v1_snapshot_is_rejected_with_a_version_error() {
-    // The v1 reader is retired: a file stamped v1 must fail on its version
-    // alone, before any payload decoder runs. Re-stamp the golden snapshot
-    // and re-seal its CRC so only the version check can fire.
-    let mut snap = golden_snapshot();
-    snap[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let len = snap.len();
-    let crc = rrs::model::crc32(&snap[..len - 4]);
-    snap[len - 4..].copy_from_slice(&crc.to_le_bytes());
-    let err = SnapshotFile::parse(&snap).unwrap_err();
-    assert_eq!(err, SnapError::BadVersion(1));
-    assert!(err.to_string().contains("reads v2 only"), "{err}");
+    // The v1 and v2 readers are retired: a file stamped with either must
+    // fail on its version alone, before any payload decoder runs. Re-stamp
+    // the golden snapshot and re-seal its CRC so only the version check can
+    // fire.
+    for v in [1u32, 2] {
+        let mut snap = golden_snapshot();
+        snap[8..12].copy_from_slice(&v.to_le_bytes());
+        let len = snap.len();
+        let crc = rrs::model::crc32(&snap[..len - 4]);
+        snap[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        let err = SnapshotFile::parse(&snap).unwrap_err();
+        assert_eq!(err, SnapError::BadVersion(v));
+        assert!(err.to_string().contains("reads v3 only"), "{err}");
+    }
 }
 
 #[test]
@@ -166,7 +169,7 @@ fn wrapper_rejects_a_virtual_assignment_of_another_width() {
 fn wrapper_rejects_a_different_inner_policy() {
     let snap = golden_snapshot();
     let file = SnapshotFile::parse(&snap).unwrap();
-    let mut policy = VarBatch::new(Distribute::new(Edf::new()));
+    let mut policy = Reduced::<Then<HalfBlocks, SubColors>, _>::new(Edf::new());
     policy.init(file.state.ledger.delta, file.state.n_locations);
     let err = file.load_policy(&mut policy).unwrap_err().to_string();
     assert!(err.contains("\"dlru-edf\"") && err.contains("\"edf\""), "{err}");

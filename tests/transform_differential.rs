@@ -1,9 +1,65 @@
 //! Differential tests between the online reduction wrappers and their
 //! materialized offline forms — the quantitative content of Lemmas 4.2 and
-//! 5.3 measured on real instances.
+//! 5.3 measured on real instances — and between the nested and the fused
+//! Theorem 3 stacks.
 
 use rrs::core::{distribute_instance, varbatch_instance};
+use rrs::engine::{JsonlSink, TraceMeta};
 use rrs::prelude::*;
+
+/// The 24 inputs `rrs-cli generate <kind> --seed <seed>` writes for every
+/// random generator at seeds 1, 3 and 7.
+fn generated_inputs() -> Vec<(String, Instance)> {
+    let mut inputs = Vec::new();
+    for seed in [1, 3, 7] {
+        for (kind, inst) in [
+            ("rate-limited", rate_limited_instance(&RateLimitedConfig::default(), seed)),
+            ("batched", batched_instance(&BatchedConfig::default(), seed)),
+            ("general", general_instance(&GeneralConfig::default(), seed)),
+            ("router", multiservice_router(&RouterConfig::default(), seed)),
+            ("datacenter", shared_datacenter(&DatacenterConfig::default(), seed)),
+            ("background", background_vs_short_term(&BackgroundConfig::default(), seed).0),
+            ("bursty", bursty_instance(&BurstyConfig::default(), seed)),
+            ("zipf", zipf_popularity(&ZipfConfig::default(), seed)),
+        ] {
+            inputs.push((format!("{kind} --seed {seed}"), inst));
+        }
+    }
+    inputs
+}
+
+/// Run `policy` on 8 locations as `rrs-cli run --trace-out` does: the
+/// outcome and the JSONL trace bytes.
+fn traced_run<P: Policy>(inst: &Instance, policy: &mut P) -> (Outcome, Vec<u8>) {
+    let meta =
+        TraceMeta { policy: policy.name().to_string(), delta: inst.delta, locations: 8, speed: 1 };
+    let mut sink = JsonlSink::with_meta(Vec::new(), &meta);
+    let out = simulate(&Simulator::new(inst, 8), policy, &mut sink);
+    (out, sink.finish().expect("a Vec sink cannot fail"))
+}
+
+#[test]
+fn fused_full_stack_decides_exactly_as_the_nested_one() {
+    // The nested stack simulates σ′ in VarBatch's own kernel and σ″ in
+    // Distribute's; the fused one simulates σ″ alone. Nothing the engine
+    // sees may differ, only the state the stack holds.
+    for (name, inst) in generated_inputs() {
+        let mut nested = VarBatch::new(Distribute::new(DeltaLruEdf::new()));
+        let mut fused = full_algorithm();
+        let (want, want_trace) = traced_run(&inst, &mut nested);
+        let (got, got_trace) = traced_run(&inst, &mut fused);
+        assert_eq!(got, want, "{name}: outcomes differ");
+        assert!(got_trace == want_trace, "{name}: JSONL traces differ");
+        if name == "zipf --seed 1" {
+            let pages = |p: &dyn Policy| p.stats().footprint.colormap_live_pages;
+            let (fused_pages, nested_pages) = (pages(&fused), pages(&nested));
+            assert!(
+                fused_pages < nested_pages,
+                "{name}: the fused stack holds {fused_pages} pages, the nested one {nested_pages}"
+            );
+        }
+    }
+}
 
 #[test]
 fn lemma_4_2_wrapper_never_costs_more_than_materialized_run() {
