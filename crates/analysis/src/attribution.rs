@@ -9,7 +9,7 @@
 //! [`CostFold`] is that rule, applied to a live run as its recorder and to
 //! a saved trace by [`per_color_from_events`].
 
-use rrs_engine::{Policy, Recorder, Simulator, Slot, TraceEvent};
+use rrs_engine::{Recorder, Slot, TraceEvent};
 use rrs_model::{ColorId, Instance};
 
 use crate::table::Table;
@@ -39,7 +39,7 @@ impl ColorCosts {
 /// The single attribution rule, as a [`Recorder`]: it folds each event
 /// into its color's [`ColorCosts`] as the run emits it, so attributing a
 /// run holds one row per color and never the event stream. Used by
-/// [`attribute_costs`], the run reports, `rrs-cli run --metrics-out` and
+/// [`crate::run_report`], `rrs-cli attribute`, `run --metrics-out` and
 /// `report --run`, and (through [`per_color_from_events`]) saved traces.
 #[derive(Clone, Debug, Default)]
 pub struct CostFold {
@@ -95,13 +95,6 @@ impl Recorder for CostFold {
     }
 }
 
-/// Run a policy and attribute every cost to a color.
-pub fn attribute_costs<P: Policy>(inst: &Instance, n: usize, policy: &mut P) -> Vec<ColorCosts> {
-    let mut fold = CostFold::new();
-    crate::run::simulate(&Simulator::new(inst, n), policy, &mut fold);
-    fold.finish(inst)
-}
-
 /// Attribute a saved trace's events to the colors of `inst` by the
 /// [`CostFold`] rule, for the CLI's saved-trace `report` mode.
 pub fn per_color_from_events<'a>(
@@ -146,7 +139,12 @@ pub fn attribution_table(title: &str, delta: u64, mut per: Vec<ColorCosts>) -> T
 mod tests {
     use super::*;
     use rrs_core::DeltaLruEdf;
+    use rrs_engine::Simulator;
     use rrs_model::InstanceBuilder;
+
+    fn attribute(inst: &Instance) -> Vec<ColorCosts> {
+        crate::run::run_report("", inst, 4, &mut DeltaLruEdf::new()).per_color
+    }
 
     fn two_color_instance() -> Instance {
         let mut b = InstanceBuilder::new(2);
@@ -162,7 +160,7 @@ mod tests {
     #[test]
     fn attribution_sums_to_run_totals() {
         let inst = two_color_instance();
-        let per = attribute_costs(&inst, 4, &mut DeltaLruEdf::new());
+        let per = attribute(&inst);
         let out = Simulator::new(&inst, 4).run(&mut DeltaLruEdf::new());
         assert_eq!(per.iter().map(|c| c.arrived).sum::<u64>(), out.arrived);
         assert_eq!(per.iter().map(|c| c.executed).sum::<u64>(), out.executed);
@@ -175,7 +173,7 @@ mod tests {
     #[test]
     fn starved_color_is_drop_attributed() {
         let inst = two_color_instance();
-        let per = attribute_costs(&inst, 4, &mut DeltaLruEdf::new());
+        let per = attribute(&inst);
         let starved = per[1];
         assert_eq!(starved.dropped, 1);
         assert_eq!(starved.reconfigs_to, 0);
@@ -187,7 +185,7 @@ mod tests {
     #[test]
     fn table_sorted_by_cost() {
         let inst = two_color_instance();
-        let per = attribute_costs(&inst, 4, &mut DeltaLruEdf::new());
+        let per = attribute(&inst);
         let t = attribution_table("attribution", inst.delta, per);
         let first: u64 = t.cell(0, "cost").unwrap().parse().unwrap();
         let second: u64 = t.cell(1, "cost").unwrap().parse().unwrap();

@@ -15,12 +15,12 @@
 //! [`check_lemmas`] runs the instrumented algorithm once and evaluates all
 //! three.
 
-use rrs_core::Edf;
-use rrs_engine::Simulator;
+use rrs_core::{DeltaLruEdf, Edf};
+use rrs_engine::{NullRecorder, Simulator};
 use rrs_model::Instance;
 use rrs_offline::par_edf_drop_cost;
 
-use crate::run::run_dlru_edf;
+use crate::run::{checked, run_report, simulate, RunReport};
 
 /// Both sides of each lemma inequality for one run.
 #[derive(Clone, Debug)]
@@ -47,6 +47,9 @@ pub struct LemmaReport {
     pub ds_seq_edf_drops: u64,
     /// Total online cost, for context.
     pub total_cost: u64,
+    /// The ΔLRU-EDF run the lemmas were checked on, unlabeled: a caller
+    /// that keeps the report labels it.
+    pub run: RunReport,
 }
 
 impl LemmaReport {
@@ -92,35 +95,32 @@ impl LemmaReport {
 /// Run ΔLRU-EDF with `n` locations on a rate-limited instance and evaluate
 /// the Section 3 lemmas.
 pub fn check_lemmas(inst: &Instance, n: usize) -> LemmaReport {
-    let report = run_dlru_edf(inst, n);
-    // Under `validate`, also hold the run to the Lemma 3.3/3.4 bounds
+    // Under `validate`, the one run also holds the Lemma 3.3/3.4 bounds
     // *incrementally*: `CheckedPolicy` re-evaluates both inequalities after
     // every round, so a transient violation that happens to cancel by the
     // horizon still fails. Sound here because `check_lemmas` is only
     // defined for the rate-limited inputs the lemmas are stated over.
-    #[cfg(feature = "validate")]
-    crate::run::simulate_plain(
-        &Simulator::new(inst, n),
-        &mut rrs_check::CheckedPolicy::new(rrs_core::DeltaLruEdf::new()).with_lemma_monitors(),
-    );
+    let run = run_report("", inst, n, &mut checked(DeltaLruEdf::new(), true));
     let m = (n / 8).max(1);
     let par = par_edf_drop_cost(inst, m);
-    let ds = crate::run::simulate_plain(
+    let ds = simulate(
         &Simulator::new(inst, (n / 4).max(1)).with_speed(2),
         &mut Edf::seq(),
+        &mut NullRecorder,
     )
     .dropped;
     LemmaReport {
         n,
         m,
         delta: inst.delta,
-        num_epochs: report.metrics.num_epochs(),
-        reconfig_cost: report.outcome.cost.reconfig_cost(),
-        ineligible_drops: report.metrics.ineligible_drops,
-        eligible_drops: report.metrics.eligible_drops,
+        num_epochs: run.metrics.num_epochs(),
+        reconfig_cost: run.outcome.cost.reconfig_cost(),
+        ineligible_drops: run.metrics.ineligible_drops,
+        eligible_drops: run.metrics.eligible_drops,
         par_edf_drops: par.dropped,
         ds_seq_edf_drops: ds,
-        total_cost: report.outcome.total_cost(),
+        total_cost: run.outcome.total_cost(),
+        run,
     }
 }
 

@@ -1,33 +1,26 @@
-//! One-call run helpers and the machine-readable [`RunReport`].
+//! The harness's one run, [`run_report`], and its machine-readable
+//! [`RunReport`].
 //!
 //! A [`RunReport`] bundles everything one simulated run produced: the
-//! engine [`Outcome`] (costs plus conservation counters), the lemma
-//! counters of the instrumented algorithms, and a per-color cost
-//! attribution. [`RunReport::to_json`] serializes it as a single JSON
-//! object with a stable key order, so sweeps can stream reports to a JSONL
-//! file.
+//! engine [`Outcome`] (costs plus conservation counters), the policy's
+//! lemma counters as [`Policy::stats`] reports them when the run ends, and
+//! a per-color cost attribution. [`RunReport::to_json`] serializes it as a
+//! single JSON object with a stable key order, so sweeps can stream reports
+//! to a JSONL file. An experiment returns the reports of the runs it
+//! labels next to its table; no run is recorded anywhere else.
 //!
-//! **Report collection.** Experiments opt in with
-//! [`enable_report_collection`]; while enabled, [`observed_run`] and
-//! [`run_dlru_edf_labeled`] additionally push a labeled report into a
-//! process-wide collector drained by [`take_reports`]. Reports are sorted
-//! by label on drain, so the collected output is deterministic even when
-//! the runs themselves completed on a work-stealing sweep in arbitrary
-//! order. When collection is disabled (the default) `observed_run` is a
-//! plain run with zero observability overhead.
+//! Every harness run goes through [`simulate`], which tees in the
+//! [`supervisor`]; [`checked`] is the same build gate on the policy side.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-use rrs_core::{AlgoMetrics, DeltaLruEdf};
-use rrs_engine::{NullRecorder, Outcome, Policy, Recorder, Simulator};
+use rrs_core::{AlgoMetrics, Instrumented};
+use rrs_engine::{Outcome, Policy, Recorder, Simulator};
 use rrs_model::json::Quoted;
 use rrs_model::Instance;
 
 use crate::attribution::{ColorCosts, CostFold};
 
-/// The result of running a policy: engine costs, lemma counters (zeroed
-/// for uninstrumented policies), and the per-color attribution.
+/// The result of running a policy: engine costs, lemma counters (zero for
+/// a policy that keeps none), and the per-color attribution.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Caller-chosen label (e.g. `"e3 seed=4"`); empty for ad-hoc runs.
@@ -96,48 +89,15 @@ impl RunReport {
     }
 }
 
-/// Whether observed runs should record reports into the collector.
-static COLLECTING: AtomicBool = AtomicBool::new(false);
-
-/// The process-wide report collector.
-static REPORTS: Mutex<Vec<RunReport>> = Mutex::new(Vec::new());
-
-/// Turn report collection on: subsequent [`observed_run`] /
-/// [`run_dlru_edf_labeled`] calls push a labeled [`RunReport`] into the
-/// process-wide collector.
-pub fn enable_report_collection() {
-    COLLECTING.store(true, Ordering::Relaxed);
-}
-
-/// Is report collection currently enabled?
-pub fn collecting() -> bool {
-    COLLECTING.load(Ordering::Relaxed)
-}
-
-/// Push a report into the collector (no-op *check* is the caller's job;
-/// this always records).
-pub fn record_report(report: RunReport) {
-    REPORTS.lock().expect("report collector lock poisoned").push(report);
-}
-
-/// Drain the collector, turn collection off, and return the reports sorted
-/// by `(label, policy)` — a deterministic order even when the runs finished
-/// on a work-stealing sweep.
-pub fn take_reports() -> Vec<RunReport> {
-    COLLECTING.store(false, Ordering::Relaxed);
-    let mut reports = std::mem::take(&mut *REPORTS.lock().expect("report collector lock poisoned"));
-    reports.sort_by(|a, b| a.label.cmp(&b.label).then_with(|| a.policy.cmp(&b.policy)));
-    reports
-}
-
 /// The recorder that supervises a run over `inst`: under `--features
 /// validate`, the shadow-model `InvariantWatcher` from `rrs-check`, which
 /// panics on any phase-law violation (DESIGN.md §9); otherwise a
-/// [`NullRecorder`] that compiles to nothing. This is the one validate
-/// gate for the engine: every choke point — [`simulate`], the CLI, the
-/// golden-fixture and checkpoint tests — tees it after its own recorder.
-/// The watcher seeds itself from the state a run starts from, so the same
-/// supervisor checks fresh, checkpointed, resumed and streamed runs.
+/// [`rrs_engine::NullRecorder`] that compiles to nothing. This is the one
+/// validate gate for the engine: every choke point — [`simulate`], the CLI,
+/// the golden-fixture and checkpoint tests — tees it after its own
+/// recorder. The watcher seeds itself from the state a run starts from, so
+/// the same supervisor checks fresh, checkpointed, resumed and streamed
+/// runs.
 pub fn supervisor(inst: &Instance) -> impl Recorder + '_ {
     #[cfg(feature = "validate")]
     {
@@ -146,7 +106,7 @@ pub fn supervisor(inst: &Instance) -> impl Recorder + '_ {
     #[cfg(not(feature = "validate"))]
     {
         let _ = inst;
-        NullRecorder
+        rrs_engine::NullRecorder
     }
 }
 
@@ -155,11 +115,34 @@ pub fn supervisor(inst: &Instance) -> impl Recorder + '_ {
 /// this is set, because the watcher checks every round against it.
 pub const SUPERVISED: bool = cfg!(feature = "validate");
 
+/// The policy-side validate gate, beside [`supervisor`]: under `--features
+/// validate`, `policy` inside `rrs-check`'s `CheckedPolicy`, which verifies
+/// the ΔLRU timestamp laws after every decision and, with
+/// `lemma_monitors`, the Lemma 3.3/3.4 bounds after every round (sound only
+/// on rate-limited input); otherwise `policy` itself. Both forward `name()`
+/// and `stats()`, so a [`run_report`] reads the same either way.
+pub fn checked<P: Policy + Instrumented>(policy: P, lemma_monitors: bool) -> impl Policy {
+    #[cfg(feature = "validate")]
+    {
+        let checked = rrs_check::CheckedPolicy::new(policy);
+        if lemma_monitors {
+            checked.with_lemma_monitors()
+        } else {
+            checked
+        }
+    }
+    #[cfg(not(feature = "validate"))]
+    {
+        let _ = lemma_monitors;
+        policy
+    }
+}
+
 /// Run a configured simulator through this crate's single simulation choke
-/// point. Every harness run — the one-call helpers below, the lemma
-/// checkers, the E1–E16 experiments, punctuality audits and timelines —
-/// goes through here, so building with `--features validate` supervises
-/// all of them (see [`supervisor`]). Without the feature this is exactly
+/// point. Every harness run — [`run_report`], the lemma checkers, the
+/// E1–E16 experiments, punctuality audits and timelines — goes through
+/// here, so building with `--features validate` supervises all of them
+/// (see [`supervisor`]). Without the feature this is exactly
 /// `sim.run_traced(policy, recorder)`.
 pub fn simulate<P: Policy, R: Recorder + ?Sized>(
     sim: &Simulator<'_>,
@@ -169,87 +152,26 @@ pub fn simulate<P: Policy, R: Recorder + ?Sized>(
     sim.run_traced(policy, &mut (recorder, supervisor(sim.instance())))
 }
 
-/// [`simulate`] without a recorder.
-pub fn simulate_plain<P: Policy>(sim: &Simulator<'_>, policy: &mut P) -> Outcome {
-    simulate(sim, policy, &mut NullRecorder)
-}
-
-/// Run any policy on `n` locations and return the outcome.
-pub fn run_policy<P: Policy>(inst: &Instance, n: usize, policy: &mut P) -> Outcome {
-    simulate_plain(&Simulator::new(inst, n), policy)
-}
-
-/// Run any policy and, when report collection is enabled, record a labeled
-/// [`RunReport`] (with zeroed lemma counters — use
-/// [`run_dlru_edf_labeled`] for the instrumented headline algorithm).
-/// When collection is disabled this is exactly [`run_policy`].
-pub fn observed_run<P: Policy>(label: &str, inst: &Instance, n: usize, policy: &mut P) -> Outcome {
-    if !collecting() {
-        return simulate_plain(&Simulator::new(inst, n), policy);
-    }
+/// The harness's one run: `policy` on `n` locations over `inst`, through
+/// [`simulate`] with a [`CostFold`] teed in, reported under `label` with
+/// the lemma counters `policy.stats()` holds when the run ends.
+pub fn run_report<P: Policy>(label: &str, inst: &Instance, n: usize, policy: &mut P) -> RunReport {
     let mut fold = CostFold::new();
     let outcome = simulate(&Simulator::new(inst, n), policy, &mut fold);
-    record_report(RunReport {
+    RunReport {
         label: label.to_string(),
         policy: policy.name().to_string(),
         locations: n,
-        outcome: outcome.clone(),
-        metrics: AlgoMetrics::default(),
-        per_color: fold.finish(inst),
-    });
-    outcome
-}
-
-/// Run ΔLRU-EDF on `n` locations and return costs plus lemma counters and
-/// the per-color attribution.
-pub fn run_dlru_edf(inst: &Instance, n: usize) -> RunReport {
-    run_dlru_edf_labeled("", inst, n)
-}
-
-/// [`run_dlru_edf`] with a caller-chosen label; when report collection is
-/// enabled the report is also pushed into the collector.
-pub fn run_dlru_edf_labeled(label: &str, inst: &Instance, n: usize) -> RunReport {
-    let mut fold = CostFold::new();
-    // Under `validate`, the headline algorithm additionally runs inside
-    // `CheckedPolicy`, which verifies the ΔLRU timestamp laws after every
-    // decision (the supervisor teed in by `simulate` checks the engine
-    // side).
-    #[cfg(feature = "validate")]
-    let (outcome, p) = {
-        let mut checked = rrs_check::CheckedPolicy::new(DeltaLruEdf::new());
-        let outcome = simulate(&Simulator::new(inst, n), &mut checked, &mut fold);
-        (outcome, checked.into_inner())
-    };
-    #[cfg(not(feature = "validate"))]
-    let (outcome, p) = {
-        let mut p = DeltaLruEdf::new();
-        let outcome = simulate(&Simulator::new(inst, n), &mut p, &mut fold);
-        (outcome, p)
-    };
-    let report = RunReport {
-        label: label.to_string(),
-        policy: p.name().to_string(),
-        locations: n,
         outcome,
-        metrics: p.metrics(),
+        metrics: policy.stats().metrics,
         per_color: fold.finish(inst),
-    };
-    if collecting() {
-        record_report(report.clone());
     }
-    report
-}
-
-/// Tests that toggle or drain the process-wide collector serialize on this
-/// lock so they cannot steal each other's reports.
-#[cfg(test)]
-pub(crate) mod test_sync {
-    pub static COLLECTOR_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_core::{DeltaLru, DeltaLruEdf, Edf};
     use rrs_model::InstanceBuilder;
 
     fn small() -> Instance {
@@ -262,7 +184,7 @@ mod tests {
     #[test]
     fn report_carries_metrics() {
         let inst = small();
-        let r = run_dlru_edf(&inst, 4);
+        let r = run_report("", &inst, 4, &mut DeltaLruEdf::new());
         assert_eq!(r.policy, "dlru-edf");
         assert!(r.outcome.conserved());
         assert_eq!(r.metrics.num_epochs(), 1);
@@ -270,19 +192,21 @@ mod tests {
     }
 
     #[test]
-    fn run_policy_generic() {
-        let mut b = InstanceBuilder::new(1);
-        let c = b.color(2);
-        b.arrive(0, c, 2);
-        let inst = b.build();
-        let out = run_policy(&inst, 2, &mut rrs_core::Edf::new());
-        assert!(out.conserved());
+    fn every_policy_reports_its_own_counters() {
+        let inst = small();
+        let policies: [Box<dyn Policy>; 3] =
+            [Box::new(DeltaLru::new()), Box::new(Edf::new()), Box::new(DeltaLruEdf::new())];
+        for mut p in policies {
+            let r = run_report("", &inst, 4, &mut p);
+            assert!(r.metrics.num_epochs() > 0, "{}: {:?}", r.policy, r.metrics);
+            assert_eq!(r.metrics, p.stats().metrics, "{}", r.policy);
+        }
     }
 
     #[test]
     fn per_color_matches_outcome_totals() {
         let inst = small();
-        let r = run_dlru_edf(&inst, 4);
+        let r = run_report("", &inst, 4, &mut DeltaLruEdf::new());
         let arrived: u64 = r.per_color.iter().map(|c| c.arrived).sum();
         let executed: u64 = r.per_color.iter().map(|c| c.executed).sum();
         let dropped: u64 = r.per_color.iter().map(|c| c.dropped).sum();
@@ -296,7 +220,7 @@ mod tests {
     #[test]
     fn json_is_one_line_with_stable_fields() {
         let inst = small();
-        let r = run_dlru_edf_labeled("smoke \"q\"", &inst, 4);
+        let r = run_report("smoke \"q\"", &inst, 4, &mut DeltaLruEdf::new());
         let j = r.to_json();
         assert!(!j.contains('\n'), "{j}");
         assert!(j.starts_with("{\"label\":\"smoke \\\"q\\\"\""), "{j}");
@@ -310,26 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn collector_records_sorted_labels() {
-        let _g = test_sync::COLLECTOR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fn checked_policy_forwards_name_and_stats() {
         let inst = small();
-        enable_report_collection();
-        assert!(collecting());
-        let _ = run_dlru_edf_labeled("z-last", &inst, 4);
-        let _ = observed_run("a-first", &inst, 2, &mut rrs_core::Edf::new());
-        let reports = take_reports();
-        assert!(!collecting());
-        // Other tests in this binary may have contributed reports; check
-        // relative order of ours rather than exact contents.
-        let za: Vec<usize> = reports
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.label == "z-last" || r.label == "a-first")
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(za.len(), 2, "{reports:?}");
-        assert_eq!(reports[za[0]].label, "a-first");
-        assert_eq!(reports[za[1]].label, "z-last");
+        let mut p = checked(DeltaLruEdf::new(), true);
+        let r = run_report("", &inst, 4, &mut p);
+        let bare = run_report("", &inst, 4, &mut DeltaLruEdf::new());
+        assert_eq!(r.to_json(), bare.to_json());
     }
 
     #[cfg(feature = "validate")]
@@ -346,17 +256,5 @@ mod tests {
         let other = b.build();
         let sim = Simulator::new(&run_inst, 1).with_horizon(other.horizon());
         sim.run_traced(&mut rrs_engine::policy::PinColor(c), &mut supervisor(&other));
-    }
-
-    #[test]
-    fn observed_run_is_plain_when_disabled() {
-        let _g = test_sync::COLLECTOR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let inst = small();
-        // Collection off (take_reports in other tests turns it off; make sure).
-        let _ = take_reports();
-        let before = REPORTS.lock().unwrap().len();
-        let out = observed_run("quiet", &inst, 2, &mut rrs_core::Edf::new());
-        assert!(out.conserved());
-        assert_eq!(REPORTS.lock().unwrap().len(), before);
     }
 }

@@ -52,16 +52,6 @@ impl<P: Policy + Instrumented> CheckedPolicy<P> {
         self
     }
 
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
     /// Reconfiguration cost counted so far from assignment diffs.
     pub fn counted_reconfig_cost(&self) -> u64 {
         self.reconfig_cost

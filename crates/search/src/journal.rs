@@ -12,7 +12,6 @@
 //! rejects on any schema drift.
 
 use std::fmt::Write as _;
-use std::io::{self, Write};
 
 use rrs_model::json::{self, Quoted};
 
@@ -71,30 +70,6 @@ pub fn result_line(genome_enc: &str, eval: &Evaluation, size: u64, evals: u64) -
 
 fn eval_fields(genome: &str, eval: &Evaluation) -> (String, u64, u64, String) {
     (genome.to_string(), eval.fitness.cost, eval.fitness.base, eval.referee.name().to_string())
-}
-
-/// Streams journal lines to any writer.
-pub struct JournalWriter<W: Write> {
-    out: W,
-}
-
-impl<W: Write> JournalWriter<W> {
-    /// Wrap a writer; emits nothing until the first event.
-    pub fn new(out: W) -> Self {
-        Self { out }
-    }
-
-    /// Write one pre-rendered line.
-    pub fn line(&mut self, line: &str) -> io::Result<()> {
-        self.out.write_all(line.as_bytes())?;
-        self.out.write_all(b"\n")
-    }
-
-    /// Flush and return the inner writer.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.out.flush()?;
-        Ok(self.out)
-    }
 }
 
 /// One journal line.

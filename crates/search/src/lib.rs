@@ -62,7 +62,7 @@ pub use fitness::{
 };
 pub use journal::{
     gen_line, meta_line, parse_journal, parse_journal_line, result_line, shrink_line, JournalLine,
-    JournalParseError, JournalWriter, SEARCH_SCHEMA_VERSION,
+    JournalParseError, SEARCH_SCHEMA_VERSION,
 };
 pub use shrink::{shrink, ShrinkReport, ShrinkStep};
 
@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use crate::journal::{
         gen_line, meta_line, parse_journal, parse_journal_line, result_line, shrink_line,
-        JournalLine, JournalParseError, JournalWriter, SEARCH_SCHEMA_VERSION,
+        JournalLine, JournalParseError, SEARCH_SCHEMA_VERSION,
     };
     pub use crate::shrink::{shrink, ShrinkReport, ShrinkStep};
 }

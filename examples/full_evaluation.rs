@@ -9,7 +9,7 @@
 use rrs::analysis::experiments;
 
 fn main() {
-    for table in experiments::all_default() {
+    for (table, _) in experiments::all_default() {
         println!("{table}");
     }
     println!(

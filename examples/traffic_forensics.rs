@@ -6,9 +6,7 @@
 //! cargo run --example traffic_forensics
 //! ```
 
-use rrs::analysis::{
-    attribute_costs, attribution_table, punctuality_stats, timeline, timeline_table,
-};
+use rrs::analysis::{attribution_table, punctuality_stats, run_report, timeline, timeline_table};
 use rrs::prelude::*;
 
 fn main() {
@@ -36,7 +34,7 @@ fn main() {
     let n = 8;
 
     // 1. Who costs what?
-    let per = attribute_costs(&inst, n, &mut DeltaLruEdf::new());
+    let per = run_report("forensics", &inst, n, &mut DeltaLruEdf::new()).per_color;
     println!("{}", attribution_table("per-color cost attribution (ΔLRU-EDF)", inst.delta, per));
 
     // 2. When do jobs run relative to their half-blocks?

@@ -477,6 +477,12 @@ fn print_cost_attribution(delta: u64, reconfigs: u64, dropped: u64) -> Result<()
     Ok(())
 }
 
+/// The per-color cost table of a `policy` run on `n` locations, as
+/// `attribute`, `report` and `report --run` print it.
+fn per_color_table(policy: &str, n: usize, delta: u64, per: Vec<ColorCosts>) -> Table {
+    attribution_table(&format!("per-color costs ({policy} @ {n} locations)"), delta, per)
+}
+
 fn cmd_report(mut args: Vec<String>) -> Result<(), String> {
     match take_flag(&mut args, "--run") {
         Some(policy_name) => report_live(&policy_name, args),
@@ -546,14 +552,7 @@ fn report_saved(mut args: Vec<String>) -> Result<(), String> {
         }
         let per = per_color_from_events(&inst, parsed.events.iter());
         println!();
-        println!(
-            "{}",
-            attribution_table(
-                &format!("per-color costs ({} @ {} locations)", meta.policy, meta.locations),
-                meta.delta,
-                per
-            )
-        );
+        println!("{}", per_color_table(&meta.policy, meta.locations, meta.delta, per));
         if meta.speed == 1 {
             let mut sched = FixedSchedule::new(meta.locations);
             for e in &parsed.events {
@@ -614,11 +613,7 @@ fn report_live(policy_name: &str, mut args: Vec<String>) -> Result<(), String> {
     println!("conservation: {}", if out.conserved() { "ok" } else { "VIOLATED" });
     print_cost_attribution(inst.delta, out.cost.reconfigs, out.dropped)?;
     println!();
-    let per = fold.finish(&inst);
-    println!(
-        "{}",
-        attribution_table(&format!("per-color costs ({name} @ {n} locations)"), inst.delta, per)
-    );
+    println!("{}", per_color_table(&name, n, inst.delta, fold.finish(&inst)));
     if metrics != AlgoMetrics::default() {
         let e = metrics.num_epochs();
         let r33 = out.cost.reconfig_cost() <= 4 * e * inst.delta;
@@ -801,22 +796,17 @@ fn cmd_lemmas(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+/// `attribute <policy> <FILE>`: the per-color cost table `report --run`
+/// prints, from the same session runner and [`CostFold`].
 fn cmd_attribute(mut args: Vec<String>) -> Result<(), String> {
     let locations = take_flag(&mut args, "--locations");
     let policy_name = args.first().ok_or("missing <policy>")?.clone();
     let path = args.get(1).ok_or("missing <FILE>")?;
     let n = parse_locations(locations, &policy_name)?;
-    let inst = load(path)?;
-    let mut policy = make_policy(&policy_name)?;
-    let per = rrs::analysis::attribute_costs(&inst, n, &mut policy);
-    println!(
-        "{}",
-        rrs::analysis::attribution_table(
-            &format!("per-color costs ({} @ {n} locations)", policy.name()),
-            inst.delta,
-            per
-        )
-    );
+    let mut fold = CostFold::new();
+    let ran = session_command(&policy_name, path, n, false, None, None, &mut fold, |s| s)?;
+    let inst = ran.inst.expect("a materialized session keeps its instance");
+    println!("{}", per_color_table(&ran.policy, n, inst.delta, fold.finish(&inst)));
     Ok(())
 }
 
@@ -831,13 +821,12 @@ fn cmd_classify(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+/// `evaluate [--only NAME] [--metrics-out F]`: print experiment tables and
+/// write the reports of the runs they labeled, sorted by `(label, policy)`.
 fn cmd_evaluate(mut args: Vec<String>) -> Result<(), String> {
     let only = take_flag(&mut args, "--only");
     let metrics_out = take_flag(&mut args, "--metrics-out");
-    if metrics_out.is_some() {
-        rrs::analysis::enable_report_collection();
-    }
-    match only {
+    let ran = match only {
         Some(name) => {
             let suite = experiments::default_suite();
             let build =
@@ -847,16 +836,17 @@ fn cmd_evaluate(mut args: Vec<String>) -> Result<(), String> {
                         format!("unknown experiment '{name}' (have: {})", names.join(" "))
                     },
                 )?;
-            println!("{}", build());
+            vec![build()]
         }
-        None => {
-            for table in experiments::all_default() {
-                println!("{table}");
-            }
-        }
+        None => experiments::all_default(),
+    };
+    let mut reports = Vec::new();
+    for (table, runs) in ran {
+        println!("{table}");
+        reports.extend(runs);
     }
     if let Some(mpath) = metrics_out {
-        let reports = rrs::analysis::take_reports();
+        reports.sort_by(|a, b| a.label.cmp(&b.label).then_with(|| a.policy.cmp(&b.policy)));
         let mut text = String::new();
         for r in &reports {
             text.push_str(&r.to_json());

@@ -189,6 +189,35 @@ arrive 0 1 4
     assert!(text.contains("reconfigs_to"), "{text}");
     assert!(text.contains("c0") && text.contains("c1"));
     std::fs::remove_file(&file).ok();
+
+    // `attribute` and `report --run` share one attribution path, so the
+    // table `attribute` prints is the one `report --run` embeds, byte for
+    // byte. Every policy on two batched inputs; on the unbatched 10^5-color
+    // Zipf input, the two policies defined on unbatched arrivals (the bare
+    // batched-arrival policies trip a debug assertion there).
+    let all: &[&str] = &["dlru", "edf", "classic-lru", "dlru-edf", "distribute", "full"];
+    let cases: [(&str, &str, &[&str]); 3] = [
+        ("rate-limited", "7", all),
+        ("batched", "3", all),
+        ("zipf", "3", &["classic-lru", "full"]),
+    ];
+    for (kind, seed, policies) in cases {
+        let inst = tmpfile(&format!("attr-{kind}.rrs"));
+        let out =
+            cli().args(["generate", kind, "--seed", seed, "--out"]).arg(&inst).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        for &policy in policies {
+            let attribute = cli().args(["attribute", policy]).arg(&inst).output().unwrap();
+            assert!(attribute.status.success(), "{policy} on {kind}");
+            let table = String::from_utf8(attribute.stdout).unwrap();
+            assert!(table.contains("reconfigs_to"), "{policy} on {kind}: {table}");
+            let report = cli().args(["report", "--run", policy]).arg(&inst).output().unwrap();
+            assert!(report.status.success(), "report --run {policy} on {kind}");
+            let report = String::from_utf8(report.stdout).unwrap();
+            assert!(report.contains(&table), "{policy} on {kind}: attribute's table not in report");
+        }
+        std::fs::remove_file(&inst).ok();
+    }
 }
 
 #[test]
@@ -384,24 +413,61 @@ fn report_live_prints_lemma_bounds_and_phase_timing() {
     std::fs::remove_file(&inst).ok();
 }
 
+/// Run `evaluate` with `args` and `--metrics-out`; return the reports file.
+fn evaluate_reports(args: &[&str], tag: &str) -> String {
+    let path = tmpfile(&format!("reports-{tag}.jsonl"));
+    let out = cli().arg("evaluate").args(args).arg("--metrics-out").arg(&path).output().unwrap();
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    text
+}
+
+/// The `label` of each report line, in file order.
+fn report_labels(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|l| rrs::model::json::parse(l).unwrap().str_field("label").unwrap().to_string())
+        .collect()
+}
+
 #[test]
 fn evaluate_metrics_out_is_deterministic_across_jobs() {
-    let run = |jobs: &str, tag: &str| {
-        let path = tmpfile(&format!("reports-{tag}.jsonl"));
-        let out = cli()
-            .args(["evaluate", "--only", "e3", "--jobs", jobs, "--metrics-out"])
-            .arg(&path)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "--jobs {jobs}: {}", String::from_utf8_lossy(&out.stderr));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        text
-    };
-    let serial = run("1", "j1");
-    assert!(serial.lines().count() >= 8, "{serial}");
-    assert!(serial.lines().all(|l| l.starts_with("{\"label\":\"e3 seed=")), "{serial}");
-    assert_eq!(serial, run("4", "j4"), "report JSONL diverged across worker counts");
+    let serial = evaluate_reports(&["--jobs", "1"], "j1");
+    let mut keys = std::collections::BTreeSet::new();
+    for line in serial.lines() {
+        let v = rrs::model::json::parse(line).expect("one JSON report per line");
+        let (label, policy) = (v.str_field("label").unwrap(), v.str_field("policy").unwrap());
+        assert!(!label.is_empty(), "unlabeled {policy} run: {line}");
+        assert!(keys.insert((label.to_string(), policy.to_string())), "duplicate: {line}");
+    }
+    // Every experiment of the default suite (E1-E16 but E9) labels its runs.
+    for name in (1..=16).filter(|&e| e != 9).map(|e| format!("e{e} ")) {
+        assert!(keys.iter().any(|(l, _)| l.starts_with(&name)), "no {name}report");
+    }
+    assert_eq!(serial, evaluate_reports(&["--jobs", "4"], "j4"), "reports diverged across --jobs");
+}
+
+#[test]
+fn evaluate_metrics_out_labels_the_lemma_runs() {
+    let e4 = evaluate_reports(&["--only", "e4"], "e4");
+    let expected: Vec<String> = (0..4)
+        .flat_map(|seed| ["0.3", "0.7", "1.0"].map(|load| format!("e4 seed={seed} load={load}")))
+        .collect();
+    assert_eq!(report_labels(&e4), expected, "{e4}");
+    let e5 = evaluate_reports(&["--only", "e5"], "e5");
+    let expected: Vec<String> = (0..8).map(|seed| format!("e5 seed={seed}")).collect();
+    assert_eq!(report_labels(&e5), expected, "{e5}");
+}
+
+#[test]
+fn evaluate_metrics_out_carries_each_policys_lemma_counters() {
+    let e8 = evaluate_reports(&["--only", "e8"], "e8");
+    assert_eq!(e8.lines().count(), 3, "{e8}");
+    for line in e8.lines() {
+        let v = rrs::model::json::parse(line).unwrap();
+        let epochs = v.field("metrics").unwrap().u64_field("num_epochs").unwrap();
+        assert!(epochs > 0, "zero lemma counters: {line}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@ use rrs::analysis::experiments::{
 
 #[test]
 fn e1_exact_costs_are_stable() {
-    let t = e1_lru_adversary(8, 2, 4..=8);
+    let (t, _) = e1_lru_adversary(8, 2, 4..=8);
     let col = |row: usize, name: &str| -> u64 { t.cell(row, name).unwrap().parse().unwrap() };
     // ΔLRU: n reconfigurations (nΔ = 16) plus all 2^k long-job drops.
     assert_eq!(col(0, "dlru"), 80); // 16 + 64
@@ -26,7 +26,7 @@ fn e1_exact_costs_are_stable() {
 
 #[test]
 fn e2_exact_costs_are_stable() {
-    let t = e2_edf_adversary(8, 10, 4, 6..=9);
+    let (t, _) = e2_edf_adversary(8, 10, 4, 6..=9);
     let col = |row: usize, name: &str| -> u64 { t.cell(row, name).unwrap().parse().unwrap() };
     // OFF: (n/2 + 1)·Δ = 5 * 10.
     for row in 0..t.len() {
@@ -49,10 +49,10 @@ fn e2_exact_costs_are_stable() {
 #[test]
 fn suite_snapshot_is_byte_identical_to_fixture() {
     let mut text = String::new();
-    for table in all_default() {
+    for (table, _) in all_default() {
         text.push_str(&format!("{table}\n"));
     }
-    text.push_str(&format!("{}\n", router_scenario(0)));
+    text.push_str(&format!("{}\n", router_scenario(0).0));
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/suite_snapshot.txt");

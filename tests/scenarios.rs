@@ -87,7 +87,7 @@ fn scenarios_conserve_arrivals_through_the_simulator() {
 #[test]
 fn scenarios_run_cleanly_under_the_invariant_watcher() {
     for (name, inst) in scenario_instances() {
-        let out = simulate_plain(&Simulator::new(&inst, 8), &mut DeltaLruEdf::new());
+        let out = simulate(&Simulator::new(&inst, 8), &mut DeltaLruEdf::new(), &mut NullRecorder);
         assert!(out.conserved(), "{name}");
     }
 }
