@@ -51,22 +51,20 @@ impl Reduction for SubColors {
         &self.vcolors
     }
 
-    /// Split each batch of color `ℓ` (bound `D`, on a batch boundary) into
-    /// chunks of at most `D`: the job of rank `r` goes to sub-color
-    /// `(ℓ, ⌊r / D⌋)`, minted on first use, so arrival order fixes the ids.
+    /// Split each batch of color `ℓ` (bound `D`) into chunks of at most
+    /// `D`: the job of rank `r` goes to sub-color `(ℓ, ⌊r / D⌋)`, minted on
+    /// first use, so arrival order fixes the ids. Batches sit on their
+    /// boundaries on batched input; one off its boundary splits the same
+    /// way, and the inner policy's book applies its off-boundary rule.
     fn transduce(
         &mut self,
-        round: u64,
+        _round: u64,
         colors: &ColorTable,
         arrivals: &ColorCounts,
         out: &mut Vec<(ColorId, u64)>,
     ) {
         for &(c, count) in arrivals {
             let bound = colors.delay_bound(c);
-            debug_assert!(
-                round.is_multiple_of(bound),
-                "Distribute requires batched arrivals (color {c}, round {round})"
-            );
             let subs = self.subs.entry(c);
             for (j, rank) in (0..count).step_by(bound as usize).enumerate() {
                 if subs.len() == j {

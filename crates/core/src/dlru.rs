@@ -10,8 +10,7 @@
 
 use rrs_engine::checkpoint::{get_color_set, put_color_set};
 use rrs_engine::{
-    stable_assign_into, AlgoMetrics, AssignScratch, Observation, Policy, PolicyStats, Slot,
-    Snapshot,
+    stable_assign_into, AssignScratch, Observation, Policy, PolicyStats, Slot, Snapshot,
 };
 use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
@@ -37,25 +36,15 @@ impl DeltaLru {
         Self::default()
     }
 
-    /// The lemma counters accumulated so far (empty before `init`).
-    pub fn metrics(&self) -> AlgoMetrics {
-        self.book.as_ref().map(|b| b.metrics).unwrap_or_default()
-    }
-
     /// The distinct colors currently cached.
     pub fn cached_colors(&self) -> &ColorSet {
         &self.cached
-    }
-
-    /// Shared bookkeeping, for white-box tests.
-    pub fn book(&self) -> Option<&ColorBook> {
-        self.book.as_ref()
     }
 }
 
 impl crate::Instrumented for DeltaLru {
     fn book(&self) -> Option<&ColorBook> {
-        DeltaLru::book(self)
+        self.book.as_ref()
     }
 }
 
@@ -136,8 +125,8 @@ mod tests {
         let out = Simulator::new(&inst, 4).run(&mut p);
         assert_eq!(out.cost.reconfigs, 0);
         assert_eq!(out.dropped, 2);
-        assert_eq!(p.metrics().ineligible_drops, 2);
-        assert_eq!(p.metrics().eligible_drops, 0);
+        assert_eq!(p.stats().metrics.ineligible_drops, 2);
+        assert_eq!(p.stats().metrics.eligible_drops, 0);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 
 use rrs_engine::checkpoint::{get_color_set, put_color_set};
 use rrs_engine::{
-    stable_assign_into, AlgoMetrics, AssignScratch, Observation, Policy, PolicyStats, Slot,
-    Snapshot,
+    stable_assign_into, AssignScratch, Observation, Policy, PolicyStats, Slot, Snapshot,
 };
 use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
@@ -105,11 +104,6 @@ impl DeltaLruEdf {
         Self { replication, ..Self::new() }
     }
 
-    /// The lemma counters accumulated so far (empty before `init`).
-    pub fn metrics(&self) -> AlgoMetrics {
-        self.book.as_ref().map(|b| b.metrics).unwrap_or_default()
-    }
-
     /// The distinct colors currently cached.
     pub fn cached_colors(&self) -> &ColorSet {
         &self.cached
@@ -119,16 +113,11 @@ impl DeltaLruEdf {
     pub fn lru_colors(&self) -> &ColorSet {
         &self.lru_set
     }
-
-    /// Shared bookkeeping, for white-box tests and the analysis crate.
-    pub fn book(&self) -> Option<&ColorBook> {
-        self.book.as_ref()
-    }
 }
 
 impl crate::Instrumented for DeltaLruEdf {
     fn book(&self) -> Option<&ColorBook> {
-        DeltaLruEdf::book(self)
+        self.book.as_ref()
     }
 }
 
@@ -263,7 +252,7 @@ mod tests {
         // 8 execution slots per block >= 4 jobs.
         assert_eq!(out.dropped, 0);
         assert_eq!(out.cost.reconfigs, 2);
-        assert_eq!(p.metrics().num_epochs(), 1);
+        assert_eq!(p.stats().metrics.num_epochs(), 1);
     }
 
     #[test]
@@ -402,6 +391,6 @@ mod tests {
         let out = Simulator::new(&inst, 4).run(&mut p);
         assert_eq!(out.cost.reconfigs, 0);
         assert_eq!(out.dropped, 6);
-        assert_eq!(p.metrics().ineligible_drops, 6);
+        assert_eq!(p.stats().metrics.ineligible_drops, 6);
     }
 }

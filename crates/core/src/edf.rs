@@ -14,8 +14,7 @@
 
 use rrs_engine::checkpoint::{get_color_set, put_color_set};
 use rrs_engine::{
-    stable_assign_into, AlgoMetrics, AssignScratch, Observation, Policy, PolicyStats, Slot,
-    Snapshot,
+    stable_assign_into, AssignScratch, Observation, Policy, PolicyStats, Slot, Snapshot,
 };
 use rrs_model::{ColorId, ColorSet, SnapError, SnapReader, SnapWriter};
 
@@ -63,25 +62,15 @@ impl Edf {
         Self { replication: 1, ..Self::new() }
     }
 
-    /// The lemma counters accumulated so far (empty before `init`).
-    pub fn metrics(&self) -> AlgoMetrics {
-        self.book.as_ref().map(|b| b.metrics).unwrap_or_default()
-    }
-
     /// The distinct colors currently cached.
     pub fn cached_colors(&self) -> &ColorSet {
         &self.cached
-    }
-
-    /// Shared bookkeeping, for white-box tests.
-    pub fn book(&self) -> Option<&ColorBook> {
-        self.book.as_ref()
     }
 }
 
 impl crate::Instrumented for Edf {
     fn book(&self) -> Option<&ColorBook> {
-        Edf::book(self)
+        self.book.as_ref()
     }
 }
 
@@ -181,7 +170,7 @@ mod tests {
         Simulator::new(&inst, 2).run(&mut p);
         // At round 0 both are eligible and nonidle; tight has deadline 2 vs
         // loose's 8, so tight is cached first.
-        assert!(p.metrics().counter_wraps >= 2);
+        assert!(p.stats().metrics.counter_wraps >= 2);
         // loose eventually gets the cache once tight goes idle/retires.
         // Final cached set contains whichever was live at the end.
         assert!(p.cached_colors().len() <= 1);

@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use rrs_core::DeltaLruEdf;
-//! use rrs_engine::Simulator;
+//! use rrs_engine::{Policy, Simulator};
 //! use rrs_model::InstanceBuilder;
 //!
 //! let mut b = InstanceBuilder::new(2);
@@ -48,7 +48,7 @@
 //! let mut policy = DeltaLruEdf::new();
 //! let out = Simulator::new(&inst, 8).run(&mut policy);
 //! assert_eq!(out.dropped, 0);
-//! assert_eq!(policy.metrics().num_epochs(), 1);
+//! assert_eq!(policy.stats().metrics.num_epochs(), 1);
 //! ```
 
 #![forbid(unsafe_code)]

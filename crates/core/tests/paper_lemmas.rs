@@ -1,7 +1,7 @@
 //! White-box tests for the structural lemmas of §3.4, checked on real
 //! ΔLRU-EDF executions via an invariant-watching policy wrapper.
 
-use rrs_core::{DeltaLruEdf, Edf};
+use rrs_core::{DeltaLruEdf, Edf, Instrumented};
 use rrs_engine::{Observation, Policy, Simulator, Slot};
 use rrs_model::{ColorId, Instance, InstanceBuilder};
 
@@ -103,7 +103,7 @@ fn lemma_3_14_timestamp_advances_within_completed_epochs() {
 
     let mut p = DeltaLruEdf::new();
     Simulator::new(&inst, 4).run(&mut p);
-    let m = p.metrics();
+    let m = p.stats().metrics;
     assert!(m.completed_epochs >= 2, "need two completed epochs for c, got {m:?}");
     // Each wrap of c committed exactly once: the timestamp updates count
     // them (hog contributes its own).
@@ -127,7 +127,7 @@ fn lemma_3_15_super_epoch_ends_after_enough_timestamp_updates() {
     let inst = b.build();
     let mut p = DeltaLruEdf::new();
     Simulator::new(&inst, 8).run(&mut p);
-    let m = p.metrics();
+    let m = p.stats().metrics;
     assert!(m.super_epochs >= 5, "super-epochs should close repeatedly: {m:?}");
     assert!(
         m.timestamp_updates >= 2 * m.super_epochs,
@@ -147,8 +147,8 @@ fn corollary_3_2_few_epochs_per_color_under_steady_load() {
     let inst = b.build();
     let mut p = DeltaLruEdf::new();
     Simulator::new(&inst, 8).run(&mut p);
-    assert_eq!(p.metrics().completed_epochs, 0);
-    assert_eq!(p.metrics().num_epochs(), 1);
+    assert_eq!(p.stats().metrics.completed_epochs, 0);
+    assert_eq!(p.stats().metrics.num_epochs(), 1);
 }
 
 #[test]

@@ -298,16 +298,14 @@ fn multi_delta_batch_consumes_every_full_multiple() {
 const BOUNDS: [u64; 6] = [4, 2, 1, 4, 2, 1];
 const ROUNDS: u64 = 33;
 
-/// Off-boundary arrivals trip the book's debug assertion (batched input is
-/// every paper policy's contract). A release build accepts them — a bare
-/// Section 3 policy on unbatched input — so there the schedules include
-/// them, and the book's first-refresh and pending-wrap paths see use.
-const OFF_BOUNDARY_ARRIVALS: bool = !cfg!(debug_assertions);
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// Random schedules over two colors of each of three bounds: the
+    /// Random schedules over two colors of each of three bounds, with
+    /// arrivals in any round: batched input is every paper policy's
+    /// contract, but the book's off-boundary rule (a bare Section 3 policy
+    /// on unbatched input) holds in every build, and off-boundary arrivals
+    /// exercise its first-refresh and pending-wrap paths. The
     /// wrapping-counter book and the unbounded oracle must agree on every
     /// counter, timestamp, deadline, lemma counter (super-epochs under a
     /// random threshold, which pins the commit order) and the full recency
@@ -336,12 +334,12 @@ proptest! {
                 books.push(reloaded);
             }
             let mut batch: Vec<(ColorId, u64)> = Vec::new();
-            for (i, &d) in BOUNDS.iter().enumerate() {
+            for i in 0..n {
                 let mut jobs = arrivals[round as usize * n + i];
                 if round == 0 && i == 0 {
                     jobs = jobs.max(1); // materialize the bound-4 bucket first
                 }
-                if jobs > 0 && (round % d == 0 || OFF_BOUNDARY_ARRIVALS) {
+                if jobs > 0 {
                     batch.push((ColorId(i as u32), jobs));
                 }
             }

@@ -501,8 +501,6 @@ pub enum CheckpointPolicy {
     Never,
     /// Checkpoint at the top of every round `k·N` for `k ≥ 1`.
     EveryN(u64),
-    /// Checkpoint at the top of each listed round.
-    AtRounds(Vec<u64>),
 }
 
 impl CheckpointPolicy {
@@ -511,7 +509,6 @@ impl CheckpointPolicy {
         match self {
             CheckpointPolicy::Never => false,
             CheckpointPolicy::EveryN(n) => *n > 0 && round > 0 && round.is_multiple_of(*n),
-            CheckpointPolicy::AtRounds(rounds) => rounds.contains(&round),
         }
     }
 }
@@ -651,10 +648,6 @@ mod tests {
         assert!(every.due(5));
         assert!(every.due(10));
         assert!(!CheckpointPolicy::EveryN(0).due(0));
-        let at = CheckpointPolicy::AtRounds(vec![0, 7]);
-        assert!(at.due(0));
-        assert!(at.due(7));
-        assert!(!at.due(5));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use checkpoint::{
     SnapshotFile, SnapshotSink,
 };
 pub use kernel::{RoundKernel, Scratch};
-pub use obs::{CounterRecorder, CounterRegistry, Histogram, Stopwatch};
+pub use obs::{CounterRecorder, CounterRegistry, Stopwatch};
 pub use par::{jobs, par_map_sweep, set_jobs};
 pub use pending::PendingStore;
 pub use policy::{Observation, Policy, Slot};
@@ -92,7 +92,7 @@ pub mod prelude {
         SnapshotFile, SnapshotSink,
     };
     pub use crate::kernel::{RoundKernel, Scratch};
-    pub use crate::obs::{CounterRecorder, CounterRegistry, Histogram, Stopwatch};
+    pub use crate::obs::{CounterRecorder, CounterRegistry, Stopwatch};
     pub use crate::par::{jobs, par_map_sweep, set_jobs};
     pub use crate::pending::PendingStore;
     pub use crate::policy::{Observation, Policy, Slot};

@@ -10,18 +10,20 @@
 //! **Determinism boundary.** Trace lines carry *no* timestamps or other
 //! host-dependent fields: the byte stream is a pure function of the
 //! (instance, policy, locations, speed) tuple, so traces are golden-testable
-//! at any `--jobs` setting. All wall-clock measurement here lives in
-//! [`PhaseTimer`], which is advisory and never feeds deterministic outputs.
+//! at any `--jobs` setting. The only records besides the run's events are
+//! the meta header and the deterministic `counters` record. [`PhaseTimer`]
+//! reads the clock through [`Stopwatch`], is advisory and never feeds
+//! deterministic outputs.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rrs_model::json::{self, Quoted, Value};
 use rrs_model::ColorId;
 
-use crate::obs::{CounterRegistry, Histogram};
+use crate::obs::{CounterRegistry, Stopwatch};
 use crate::policy::Slot;
 use crate::trace::{Phase, Recorder, TraceEvent};
 
@@ -57,13 +59,6 @@ pub enum TraceLine {
     Counters {
         /// Counter names and values in serialization order.
         counters: Vec<(String, u64)>,
-    },
-    /// A fixed-bucket histogram snapshot.
-    Hist {
-        /// Histogram name.
-        name: String,
-        /// The reconstructed histogram.
-        hist: Histogram,
     },
 }
 
@@ -127,14 +122,6 @@ impl TraceLine {
                 out.push('}');
                 Ok(())
             }
-            TraceLine::Hist { name, hist } => write!(
-                out,
-                "{{\"ev\":\"hist\",\"name\":{},\"bounds\":{},\"counts\":{},\"sum\":{}}}",
-                Quoted(name),
-                Quoted(&hist.bounds_text()),
-                Quoted(&hist.counts_text()),
-                hist.sum()
-            ),
         };
     }
 }
@@ -185,19 +172,14 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
-    /// Append a registry's *deterministic* content as schema-v1 records:
-    /// one `counters` line (all counters, name-sorted, if any) followed by
-    /// one `hist` line per histogram. Advisory timers are deliberately
-    /// omitted — they would make the byte stream nondeterministic.
-    /// Conventionally written once, after the final round.
+    /// Append a registry's counters as one schema-v1 `counters` line
+    /// (name-sorted; nothing if the registry is empty). Conventionally
+    /// written once, after the final round.
     pub fn write_counters(&mut self, reg: &CounterRegistry) {
         let counters: Vec<(String, u64)> =
             reg.counters().map(|(name, value)| (name.to_string(), value)).collect();
         if !counters.is_empty() {
             self.emit(&TraceLine::Counters { counters });
-        }
-        for (name, hist) in reg.hists() {
-            self.emit(&TraceLine::Hist { name: name.to_string(), hist: hist.clone() });
         }
     }
 
@@ -296,20 +278,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
                 .collect::<Result<_, _>>()?;
             Ok(TraceLine::Counters { counters })
         }
-        "hist" => {
-            let list = |key: &str| -> Result<Vec<u64>, String> {
-                v.str_field(key)?
-                    .split(',')
-                    .map(|part| {
-                        part.parse::<u64>().map_err(|e| format!("bad '{key}' entry '{part}': {e}"))
-                    })
-                    .collect()
-            };
-            let name = v.str_field("name")?.to_string();
-            let hist = Histogram::from_parts(list("bounds")?, list("counts")?, v.u64_field("sum")?)
-                .map_err(|e| format!("hist '{name}': {e}"))?;
-            Ok(TraceLine::Hist { name, hist })
-        }
         "drop" => Ok(TraceLine::Event(TraceEvent::Drop {
             round: v.u64_field("round")?,
             color: color(&v, "color")?,
@@ -350,8 +318,6 @@ pub struct ParsedTrace {
     /// Deterministic counters from `counters` records; repeated records
     /// (e.g. a stitched prefix + suffix trace) sum per name.
     pub counters: BTreeMap<String, u64>,
-    /// Histograms from `hist` records, latest record per name winning.
-    pub hists: BTreeMap<String, Histogram>,
     arrived: u64,
     executed: u64,
     dropped: u64,
@@ -384,11 +350,6 @@ impl ParsedTrace {
     pub fn total_cost(&self) -> Option<u64> {
         let delta = self.meta.as_ref()?.delta;
         delta.checked_mul(self.reconfigs)?.checked_add(self.dropped)
-    }
-
-    /// A counter from the trace's `counters` record(s), if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
     }
 }
 
@@ -431,9 +392,6 @@ pub fn parse_trace(textual: &str) -> Result<ParsedTrace, TraceParseError> {
                     add(out.counters.entry(name).or_insert(0), v, &what)?;
                 }
             }
-            TraceLine::Hist { name, hist } => {
-                out.hists.insert(name, hist);
-            }
         }
     }
     Ok(out)
@@ -453,7 +411,7 @@ pub struct PhaseTimer {
     totals: [Duration; 4],
     per_mini: Vec<Duration>,
     rounds: u64,
-    open: Option<(Instant, Phase, u32)>,
+    open: Option<(Stopwatch, Phase, u32)>,
 }
 
 impl PhaseTimer {
@@ -462,9 +420,9 @@ impl PhaseTimer {
         Self::default()
     }
 
-    fn close(&mut self, now: Instant) {
-        if let Some((t0, phase, mini)) = self.open.take() {
-            let dt = now.duration_since(t0);
+    fn close(&mut self) {
+        if let Some((sw, phase, mini)) = self.open.take() {
+            let dt = sw.elapsed();
             self.totals[phase.index()] += dt;
             if matches!(phase, Phase::Reconfig | Phase::Execution) {
                 let idx = mini as usize;
@@ -523,21 +481,16 @@ impl PhaseTimer {
     }
 }
 
-// Audited exception to the determinism wall (clippy.toml): `PhaseTimer`
-// readings are documented as advisory and never enter traces or tables.
-#[allow(clippy::disallowed_methods)]
 impl Recorder for PhaseTimer {
-    fn on_round_start(&mut self, round: u64) {
-        let _ = round;
+    fn on_round_start(&mut self, _round: u64) {
         self.rounds += 1;
     }
     fn on_phase_start(&mut self, _round: u64, mini: u32, phase: Phase) {
-        let now = Instant::now();
-        self.close(now);
-        self.open = Some((now, phase, mini));
+        self.close();
+        self.open = Some((Stopwatch::start(), phase, mini));
     }
     fn on_round_end(&mut self, _round: u64) {
-        self.close(Instant::now());
+        self.close();
     }
 }
 
@@ -622,11 +575,6 @@ mod tests {
         let mut reg = CounterRegistry::new();
         reg.add(crate::obs::names::ROUNDS, 12);
         reg.add(crate::obs::names::DROPPED, 3);
-        reg.declare_hist("batch_size", &[1, 4, 16]);
-        reg.observe("batch_size", 2);
-        reg.observe("batch_size", 99);
-        // Advisory timers must never reach the serialized records.
-        reg.add_time("wall", Duration::from_secs(1));
 
         let mut sink = JsonlSink::with_meta(
             Vec::new(),
@@ -636,21 +584,18 @@ mod tests {
         sink.write_counters(&reg);
         let bytes = sink.finish().unwrap();
         let textual = String::from_utf8(bytes).unwrap();
-        assert!(!textual.contains("wall"), "advisory timer leaked: {textual}");
+        let record = textual.lines().last().unwrap();
+        assert_eq!(record, "{\"ev\":\"counters\",\"jobs_dropped\":3,\"rounds\":12}");
 
         let parsed = parse_trace(&textual).unwrap();
-        assert_eq!(parsed.counter("rounds"), Some(12));
-        assert_eq!(parsed.counter("jobs_dropped"), Some(3));
-        assert_eq!(parsed.counter("nope"), None);
-        let h = parsed.hists.get("batch_size").expect("hist record parsed");
-        assert_eq!(h.counts(), reg.hist("batch_size").unwrap().counts());
-        assert_eq!(h.sum(), 101);
+        let want: BTreeMap<String, u64> =
+            [("jobs_dropped".to_string(), 3), ("rounds".to_string(), 12)].into();
+        assert_eq!(parsed.counters, want);
 
         // A stitched trace (two counters records) sums per name.
-        let record = textual.lines().find(|l| l.starts_with("{\"ev\":\"counters\"")).unwrap();
         let doubled = format!("{textual}{record}\n");
         let parsed = parse_trace(&doubled).unwrap();
-        assert_eq!(parsed.counter("rounds"), Some(24));
+        assert_eq!(parsed.counters["rounds"], 24);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Machine-readable output: a hand-rolled JSON writer and parser for the
-//! findings report, in the workspace's no-serde tradition (cf.
-//! `rrs_engine::sink` and `rrs_bench::artifact`).
+//! Machine-readable output: the `--json` findings report's writer.
 //!
-//! The encoding is canonical — fixed key order, no whitespace options — so
-//! `parse(encode(x)) == x` and `encode(parse(s)) == s` both hold; the
-//! fixture suite uses the round trip as the schema's own regression test.
+//! rrs-lint links none of the crates it analyzes (DESIGN.md §15), so it
+//! writes its report itself rather than through `rrs_model::json`. The
+//! encoding is canonical — fixed key order, no whitespace options. The
+//! workspace's one JSON reader, `rrs_model::json::parse`, reads it back in
+//! the tests (a dev-dependency only), and re-encoding what it read must
+//! reproduce the bytes.
 
 use crate::report::Finding;
 
@@ -59,202 +60,25 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Decode a report produced by [`encode`].
-pub fn decode(text: &str) -> Result<Vec<Finding>, String> {
-    let mut p = Parser { chars: text.chars().collect(), pos: 0 };
-    p.ws();
-    p.expect('{')?;
-    p.key("schema")?;
-    let schema = p.number()?;
-    if schema != LINT_SCHEMA_VERSION {
-        return Err(format!("unsupported lint report schema {schema}"));
-    }
-    p.ws();
-    p.expect(',')?;
-    p.key("findings")?;
-    p.ws();
-    p.expect('[')?;
-    let mut findings = Vec::new();
-    p.ws();
-    if !p.eat(']') {
-        loop {
-            findings.push(p.finding()?);
-            p.ws();
-            if p.eat(']') {
-                break;
-            }
-            p.expect(',')?;
-        }
-    }
-    p.ws();
-    p.expect('}')?;
-    p.ws();
-    if p.pos != p.chars.len() {
-        return Err("trailing content after report".to_string());
-    }
-    Ok(findings)
-}
-
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Parser {
-    fn ws(&mut self) {
-        while self.chars.get(self.pos).is_some_and(|c| c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.chars.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.ws();
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!("expected '{c}' at offset {}", self.pos))
-        }
-    }
-
-    /// `"name":` with surrounding whitespace.
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        self.ws();
-        let got = self.string()?;
-        if got != name {
-            return Err(format!("expected key \"{name}\", got \"{got}\""));
-        }
-        self.expect(':')
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.ws();
-        if !self.eat('"') {
-            return Err(format!("expected string at offset {}", self.pos));
-        }
-        let mut s = String::new();
-        loop {
-            let c = *self.chars.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match c {
-                '"' => return Ok(s),
-                '\\' => {
-                    let esc = *self.chars.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        '"' => s.push('"'),
-                        '\\' => s.push('\\'),
-                        '/' => s.push('/'),
-                        'n' => s.push('\n'),
-                        't' => s.push('\t'),
-                        'r' => s.push('\r'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let h = *self.chars.get(self.pos).ok_or("truncated \\u escape")?;
-                                self.pos += 1;
-                                code = code * 16
-                                    + h.to_digit(16).ok_or("bad hex digit in \\u escape")?;
-                            }
-                            s.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                        }
-                        other => return Err(format!("unsupported escape '\\{other}'")),
-                    }
-                }
-                c => s.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.ws();
-        let start = self.pos;
-        while self.chars.get(self.pos).is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected number at offset {}", self.pos));
-        }
-        self.chars[start..self.pos]
-            .iter()
-            .collect::<String>()
-            .parse::<u64>()
-            .map_err(|e| format!("bad number: {e}"))
-    }
-
-    fn finding(&mut self) -> Result<Finding, String> {
-        self.expect('{')?;
-        self.key("rule")?;
-        let rule = self.string()?;
-        self.expect(',')?;
-        self.key("file")?;
-        let file = self.string()?;
-        self.expect(',')?;
-        self.key("line")?;
-        let line = u32::try_from(self.number()?).map_err(|_| "line out of range".to_string())?;
-        self.expect(',')?;
-        self.key("item")?;
-        self.ws();
-        let item = if self.chars.get(self.pos) == Some(&'n') {
-            for want in "null".chars() {
-                if !self.eat(want) {
-                    return Err("expected null".to_string());
-                }
-            }
-            None
-        } else {
-            Some(self.string()?)
-        };
-        self.expect(',')?;
-        self.key("message")?;
-        let message = self.string()?;
-        self.expect('}')?;
-        Ok(Finding { rule, file, line, item, message })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_model::json::{parse, Value};
 
     #[test]
-    fn round_trip_is_identity_both_ways() {
+    fn report_reads_back_through_the_workspace_json_reader() {
+        let message = "missing \"Snapshot\"\timpl";
         let findings = vec![
             Finding::new("float-ban", "crates/core/src/x.rs", 12, None, "f64 token".to_string()),
-            Finding::new(
-                "trait-matrix",
-                "crates/core/src/y.rs",
-                3,
-                Some("Foo"),
-                "missing \"Snapshot\"\timpl".to_string(),
-            ),
+            Finding::new("trait-matrix", "crates/core/src/y.rs", 3, Some("Foo"), message.into()),
         ];
-        let json = encode(&findings);
-        let back = decode(&json).expect("decodes");
-        assert_eq!(back, findings);
-        assert_eq!(encode(&back), json, "re-encode reproduces bytes");
-    }
-
-    #[test]
-    fn empty_report_round_trips() {
-        let json = encode(&[]);
-        assert_eq!(decode(&json).expect("decodes"), vec![]);
-        assert_eq!(encode(&[]), json);
-    }
-
-    #[test]
-    fn rejects_wrong_schema_and_trailing_junk() {
-        assert!(decode("{\"schema\":99,\"findings\":[]}").is_err());
-        let mut json = encode(&[]);
-        json.push_str("extra");
-        assert!(decode(&json).is_err());
+        let report = parse(&encode(&findings)).expect("the report is strict JSON");
+        assert_eq!(report.u64_field("schema"), Ok(LINT_SCHEMA_VERSION));
+        let got = report.field("findings").expect("findings").as_array().expect("an array");
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].field("item"), Ok(&Value::Null));
+        assert_eq!(got[1].str_field("item"), Ok("Foo"));
+        assert_eq!(got[1].u64_field("line"), Ok(3));
+        assert_eq!(got[1].str_field("message"), Ok(message), "quote and tab escapes");
     }
 }

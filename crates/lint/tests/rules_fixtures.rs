@@ -1,7 +1,7 @@
 //! One deliberately-bad mini-tree per rule under `tests/fixtures/`, plus a
-//! clean tree, each asserting the *exact* fire locations — and a `--json`
-//! round-trip of real findings through the hand-rolled parser, both via the
-//! library codec and via the actual binary.
+//! clean tree, each asserting the *exact* fire locations — and the `--json`
+//! report of real findings, from the library writer and from the actual
+//! binary, read back through the workspace's one JSON reader.
 //!
 //! The fixture sources are data, not code: the workspace walk skips any
 //! directory named `fixtures`, so cargo never compiles them and the real
@@ -10,6 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use rrs_lint::{analyze, json, Config, Finding};
+use rrs_model::json::{parse, Value};
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures").join(name)
@@ -23,6 +24,33 @@ fn run(name: &str, rules: Option<&[&str]>) -> Vec<Finding> {
 /// (file, line, rule, item) — the part of a finding a fixture pins down.
 fn anchors(findings: &[Finding]) -> Vec<(String, u32, String, Option<String>)> {
     findings.iter().map(|f| (f.file.clone(), f.line, f.rule.clone(), f.item.clone())).collect()
+}
+
+/// Read a `--json` report back through `rrs_model::json`, and check that
+/// re-encoding what was read reproduces its bytes (the layout is canonical).
+fn decode(report: &str) -> Vec<Finding> {
+    let doc = parse(report).expect("the report is strict JSON");
+    assert_eq!(doc.u64_field("schema"), Ok(json::LINT_SCHEMA_VERSION));
+    let text = |f: &Value, key: &str| f.str_field(key).expect("a string field").to_string();
+    let findings: Vec<Finding> = doc
+        .field("findings")
+        .expect("findings")
+        .as_array()
+        .expect("an array")
+        .iter()
+        .map(|f| Finding {
+            rule: text(f, "rule"),
+            file: text(f, "file"),
+            line: u32::try_from(f.u64_field("line").expect("a line")).expect("a u32 line"),
+            item: match f.field("item").expect("an item") {
+                Value::Null => None,
+                _ => Some(text(f, "item")),
+            },
+            message: text(f, "message"),
+        })
+        .collect();
+    assert_eq!(json::encode(&findings), report, "re-encoding reproduces the bytes");
+    findings
 }
 
 fn anchor(
@@ -121,12 +149,10 @@ fn clean_tree_yields_zero_findings_on_a_full_pass() {
 }
 
 #[test]
-fn json_round_trips_real_findings_through_the_hand_rolled_parser() {
+fn json_report_of_real_findings_reads_back_through_the_workspace_reader() {
     for tree in ["waiver_bad", "schema_bad", "clean"] {
         let findings = run(tree, None);
-        let encoded = json::encode(&findings);
-        let decoded = json::decode(&encoded).expect("encoder output decodes");
-        assert_eq!(decoded, findings, "round-trip identity for {tree}");
+        assert_eq!(decode(&json::encode(&findings)), findings, "{tree}");
     }
 }
 
@@ -142,7 +168,7 @@ fn binary_json_output_matches_the_library_and_exit_codes_hold() {
         let code = out.status.code();
         assert_eq!(code, Some(if expect_findings { 1 } else { 0 }), "exit code for {tree}");
         let stdout = String::from_utf8(out.stdout).expect("JSON output is UTF-8");
-        let decoded = json::decode(&stdout).expect("binary JSON decodes");
+        let decoded = decode(&stdout);
         let library = run(tree, None);
         assert_eq!(decoded, library, "binary and library agree on {tree}");
     }

@@ -30,7 +30,7 @@ fn main() {
     println!("  drops:            {}", out.dropped);
     println!("  executed:         {}", out.executed);
     println!("  total cost:       {}", out.total_cost());
-    let m = policy.metrics();
+    let m = policy.stats().metrics;
     println!(
         "  epochs:           {} (lemma 3.3 bound: {})",
         m.num_epochs(),

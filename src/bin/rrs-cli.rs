@@ -527,19 +527,10 @@ fn report_saved(mut args: Vec<String>) -> Result<(), String> {
         return Err("trace violates conservation (arrived != executed + dropped)".into());
     }
     print_cost_attribution(meta.delta, reconfigs, dropped)?;
-    if !parsed.counters.is_empty() || !parsed.hists.is_empty() {
+    if !parsed.counters.is_empty() {
         println!("counters (from trace, deterministic):");
         for (cname, v) in &parsed.counters {
             println!("  {cname:<18} {v}");
-        }
-        for (hname, h) in &parsed.hists {
-            println!(
-                "  hist {hname}: total {} sum {} buckets le[{}]=[{}]",
-                h.total(),
-                h.sum(),
-                h.bounds_text(),
-                h.counts_text()
-            );
         }
     }
     if let Some(ipath) = inst_path {

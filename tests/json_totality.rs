@@ -78,6 +78,10 @@ fn lenient_reads_are_rejected() {
     }
 
     assert!(parse_trace_line("{\"ev\":\"round\",\"round\":0,\"round\":1}").is_err());
+    // No writer emits a `hist` record, so the reader has no arm for one:
+    // counts that sum past u64::MAX are an unknown kind, not an overflow.
+    let hist = r#"{"ev":"hist","name":"h","bounds":"1","counts":"18446744073709551615,1","sum":0}"#;
+    assert_eq!(parse_trace_line(hist), Err("unknown event kind 'hist'".to_string()));
 
     let core = ARTIFACTS[0];
     let dup_suite =

@@ -5,7 +5,7 @@
 use rrs::prelude::*;
 
 /// Run the concrete policy behind `kind` on `inst`: its stats, and the
-/// inherent lemma counters of the three policies that keep a ColorBook.
+/// lemma counters in the book of the three policies that keep a ColorBook.
 fn concrete(kind: PolicyKind, inst: &Instance, n: usize) -> (PolicyStats, Option<AlgoMetrics>) {
     fn run<P: Policy>(mut policy: P, inst: &Instance, n: usize) -> P {
         Simulator::new(inst, n).run(&mut policy);
@@ -14,15 +14,15 @@ fn concrete(kind: PolicyKind, inst: &Instance, n: usize) -> (PolicyStats, Option
     match kind {
         PolicyKind::DeltaLru => {
             let p = run(DeltaLru::new(), inst, n);
-            (p.stats(), Some(p.metrics()))
+            (p.stats(), p.book().map(|b| b.metrics))
         }
         PolicyKind::Edf => {
             let p = run(Edf::new(), inst, n);
-            (p.stats(), Some(p.metrics()))
+            (p.stats(), p.book().map(|b| b.metrics))
         }
         PolicyKind::DeltaLruEdf => {
             let p = run(DeltaLruEdf::new(), inst, n);
-            (p.stats(), Some(p.metrics()))
+            (p.stats(), p.book().map(|b| b.metrics))
         }
         PolicyKind::ClassicLru => (run(ClassicLru::new(), inst, n).stats(), None),
         PolicyKind::Distribute => (run(Distribute::new(DeltaLruEdf::new()), inst, n).stats(), None),
@@ -39,11 +39,11 @@ fn every_policy_box_reports_its_concrete_policys_stats() {
         let mut boxed = kind.make();
         Simulator::new(&inst, 8).run(&mut boxed);
         let stats = boxed.stats();
-        let (want, inherent) = concrete(kind, &inst, 8);
+        let (want, in_book) = concrete(kind, &inst, 8);
         assert_eq!(stats, want, "{name}: the box must forward stats()");
         assert_ne!(stats.footprint.colorset_leaf_words, 0, "{name}");
         assert_ne!(stats.footprint.colormap_live_pages, 0, "{name}");
-        match inherent {
+        match in_book {
             Some(metrics) => {
                 assert_eq!(stats.metrics, metrics, "{name}");
                 assert_ne!(metrics.num_epochs(), 0, "{name}");

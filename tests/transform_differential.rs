@@ -62,6 +62,35 @@ fn fused_full_stack_decides_exactly_as_the_nested_one() {
 }
 
 #[test]
+fn reductions_release_only_on_batch_boundaries() {
+    // What the bare batched-arrival policies inside the full stack rely
+    // on: σ′ (HalfBlocks) is batched, and σ″ (then SubColors) is
+    // rate-limited with power-of-two bounds and every job kept, on input of
+    // every class, so ΔLRU-EDF never sees an off-boundary arrival there.
+    let zipf = ZipfConfig { num_colors: 2_000, ..ZipfConfig::default() };
+    for seed in 0..4 {
+        for (kind, inst) in [
+            ("rate-limited", rate_limited_instance(&RateLimitedConfig::default(), seed)),
+            ("batched", batched_instance(&BatchedConfig::default(), seed)),
+            ("general", general_instance(&GeneralConfig::default(), seed)),
+            ("router", multiservice_router(&RouterConfig::default(), seed)),
+            ("datacenter", shared_datacenter(&DatacenterConfig::default(), seed)),
+            ("background", background_vs_short_term(&BackgroundConfig::default(), seed).0),
+            ("bursty", bursty_instance(&BurstyConfig::default(), seed)),
+            ("zipf", zipf_popularity(&zipf, seed)),
+        ] {
+            let name = format!("{kind} --seed {seed}");
+            let (sigma1, _) = materialize(&inst, HalfBlocks::default());
+            assert_eq!(classify::check_batched(&sigma1), Ok(()), "{name}: σ′");
+            let (sigma2, _) = materialize(&inst, Then::<HalfBlocks, SubColors>::default());
+            assert_eq!(classify::check_rate_limited(&sigma2), Ok(()), "{name}: σ″");
+            assert_eq!(classify::check_power_of_two_bounds(&sigma2), Ok(()), "{name}: σ″");
+            assert_eq!(sigma2.total_jobs(), inst.total_jobs(), "{name}: σ″ jobs");
+        }
+    }
+}
+
+#[test]
 fn lemma_4_2_wrapper_never_costs_more_than_materialized_run() {
     // S (the projection) vs S' (the sub-color schedule): the projection
     // merges sub-color reconfigurations onto one physical color and may
